@@ -6,7 +6,8 @@
 //      the verifier-emulation workload), with an exact divergence count
 //      (values and settle times compared bitwise per net), then the
 //      bit-sliced engine (64 lanes per uint64_t word) over the same
-//      challenges with the same exact divergence check;
+//      challenges with the same exact divergence check; both sweeps start
+//      at 8 lanes, the verifier's own batch (one PUF() call);
 //   2. device level — AluPuf::eval vs eval_batch (per-lane noisy delays,
 //      the CRP-generation workload);
 //   3. CRP generation — collect_alu_raw_parallel at 1/2/4/8 threads with a
@@ -248,7 +249,8 @@ int main(int argc, char** argv) {
   std::size_t total_divergence = 0;
   timingsim::BatchState batch_states;
   std::vector<std::uint8_t> lanes;
-  for (const std::size_t B : {16u, 64u, 256u}) {
+  // B=8 is the verifier's own shape: one PUF() call emulates 8 challenges.
+  for (const std::size_t B : {8u, 16u, 64u, 256u}) {
     t0 = Clock::now();
     for (std::size_t base = 0; base < engine_evals; base += B) {
       const std::size_t n = std::min<std::size_t>(B, engine_evals - base);
@@ -289,7 +291,7 @@ int main(int argc, char** argv) {
   const timingsim::BitSliceEngine slice(sim.compiled(), delays);
   timingsim::BitSliceState slice_state;
   std::vector<std::uint64_t> input_words;
-  const std::size_t slice_batches[] = {64, 256, 512};
+  const std::size_t slice_batches[] = {8, 64, 256, 512};
   std::vector<SlicePoint> slice_sweep(std::size(slice_batches));
   double soa_ref_best = 0.0;
   const int engine_reps = smoke ? 1 : 5;
@@ -319,19 +321,24 @@ int main(int argc, char** argv) {
           slice_sweep[i].evals_per_s, engine_evals / seconds_since(t0));
     }
   }
-  // Divergence: recheck one B=256 pass bitwise against scalar, all gates.
-  for (std::size_t base = 0; base < engine_evals; base += 256) {
-    const std::size_t n = std::min<std::size_t>(256, engine_evals - base);
-    timingsim::pack_input_words(challenges.data() + base, n,
-                                circuit.net.num_inputs(), input_words);
-    slice.run(input_words.data(), n, slice_state);
-    for (std::size_t b = 0; b < n; ++b) {
-      sim.run(challenges[base + b], delays, states);
-      for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
-        const auto id = static_cast<netlist::GateId>(g);
-        if (slice.value(slice_state, id, b) != states[g].value ||
-            slice.time_ps(slice_state, id, b) != states[g].time_ps) {
-          ++slice_sweep[1].divergence;
+  // Divergence: recheck one pass bitwise against scalar, all gates, at the
+  // verifier's 8 lanes (one tight-stride word) and at 256 (four words).
+  for (auto& point : slice_sweep) {
+    const std::size_t B = point.batch;
+    if (B != 8 && B != 256) continue;
+    for (std::size_t base = 0; base < engine_evals; base += B) {
+      const std::size_t n = std::min<std::size_t>(B, engine_evals - base);
+      timingsim::pack_input_words(challenges.data() + base, n,
+                                  circuit.net.num_inputs(), input_words);
+      slice.run(input_words.data(), n, slice_state);
+      for (std::size_t b = 0; b < n; ++b) {
+        sim.run(challenges[base + b], delays, states);
+        for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
+          const auto id = static_cast<netlist::GateId>(g);
+          if (slice.value(slice_state, id, b) != states[g].value ||
+              slice.time_ps(slice_state, id, b) != states[g].time_ps) {
+            ++point.divergence;
+          }
         }
       }
     }

@@ -102,10 +102,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   for (std::size_t x = 0; x < count; ++x) check_challenge(challenges[x]);
 
   using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) {
-    engine = count >= timingsim::kBitsliceMinLanes ? BatchEngine::kBitslice
-                                                   : BatchEngine::kBatch;
-  }
+  if (engine == BatchEngine::kAuto) engine = BatchEngine::kBitslice;
 
   // Batch profiling under the global tracer: the delay-sampling loop and
   // the arbiter sweep are the two scalar phases flanking the vectorized
@@ -304,10 +301,7 @@ timingsim::BatchEngine AluPufEmulator::run_batch(
   check_batch(challenges, count);
   const auto& delays = delays_for(env);
   using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) {
-    engine = count >= timingsim::kBitsliceMinLanes ? BatchEngine::kBitslice
-                                                   : BatchEngine::kBatch;
-  }
+  if (engine == BatchEngine::kAuto) engine = BatchEngine::kBitslice;
   if (engine == BatchEngine::kBitslice) {
     timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
     cached_slice_->run(slice_words_.data(), count, slice_state_);
@@ -381,14 +375,7 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
   }
   engine = run_batch(challenges, count, env, engine);
   if (engine == BatchEngine::kBitslice) {
-    for (std::size_t x = 0; x < count; ++x) {
-      for (std::size_t i = 0; i < width_; ++i) {
-        const double delta =
-            cached_slice_->time_ps(slice_state_, circuit_.race1[i], x) -
-            cached_slice_->time_ps(slice_state_, circuit_.race0[i], x);
-        out[x * width_ + i] = -delta;
-      }
-    }
+    soft_from_slice(out.data());
     return;
   }
   for (std::size_t x = 0; x < count; ++x) {
@@ -398,6 +385,36 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
       out[x * width_ + i] = -delta;
     }
   }
+}
+
+void AluPufEmulator::eval_soft_words(const std::uint64_t* challenges,
+                                     std::size_t count, double* out,
+                                     const variation::Environment& env) const {
+  const std::size_t inputs = 2 * width_;
+  if (count == 0 || count > 64 || inputs > 64) {
+    throw std::invalid_argument(
+        "AluPufEmulator::eval_soft_words: needs 1..64 lanes, width <= 32");
+  }
+  for (std::size_t x = 0; x < count; ++x) {
+    if (inputs < 64 && (challenges[x] >> inputs) != 0) {
+      throw std::invalid_argument(
+          "AluPufEmulator: challenge must be 2*width bits");
+    }
+  }
+  delays_for(env);
+  std::uint64_t words[64] = {};
+  timingsim::pack_input_words(challenges, count, inputs, words);
+  cached_slice_->run(words, count, slice_state_);
+  soft_from_slice(out);
+}
+
+void AluPufEmulator::soft_from_slice(double* out) const {
+  for (std::size_t i = 0; i < width_; ++i) {
+    cached_slice_->race_deltas(slice_state_, circuit_.race0[i],
+                               circuit_.race1[i], out + i, width_);
+  }
+  // Bit is 1 when delta > 0, and the LLR convention is positive = bit 0.
+  for (std::size_t k = 0; k < slice_state_.count * width_; ++k) out[k] = -out[k];
 }
 
 RawResponse AluPufEmulator::eval(const Challenge& challenge,

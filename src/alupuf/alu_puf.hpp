@@ -61,7 +61,7 @@ struct AluPufBatchScratch {
   timingsim::BatchDelays delays;
   std::vector<std::uint8_t> inputs;
   std::vector<support::Xoshiro256pp> lane_rngs;
-  // Bit-sliced path (BatchEngine::kBitslice / large kAuto batches).
+  // Bit-sliced path (BatchEngine::kBitslice / kAuto).
   timingsim::BitSliceState slice;
   std::vector<std::uint64_t> input_words;
 };
@@ -106,8 +106,7 @@ class AluPuf {
   /// delay realization and the arbiter sweep are engine-independent, and
   /// all engines compute the same settle-time doubles (the repo's
   /// exactness contract), so responses are byte-identical across engines.
-  /// kAuto routes to the bit-sliced engine at >= kBitsliceMinLanes lanes
-  /// and to the SoA engine below.
+  /// kAuto runs the bit-sliced engine at every lane count.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
@@ -205,10 +204,23 @@ class AluPufEmulator {
 
   /// Batched soft responses: `out` is resized to count*width, challenge x's
   /// LLRs at `out[x*width .. (x+1)*width)`.  Bit-identical to eval_soft.
+  /// kAuto/kBitslice share the kernel of eval_soft_words.
   void eval_soft_batch(
       const Challenge* challenges, std::size_t count, std::vector<double>& out,
       const variation::Environment& env = variation::Environment::nominal(),
       timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+
+  /// Word-level soft batch (width <= 32, 1 <= count <= 64): challenge x is
+  /// the 2*width-bit word `challenges[x]` (a then b, bit i = challenge bit
+  /// i; higher bits must be zero), and its LLRs land at
+  /// `out[x*width .. (x+1)*width)`.  One shared-delay bit-sliced run, sized
+  /// to the batch (see BitSliceState::padded); allocates nothing once the
+  /// emulator's scratch state has seen the batch size.  The verifier's
+  /// per-call path (PufEmulator::emulate_words).
+  void eval_soft_words(
+      const std::uint64_t* challenges, std::size_t count, double* out,
+      const variation::Environment& env =
+          variation::Environment::nominal()) const;
 
   /// Warms the per-env delay cache (see AluPuf::prewarm).
   void prewarm(const variation::Environment& env =
@@ -220,14 +232,17 @@ class AluPufEmulator {
   void run_challenge(const Challenge& challenge,
                      const variation::Environment& env) const;
   const timingsim::DelaySet& delays_for(const variation::Environment& env) const;
-  /// Runs the kBatch or kBitslice kernel (kAuto resolved by lane count)
-  /// into batch_state_ / slice_state_; returns the engine that ran.
-  /// kScalar never reaches here — callers loop the scalar path themselves.
+  /// Runs the kBatch or kBitslice kernel (kAuto = kBitslice) into
+  /// batch_state_ / slice_state_; returns the engine that ran.  kScalar
+  /// never reaches here — callers loop the scalar path themselves.
   timingsim::BatchEngine run_batch(const Challenge* challenges,
                                    std::size_t count,
                                    const variation::Environment& env,
                                    timingsim::BatchEngine engine) const;
   void check_batch(const Challenge* challenges, std::size_t count) const;
+  /// LLRs of the last bit-sliced run (slice_state_) in eval_soft_batch
+  /// layout.
+  void soft_from_slice(double* out) const;
 
   std::size_t width_;
   netlist::AluPufCircuit circuit_;

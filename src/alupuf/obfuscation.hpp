@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -39,7 +40,7 @@ class ObfuscationNetwork {
   /// the figure-reproduction benches use kPaper.
   enum class Pairing { kPaper, kHardened };
 
-  /// `response_bits` (= 2n) must be even.
+  /// `response_bits` (= 2n) must be even and at most 64.
   explicit ObfuscationNetwork(std::size_t response_bits,
                               Pairing pairing = Pairing::kPaper);
 
@@ -54,6 +55,12 @@ class ObfuscationNetwork {
   support::BitVector obfuscate(
       const std::array<support::BitVector, kResponsesPerOutput>& responses)
       const;
+
+  /// The word kernels the two calls above wrap: bit i of a word is bit i
+  /// of the response (bits at or above 2n are ignored) or of the output.
+  std::uint64_t fold_word(std::uint64_t response) const;
+  std::uint64_t obfuscate_words(
+      const std::array<std::uint64_t, kResponsesPerOutput>& responses) const;
 
  private:
   std::size_t two_n_;

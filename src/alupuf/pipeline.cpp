@@ -1,12 +1,21 @@
 #include "alupuf/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 namespace pufatt::alupuf {
 
 using support::BitVector;
+
+namespace {
+
+/// Widest PUF whose 2*width-bit challenge fits one machine word: the
+/// verifier's word pipeline (PufEmulator::emulate_words).
+constexpr std::size_t kMaxWordWidth = 32;
+
+}  // namespace
 
 std::vector<Challenge> ChallengeExpander::expand(std::uint64_t x,
                                                  std::size_t width) {
@@ -106,6 +115,9 @@ PufEmulator::PufEmulator(std::size_t width, variation::DelayTable model,
     throw std::invalid_argument(
         "PufEmulator: code length must equal the PUF response width");
   }
+  if (width > kMaxWordWidth) {
+    throw std::invalid_argument("PufEmulator: width must be <= 32");
+  }
 }
 
 std::optional<BitVector> PufEmulator::emulate(
@@ -126,41 +138,60 @@ std::optional<BitVector> PufEmulator::emulate_raw(
   if (helpers.size() != ObfuscationNetwork::kResponsesPerOutput) {
     return std::nullopt;
   }
-  std::array<BitVector, ObfuscationNetwork::kResponsesPerOutput> responses;
-  std::size_t call_distance = 0;
-  double weighted_distance = 0.0;
+  Words challenge_words, helper_words;
+  for (std::size_t r = 0; r < challenges.size(); ++r) {
+    if (challenges[r].size() != 2 * emulator_.response_bits()) {
+      throw std::invalid_argument("PufEmulator: challenge must be 2*width bits");
+    }
+    if (helpers[r].size() != helper_bits()) {
+      throw std::invalid_argument("PufEmulator: bad helper size");
+    }
+    challenge_words[r] = challenges[r].to_u64();
+    helper_words[r] = helpers[r].to_u64();
+  }
+  const auto z = emulate_words(challenge_words, helper_words, env).z;
+  if (!z) return std::nullopt;
+  return BitVector(output_bits(), *z);
+}
+
+PufEmulator::CallResult PufEmulator::emulate_words(
+    const Words& challenges, const Words& helpers,
+    const variation::Environment& env) const {
+  constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
+  const std::size_t width = emulator_.response_bits();
   // All 8 soft emulations in one batched pass over the timing engine —
   // bit-identical to per-challenge eval_soft (the emulator is noise-free),
   // and the dominant cost of a verifier job.
-  const std::size_t width = emulator_.response_bits();
-  std::vector<double> soft;
-  emulator_.eval_soft_batch(challenges.data(), challenges.size(), soft, env);
-  std::vector<double> reference_llr(width);
-  for (std::size_t r = 0; r < responses.size(); ++r) {
+  std::array<double, kPer * kMaxWordWidth> soft{};
+  emulator_.eval_soft_words(challenges.data(), kPer, soft.data(), env);
+  CallResult result;
+  Words responses;
+  for (std::size_t r = 0; r < kPer; ++r) {
     // Soft-decision reconstruction: the emulation's race margins tell the
     // decoder which bits the physical arbiters resolve unreliably.
-    std::copy(soft.begin() + r * width, soft.begin() + (r + 1) * width,
-              reference_llr.begin());
-    const auto reconstructed =
-        helper_.reproduce_soft(reference_llr, helpers[r]);
-    if (!reconstructed) return std::nullopt;
+    const double* const llr = soft.data() + r * width;
+    const auto reconstructed = helper_.reproduce_soft_word(llr, helpers[r]);
+    if (!reconstructed) return result;
     // Distance budgets against the reference (sign of the margins): plain
-    // Hamming plus the reliability-weighted likelihood-ratio statistic.
-    for (std::size_t i = 0; i < reference_llr.size(); ++i) {
-      const bool reference_bit = reference_llr[i] < 0.0;
-      if (reconstructed->get(i) != reference_bit) {
-        ++call_distance;
-        weighted_distance += std::abs(reference_llr[i]);
-      }
+    // Hamming plus the reliability-weighted likelihood-ratio statistic,
+    // summed in bit order.
+    std::uint64_t reference = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      reference |= static_cast<std::uint64_t>(llr[i] < 0.0) << i;
+    }
+    std::uint64_t disagree = *reconstructed ^ reference;
+    result.stats.distance += static_cast<std::size_t>(std::popcount(disagree));
+    for (; disagree != 0; disagree &= disagree - 1) {
+      result.stats.weighted_ps += std::abs(llr[std::countr_zero(disagree)]);
     }
     responses[r] = *reconstructed;
   }
-  last_call_stats_ = CallStats{call_distance, weighted_distance};
-  if (call_distance > max_call_distance_ ||
-      weighted_distance > max_weighted_distance_ps_) {
-    return std::nullopt;
+  if (result.stats.distance > max_call_distance_ ||
+      result.stats.weighted_ps > max_weighted_distance_ps_) {
+    return result;
   }
-  return obfuscation_.obfuscate(responses);
+  result.z = obfuscation_.obfuscate_words(responses);
+  return result;
 }
 
 }  // namespace pufatt::alupuf

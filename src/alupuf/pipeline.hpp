@@ -103,6 +103,8 @@ class PufDevice {
 /// distance, not by decoding failure.
 class PufEmulator {
  public:
+  /// `width` <= 32 (one challenge per machine word); `code.n()` must equal
+  /// it and `code` must outlive the emulator.
   PufEmulator(std::size_t width, variation::DelayTable model,
               const ecc::BinaryCode& code,
               netlist::AluPufLayout layout = {});
@@ -126,6 +128,30 @@ class PufEmulator {
   void set_max_weighted_distance(double ps) { max_weighted_distance_ps_ = ps; }
   double max_weighted_distance() const { return max_weighted_distance_ps_; }
 
+  /// Reconstruction distance of one PUF() call — verifiers aggregate these
+  /// across a whole attestation transcript (the summed statistic separates
+  /// marginal overclocking far better than any per-call threshold).
+  struct CallStats {
+    std::size_t distance = 0;
+    double weighted_ps = 0.0;
+  };
+  struct CallResult {
+    std::optional<std::uint64_t> z;  ///< bit i = output bit i
+    CallStats stats;  ///< as far as reconstruction got
+  };
+  using Words = std::array<std::uint64_t, ObfuscationNetwork::kResponsesPerOutput>;
+
+  /// One PUF() call as a fixed-size word pipeline with no heap allocation:
+  /// the 8 raw challenges (2*width bits each, as in PufDevice::query_raw)
+  /// run as one bit-sliced soft batch, each response is reconstructed from
+  /// its helper word (low helper_bits() bits; higher bits are ignored) on
+  /// machine words, both distance budgets are checked, and the obfuscation
+  /// folds and rotates words.  `z` is empty when reconstruction fails or a
+  /// budget trips (an honest-prover false negative or a forged transcript).
+  CallResult emulate_words(const Words& challenges, const Words& helpers,
+                           const variation::Environment& env =
+                               variation::Environment::nominal()) const;
+
   /// Recomputes z for a challenge given the prover's helper data; nullopt
   /// when reconstruction fails (reference and measurement too far apart —
   /// an honest-prover false negative or a forged transcript).
@@ -135,23 +161,14 @@ class PufEmulator {
       const variation::Environment& env =
           variation::Environment::nominal()) const;
 
-  /// Raw-challenge variant matching PufDevice::query_raw.
+  /// Raw-challenge variant matching PufDevice::query_raw.  Both wrap
+  /// emulate_words.
   std::optional<support::BitVector> emulate_raw(
       const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
           challenges,
       const std::vector<support::BitVector>& helpers,
       const variation::Environment& env =
           variation::Environment::nominal()) const;
-
-  /// Distance statistics of the most recent emulate/emulate_raw call —
-  /// verifiers aggregate these across a whole attestation transcript (the
-  /// summed statistic separates marginal overclocking far better than any
-  /// per-call threshold).
-  struct CallStats {
-    std::size_t distance = 0;
-    double weighted_ps = 0.0;
-  };
-  CallStats last_call_stats() const { return last_call_stats_; }
 
   std::size_t output_bits() const { return obfuscation_.output_bits(); }
   std::size_t helper_bits() const { return helper_.helper_bits(); }
@@ -163,7 +180,6 @@ class PufEmulator {
   ObfuscationNetwork obfuscation_;
   std::size_t max_call_distance_ = 48;
   double max_weighted_distance_ps_ = 60.0;
-  mutable CallStats last_call_stats_{};
 };
 
 }  // namespace pufatt::alupuf

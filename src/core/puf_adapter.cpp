@@ -1,5 +1,6 @@
 #include "core/puf_adapter.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pufatt::core {
@@ -81,21 +82,16 @@ swat::PufQuery emulator_query(const alupuf::PufEmulator& emulator,
              const std::array<std::uint64_t, 8>& challenges)
              -> std::optional<std::uint32_t> {
     if (cursor + 8 > transcript.size()) return std::nullopt;
-    const std::size_t helper_bits = emulator.helper_bits();
-    std::vector<support::BitVector> helpers;
-    helpers.reserve(8);
-    for (std::size_t h = 0; h < 8; ++h) {
-      helpers.push_back(helper_from_word(transcript[cursor + h], helper_bits));
-    }
+    alupuf::PufEmulator::Words helpers;
+    std::copy_n(transcript.begin() + static_cast<std::ptrdiff_t>(cursor), 8,
+                helpers.begin());
     cursor += 8;
-    std::array<alupuf::Challenge, 8> raw;
-    for (std::size_t r = 0; r < 8; ++r) raw[r] = challenge_from_u64(challenges[r]);
-    const auto z = emulator.emulate_raw(raw, helpers);
+    const auto call = emulator.emulate_words(challenges, helpers);
     if (total_weighted_ps != nullptr) {
-      *total_weighted_ps += emulator.last_call_stats().weighted_ps;
+      *total_weighted_ps += call.stats.weighted_ps;
     }
-    if (!z) return std::nullopt;
-    return static_cast<std::uint32_t>(z->to_u64());
+    if (!call.z) return std::nullopt;
+    return static_cast<std::uint32_t>(*call.z);
   };
 }
 

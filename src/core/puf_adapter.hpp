@@ -63,6 +63,8 @@ swat::PufQuery device_query(const alupuf::PufDevice& device,
 /// failure or transcript exhaustion.  When `total_weighted_ps` is non-null
 /// it accumulates the reliability-weighted reconstruction distance over
 /// every call, which the verifier checks against a whole-transcript budget.
+/// Challenge and helper words go straight to PufEmulator::emulate_words;
+/// a call builds no BitVector.
 swat::PufQuery emulator_query(const alupuf::PufEmulator& emulator,
                               const std::vector<std::uint32_t>& transcript,
                               std::size_t& cursor,

@@ -17,6 +17,7 @@ SyndromeHelper::SyndromeHelper(const BinaryCode& code) : code_(&code) {
       throw std::invalid_argument(
           "SyndromeHelper: parity-check matrix is rank-deficient");
     }
+    if (code.n() <= 64) preimage_words_.push_back(solution->to_u64());
     preimage_.push_back(std::move(*solution));
   }
 }
@@ -56,17 +57,30 @@ std::optional<BitVector> SyndromeHelper::reproduce_soft(
   if (helper.size() != helper_bits()) {
     throw std::invalid_argument("SyndromeHelper::reproduce_soft: bad helper");
   }
-  BitVector y0(code_->n());
-  for (std::size_t j = 0; j < helper.size(); ++j) {
-    if (helper.get(j)) y0 ^= preimage_[j];
+  const auto response = reproduce_soft_word(reference_llr.data(), helper.to_u64());
+  if (!response) return std::nullopt;
+  return BitVector(code_->n(), *response);
+}
+
+std::optional<std::uint64_t> SyndromeHelper::reproduce_soft_word(
+    const double* reference_llr, std::uint64_t helper) const {
+  const std::size_t n = code_->n();
+  if (n > 64) {
+    throw std::invalid_argument(
+        "SyndromeHelper::reproduce_soft_word: code wider than 64 bits");
+  }
+  // y0: any word with syndrome equal to the helper data.
+  std::uint64_t y0 = 0;
+  for (std::size_t j = 0; j < preimage_words_.size(); ++j) {
+    if ((helper >> j) & 1ULL) y0 ^= preimage_words_[j];
   }
   // The word to decode is reference XOR y0; XOR with a known bit flips the
   // sign of the soft value.
-  std::vector<double> llr = reference_llr;
-  for (std::size_t i = 0; i < llr.size(); ++i) {
-    if (y0.get(i)) llr[i] = -llr[i];
+  double llr[64] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    llr[i] = (y0 >> i) & 1ULL ? -reference_llr[i] : reference_llr[i];
   }
-  const auto codeword = code_->decode_soft_to_codeword(llr);
+  const auto codeword = code_->decode_soft_word(llr);
   if (!codeword) return std::nullopt;
   return *codeword ^ y0;
 }

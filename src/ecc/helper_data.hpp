@@ -12,6 +12,7 @@
 // correction to maintain verifiability".
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -39,10 +40,19 @@ class SyndromeHelper {
   /// bit i is 0, with magnitude = reliability.  The PUF emulator supplies
   /// the race margin of each bit as its reliability, which lets the decoder
   /// discount exactly the metastability-prone bits and reconstruct well
-  /// beyond the hard-decision radius.
+  /// beyond the hard-decision radius.  Wraps reproduce_soft_word, so the
+  /// code must be at most 64 bits long.
   std::optional<support::BitVector> reproduce_soft(
       const std::vector<double>& reference_llr,
       const support::BitVector& helper) const;
+
+  /// Word-level soft reconstruction, the kernel reproduce_soft wraps
+  /// (codes of at most 64 bits): `reference_llr` points at n() values,
+  /// `helper`'s low helper_bits() bits are the helper data (higher bits are
+  /// ignored), and bit i of the result is response bit i.  y0 is the XOR of
+  /// precomputed preimage words; nothing is allocated.
+  std::optional<std::uint64_t> reproduce_soft_word(const double* reference_llr,
+                                                   std::uint64_t helper) const;
 
   std::size_t response_bits() const { return code_->n(); }
   std::size_t helper_bits() const { return code_->n() - code_->k(); }
@@ -56,6 +66,8 @@ class SyndromeHelper {
   /// preimage_[j] = a fixed word whose syndrome is the j-th unit vector;
   /// any word with syndrome h is the XOR of preimages of h's set bits.
   std::vector<support::BitVector> preimage_;
+  /// preimage_ as words (codes of at most 64 bits), for the word kernel.
+  std::vector<std::uint64_t> preimage_words_;
 };
 
 }  // namespace pufatt::ecc

@@ -6,6 +6,7 @@
 // (bch.hpp) and ReedMuller1 (reed_muller.hpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -47,6 +48,14 @@ class BinaryCode {
   /// emulation provides each bit's race margin as its reliability.
   virtual std::optional<support::BitVector> decode_soft_to_codeword(
       const std::vector<double>& llr) const;
+
+  /// Word-level soft decoding for codes of at most 64 bits: `llr` points at
+  /// n() values (same convention as above); bit i of the result is codeword
+  /// bit i.  The verifier's per-call reconstruction runs on this.  The
+  /// default packs the result of decode_soft_to_codeword(); codes with a
+  /// word decoder (ReedMuller1) override it and allocate nothing.
+  virtual std::optional<std::uint64_t> decode_soft_word(
+      const double* llr) const;
 
   /// (n-k) x n parity-check matrix; its null space is exactly the code.
   virtual const Gf2Matrix& parity_check() const = 0;

@@ -12,11 +12,11 @@ using support::BitVector;
 
 namespace {
 
-/// In-place fast Walsh-Hadamard transform.
+/// In-place fast Walsh-Hadamard transform of a[0..n), n a power of two.
 template <typename T>
-void fwht(std::vector<T>& a) {
-  for (std::size_t h = 1; h < a.size(); h *= 2) {
-    for (std::size_t i = 0; i < a.size(); i += 2 * h) {
+void fwht(T* a, std::size_t n) {
+  for (std::size_t h = 1; h < n; h *= 2) {
+    for (std::size_t i = 0; i < n; i += 2 * h) {
       for (std::size_t j = i; j < i + h; ++j) {
         const T x = a[j];
         const T y = a[j + h];
@@ -25,6 +25,22 @@ void fwht(std::vector<T>& a) {
       }
     }
   }
+}
+
+/// The ML decision on a transformed word: the index of the largest
+/// |f[i]|, the first one on ties.  The index is the codeword's linear part,
+/// the sign of f there its affine constant.
+template <typename T>
+std::size_t peak_index(const T* f, std::size_t n) {
+  std::size_t best = 0;
+  T best_mag = std::abs(f[0]);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (std::abs(f[i]) > best_mag) {
+      best_mag = std::abs(f[i]);
+      best = i;
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -42,6 +58,15 @@ ReedMuller1::ReedMuller1(unsigned m) : m_(m), n_(std::size_t{1} << m) {
     }
   }
   parity_check_ = parity_from_generator(gen);
+  if (n_ <= 64) {
+    // Word decoder table: the codeword with linear part `idx`, u0 = 0.
+    linear_words_.resize(n_);
+    for (std::size_t idx = 0; idx < n_; ++idx) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        if (std::popcount(idx & i) & 1) linear_words_[idx] |= 1ULL << i;
+      }
+    }
+  }
 }
 
 BitVector ReedMuller1::encode(const BitVector& message) const {
@@ -62,27 +87,23 @@ BitVector ReedMuller1::encode(const BitVector& message) const {
   return cw;
 }
 
+BitVector ReedMuller1::message_at(std::size_t peak, bool negative) const {
+  BitVector msg(k());
+  msg.set(0, negative);
+  for (unsigned b = 0; b < m_; ++b) msg.set(b + 1, ((peak >> b) & 1u) != 0);
+  return msg;
+}
+
 BitVector ReedMuller1::decode_message(const BitVector& word) const {
   if (word.size() != n_) {
     throw std::invalid_argument("ReedMuller1::decode: wrong word length");
   }
-  // +1 / -1 map, then Hadamard transform: the peak index is the linear
-  // part, the peak sign is the affine constant.
+  // +1 / -1 map, then Hadamard transform.
   std::vector<int> f(n_);
   for (std::size_t i = 0; i < n_; ++i) f[i] = word.get(i) ? -1 : 1;
-  fwht(f);
-  std::size_t best = 0;
-  int best_mag = std::abs(f[0]);
-  for (std::size_t i = 1; i < n_; ++i) {
-    if (std::abs(f[i]) > best_mag) {
-      best_mag = std::abs(f[i]);
-      best = i;
-    }
-  }
-  BitVector msg(k());
-  msg.set(0, f[best] < 0);
-  for (unsigned b = 0; b < m_; ++b) msg.set(b + 1, ((best >> b) & 1u) != 0);
-  return msg;
+  fwht(f.data(), n_);
+  const std::size_t best = peak_index(f.data(), n_);
+  return message_at(best, f[best] < 0);
 }
 
 std::optional<BitVector> ReedMuller1::decode_to_codeword(
@@ -99,26 +120,31 @@ std::optional<BitVector> ReedMuller1::decode_soft_to_codeword(
   if (llr.size() != n_) {
     throw std::invalid_argument("ReedMuller1::decode_soft: wrong length");
   }
-  std::vector<double> f = llr;  // positive = bit 0, as encoded codeword +1
-  fwht(f);
-  std::size_t best = 0;
-  double best_mag = std::abs(f[0]);
-  for (std::size_t i = 1; i < n_; ++i) {
-    if (std::abs(f[i]) > best_mag) {
-      best_mag = std::abs(f[i]);
-      best = i;
-    }
+  if (n_ <= 64) return BitVector(n_, *decode_soft_word(llr.data()));
+  // Wider than a machine word: the same transform and peak on a heap copy.
+  std::vector<double> f = llr;
+  fwht(f.data(), n_);
+  const std::size_t best = peak_index(f.data(), n_);
+  return encode(message_at(best, f[best] < 0.0));
+}
+
+std::optional<std::uint64_t> ReedMuller1::decode_soft_word(
+    const double* llr) const {
+  if (n_ > 64) {
+    throw std::invalid_argument("ReedMuller1::decode_soft_word: m > 6");
   }
-  BitVector msg(k());
-  msg.set(0, f[best] < 0.0);
-  for (unsigned b = 0; b < m_; ++b) msg.set(b + 1, ((best >> b) & 1u) != 0);
-  return encode(msg);
+  double f[64] = {};  // positive = bit 0, as encoded codeword +1
+  std::copy_n(llr, n_, f);
+  fwht(f, n_);
+  const std::size_t best = peak_index(f, n_);
+  const std::uint64_t all = n_ == 64 ? ~0ULL : (1ULL << n_) - 1;
+  return f[best] < 0.0 ? linear_words_[best] ^ all : linear_words_[best];
 }
 
 int ReedMuller1::correlation_peak(const BitVector& word) const {
   std::vector<int> f(n_);
   for (std::size_t i = 0; i < n_; ++i) f[i] = word.get(i) ? -1 : 1;
-  fwht(f);
+  fwht(f.data(), n_);
   int best = 0;
   for (const auto v : f) best = std::max(best, std::abs(v));
   return best;

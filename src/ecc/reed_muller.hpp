@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ecc/linear_code.hpp"
 
@@ -43,6 +44,12 @@ class ReedMuller1 final : public BinaryCode {
   std::optional<support::BitVector> decode_soft_to_codeword(
       const std::vector<double>& llr) const override;
 
+  /// The word-level soft decoder (m <= 6): the same transform on a stack
+  /// array, the same first-maximum tie-break, and the codeword taken from
+  /// a precomputed table.  decode_soft_to_codeword wraps it.
+  std::optional<std::uint64_t> decode_soft_word(
+      const double* llr) const override;
+
   const Gf2Matrix& parity_check() const override { return parity_check_; }
 
   /// The |correlation| margin of the last-but-stateless decode: returns the
@@ -53,10 +60,16 @@ class ReedMuller1 final : public BinaryCode {
  private:
   /// Message layout: bit 0 = affine constant u0, bits 1..m = linear part.
   support::BitVector decode_message(const support::BitVector& word) const;
+  /// The message of Hadamard peak index `peak` (the linear part) with
+  /// affine constant `negative`.
+  support::BitVector message_at(std::size_t peak, bool negative) const;
 
   unsigned m_;
   std::size_t n_;
   Gf2Matrix parity_check_;
+  /// m <= 6 only: linear_words_[idx] = codeword with linear part idx and
+  /// u0 = 0, bit i = codeword bit i.
+  std::vector<std::uint64_t> linear_words_;
 };
 
 }  // namespace pufatt::ecc

@@ -71,7 +71,7 @@ struct ParallelCrpConfig {
   std::uint64_t seed = 1;      ///< dataset seed (shard rngs derive from it)
   /// Timing kernel for the batched evaluations.  Datasets are
   /// engine-independent (the exactness contract), so this only trades
-  /// speed; kAuto picks the bit-sliced engine for full shards.
+  /// speed; kAuto picks the bit-sliced engine.
   timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto;
 };
 

@@ -166,7 +166,8 @@ void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
 // tails repeat the identical expressions, so vector and tail lanes agree
 // too.  kLane = per-lane delays (device batches); shared mode processes
 // the padded tail lanes as well (inputs are zero-filled there and nothing
-// exposes them), which keeps its loop a clean multiple of the word size.
+// exposes them), which keeps its loop a clean multiple of 8 lanes (see
+// BitSliceState::padded).
 
 /// Portable per-lane bodies over [start, limit): the scalar reference for
 /// the vector kernels (identical expressions), the non-multiple-of-8 tail
@@ -801,6 +802,22 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
   }
 }
 
+void pack_input_words(const std::uint64_t* challenges, std::size_t count,
+                      std::size_t num_inputs, std::uint64_t* out) {
+  if (num_inputs > 64) {
+    throw std::invalid_argument("pack_input_words: more than 64 inputs");
+  }
+  const std::size_t nwords = (count + 63) / 64;
+  std::uint64_t m[64] = {};
+  for (std::size_t blk = 0; blk < nwords; ++blk) {
+    const std::size_t lanes = std::min<std::size_t>(64, count - blk * 64);
+    std::copy_n(challenges + blk * 64, lanes, m);
+    std::fill(m + lanes, m + 64, 0);
+    support::transpose_64x64(m);
+    for (std::size_t i = 0; i < num_inputs; ++i) out[i * nwords + blk] = m[i];
+  }
+}
+
 BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled)
     : cn_(&compiled) {
   init_common();
@@ -1069,6 +1086,22 @@ void BitSliceEngine::race_words(const BitSliceState& s, GateId g0, GateId g1,
   }
 }
 
+void BitSliceEngine::race_deltas(const BitSliceState& s, GateId g0,
+                                 GateId g1, double* out,
+                                 std::size_t stride) const {
+  if (rep_[g0] == kWideT && rep_[g1] == kWideT) {
+    const double* const p0 =
+        s.times.data() + static_cast<std::size_t>(slot_[g0]) * s.padded;
+    const double* const p1 =
+        s.times.data() + static_cast<std::size_t>(slot_[g1]) * s.padded;
+    for (std::size_t l = 0; l < s.count; ++l) out[l * stride] = p1[l] - p0[l];
+    return;
+  }
+  for (std::size_t l = 0; l < s.count; ++l) {
+    out[l * stride] = time_ps(s, g1, l) - time_ps(s, g0, l);
+  }
+}
+
 void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   if (count == 0) {
     throw std::invalid_argument("BitSliceEngine::run: empty batch");
@@ -1076,7 +1109,10 @@ void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   const std::size_t n = cn_->num_gates();
   out.count = count;
   out.nwords = (count + 63) / 64;
-  out.padded = out.nwords * 64;
+  // A one-word batch pads only to the 8-lane vector block: the verifier's
+  // 8-challenge PUF call would otherwise compute and store 64 lanes.
+  out.padded = out.nwords == 1 ? (count + 7) & ~std::size_t{7}
+                               : out.nwords * 64;
   // Re-zeroing a same-size buffer is wasted work: the value pass rewrites
   // every scheduled gate's words, and gates outside the schedule (or
   // kConst0) are never written after the first zero-fill, so they still

@@ -53,15 +53,11 @@ namespace pufatt::timingsim {
 /// AluPufEmulator / PufDevice / gen-crps).  All four produce identical
 /// doubles and therefore identical responses; they differ only in speed.
 enum class BatchEngine : std::uint8_t {
-  kAuto,      ///< bit-sliced when the batch fills a word, SoA otherwise
+  kAuto,      ///< the bit-sliced engine, at every lane count
   kScalar,    ///< one scalar `run` per lane (reference path)
   kBatch,     ///< SoA `run_batch`
   kBitslice,  ///< BitSliceEngine
 };
-
-/// Batches at/above this lane count route to the bit-sliced engine under
-/// BatchEngine::kAuto.
-inline constexpr std::size_t kBitsliceMinLanes = 64;
 
 /// Packs `count` challenges into transposed lane words:
 /// `out[i*nwords + w]` holds input bit i of lanes [w*64, w*64+64), lane l
@@ -69,6 +65,13 @@ inline constexpr std::size_t kBitsliceMinLanes = 64;
 /// challenge must have exactly `num_inputs` bits (std::invalid_argument).
 void pack_input_words(const support::BitVector* challenges, std::size_t count,
                       std::size_t num_inputs, std::vector<std::uint64_t>& out);
+
+/// Word form of the above for netlists of at most 64 inputs: input i of
+/// challenge x is bit i of `challenges[x]` (bits at or above `num_inputs`
+/// are ignored).  Writes `num_inputs * ceil(count/64)` words to `out`, in
+/// the same layout; allocates nothing.
+void pack_input_words(const std::uint64_t* challenges, std::size_t count,
+                      std::size_t num_inputs, std::uint64_t* out);
 
 /// Result of one bit-sliced run.  Value words for every gate; wide time
 /// lanes only for gates the engine classified kWideT (slot-indexed — read
@@ -78,7 +81,10 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
 struct BitSliceState {
   std::size_t count = 0;   ///< live lanes
   std::size_t nwords = 0;  ///< ceil(count/64)
-  std::size_t padded = 0;  ///< nwords * 64 (wide-lane stride)
+  /// Wide-lane stride and shared-mode loop limit: nwords * 64, except that
+  /// a batch within one word keeps only `count` rounded up to 8 (one
+  /// AVX-512 block), so short batches neither compute nor store 64 lanes.
+  std::size_t padded = 0;
   std::vector<std::uint64_t> values;  ///< [gate*nwords + w]
   std::vector<double> times;          ///< [wide_slot*padded + lane]
   /// Engine that last filled this state.  Same engine + same shape lets a
@@ -144,6 +150,11 @@ class BitSliceEngine {
   /// `s.count` are zero.
   void race_words(const BitSliceState& s, netlist::GateId g0,
                   netlist::GateId g1, std::uint64_t* out) const;
+
+  /// Soft counterpart of race_words: `out[l * stride]` = t[g1] - t[g0] for
+  /// every live lane l (the race margin the arbiter thresholds at 0).
+  void race_deltas(const BitSliceState& s, netlist::GateId g0,
+                   netlist::GateId g1, double* out, std::size_t stride) const;
 
  private:
   enum TimeRep : std::uint8_t { kConstT = 0, kBimodalT = 1, kWideT = 2 };

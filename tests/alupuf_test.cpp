@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 
 #include "alupuf/alu_puf.hpp"
 #include "alupuf/arbiter_puf.hpp"
 #include "alupuf/obfuscation.hpp"
 #include "alupuf/pipeline.hpp"
+#include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
+#include "reference_pipeline.hpp"
 #include "support/stats.hpp"
 
 namespace pufatt::alupuf {
@@ -351,6 +354,32 @@ TEST_F(PipelineFixture, WrongChipModelFailsVerificationPerCall) {
   EXPECT_LT(match, trials / 2);
 }
 
+TEST(Obfuscation, WordKernelMatchesBitByBitDefinition) {
+  using Pairing = ObfuscationNetwork::Pairing;
+  Xoshiro256pp rng(20);
+  for (const std::size_t two_n : {16u, 32u}) {
+    for (const Pairing pairing : {Pairing::kPaper, Pairing::kHardened}) {
+      const ObfuscationNetwork net(two_n, pairing);
+      for (int trial = 0; trial < 200; ++trial) {
+        std::array<BitVector, 8> y;
+        std::array<std::uint64_t, 8> words;
+        for (std::size_t r = 0; r < 8; ++r) {
+          y[r] = BitVector::random(two_n, rng);
+          // Bits at or above 2n are not part of the response.
+          words[r] = y[r].to_u64() | rng.next() << two_n;
+        }
+        const auto expected = testref::reference_obfuscate(y, pairing);
+        ASSERT_EQ(net.obfuscate_words(words), expected.to_u64())
+            << "2n=" << two_n << " trial " << trial;
+        ASSERT_EQ(net.obfuscate(y), expected);
+        const auto folded = testref::reference_fold(y[0], pairing);
+        ASSERT_EQ(net.fold_word(words[0]), folded.to_u64());
+        ASSERT_EQ(net.fold(y[0]), folded);
+      }
+    }
+  }
+}
+
 TEST(Obfuscation, FoldOfReedMullerCodewordIsConstant) {
   // The structural interaction behind the ~1/4 per-call forgery rate: for
   // every RM(1,5) codeword c, c[i] XOR c[i+16] = u_4 for all i — the fold
@@ -381,6 +410,87 @@ TEST_F(PipelineFixture, HelperDataDependsOnResponseNoise) {
   ASSERT_TRUE(z2.has_value());
   EXPECT_EQ(*z1, out1.z);
   EXPECT_EQ(*z2, out2.z);
+}
+
+TEST_F(PipelineFixture, WordReproduceRoundTripsDeviceHelpers) {
+  // Real device readings: the syndrome the device computes from its noisy
+  // response, reconstructed from the emulator's soft reference.
+  const ecc::SyndromeHelper helper(code_);
+  const auto& emu = emulator_.raw_emulator();
+  Xoshiro256pp rng(21);
+  int exact = 0;
+  const int trials = 300;
+  for (int trial = 0; trial < trials; ++trial) {
+    const auto challenge = random_challenge(32, rng);
+    const auto response =
+        device_.raw_puf().eval(challenge, Environment::nominal(), rng);
+    const auto h = helper.generate(response);
+    const auto llr = emu.eval_soft(challenge);
+    const auto word = helper.reproduce_soft_word(llr.data(), h.to_u64());
+    ASSERT_TRUE(word.has_value());
+    ASSERT_EQ(BitVector(32, *word),
+              testref::reference_reproduce_soft(code_, llr, h));
+    if (*word == response.to_u64()) ++exact;
+  }
+  EXPECT_GE(exact, trials * 95 / 100);
+}
+
+TEST_F(PipelineFixture, EmulateWordsMatchesReferencePipeline) {
+  // One PUF() call through the word pipeline against the same call built
+  // from scalar eval_soft, BitVector reconstruction and the bit-by-bit
+  // obfuscation, for honest and impostor (budget-tripping) transcripts.
+  const PufDevice impostor(small_config(32), 999, code_);
+  const auto& emu = emulator_.raw_emulator();
+  Xoshiro256pp rng(22);
+  int accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const PufDevice& prover = trial % 3 == 2 ? impostor : device_;
+    std::array<Challenge, 8> challenges;
+    PufEmulator::Words challenge_words, helper_words;
+    for (std::size_t r = 0; r < 8; ++r) {
+      challenges[r] = random_challenge(32, rng);
+      challenge_words[r] = challenges[r].to_u64();
+    }
+    const auto out = prover.query_raw(challenges, Environment::nominal(), rng);
+    for (std::size_t r = 0; r < 8; ++r) helper_words[r] = out.helpers[r].to_u64();
+
+    std::array<BitVector, 8> responses;
+    PufEmulator::CallStats expected;
+    for (std::size_t r = 0; r < 8; ++r) {
+      const auto llr = emu.eval_soft(challenges[r]);
+      responses[r] =
+          testref::reference_reproduce_soft(code_, llr, out.helpers[r]);
+      for (std::size_t i = 0; i < llr.size(); ++i) {
+        if (responses[r].get(i) != (llr[i] < 0.0)) {
+          ++expected.distance;
+          expected.weighted_ps += std::abs(llr[i]);
+        }
+      }
+    }
+    const bool within =
+        expected.distance <= emulator_.max_call_distance() &&
+        expected.weighted_ps <= emulator_.max_weighted_distance();
+
+    const auto call = emulator_.emulate_words(challenge_words, helper_words);
+    ASSERT_EQ(call.stats.distance, expected.distance) << "trial " << trial;
+    ASSERT_EQ(call.stats.weighted_ps, expected.weighted_ps) << "trial " << trial;
+    ASSERT_EQ(call.z.has_value(), within) << "trial " << trial;
+    if (within) {
+      ASSERT_EQ(*call.z, testref::reference_obfuscate(
+                             responses, ObfuscationNetwork::Pairing::kHardened)
+                             .to_u64());
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+    const auto raw = emulator_.emulate_raw(challenges, out.helpers);
+    ASSERT_EQ(raw.has_value(), within);
+    if (raw) {
+      EXPECT_EQ(raw->to_u64(), *call.z);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Pipeline, RejectsCodeWidthMismatch) {
@@ -638,6 +748,37 @@ TEST(AluPufBatch, EmulatorBatchBitIdenticalToScalar) {
     const auto scalar_soft = emulator.eval_soft(challenges[x]);
     for (std::size_t i = 0; i < scalar_soft.size(); ++i) {
       EXPECT_EQ(soft[x * 16 + i], scalar_soft[i]);
+    }
+  }
+}
+
+TEST(AluPufBatch, EmulatorSoftWordsMatchScalar) {
+  for (const std::size_t width : {16u, 32u}) {
+    const AluPuf puf(small_config(width), 23);
+    const AluPufEmulator emulator(width, puf.export_model());
+    Xoshiro256pp rng(32);
+    for (const std::size_t count : {1u, 5u, 8u}) {
+      std::vector<Challenge> challenges;
+      std::vector<std::uint64_t> words;
+      for (std::size_t x = 0; x < count; ++x) {
+        challenges.push_back(random_challenge(width, rng));
+        words.push_back(challenges.back().to_u64());
+      }
+      std::vector<double> soft(count * width);
+      emulator.eval_soft_words(words.data(), count, soft.data());
+      for (std::size_t x = 0; x < count; ++x) {
+        const auto scalar_soft = emulator.eval_soft(challenges[x]);
+        for (std::size_t i = 0; i < width; ++i) {
+          ASSERT_EQ(soft[x * width + i], scalar_soft[i])
+              << "width " << width << " count " << count << " lane " << x;
+        }
+      }
+    }
+    if (width < 32) {
+      const std::uint64_t stray = 1ULL << (2 * width);
+      double out[32];
+      EXPECT_THROW(emulator.eval_soft_words(&stray, 1, out),
+                   std::invalid_argument);
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "ecc/bch.hpp"
@@ -397,6 +398,57 @@ TEST(ReedMuller, RejectsBadM) {
   EXPECT_THROW(ReedMuller1(17), std::invalid_argument);
 }
 
+/// Brute-force ML soft decoding of RM(1,5): the codeword maximizing the
+/// reliability-weighted correlation sum_i llr[i] * (-1)^c_i, scanning the
+/// 64 codewords as (linear part ascending, affine constant 0 then 1) and
+/// keeping the first maximum — the decoder's documented tie-break.
+std::uint64_t brute_force_rm5(const ReedMuller1& rm, const double* llr) {
+  std::uint64_t best_word = 0;
+  double best = -std::numeric_limits<double>::infinity();
+  for (std::uint64_t linear = 0; linear < 32; ++linear) {
+    for (std::uint64_t u0 = 0; u0 < 2; ++u0) {
+      const auto cw = rm.encode(BitVector(6, u0 | linear << 1)).to_u64();
+      double corr = 0.0;
+      for (std::size_t i = 0; i < 32; ++i) {
+        corr += (cw >> i) & 1ULL ? -llr[i] : llr[i];
+      }
+      if (corr > best) {
+        best = corr;
+        best_word = cw;
+      }
+    }
+  }
+  return best_word;
+}
+
+TEST(ReedMuller, WordSoftDecodeMatchesBruteForceMl) {
+  const ReedMuller1 rm(5);
+  Xoshiro256pp rng(16);
+  double llr[32];
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Even trials: continuous LLRs (no ties).  Odd trials: small integers,
+    // whose sums are exact, so ties happen and exercise the tie-break.
+    for (auto& v : llr) {
+      v = trial % 2 == 0 ? rng.gaussian() * 10.0
+                         : static_cast<double>(rng.uniform_u64(7)) - 3.0;
+    }
+    const auto word = rm.decode_soft_word(llr);
+    ASSERT_TRUE(word.has_value());
+    ASSERT_EQ(*word, brute_force_rm5(rm, llr)) << "trial " << trial;
+    const auto bits =
+        rm.decode_soft_to_codeword(std::vector<double>(llr, llr + 32));
+    ASSERT_EQ(bits->to_u64(), *word) << "trial " << trial;
+  }
+}
+
+TEST(ReedMuller, WordSoftDecodeRejectsWideCodes) {
+  const ReedMuller1 rm7(7);
+  const std::vector<double> llr(128, 1.0);
+  EXPECT_THROW(rm7.decode_soft_word(llr.data()), std::invalid_argument);
+  // The BitVector API still decodes codes wider than a machine word.
+  EXPECT_EQ(rm7.decode_soft_to_codeword(llr)->popcount(), 0u);
+}
+
 // ------------------------------------------------------------- Helper data
 
 class HelperDataCodes : public ::testing::Test {
@@ -472,6 +524,55 @@ TEST_F(HelperDataCodes, HelperIsLinearInResponse) {
     const auto y2 = BitVector::random(32, rng);
     EXPECT_EQ(helper.generate(y1 ^ y2),
               helper.generate(y1) ^ helper.generate(y2));
+  }
+}
+
+TEST_F(HelperDataCodes, WordReproduceRoundTripsGeneratedHelpers) {
+  // The prover's side computes h = H * y' (generate); the verifier's word
+  // kernel must give back the exact y' from soft references that disagree
+  // on a few low-reliability bits, and agree with the BitVector wrapper.
+  const SyndromeHelper helper(rm_);
+  Xoshiro256pp rng(20);
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto y = BitVector::random(32, rng);
+    const auto h = helper.generate(y);
+    std::vector<double> llr(32);
+    for (std::size_t i = 0; i < 32; ++i) {
+      const double margin = 5.0 + 20.0 * rng.uniform();
+      llr[i] = y.get(i) ? -margin : margin;
+    }
+    const auto nerr = rng.uniform_u64(10);
+    for (std::uint64_t e = 0; e < nerr; ++e) {
+      const auto p = rng.uniform_u64(32);
+      llr[p] = (llr[p] < 0.0 ? 1.0 : -1.0) * rng.uniform();  // weak, wrong
+    }
+    // Bits above helper_bits() ride along in the 32-bit transcript word
+    // and must be ignored.
+    const std::uint64_t junk = rng.next() << helper.helper_bits();
+    const auto word = helper.reproduce_soft_word(llr.data(), h.to_u64() | junk);
+    ASSERT_TRUE(word.has_value());
+    ASSERT_EQ(*word, y.to_u64()) << "trial " << trial;
+    ASSERT_EQ(helper.reproduce_soft(llr, h), BitVector(32, *word));
+  }
+}
+
+TEST_F(HelperDataCodes, CodesWithoutWordDecoderFallBack) {
+  // BCH has no word decoder: BinaryCode's default decode_soft_word packs
+  // the hard-decision fallback, so the word reproduce still works.
+  const SyndromeHelper helper(bch_);
+  Xoshiro256pp rng(21);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto y = BitVector::random(31, rng);
+    std::vector<double> llr(31);
+    for (std::size_t i = 0; i < 31; ++i) llr[i] = y.get(i) ? -1.0 : 1.0;
+    for (int e = 0; e < 5; ++e) llr[rng.uniform_u64(31)] *= -1.0;
+    const auto h = helper.generate(y);
+    const auto word = helper.reproduce_soft_word(llr.data(), h.to_u64());
+    const auto bits = helper.reproduce_soft(llr, h);
+    ASSERT_EQ(word.has_value(), bits.has_value());
+    if (word) {
+      EXPECT_EQ(BitVector(31, *word), *bits);
+    }
   }
 }
 

@@ -1,0 +1,124 @@
+// Bit-by-bit reference implementations of the verifier's PUF.Emulate()
+// stages, for differential tests of the word kernels.
+//
+// Each function restates a stage from its definition on BitVectors and
+// std::vectors, independent of the kernels it checks: the obfuscation
+// network's fold/rotate (paper Section 2 plus the kHardened matching), and
+// syndrome helper-data soft reconstruction with a first-order Reed-Muller
+// fast-Hadamard decoder.  The floating-point operation order of the
+// decoder matches the production transform, so results compare with ==.
+#pragma once
+
+#include <array>
+#include <cmath>
+#include <numeric>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "alupuf/obfuscation.hpp"
+#include "ecc/linear_code.hpp"
+#include "support/bitvec.hpp"
+#include "support/rng.hpp"
+
+namespace pufatt::testref {
+
+using support::BitVector;
+
+/// Phase-1 pairs of an ObfuscationNetwork: fold bit k = y[p] XOR y[q].
+inline std::vector<std::pair<std::size_t, std::size_t>> obfuscation_pairs(
+    std::size_t two_n, alupuf::ObfuscationNetwork::Pairing pairing) {
+  const std::size_t n = two_n / 2;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  if (pairing == alupuf::ObfuscationNetwork::Pairing::kPaper) {
+    for (std::size_t i = 0; i < n; ++i) pairs.emplace_back(i, i + n);
+    return pairs;
+  }
+  // Fisher-Yates shuffle from the network's fixed seed.
+  std::vector<std::size_t> perm(two_n);
+  std::iota(perm.begin(), perm.end(), 0);
+  support::Xoshiro256pp rng(0x0BF5'CA7E0ULL + two_n);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.uniform_u64(i)]);
+  }
+  for (std::size_t k = 0; k < n; ++k) pairs.emplace_back(perm[2 * k], perm[2 * k + 1]);
+  return pairs;
+}
+
+inline BitVector reference_fold(const BitVector& response,
+                                alupuf::ObfuscationNetwork::Pairing pairing) {
+  const auto pairs = obfuscation_pairs(response.size(), pairing);
+  BitVector folded(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    folded.set(k, response.get(pairs[k].first) != response.get(pairs[k].second));
+  }
+  return folded;
+}
+
+/// z = XOR_j rotl(fold(y_2j) || fold(y_2j+1), kHardened ? 5j : 0).
+inline BitVector reference_obfuscate(
+    const std::array<BitVector, 8>& responses,
+    alupuf::ObfuscationNetwork::Pairing pairing) {
+  const std::size_t two_n = responses[0].size();
+  BitVector z(two_n);
+  for (std::size_t j = 0; j < 4; ++j) {
+    const BitVector b = reference_fold(responses[2 * j], pairing)
+                            .concat(reference_fold(responses[2 * j + 1], pairing));
+    const std::size_t k =
+        pairing == alupuf::ObfuscationNetwork::Pairing::kHardened ? 5 * j : 0;
+    BitVector rotated(two_n);
+    for (std::size_t i = 0; i < two_n; ++i) rotated.set((i + k) % two_n, b.get(i));
+    z ^= rotated;
+  }
+  return z;
+}
+
+/// Soft ML decoding of RM(1, m) on a std::vector: Hadamard transform,
+/// first maximum of |f|, codeword from code.encode().
+inline BitVector reference_rm_decode_soft(const ecc::BinaryCode& code,
+                                          std::vector<double> f) {
+  const std::size_t n = f.size();
+  for (std::size_t h = 1; h < n; h *= 2) {
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      for (std::size_t j = i; j < i + h; ++j) {
+        const double x = f[j];
+        const double y = f[j + h];
+        f[j] = x + y;
+        f[j + h] = x - y;
+      }
+    }
+  }
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (std::abs(f[i]) > std::abs(f[best])) best = i;
+  }
+  BitVector message(code.k());
+  message.set(0, f[best] < 0.0);
+  for (std::size_t b = 0; b + 1 < code.k(); ++b) {
+    message.set(b + 1, ((best >> b) & 1u) != 0);
+  }
+  return code.encode(message);
+}
+
+/// Helper-data soft reconstruction for an RM(1, m) code: y0 is the XOR of
+/// the parity-check preimages of the helper's set bits, the reference
+/// LLRs are flipped where y0 is 1, and the decoded codeword is XORed back.
+inline BitVector reference_reproduce_soft(const ecc::BinaryCode& code,
+                                          const std::vector<double>& llr,
+                                          const BitVector& helper) {
+  const auto& h = code.parity_check();
+  BitVector y0(code.n());
+  for (std::size_t j = 0; j < h.rows(); ++j) {
+    if (!helper.get(j)) continue;
+    BitVector unit(h.rows());
+    unit.set(j, true);
+    y0 ^= *h.solve(unit);
+  }
+  std::vector<double> flipped = llr;
+  for (std::size_t i = 0; i < flipped.size(); ++i) {
+    if (y0.get(i)) flipped[i] = -flipped[i];
+  }
+  return reference_rm_decode_soft(code, flipped) ^ y0;
+}
+
+}  // namespace pufatt::testref

@@ -408,6 +408,63 @@ TEST(BitSlice, SharedModeMatchesScalarOnAluCircuit) {
   }
 }
 
+TEST(BitSlice, SharedModeShortBatchesMatchScalar) {
+  // The verifier's per-call shape: a few lanes of the 32-bit circuit
+  // (64 inputs, so challenges fit the word packer).  One state is reused
+  // across every count, the way an emulator's scratch state is, so the
+  // tight one-word stride must survive growing and shrinking batches.
+  const auto circuit = netlist::build_alu_puf_circuit(32);
+  const variation::ChipInstance chip(circuit.net, {}, {}, 4321);
+  const auto delays = chip.nominal_delays(variation::Environment::nominal());
+  const TimingSimulator sim(circuit.net);
+  const BitSliceEngine slice(sim.compiled(), delays);
+  const std::size_t inputs = circuit.net.num_inputs();
+  ASSERT_EQ(inputs, 64u);
+
+  support::Xoshiro256pp rng(95);
+  BitSliceState out;
+  std::vector<SignalState> states;
+  for (const std::size_t count : {1u, 5u, 8u, 63u, 64u, 65u, 8u}) {
+    std::vector<support::BitVector> challenges;
+    std::vector<std::uint64_t> challenge_words;
+    for (std::size_t i = 0; i < count; ++i) {
+      challenges.push_back(support::BitVector::random(inputs, rng));
+      challenge_words.push_back(challenges.back().to_u64());
+    }
+    std::vector<std::uint64_t> words;
+    pack_input_words(challenges.data(), count, inputs, words);
+    std::vector<std::uint64_t> from_words(words.size(), ~0ULL);
+    pack_input_words(challenge_words.data(), count, inputs, from_words.data());
+    ASSERT_EQ(from_words, words) << "count " << count;
+
+    slice.run(words.data(), count, out);
+    const std::size_t stride =
+        count <= 64 ? (count + 7) / 8 * 8 : out.nwords * 64;
+    ASSERT_EQ(out.padded, stride) << "count " << count;
+    ASSERT_EQ(out.times.size(), slice.num_wide() * stride);
+
+    std::vector<double> deltas(count);
+    for (std::size_t b = 0; b < count; ++b) {
+      sim.run(challenges[b], delays, states);
+      for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
+        const auto id = static_cast<GateId>(g);
+        ASSERT_EQ(slice.value(out, id, b), states[g].value)
+            << "count " << count << " gate " << g << " lane " << b;
+        ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
+            << "count " << count << " gate " << g << " lane " << b;
+      }
+    }
+    for (std::size_t i = 0; i < circuit.race0.size(); ++i) {
+      slice.race_deltas(out, circuit.race0[i], circuit.race1[i],
+                        deltas.data(), 1);
+      for (std::size_t b = 0; b < count; ++b) {
+        ASSERT_EQ(deltas[b], slice.time_ps(out, circuit.race1[i], b) -
+                                 slice.time_ps(out, circuit.race0[i], b));
+      }
+    }
+  }
+}
+
 TEST(BitSlice, LaneDelayModeMatchesRunBatch) {
   const auto circuit = netlist::build_alu_puf_circuit(8);
   const variation::ChipInstance chip(circuit.net, {}, {}, 1234);

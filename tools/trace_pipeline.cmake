@@ -39,7 +39,7 @@ foreach(input ${TRACE} ${JSONL})
     message(FATAL_ERROR "trace-report ${input} exited ${report_result}")
   endif()
   foreach(stage pool.job pool.queue_wait pool.verify cache.acquire
-                cache.build session.run session.attempt sim.run_batch
+                cache.build session.run session.attempt sim.run_bitslice
                 channel_rtt_us delta_margin_us)
     if(NOT report MATCHES "${stage}")
       message(FATAL_ERROR "trace-report on ${input} lacks ${stage}:\n${report}")
