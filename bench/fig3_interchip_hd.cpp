@@ -33,9 +33,9 @@ int main() {
   // Chunked over the bit-sliced engine (one 64-lanes-per-word pass per chip
   // per chunk); same distributions as per-challenge eval, different noise
   // realization.  The engine choice cannot move the statistics: the batch
-  // seed and lane RNGs are drawn before engine dispatch and all engines
+  // seed and lane RNGs are drawn before engine dispatch and both engines
   // compute identical race times (engine_crosscheck gates on it), so these
-  // histograms are byte-identical to the SoA ones — just faster.
+  // histograms are byte-identical to the scalar ones — just faster.
   constexpr auto kEngine = timingsim::BatchEngine::kBitslice;
   const std::size_t chunk = 250;
   std::vector<alupuf::Challenge> challenges(chunk);

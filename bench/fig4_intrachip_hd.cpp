@@ -43,8 +43,8 @@ int main() {
   // Chunked over the bit-sliced engine: one reference batch at nominal,
   // then one batch per corner on the same challenges.  Same distributions
   // as per-challenge eval, different noise realization; same bytes as the
-  // SoA engine (see fig3 / engine_crosscheck — engine choice never moves
-  // responses).
+  // scalar engine (see fig3 / engine_crosscheck — engine choice never
+  // moves responses).
   constexpr auto kEngine = timingsim::BatchEngine::kBitslice;
   const auto nominal = variation::Environment::nominal();
   const std::size_t chunk = 250;

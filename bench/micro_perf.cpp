@@ -15,7 +15,6 @@
 #include "alupuf/pipeline.hpp"
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
-#include "ecc/bch.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
 #include "mlattack/logreg.hpp"
@@ -79,17 +78,6 @@ void BM_RmSoftDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RmSoftDecode);
-
-void BM_BchDecode(benchmark::State& state) {
-  const ecc::BchCode code(8, 10);  // [255, 179] t=10
-  support::Xoshiro256pp rng(6);
-  auto word = code.encode(support::BitVector::random(code.k(), rng));
-  for (int i = 0; i < 10; ++i) word.flip(rng.uniform_u64(code.n()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(code.decode_to_codeword(word));
-  }
-}
-BENCHMARK(BM_BchDecode);
 
 void BM_SyndromeHelperReproduce(benchmark::State& state) {
   const ecc::SyndromeHelper helper(rm5());
@@ -185,31 +173,6 @@ void BM_TimingSimScalarRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimingSimScalarRun);
-
-void BM_TimingSimBatchRun(benchmark::State& state) {
-  const auto circuit = netlist::build_alu_puf_circuit(32);
-  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
-  const auto delays = chip.nominal_delays(variation::Environment::nominal());
-  const timingsim::TimingSimulator sim(circuit.net);
-  support::Xoshiro256pp rng(13);
-  const std::size_t batch = 256;
-  std::vector<support::BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(
-        support::BitVector::random(circuit.net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch,
-                              circuit.net.num_inputs(), lanes);
-  timingsim::BatchState out;
-  for (auto _ : state) {
-    sim.run_batch(lanes.data(), batch, delays, out);
-    benchmark::DoNotOptimize(out.times_ps.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_TimingSimBatchRun);
 
 void BM_Transpose64x64(benchmark::State& state) {
   // The bit-slice packing primitive: one 64x64 bit-matrix transpose turns

@@ -7,8 +7,8 @@
 //      (b) a tracer attached but disabled — the always-on production
 //      configuration, whose cost is one relaxed load + branch per hook —
 //      and (c) a tracer enabled at sample rate 1.0;
-//   2. engine level — TimingSimulator::run_batch with the global tracer
-//      off vs on (the per-batch span + occupancy counters).
+//   2. engine level — BitSliceEngine::run with the global tracer off vs on
+//      (the per-batch span + occupancy counters).
 //
 // Results go to stdout and BENCH_obs_overhead.json (stable schema).
 // `--smoke` runs a tiny sweep as a ctest smoke test labeled 'bench' and
@@ -36,7 +36,7 @@
 #include "service/device_registry.hpp"
 #include "service/emulator_cache.hpp"
 #include "service/verifier_pool.hpp"
-#include "timingsim/timing_sim.hpp"
+#include "timingsim/bitslice.hpp"
 #include "variation/chip.hpp"
 
 using namespace pufatt;
@@ -227,17 +227,18 @@ int main(int argc, char** argv) {
         support::BitVector::random(circuit.net.num_inputs(), rng));
   }
 
-  timingsim::BatchState states;
-  std::vector<std::uint8_t> lanes;
+  const timingsim::BitSliceEngine slice(sim.compiled(), delays);
+  timingsim::BitSliceState state;
+  std::vector<std::uint64_t> words;
   double sink = 0.0;
   const auto engine_pass = [&] {
     const auto t0 = Clock::now();
     for (std::size_t base = 0; base < evals; base += batch) {
       const std::size_t n = std::min<std::size_t>(batch, evals - base);
-      timingsim::pack_input_lanes(challenges.data() + base, n,
-                                  circuit.net.num_inputs(), lanes);
-      sim.run_batch(lanes.data(), n, delays, states);
-      sink += states.time_ps(circuit.race0[0], 0);
+      timingsim::pack_input_words(challenges.data() + base, n,
+                                  circuit.net.num_inputs(), words);
+      slice.run(words.data(), n, state);
+      sink += slice.time_ps(state, circuit.race0[0], 0);
     }
     return static_cast<double>(evals) / seconds_since(t0);
   };
@@ -261,8 +262,8 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::printf("engine (run_batch of %zu, %zu evals, best of %zu):\n", batch,
-              evals, reps);
+  std::printf("engine (bit-sliced run of %zu, %zu evals, best of %zu):\n",
+              batch, evals, reps);
   std::printf("  untraced %10.0f evals/s\n", eng_untraced);
   std::printf("  traced   %10.0f evals/s (%.1f%% of untraced)  [sink %g]\n\n",
               eng_traced, 100.0 * eng_traced / eng_untraced, sink);

@@ -1,29 +1,27 @@
-// Timing-engine throughput bench: scalar vs batched SoA vs bit-sliced
-// evaluation, plus shard-parallel CRP generation.
+// Timing-engine throughput bench: scalar vs bit-sliced evaluation, plus
+// shard-parallel CRP generation.
 //
 // Four sweeps on the 32-bit ALU PUF circuit:
-//   1. engine level — TimingSimulator::run vs run_batch (shared delays,
-//      the verifier-emulation workload), with an exact divergence count
-//      (values and settle times compared bitwise per net), then the
-//      bit-sliced engine (64 lanes per uint64_t word) over the same
-//      challenges with the same exact divergence check; both sweeps start
-//      at 8 lanes, the verifier's own batch (one PUF() call);
+//   1. engine level — TimingSimulator::run vs the bit-sliced engine (64
+//      lanes per uint64_t word) on shared delays, the verifier-emulation
+//      workload, at 8 lanes (one verifier PUF() call) and up, with an
+//      exact divergence count (values and settle times compared bitwise
+//      per net against scalar);
 //   2. device level — AluPuf::eval vs eval_batch (per-lane noisy delays,
 //      the CRP-generation workload);
 //   3. CRP generation — collect_alu_raw_parallel at 1/2/4/8 threads with a
 //      dataset digest that must be invariant across thread counts;
-//   4. CRP generation by engine — SoA vs bit-sliced kernels under
+//   4. CRP generation by engine — scalar vs bit-sliced kernels under
 //      collect_alu_raw_parallel, with a digest that must be invariant
 //      across engines (engine choice must never move the dataset bytes).
 //
 // Results go to stdout and BENCH_sim_engine.json (same schema family as
 // BENCH_service_throughput.json).  `--smoke` runs a tiny sweep as a ctest
 // smoke test labeled 'bench'; the full run backs the acceptance criteria
-// (>= 4x single-thread batched speedup at the engine level, >= 5x
-// bit-sliced speedup over the best SoA batch point, >= 1.2x at the device
-// level where per-lane noise sampling rides along, measurably faster CRP
-// generation on the bit-sliced engine, zero divergence, thread- and
-// engine-invariant parallel datasets).
+// (>= 20x bit-sliced speedup over scalar at the best engine-level point,
+// >= 1.2x at the device level where per-lane noise sampling rides along,
+// >= 1.15x faster CRP generation on the bit-sliced engine, zero
+// divergence, thread- and engine-invariant parallel datasets).
 //
 // Timing claims are measured interleaved best-of-N (contender and baseline
 // alternate inside one loop) so a noisy-neighbour blip on a shared host
@@ -73,13 +71,6 @@ std::uint64_t dataset_digest(const std::vector<mlattack::Example>& examples) {
   return h;
 }
 
-struct BatchPoint {
-  std::size_t batch = 0;
-  double evals_per_s = 0.0;
-  double speedup_vs_scalar = 0.0;
-  std::size_t divergence = 0;
-};
-
 struct SlicePoint {
   std::size_t batch = 0;
   double evals_per_s = 0.0;
@@ -108,14 +99,12 @@ struct ThreadPoint {
 
 void write_json(const char* path, bool smoke, std::size_t engine_evals,
                 std::size_t crp_count, double scalar_evals_per_s,
-                const std::vector<BatchPoint>& batch_sweep,
                 const std::vector<SlicePoint>& slice_sweep,
                 const std::vector<DevicePoint>& device_sweep,
                 const std::vector<ThreadPoint>& thread_sweep,
                 const std::vector<EnginePoint>& engine_sweep,
-                double batch_speedup_top, std::size_t total_divergence,
-                bool thread_invariant, bool scaling_ok, bool speedup_ok,
-                double device_speedup, bool device_speedup_ok,
+                std::size_t total_divergence, bool thread_invariant,
+                bool scaling_ok, double device_speedup, bool device_speedup_ok,
                 double bitslice_speedup, bool bitslice_speedup_ok,
                 double gen_crps_bitslice_speedup, bool gen_crps_bitslice_ok,
                 bool engine_invariant) {
@@ -125,7 +114,7 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
     return;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"schema_version\": 2,\n");
   std::fprintf(f, "  \"bench\": \"sim_engine\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f,
@@ -133,16 +122,6 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
                "\"crp_count\": %zu, \"hardware_concurrency\": %u},\n",
                engine_evals, crp_count, std::thread::hardware_concurrency());
   std::fprintf(f, "  \"scalar_evals_per_s\": %.1f,\n", scalar_evals_per_s);
-  std::fprintf(f, "  \"batch_sweep\": [\n");
-  for (std::size_t i = 0; i < batch_sweep.size(); ++i) {
-    const auto& p = batch_sweep[i];
-    std::fprintf(f,
-                 "    {\"batch\": %zu, \"evals_per_s\": %.1f, "
-                 "\"speedup_vs_scalar\": %.3f, \"divergence\": %zu}%s\n",
-                 p.batch, p.evals_per_s, p.speedup_vs_scalar, p.divergence,
-                 i + 1 < batch_sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"slice_sweep\": [\n");
   for (std::size_t i = 0; i < slice_sweep.size(); ++i) {
     const auto& p = slice_sweep[i];
@@ -185,15 +164,13 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"claims\": {\"batch_speedup_top\": %.3f, "
-               "\"batch_speedup_ok\": %s, \"divergence\": %zu, "
+               "  \"claims\": {\"divergence\": %zu, "
                "\"divergence_ok\": %s, \"thread_invariant\": %s, "
                "\"scaling_ok\": %s, \"device_batch_speedup\": %.3f, "
                "\"device_batch_speedup_ok\": %s, "
                "\"bitslice_speedup\": %.3f, \"bitslice_speedup_ok\": %s, "
                "\"gen_crps_bitslice_speedup\": %.3f, "
                "\"gen_crps_bitslice_ok\": %s, \"engine_invariant\": %s}\n",
-               batch_speedup_top, speedup_ok ? "true" : "false",
                total_divergence, total_divergence == 0 ? "true" : "false",
                thread_invariant ? "true" : "false",
                scaling_ok ? "true" : "false", device_speedup,
@@ -211,7 +188,7 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  std::printf("=== Timing-engine throughput: scalar vs batched (%s) ===\n\n",
+  std::printf("=== Timing-engine throughput: scalar vs bit-sliced (%s) ===\n\n",
               smoke ? "smoke" : "full");
 
   const std::size_t engine_evals = smoke ? 1024 : 16384;
@@ -233,79 +210,28 @@ int main(int argc, char** argv) {
         support::BitVector::random(circuit.net.num_inputs(), rng));
   }
 
-  // ---- 1. engine level: scalar baseline ---------------------------------
+  // ---- 1. engine level: scalar vs bit-sliced (64 lanes per word) -------
+  // Interleaved best-of-N: each rep times one scalar pass and then every
+  // bit-sliced batch size, so the headline bitslice_speedup compares two
+  // rates measured under the same load.
   std::vector<timingsim::SignalState> states;
-  auto t0 = Clock::now();
   double sink = 0.0;
-  for (const auto& c : challenges) {
-    sim.run(c, delays, states);
-    sink += states.back().time_ps;
-  }
-  const double scalar_s = seconds_since(t0);
-  const double scalar_evals_per_s = engine_evals / scalar_s;
-
-  // ---- 1b. engine level: batched sweep + exact divergence count ---------
-  std::vector<BatchPoint> batch_sweep;
-  std::size_t total_divergence = 0;
-  timingsim::BatchState batch_states;
-  std::vector<std::uint8_t> lanes;
-  // B=8 is the verifier's own shape: one PUF() call emulates 8 challenges.
-  for (const std::size_t B : {8u, 16u, 64u, 256u}) {
-    t0 = Clock::now();
-    for (std::size_t base = 0; base < engine_evals; base += B) {
-      const std::size_t n = std::min<std::size_t>(B, engine_evals - base);
-      timingsim::pack_input_lanes(challenges.data() + base, n,
-                                  circuit.net.num_inputs(), lanes);
-      sim.run_batch(lanes.data(), n, delays, batch_states);
-      sink += batch_states.time_ps(circuit.race0[0], 0);
-    }
-    const double wall = seconds_since(t0);
-    BatchPoint p;
-    p.batch = B;
-    p.evals_per_s = engine_evals / wall;
-    p.speedup_vs_scalar = p.evals_per_s / scalar_evals_per_s;
-    // Divergence: recheck one pass at this batch size against scalar.
-    for (std::size_t base = 0; base < engine_evals; base += B) {
-      const std::size_t n = std::min<std::size_t>(B, engine_evals - base);
-      timingsim::pack_input_lanes(challenges.data() + base, n,
-                                  circuit.net.num_inputs(), lanes);
-      sim.run_batch(lanes.data(), n, delays, batch_states);
-      for (std::size_t b = 0; b < n; ++b) {
-        sim.run(challenges[base + b], delays, states);
-        for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
-          const auto id = static_cast<netlist::GateId>(g);
-          if (batch_states.value(id, b) != states[g].value ||
-              batch_states.time_ps(id, b) != states[g].time_ps) {
-            ++p.divergence;
-          }
-        }
-      }
-    }
-    total_divergence += p.divergence;
-    batch_sweep.push_back(p);
-  }
-
-  // ---- 1c. engine level: bit-sliced (64 lanes per word) -----------------
-  // Interleaved best-of-N against an SoA B=256 reference so the headline
-  // bitslice_speedup compares two rates measured under the same load.
   const timingsim::BitSliceEngine slice(sim.compiled(), delays);
   timingsim::BitSliceState slice_state;
   std::vector<std::uint64_t> input_words;
+  // B=8 is the verifier's own shape: one PUF() call emulates 8 challenges.
   const std::size_t slice_batches[] = {8, 64, 256, 512};
   std::vector<SlicePoint> slice_sweep(std::size(slice_batches));
-  double soa_ref_best = 0.0;
+  double scalar_evals_per_s = 0.0;
   const int engine_reps = smoke ? 1 : 5;
   for (int rep = 0; rep < engine_reps; ++rep) {
-    // SoA reference pass (B=256, same chunking as the sweep above).
-    t0 = Clock::now();
-    for (std::size_t base = 0; base < engine_evals; base += 256) {
-      const std::size_t n = std::min<std::size_t>(256, engine_evals - base);
-      timingsim::pack_input_lanes(challenges.data() + base, n,
-                                  circuit.net.num_inputs(), lanes);
-      sim.run_batch(lanes.data(), n, delays, batch_states);
-      sink += batch_states.time_ps(circuit.race0[0], 0);
+    auto t0 = Clock::now();
+    for (const auto& c : challenges) {
+      sim.run(c, delays, states);
+      sink += states.back().time_ps;
     }
-    soa_ref_best = std::max(soa_ref_best, engine_evals / seconds_since(t0));
+    scalar_evals_per_s =
+        std::max(scalar_evals_per_s, engine_evals / seconds_since(t0));
     for (std::size_t i = 0; i < std::size(slice_batches); ++i) {
       const std::size_t B = slice_batches[i];
       t0 = Clock::now();
@@ -323,6 +249,7 @@ int main(int argc, char** argv) {
   }
   // Divergence: recheck one pass bitwise against scalar, all gates, at the
   // verifier's 8 lanes (one tight-stride word) and at 256 (four words).
+  std::size_t total_divergence = 0;
   for (auto& point : slice_sweep) {
     const std::size_t B = point.batch;
     if (B != 8 && B != 256) continue;
@@ -362,7 +289,7 @@ int main(int argc, char** argv) {
   std::vector<DevicePoint> device_sweep;
   {
     support::Xoshiro256pp eval_rng(42);
-    t0 = Clock::now();
+    const auto t0 = Clock::now();
     for (const auto& c : device_challenges) {
       sink += puf.eval(c, env, eval_rng).popcount();
     }
@@ -371,7 +298,7 @@ int main(int argc, char** argv) {
   {
     support::Xoshiro256pp eval_rng(42);
     alupuf::AluPufBatchScratch scratch;
-    t0 = Clock::now();
+    const auto t0 = Clock::now();
     for (std::size_t base = 0; base < device_evals; base += 256) {
       const std::size_t n = std::min<std::size_t>(256, device_evals - base);
       const auto responses =
@@ -390,7 +317,7 @@ int main(int argc, char** argv) {
     config.threads = threads;
     config.block = crp_block;
     config.seed = 99;
-    t0 = Clock::now();
+    const auto t0 = Clock::now();
     const auto dataset =
         mlattack::collect_alu_raw_parallel(puf, 0, crp_count, config);
     ThreadPoint p;
@@ -406,12 +333,12 @@ int main(int argc, char** argv) {
     thread_sweep.push_back(p);
   }
 
-  // ---- 3b. CRP generation by engine: SoA vs bit-sliced -------------------
+  // ---- 3b. CRP generation by engine: scalar vs bit-sliced ----------------
   // Same shard-parallel collector, only the timing kernel differs; the
   // dataset digest must not move (engine-independence is the contract the
   // gen_crps_engine_parity ctest checks at the CLI layer).  Interleaved
   // best-of-N, 2 worker threads (the fleet-enrollment shape).
-  std::vector<EnginePoint> engine_sweep = {{"batch", 0.0, 0},
+  std::vector<EnginePoint> engine_sweep = {{"scalar", 0.0, 0},
                                            {"bitslice", 0.0, 0}};
   const int crp_reps = smoke ? 1 : 3;
   for (int rep = 0; rep < crp_reps; ++rep) {
@@ -422,8 +349,8 @@ int main(int argc, char** argv) {
       config.seed = 99;
       config.engine = std::strcmp(point.engine, "bitslice") == 0
                           ? timingsim::BatchEngine::kBitslice
-                          : timingsim::BatchEngine::kBatch;
-      t0 = Clock::now();
+                          : timingsim::BatchEngine::kScalar;
+      const auto t0 = Clock::now();
       const auto dataset =
           mlattack::collect_alu_raw_parallel(puf, 0, crp_count, config);
       point.crps_per_s =
@@ -436,28 +363,22 @@ int main(int argc, char** argv) {
       engine_sweep[0].digest == thread_sweep[0].digest;
 
   // ---- claims ------------------------------------------------------------
-  double batch_speedup_top = 0.0;
-  for (const auto& p : batch_sweep) {
-    batch_speedup_top = std::max(batch_speedup_top, p.speedup_vs_scalar);
-  }
-  const bool speedup_ok = batch_speedup_top >= 4.0;
-  // Bit-sliced engine: the tentpole claim.  Best bit-sliced point vs the
-  // interleaved SoA reference — 64 lanes per word must clear 5x the SoA
-  // batch engine on the shared-delay workload.
+  // Bit-sliced engine: best bit-sliced point vs the interleaved scalar
+  // reference on the shared-delay workload.
   double slice_best = 0.0;
   for (const auto& p : slice_sweep) {
     slice_best = std::max(slice_best, p.evals_per_s);
   }
-  const double bitslice_speedup = slice_best / soa_ref_best;
-  const bool bitslice_speedup_ok = bitslice_speedup >= 5.0;
+  const double bitslice_speedup = slice_best / scalar_evals_per_s;
+  const bool bitslice_speedup_ok = bitslice_speedup >= 20.0;
   // CRP generation rides the noisy lane-delay path where ziggurat noise
   // sampling takes a fixed share of the wall clock, so the bar is lower:
-  // measurably faster, >= 1.15x (measured ~1.5x on the reference host).
+  // measurably faster, >= 1.15x.
   const double gen_crps_bitslice_speedup =
       engine_sweep[1].crps_per_s / engine_sweep[0].crps_per_s;
   const bool gen_crps_bitslice_ok = gen_crps_bitslice_speedup >= 1.15;
   // Device level: the noisy batch path (ziggurat noise fill, gate-major
-  // SoA writes) must actually beat per-challenge eval — the regression
+  // delay writes) must actually beat per-challenge eval — the regression
   // this sweep exists to catch.
   const double device_speedup =
       device_sweep[1].evals_per_s / device_sweep[0].evals_per_s;
@@ -478,12 +399,6 @@ int main(int argc, char** argv) {
   table.add_row({"engine", "scalar",
                  support::Table::num(scalar_evals_per_s, 0) + " eval/s",
                  "baseline"});
-  for (const auto& p : batch_sweep) {
-    table.add_row({"engine", "batch B=" + std::to_string(p.batch),
-                   support::Table::num(p.evals_per_s, 0) + " eval/s",
-                   support::Table::num(p.speedup_vs_scalar, 2) + "x, " +
-                       std::to_string(p.divergence) + " diverge"});
-  }
   for (const auto& p : slice_sweep) {
     table.add_row({"engine", "bitslice B=" + std::to_string(p.batch),
                    support::Table::num(p.evals_per_s, 0) + " eval/s",
@@ -507,34 +422,33 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(
-      "claims: batch speedup %.2fx (need >= 4 in full mode) | bitslice "
-      "%.2fx vs SoA (need >= 5 in full mode) | device batch %.2fx (need >= "
-      "1.2 in full mode) | crp-gen bitslice %.2fx (need >= 1.15 in full "
-      "mode) | divergence %zu | thread-invariant %s | engine-invariant %s | "
-      "scaling ok (vs %zu cores) %s\n(sink %.1f)\n",
-      batch_speedup_top, bitslice_speedup, device_speedup,
-      gen_crps_bitslice_speedup, total_divergence,
+      "claims: bitslice %.2fx vs scalar (need >= 20 in full mode) | device "
+      "batch %.2fx (need >= 1.2 in full mode) | crp-gen bitslice %.2fx vs "
+      "scalar (need >= 1.15 in full mode) | divergence %zu | "
+      "thread-invariant %s | engine-invariant %s | scaling ok (vs %zu "
+      "cores) %s\n(sink %.1f)\n",
+      bitslice_speedup, device_speedup, gen_crps_bitslice_speedup,
+      total_divergence,
       thread_invariant ? "yes" : "NO", engine_invariant ? "yes" : "NO",
       cores, scaling_ok ? "yes" : "NO", sink);
 
   write_json("BENCH_sim_engine.json", smoke, engine_evals, crp_count,
-             scalar_evals_per_s, batch_sweep, slice_sweep, device_sweep,
-             thread_sweep, engine_sweep, batch_speedup_top, total_divergence,
-             thread_invariant, scaling_ok, speedup_ok, device_speedup,
-             device_speedup_ok, bitslice_speedup, bitslice_speedup_ok,
-             gen_crps_bitslice_speedup, gen_crps_bitslice_ok,
-             engine_invariant);
+             scalar_evals_per_s, slice_sweep, device_sweep, thread_sweep,
+             engine_sweep, total_divergence, thread_invariant, scaling_ok,
+             device_speedup, device_speedup_ok, bitslice_speedup,
+             bitslice_speedup_ok, gen_crps_bitslice_speedup,
+             gen_crps_bitslice_ok, engine_invariant);
 
   // Smoke mode gates only correctness — divergence plus thread and engine
-  // invariance.  All timing claims (>= 4x engine speedup, >= 5x bit-sliced,
-  // device batch, crp-gen engine, shard scaling) gate only the full run:
-  // the smoke workloads are tiny and ctest runs them alongside other tests
-  // (often on one loaded core, worse under sanitizers), so any wall-clock
-  // assertion there is pure flake.
+  // invariance.  All timing claims (>= 20x bit-sliced, device batch,
+  // crp-gen engine, shard scaling) gate only the full run: the smoke
+  // workloads are tiny and ctest runs them alongside other tests (often on
+  // one loaded core, worse under sanitizers), so any wall-clock assertion
+  // there is pure flake.
   bool ok = total_divergence == 0 && thread_invariant && engine_invariant;
   if (!smoke) {
-    ok = ok && speedup_ok && scaling_ok && device_speedup_ok &&
-         bitslice_speedup_ok && gen_crps_bitslice_ok;
+    ok = ok && scaling_ok && device_speedup_ok && bitslice_speedup_ok &&
+         gen_crps_bitslice_ok;
   }
   return ok ? 0 : 1;
 }

@@ -32,7 +32,7 @@ struct TournamentConfig {
   double replay_threshold = 0.25;
   std::size_t threads = 1;
   std::uint64_t seed = 1;
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto;
+  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// One matrix cell: every budget's report for a (variant, attack) pair.

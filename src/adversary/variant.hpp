@@ -171,7 +171,7 @@ std::unique_ptr<PufVariant> make_mux_arbiter_variant(
 struct AluVariantParams {
   std::size_t width = 32;   ///< adder width (challenge = 2*width bits)
   std::size_t bit = 16;     ///< which response/output bit the attacker models
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto;
+  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// One raw ALU PUF response bit (pre-obfuscation; the invasive-access

@@ -36,8 +36,8 @@ AluPuf::AluPuf(const AluPufConfig& config, std::uint64_t chip_seed)
       circuit_(netlist::build_alu_puf_circuit(config.width, config.layout)),
       chip_(circuit_.net, config.tech, config.quadtree, chip_seed),
       sim_(circuit_.net),
-      batch_sim_(circuit_.net, raced_gates(circuit_)),
-      slice_sim_(batch_sim_.compiled()),
+      cone_sim_(circuit_.net, raced_gates(circuit_)),
+      slice_sim_(cone_sim_.compiled()),
       arbiter_(config.arbiter) {}
 
 void AluPuf::check_challenge(const Challenge& challenge) const {
@@ -101,9 +101,6 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   if (count == 0) return responses;
   for (std::size_t x = 0; x < count; ++x) check_challenge(challenges[x]);
 
-  using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) engine = BatchEngine::kBitslice;
-
   // Batch profiling under the global tracer: the delay-sampling loop and
   // the arbiter sweep are the two scalar phases flanking the vectorized
   // timing kernel (which records its own span), so the three children of
@@ -131,44 +128,36 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   sample_span.end();
 
   // Run the selected timing kernel.  The scalar reference path keeps its
-  // race times in a side buffer; the SoA / bit-sliced states are read in
-  // place by the arbiter sweep below.
+  // race times in a side buffer; the bit-sliced state is read in place by
+  // the arbiter sweep below.
+  const bool sliced = engine == timingsim::BatchEngine::kBitslice;
   std::vector<double> scalar_t0, scalar_t1;
-  switch (engine) {
-    case BatchEngine::kBitslice:
-      timingsim::pack_input_words(challenges, count, challenge_bits(),
-                                  ws.input_words);
-      slice_sim_.run(ws.input_words.data(), count, ws.delays, ws.slice);
-      break;
-    case BatchEngine::kScalar: {
-      // One cone-restricted scalar run per lane, each with its own column
-      // of the sampled delay matrix.  All-local state: the reference path
-      // must stay safe under the same thread-sharing rules as the others.
-      scalar_t0.resize(count * config_.width);
-      scalar_t1.resize(count * config_.width);
-      const std::size_t gates = circuit_.net.num_gates();
-      timingsim::DelaySet lane_delays;
-      lane_delays.rise_ps.resize(gates);
-      lane_delays.fall_ps.resize(gates);
-      std::vector<timingsim::SignalState> states;
-      for (std::size_t x = 0; x < count; ++x) {
-        for (std::size_t g = 0; g < gates; ++g) {
-          lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
-          lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
-        }
-        batch_sim_.run(challenges[x], lane_delays, states);
-        for (std::size_t i = 0; i < config_.width; ++i) {
-          scalar_t0[x * config_.width + i] = states[circuit_.race0[i]].time_ps;
-          scalar_t1[x * config_.width + i] = states[circuit_.race1[i]].time_ps;
-        }
+  if (sliced) {
+    timingsim::pack_input_words(challenges, count, challenge_bits(),
+                                ws.input_words);
+    slice_sim_.run(ws.input_words.data(), count, ws.delays, ws.slice);
+  } else {
+    // One cone-restricted scalar run per lane, each with its own column
+    // of the sampled delay matrix.  All-local state: the reference path
+    // must stay safe under the same thread-sharing rules as the other.
+    scalar_t0.resize(count * config_.width);
+    scalar_t1.resize(count * config_.width);
+    const std::size_t gates = circuit_.net.num_gates();
+    timingsim::DelaySet lane_delays;
+    lane_delays.rise_ps.resize(gates);
+    lane_delays.fall_ps.resize(gates);
+    std::vector<timingsim::SignalState> states;
+    for (std::size_t x = 0; x < count; ++x) {
+      for (std::size_t g = 0; g < gates; ++g) {
+        lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
+        lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
       }
-      break;
+      cone_sim_.run(challenges[x], lane_delays, states);
+      for (std::size_t i = 0; i < config_.width; ++i) {
+        scalar_t0[x * config_.width + i] = states[circuit_.race0[i]].time_ps;
+        scalar_t1[x * config_.width + i] = states[circuit_.race1[i]].time_ps;
+      }
     }
-    default:
-      timingsim::pack_input_lanes(challenges, count, challenge_bits(),
-                                  ws.inputs);
-      batch_sim_.run_batch(ws.inputs.data(), count, ws.delays, ws.state);
-      break;
   }
 
   obs::Span arbiter_span = eval_span.child("puf.arbiter");
@@ -178,17 +167,12 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     support::Xoshiro256pp& lrng = ws.lane_rngs[x];
     RawResponse response(config_.width);
     for (std::size_t i = 0; i < config_.width; ++i) {
-      double t0, t1;
-      if (engine == BatchEngine::kBitslice) {
-        t0 = slice_sim_.time_ps(ws.slice, circuit_.race0[i], x);
-        t1 = slice_sim_.time_ps(ws.slice, circuit_.race1[i], x);
-      } else if (engine == BatchEngine::kScalar) {
-        t0 = scalar_t0[x * config_.width + i];
-        t1 = scalar_t1[x * config_.width + i];
-      } else {
-        t0 = ws.state.time_ps(circuit_.race0[i], x);
-        t1 = ws.state.time_ps(circuit_.race1[i], x);
-      }
+      const double t0 = sliced
+                            ? slice_sim_.time_ps(ws.slice, circuit_.race0[i], x)
+                            : scalar_t0[x * config_.width + i];
+      const double t1 = sliced
+                            ? slice_sim_.time_ps(ws.slice, circuit_.race1[i], x)
+                            : scalar_t1[x * config_.width + i];
       if (clock != nullptr && std::min(t0, t1) > deadline) {
         response.set(i, lrng.bernoulli(0.5));
         continue;
@@ -253,7 +237,7 @@ AluPufEmulator::AluPufEmulator(std::size_t width, variation::DelayTable model,
       circuit_(netlist::build_alu_puf_circuit(width, layout)),
       model_(std::move(model)),
       sim_(circuit_.net),
-      batch_sim_(circuit_.net, raced_gates(circuit_)) {
+      cone_sim_(circuit_.net, raced_gates(circuit_)) {
   if (model_.intrinsic_ps.size() != circuit_.net.num_gates()) {
     throw std::invalid_argument(
         "AluPufEmulator: delay table does not match the PUF circuit "
@@ -270,7 +254,7 @@ const timingsim::DelaySet& AluPufEmulator::delays_for(
     // its time-rep classification is a one-off per operating point, and
     // prewarm() must leave nothing left to build lazily (thread sharing).
     cached_slice_ = std::make_unique<timingsim::BitSliceEngine>(
-        batch_sim_.compiled(), cached_delays_);
+        cone_sim_.compiled(), cached_delays_);
     cached_env_ = env;
     has_cache_ = true;
   }
@@ -295,21 +279,12 @@ void AluPufEmulator::check_batch(const Challenge* challenges,
   }
 }
 
-timingsim::BatchEngine AluPufEmulator::run_batch(
-    const Challenge* challenges, std::size_t count,
-    const variation::Environment& env, timingsim::BatchEngine engine) const {
+void AluPufEmulator::run_slice(const Challenge* challenges, std::size_t count,
+                               const variation::Environment& env) const {
   check_batch(challenges, count);
-  const auto& delays = delays_for(env);
-  using timingsim::BatchEngine;
-  if (engine == BatchEngine::kAuto) engine = BatchEngine::kBitslice;
-  if (engine == BatchEngine::kBitslice) {
-    timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
-    cached_slice_->run(slice_words_.data(), count, slice_state_);
-  } else {
-    timingsim::pack_input_lanes(challenges, count, 2 * width_, batch_inputs_);
-    batch_sim_.run_batch(batch_inputs_.data(), count, delays, batch_state_);
-  }
-  return engine;
+  delays_for(env);
+  timingsim::pack_input_words(challenges, count, 2 * width_, slice_words_);
+  cached_slice_->run(slice_words_.data(), count, slice_state_);
 }
 
 std::vector<RawResponse> AluPufEmulator::eval_batch(
@@ -317,8 +292,7 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
     const variation::Environment& env, timingsim::BatchEngine engine) const {
   std::vector<RawResponse> responses;
   if (count == 0) return responses;
-  using timingsim::BatchEngine;
-  if (engine == BatchEngine::kScalar) {
+  if (engine == timingsim::BatchEngine::kScalar) {
     check_batch(challenges, count);
     responses.reserve(count);
     for (std::size_t x = 0; x < count; ++x) {
@@ -326,33 +300,20 @@ std::vector<RawResponse> AluPufEmulator::eval_batch(
     }
     return responses;
   }
-  engine = run_batch(challenges, count, env, engine);
-  if (engine == BatchEngine::kBitslice) {
-    // Word-parallel arbiter: decide every race 64 lanes at a time, then
-    // transpose each lane block back into per-device response vectors.
-    responses.assign(count, RawResponse(width_));
-    const std::size_t nwords = slice_state_.nwords;
-    std::vector<std::uint64_t> race(width_ * nwords);
-    for (std::size_t i = 0; i < width_; ++i) {
-      cached_slice_->race_words(slice_state_, circuit_.race0[i],
-                                circuit_.race1[i], race.data() + i * nwords);
-    }
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t lanes = std::min<std::size_t>(64, count - w * 64);
-      support::unpack_bit_columns(race.data() + w, width_, nwords,
-                                  responses.data() + w * 64, lanes);
-    }
-    return responses;
+  run_slice(challenges, count, env);
+  // Word-parallel arbiter: decide every race 64 lanes at a time, then
+  // transpose each lane block back into per-device response vectors.
+  responses.assign(count, RawResponse(width_));
+  const std::size_t nwords = slice_state_.nwords;
+  std::vector<std::uint64_t> race(width_ * nwords);
+  for (std::size_t i = 0; i < width_; ++i) {
+    cached_slice_->race_words(slice_state_, circuit_.race0[i],
+                              circuit_.race1[i], race.data() + i * nwords);
   }
-  responses.reserve(count);
-  for (std::size_t x = 0; x < count; ++x) {
-    RawResponse response(width_);
-    for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit_.race1[i], x) -
-                           batch_state_.time_ps(circuit_.race0[i], x);
-      response.set(i, timingsim::Arbiter::decide(delta));
-    }
-    responses.push_back(std::move(response));
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const std::size_t lanes = std::min<std::size_t>(64, count - w * 64);
+    support::unpack_bit_columns(race.data() + w, width_, nwords,
+                                responses.data() + w * 64, lanes);
   }
   return responses;
 }
@@ -364,8 +325,7 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
                                      timingsim::BatchEngine engine) const {
   out.resize(count * width_);
   if (count == 0) return;
-  using timingsim::BatchEngine;
-  if (engine == BatchEngine::kScalar) {
+  if (engine == timingsim::BatchEngine::kScalar) {
     check_batch(challenges, count);
     for (std::size_t x = 0; x < count; ++x) {
       const auto llr = eval_soft(challenges[x], env);
@@ -373,18 +333,8 @@ void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
     }
     return;
   }
-  engine = run_batch(challenges, count, env, engine);
-  if (engine == BatchEngine::kBitslice) {
-    soft_from_slice(out.data());
-    return;
-  }
-  for (std::size_t x = 0; x < count; ++x) {
-    for (std::size_t i = 0; i < width_; ++i) {
-      const double delta = batch_state_.time_ps(circuit_.race1[i], x) -
-                           batch_state_.time_ps(circuit_.race0[i], x);
-      out[x * width_ + i] = -delta;
-    }
-  }
+  run_slice(challenges, count, env);
+  soft_from_slice(out.data());
 }
 
 void AluPufEmulator::eval_soft_words(const std::uint64_t* challenges,

@@ -57,11 +57,9 @@ struct ClockConstraint {
 /// allocate one per worker slot; single-threaded callers may pass nullptr
 /// (the PUF then uses an internal scratch, which is NOT thread-safe).
 struct AluPufBatchScratch {
-  timingsim::BatchState state;
   timingsim::BatchDelays delays;
-  std::vector<std::uint8_t> inputs;
   std::vector<support::Xoshiro256pp> lane_rngs;
-  // Bit-sliced path (BatchEngine::kBitslice / kAuto).
+  // Bit-sliced path (BatchEngine::kBitslice).
   timingsim::BitSliceState slice;
   std::vector<std::uint64_t> input_words;
 };
@@ -76,19 +74,21 @@ class AluPuf {
   std::size_t challenge_bits() const { return 2 * config_.width; }
 
   /// One physical evaluation: evaluation noise plus arbiter metastability.
-  /// If `clock` is non-null and a bit's race is undecided by the capture
-  /// deadline, that bit latches 0 (setup violation -> wrong response).
+  /// If `clock` is non-null and neither of a bit's racing transitions
+  /// reaches the arbiter by the capture deadline, that bit resolves as an
+  /// unbiased coin (setup violation -> wrong half the time, whatever the
+  /// expected bit).
   RawResponse eval(const Challenge& challenge,
                    const variation::Environment& env,
                    support::Xoshiro256pp& rng,
                    const ClockConstraint* clock = nullptr) const;
 
-  /// Batched physical evaluation over the SoA engine, restricted to the
-  /// arbiter cones.  Statistically equivalent to `count` scalar `eval`
-  /// calls, with a documented RNG contract instead of stream-for-stream
-  /// equality: the batch consumes exactly one `rng.next()` (its
-  /// batch_seed), and lane x then draws ALL of its randomness from the
-  /// derived generator
+  /// Batched physical evaluation over the bit-sliced engine's lane-delay
+  /// mode, restricted to the arbiter cones.  Statistically equivalent to
+  /// `count` scalar `eval` calls, with a documented RNG contract instead of
+  /// stream-for-stream equality: the batch consumes exactly one
+  /// `rng.next()` (its batch_seed), and lane x then draws ALL of its
+  /// randomness from the derived generator
   ///   Xoshiro256pp(SplitMix64::mix(batch_seed + kGolden * (x + 1)))
   /// (kGolden = 0x9E3779B97F4A7C15): first one noise deviate per gate in
   /// gate order via the fast ziggurat sampler (gaussian_fast; zero-delay
@@ -104,15 +104,14 @@ class AluPuf {
   ///
   /// `engine` selects the timing kernel only.  The batch_seed draw, the
   /// delay realization and the arbiter sweep are engine-independent, and
-  /// all engines compute the same settle-time doubles (the repo's
+  /// both engines compute the same settle-time doubles (the repo's
   /// exactness contract), so responses are byte-identical across engines.
-  /// kAuto runs the bit-sliced engine at every lane count.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr,
       AluPufBatchScratch* scratch = nullptr,
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
   /// Warms the per-env nominal-delay cache so that subsequent const
   /// evaluations at `env` are read-only (required before sharing *this
@@ -151,9 +150,11 @@ class AluPuf {
   AluPufConfig config_;
   netlist::AluPufCircuit circuit_;
   variation::ChipInstance chip_;
-  timingsim::TimingSimulator sim_;        ///< full netlist (analysis paths)
-  timingsim::TimingSimulator batch_sim_;  ///< arbiter-cone restricted
-  timingsim::BitSliceEngine slice_sim_;   ///< lane-delay mode, same cone
+  timingsim::TimingSimulator sim_;       ///< full netlist (analysis paths)
+  /// Arbiter-cone restricted: its compiled cone feeds slice_sim_, and its
+  /// scalar `run` is eval_batch's kScalar reference loop.
+  timingsim::TimingSimulator cone_sim_;
+  timingsim::BitSliceEngine slice_sim_;  ///< lane-delay mode, same cone
   timingsim::Arbiter arbiter_;
   // Per-env delay cache: most experiments evaluate millions of challenges
   // at a fixed operating point.
@@ -193,22 +194,22 @@ class AluPufEmulator {
 
   /// Batched deterministic emulation: bit-identical to `count` `eval`
   /// calls (the emulator is noise-free, so there is no RNG contract to
-  /// negotiate — every engine computes the same doubles).  The emulator's
+  /// negotiate — both engines compute the same doubles).  The emulator's
   /// delays are shared across lanes, so kBitslice here uses the
   /// shared-delay BitSliceEngine with its time-representation shortcuts
   /// (the fastest fleet-emulation path).
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
   /// Batched soft responses: `out` is resized to count*width, challenge x's
   /// LLRs at `out[x*width .. (x+1)*width)`.  Bit-identical to eval_soft.
-  /// kAuto/kBitslice share the kernel of eval_soft_words.
+  /// kBitslice shares the kernel of eval_soft_words.
   void eval_soft_batch(
       const Challenge* challenges, std::size_t count, std::vector<double>& out,
       const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
   /// Word-level soft batch (width <= 32, 1 <= count <= 64): challenge x is
   /// the 2*width-bit word `challenges[x]` (a then b, bit i = challenge bit
@@ -232,13 +233,10 @@ class AluPufEmulator {
   void run_challenge(const Challenge& challenge,
                      const variation::Environment& env) const;
   const timingsim::DelaySet& delays_for(const variation::Environment& env) const;
-  /// Runs the kBatch or kBitslice kernel (kAuto = kBitslice) into
-  /// batch_state_ / slice_state_; returns the engine that ran.  kScalar
+  /// Runs the shared-delay bit-sliced kernel into slice_state_.  kScalar
   /// never reaches here — callers loop the scalar path themselves.
-  timingsim::BatchEngine run_batch(const Challenge* challenges,
-                                   std::size_t count,
-                                   const variation::Environment& env,
-                                   timingsim::BatchEngine engine) const;
+  void run_slice(const Challenge* challenges, std::size_t count,
+                 const variation::Environment& env) const;
   void check_batch(const Challenge* challenges, std::size_t count) const;
   /// LLRs of the last bit-sliced run (slice_state_) in eval_soft_batch
   /// layout.
@@ -247,8 +245,9 @@ class AluPufEmulator {
   std::size_t width_;
   netlist::AluPufCircuit circuit_;
   variation::DelayTable model_;
-  timingsim::TimingSimulator sim_;        ///< full netlist (scalar paths)
-  timingsim::TimingSimulator batch_sim_;  ///< arbiter-cone restricted
+  timingsim::TimingSimulator sim_;  ///< full netlist (scalar paths)
+  /// Arbiter-cone restricted; its compiled cone feeds cached_slice_.
+  timingsim::TimingSimulator cone_sim_;
   mutable variation::Environment cached_env_;
   mutable bool has_cache_ = false;
   mutable timingsim::DelaySet cached_delays_;
@@ -257,8 +256,6 @@ class AluPufEmulator {
   /// read-only for thread sharing).
   mutable std::unique_ptr<timingsim::BitSliceEngine> cached_slice_;
   mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable timingsim::BatchState batch_state_;
-  mutable std::vector<std::uint8_t> batch_inputs_;
   mutable timingsim::BitSliceState slice_state_;
   mutable std::vector<std::uint64_t> slice_words_;
 };

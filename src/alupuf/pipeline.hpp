@@ -61,8 +61,8 @@ class PufDevice {
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr) const;
 
-  /// Batched PUF(): `count` protocol challenges in one pass over the SoA
-  /// timing engine (count*8 physical evaluations).  Follows the
+  /// Batched PUF(): `count` protocol challenges in one AluPuf::eval_batch
+  /// pass (count*8 physical evaluations).  Follows the
   /// AluPuf::eval_batch RNG contract — one `rng.next()` consumed for the
   /// whole batch, every lane independent of batch split and thread count.
   /// `scratch` as in AluPuf::eval_batch (pass one per worker thread);
@@ -72,7 +72,7 @@ class PufDevice {
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr,
       AluPufBatchScratch* scratch = nullptr,
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto) const;
+      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
   /// See AluPuf::prewarm — required before multi-threaded use at `env`.
   void prewarm(const variation::Environment& env) const { puf_.prewarm(env); }

@@ -2,8 +2,8 @@
 //
 // The helper-data scheme (helper_data.hpp) and the syndrome-generator
 // hardware model (netlist/builder.hpp) are code-agnostic: they only need
-// encode/decode and a parity-check matrix.  Concrete codes: BchCode
-// (bch.hpp) and ReedMuller1 (reed_muller.hpp).
+// encode/decode and a parity-check matrix.  The concrete code is
+// ReedMuller1 (reed_muller.hpp): the paper's "BCH[32,6,16]" is RM(1,5).
 #pragma once
 
 #include <cstdint>
@@ -41,21 +41,18 @@ class BinaryCode {
       const support::BitVector& word) const = 0;
 
   /// Soft-decision decoding: `llr[i]` > 0 means bit i is more likely 0,
-  /// with |llr[i]| the confidence.  The default implementation thresholds
-  /// to hard bits and calls decode_to_codeword(); codes with efficient
-  /// soft decoders (Reed-Muller via weighted Hadamard transform) override.
-  /// Used by the verifier-side helper-data reconstruction, where the PUF
-  /// emulation provides each bit's race margin as its reliability.
+  /// with |llr[i]| the confidence.  Used by the verifier-side helper-data
+  /// reconstruction, where the PUF emulation provides each bit's race
+  /// margin as its reliability.
   virtual std::optional<support::BitVector> decode_soft_to_codeword(
-      const std::vector<double>& llr) const;
+      const std::vector<double>& llr) const = 0;
 
   /// Word-level soft decoding for codes of at most 64 bits: `llr` points at
   /// n() values (same convention as above); bit i of the result is codeword
-  /// bit i.  The verifier's per-call reconstruction runs on this.  The
-  /// default packs the result of decode_soft_to_codeword(); codes with a
-  /// word decoder (ReedMuller1) override it and allocate nothing.
+  /// bit i.  The verifier's per-call reconstruction runs on this, so it
+  /// should allocate nothing.
   virtual std::optional<std::uint64_t> decode_soft_word(
-      const double* llr) const;
+      const double* llr) const = 0;
 
   /// (n-k) x n parity-check matrix; its null space is exactly the code.
   virtual const Gf2Matrix& parity_check() const = 0;

@@ -50,7 +50,7 @@ std::vector<Example> collect_xor_arbiter(const alupuf::XorArbiterPuf& puf,
 std::vector<Example> collect_alu_raw(
     const alupuf::AluPuf& puf, std::size_t bit, std::size_t count,
     support::Xoshiro256pp& rng,
-    timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto);
+    timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice);
 
 /// Collects examples for obfuscated output bit `bit` of the full pipeline
 /// (labels from one PufDevice::query_batch over random 64-bit protocol
@@ -58,7 +58,7 @@ std::vector<Example> collect_alu_raw(
 std::vector<Example> collect_obfuscated(
     const alupuf::PufDevice& device, std::size_t bit, std::size_t count,
     support::Xoshiro256pp& rng,
-    timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto);
+    timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice);
 
 /// Shard-parallel CRP collection.  Work is cut into fixed `block`-sized
 /// shards; shard k derives its own generator from (seed, k) and writes its
@@ -71,8 +71,8 @@ struct ParallelCrpConfig {
   std::uint64_t seed = 1;      ///< dataset seed (shard rngs derive from it)
   /// Timing kernel for the batched evaluations.  Datasets are
   /// engine-independent (the exactness contract), so this only trades
-  /// speed; kAuto picks the bit-sliced engine.
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kAuto;
+  /// speed.
+  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// Parallel variant of collect_alu_raw over AluPuf::eval_batch (one batch

@@ -27,9 +27,8 @@ inline bool word_bit(const std::uint64_t* words, std::size_t lane) {
 
 obs::Span trace_bitslice(std::size_t lanes, std::size_t gates) {
   if (!obs::global_trace_enabled()) return obs::Span{};
-  // Same occupancy counters as the SoA run_batch hook — sim.lanes /
-  // sim.batches is the mean batch fill regardless of which batched engine
-  // served it — plus an engine-distinguishing span name for trace-report.
+  // Occupancy counters (sim.lanes / sim.batches is the mean batch fill)
+  // plus a per-run span for trace-report.
   auto& registry = obs::global_registry();
   static obs::Counter& batches = registry.counter("sim.batches");
   static obs::Counter& lane_count = registry.counter("sim.lanes");
@@ -159,9 +158,9 @@ void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
 
 // ------------------------------------------------------ wide time kernels
 //
-// Every kernel reproduces the SoA batch kernel's per-lane operation order
-// exactly (same selections, same single add), so the produced doubles are
-// bit-identical to run_batch and the scalar engine.  The AVX-512 paths use
+// Every kernel reproduces the scalar engine's per-lane arithmetic exactly
+// (the same selections, the same single add), so the produced doubles are
+// bit-identical to TimingSimulator::run.  The AVX-512 paths use
 // only min/max/compare/blend/add — all exact selections — and the scalar
 // tails repeat the identical expressions, so vector and tail lanes agree
 // too.  kLane = per-lane delays (device batches); shared mode processes

@@ -1,9 +1,9 @@
 // Bit-sliced fleet evaluation: 64 evaluations ("lanes") per machine word.
 //
-// The third evaluation path beside the scalar engine and the SoA
-// `run_batch`.  Logic VALUES are packed 64 lanes per `uint64_t`, so every
-// word operation of the value pass evaluates one gate for 64 devices or
-// challenges at once.  Settle TIMES are real numbers and cannot be
+// The batched evaluation path beside the scalar reference engine
+// (timing_sim.hpp).  Logic VALUES are packed 64 lanes per `uint64_t`, so
+// every word operation of the value pass evaluates one gate for 64 devices
+// or challenges at once.  Settle TIMES are real numbers and cannot be
 // bit-sliced without giving up the repo's exactness contract (engines must
 // agree double-for-double so near-tie races decide identically), so the
 // time pass keeps per-lane doubles — but classifies every gate's time
@@ -18,8 +18,8 @@
 //                 the ALU PUF adders every input-fed XOR/AND classifies
 //                 this way.
 //   * kWideT    — genuinely lane-dependent; 64 doubles per word of lanes,
-//                 computed with exactly the SoA kernels' operation order
-//                 (same min/max/add sequence per lane => identical
+//                 computed with exactly the scalar engine's arithmetic
+//                 (same selections and single add per lane => identical
 //                 doubles => identical arbiter decisions).
 //
 // Classification happens once per (netlist, shared DelaySet) by
@@ -50,13 +50,11 @@
 namespace pufatt::timingsim {
 
 /// Evaluation-engine selector for batch entry points (AluPuf /
-/// AluPufEmulator / PufDevice / gen-crps).  All four produce identical
-/// doubles and therefore identical responses; they differ only in speed.
+/// AluPufEmulator / PufDevice / gen-crps).  Both produce identical doubles
+/// and therefore identical responses; they differ only in speed.
 enum class BatchEngine : std::uint8_t {
-  kAuto,      ///< the bit-sliced engine, at every lane count
   kScalar,    ///< one scalar `run` per lane (reference path)
-  kBatch,     ///< SoA `run_batch`
-  kBitslice,  ///< BitSliceEngine
+  kBitslice,  ///< BitSliceEngine (the default)
 };
 
 /// Packs `count` challenges into transposed lane words:
@@ -76,8 +74,7 @@ void pack_input_words(const std::uint64_t* challenges, std::size_t count,
 /// Result of one bit-sliced run.  Value words for every gate; wide time
 /// lanes only for gates the engine classified kWideT (slot-indexed — read
 /// through the engine's accessors, which know each gate's representation).
-/// Gates outside the observed cone read as value 0 / time 0 like
-/// BatchState.
+/// Gates outside the observed cone read as value 0 / time 0.
 struct BitSliceState {
   std::size_t count = 0;   ///< live lanes
   std::size_t nwords = 0;  ///< ceil(count/64)

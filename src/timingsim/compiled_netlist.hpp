@@ -9,7 +9,7 @@
 //     is also a valid forward evaluation order);
 //   * CSR-flattened fanin arrays (one contiguous GateId span per gate);
 //   * a micro-op table that pre-resolves gate kind x fanin arity, so the
-//     batch kernel dispatches once per gate instead of re-inspecting
+//     bit-sliced kernels dispatch once per gate instead of re-inspecting
 //     `Gate` records;
 //   * the input-gate index map (gate id -> primary-input position);
 //   * an observed-cone mask: when the consumer only reads a subset of nets
@@ -61,7 +61,7 @@ class CompiledNetlist {
   explicit CompiledNetlist(const netlist::Netlist& net);
 
   /// Compiles only the transitive fanin cone of `observed` gates: gates
-  /// outside the cone are never evaluated (their batch lanes stay zero).
+  /// outside the cone are never evaluated (their bit-sliced lanes stay zero).
   CompiledNetlist(const netlist::Netlist& net,
                   const std::vector<netlist::GateId>& observed);
 
@@ -87,7 +87,6 @@ class CompiledNetlist {
 
   /// Observed-cone membership (1 = evaluated by the schedule).
   bool active(netlist::GateId id) const { return active_[id] != 0; }
-  const std::vector<std::uint8_t>& active_mask() const { return active_; }
   std::size_t num_active() const { return schedule_.size(); }
 
   netlist::GateKind kind(netlist::GateId id) const { return kinds_[id]; }

@@ -3,37 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
 namespace pufatt::timingsim {
 
 using netlist::GateId;
 using netlist::GateKind;
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Profiling hook shared by both run_batch overloads.  Inert (one relaxed
-// load + branch, or nothing at all under -DPUFATT_TRACE=0) unless the
-// global tracer is on; then each batch gets a "sim.run_batch" span plus
-// occupancy metrics — sim.lanes/sim.batches is the mean batch fill, the
-// number the batched engine's speedup lives or dies by.
-obs::Span trace_batch(std::size_t batch, std::size_t gates) {
-  if (!obs::global_trace_enabled()) return obs::Span{};
-  auto& registry = obs::global_registry();
-  static obs::Counter& batches = registry.counter("sim.batches");
-  static obs::Counter& lanes = registry.counter("sim.lanes");
-  static obs::Gauge& occupancy = registry.gauge("sim.batch_occupancy");
-  batches.add(1);
-  lanes.add(batch);
-  occupancy.set(static_cast<double>(batch));
-  obs::Span span = obs::global_tracer().span("sim.run_batch");
-  span.note("batch", static_cast<double>(batch));
-  span.note("gates", static_cast<double>(gates));
-  return span;
-}
 
 void check_netlist_input_order(const CompiledNetlist& compiled) {
   if (!compiled.inputs_in_netlist_order()) {
@@ -45,62 +20,7 @@ void check_netlist_input_order(const CompiledNetlist& compiled) {
   }
 }
 
-// The delay policies use a two-step bind(gate) -> (lane, value) protocol so
-// the per-gate delay lookups happen OUTSIDE the lane loops.  Two reasons:
-// the batch state's value lanes are uint8_t (char-family, aliases
-// everything), so an in-loop rise[g] load would be reloaded after every
-// value store; and both Bound functors load rise AND fall unconditionally
-// before selecting — a load inside only one ternary arm reads as a
-// *conditional load* to GCC's if-converter and blocks vectorization of
-// every lane loop it inlines into.
-
-/// Shared-across-lanes delay lookup (deterministic emulation).
-struct SharedDelayAt {
-  const double* rise;
-  const double* fall;
-  struct Bound {
-    double r;
-    double f;
-    double operator()(std::size_t, std::uint8_t v) const {
-      return v != 0 ? r : f;
-    }
-  };
-  Bound bind(std::size_t g) const { return {rise[g], fall[g]}; }
-};
-
-/// Per-lane delay lookup (noisy device batches).
-struct LaneDelayAt {
-  const double* rise;
-  const double* fall;
-  std::size_t batch;
-  struct Bound {
-    const double* __restrict r;
-    const double* __restrict f;
-    double operator()(std::size_t b, std::uint8_t v) const {
-      const double rr = r[b];
-      const double ff = f[b];
-      return v != 0 ? rr : ff;
-    }
-  };
-  Bound bind(std::size_t g) const {
-    return {rise + g * batch, fall + g * batch};
-  }
-};
-
 }  // namespace
-
-void pack_input_lanes(const support::BitVector* challenges, std::size_t count,
-                      std::size_t num_inputs, std::vector<std::uint8_t>& out) {
-  out.assign(num_inputs * count, 0);
-  for (std::size_t lane = 0; lane < count; ++lane) {
-    if (challenges[lane].size() != num_inputs) {
-      throw std::invalid_argument("pack_input_lanes: wrong challenge width");
-    }
-    for (std::size_t i = 0; i < num_inputs; ++i) {
-      out[i * count + lane] = challenges[lane].get(i) ? 1 : 0;
-    }
-  }
-}
 
 TimingSimulator::TimingSimulator(const netlist::Netlist& net)
     : net_(&net), compiled_(net) {
@@ -113,19 +33,18 @@ TimingSimulator::TimingSimulator(const netlist::Netlist& net,
   check_netlist_input_order(compiled_);
 }
 
-void TimingSimulator::check_delay_count(std::size_t rise,
-                                        std::size_t fall) const {
-  if (rise != net_->num_gates() || fall != net_->num_gates()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong delay count");
-  }
-}
-
-// ---------------------------------------------------------- scalar engine
-
-template <typename InputAt, typename DelayOf>
-void TimingSimulator::run_impl(InputAt&& input_at, DelayOf&& delay_of,
+template <typename DelayOf>
+void TimingSimulator::run_impl(const support::BitVector& inputs,
+                               std::size_t rise_count, std::size_t fall_count,
+                               DelayOf&& delay_of,
                                std::vector<SignalState>& states,
                                const std::vector<double>* input_times_ps) const {
+  if (inputs.size() != net_->num_inputs()) {
+    throw std::invalid_argument("TimingSimulator::run: wrong input count");
+  }
+  if (rise_count != net_->num_gates() || fall_count != net_->num_gates()) {
+    throw std::invalid_argument("TimingSimulator::run: wrong delay count");
+  }
   const CompiledNetlist& cn = compiled_;
   const std::size_t n = cn.num_gates();
   states.resize(n);
@@ -141,7 +60,7 @@ void TimingSimulator::run_impl(InputAt&& input_at, DelayOf&& delay_of,
     switch (cn.kind(static_cast<GateId>(id))) {
       case GateKind::kInput: {
         const std::uint32_t pos = cn.input_pos(static_cast<GateId>(id));
-        out.value = input_at(pos);
+        out.value = inputs.get(pos);
         out.time_ps = input_times_ps != nullptr ? (*input_times_ps)[pos] : 0.0;
         continue;
       }
@@ -232,44 +151,8 @@ void TimingSimulator::run(const support::BitVector& inputs,
                           const DelaySet& delays,
                           std::vector<SignalState>& states,
                           const std::vector<double>* input_times_ps) const {
-  if (inputs.size() != net_->num_inputs()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong input count");
-  }
-  check_delay_count(delays.rise_ps.size(), delays.fall_ps.size());
   run_impl(
-      [&inputs](std::size_t i) { return inputs.get(i); },
-      [&delays](std::size_t id, bool value) {
-        return value ? delays.rise_ps[id] : delays.fall_ps[id];
-      },
-      states, input_times_ps);
-}
-
-void TimingSimulator::run(const std::uint8_t* inputs, std::size_t count,
-                          const DelaySet& delays,
-                          std::vector<SignalState>& states,
-                          const std::vector<double>* input_times_ps) const {
-  if (count != net_->num_inputs()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong input count");
-  }
-  check_delay_count(delays.rise_ps.size(), delays.fall_ps.size());
-  run_impl(
-      [inputs](std::size_t i) { return inputs[i] != 0; },
-      [&delays](std::size_t id, bool value) {
-        return value ? delays.rise_ps[id] : delays.fall_ps[id];
-      },
-      states, input_times_ps);
-}
-
-void TimingSimulator::run(const std::vector<bool>& inputs,
-                          const DelaySet& delays,
-                          std::vector<SignalState>& states,
-                          const std::vector<double>* input_times_ps) const {
-  if (inputs.size() != net_->num_inputs()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong input count");
-  }
-  check_delay_count(delays.rise_ps.size(), delays.fall_ps.size());
-  run_impl(
-      [&inputs](std::size_t i) { return inputs[i]; },
+      inputs, delays.rise_ps.size(), delays.fall_ps.size(),
       [&delays](std::size_t id, bool value) {
         return value ? delays.rise_ps[id] : delays.fall_ps[id];
       },
@@ -280,289 +163,10 @@ void TimingSimulator::run(const support::BitVector& inputs,
                           const std::vector<double>& gate_delays_ps,
                           std::vector<SignalState>& states,
                           const std::vector<double>* input_times_ps) const {
-  if (inputs.size() != net_->num_inputs()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong input count");
-  }
-  check_delay_count(gate_delays_ps.size(), gate_delays_ps.size());
   run_impl(
-      [&inputs](std::size_t i) { return inputs.get(i); },
+      inputs, gate_delays_ps.size(), gate_delays_ps.size(),
       [&gate_delays_ps](std::size_t id, bool) { return gate_delays_ps[id]; },
       states, input_times_ps);
-}
-
-void TimingSimulator::run(const std::vector<bool>& inputs,
-                          const std::vector<double>& gate_delays_ps,
-                          std::vector<SignalState>& states,
-                          const std::vector<double>* input_times_ps) const {
-  if (inputs.size() != net_->num_inputs()) {
-    throw std::invalid_argument("TimingSimulator::run: wrong input count");
-  }
-  check_delay_count(gate_delays_ps.size(), gate_delays_ps.size());
-  run_impl(
-      [&inputs](std::size_t i) { return inputs[i]; },
-      [&gate_delays_ps](std::size_t id, bool) { return gate_delays_ps[id]; },
-      states, input_times_ps);
-}
-
-std::vector<SignalState> TimingSimulator::run(
-    const std::vector<bool>& inputs,
-    const std::vector<double>& gate_delays_ps) const {
-  std::vector<SignalState> states;
-  run(inputs, gate_delays_ps, states);
-  return states;
-}
-
-// ----------------------------------------------------------- batch engine
-
-template <typename LaneDelay>
-void TimingSimulator::run_batch_impl(
-    const std::uint8_t* inputs, std::size_t batch, LaneDelay&& delay_at,
-    BatchState& out, const std::vector<double>* input_times_ps) const {
-  const CompiledNetlist& cn = compiled_;
-  const std::size_t n = cn.num_gates();
-  const std::size_t B = batch;
-  if (B == 0) {
-    throw std::invalid_argument("run_batch: empty batch");
-  }
-  out.batch = B;
-  // Every scheduled gate fully overwrites its lanes below, so only
-  // inactive (non-cone) gates need explicit zeroes — re-zeroing the whole
-  // n*B state per call would cost more bandwidth than the evaluation of
-  // small batches.
-  if (out.values.size() != n * B) {
-    out.values.assign(n * B, 0);
-    out.times_ps.assign(n * B, 0.0);
-  } else if (cn.num_active() != n) {
-    const std::uint8_t* const active = cn.active_mask().data();
-    for (std::size_t g = 0; g < n; ++g) {
-      if (active[g]) continue;
-      std::fill_n(out.values.begin() + g * B, B, std::uint8_t{0});
-      std::fill_n(out.times_ps.begin() + g * B, B, 0.0);
-    }
-  }
-  out.scratch_a.resize(B);
-  out.scratch_b.resize(B);
-
-  std::uint8_t* const values = out.values.data();
-  double* const times = out.times_ps.data();
-  const GateId* const fanins = cn.fanins().data();
-
-  for (const GateId g : cn.schedule()) {
-    const std::size_t base = static_cast<std::size_t>(g) * B;
-    std::uint8_t* const v = values + base;
-    double* const t = times + base;
-    const std::uint32_t fb = cn.fanin_begin(g);
-
-    switch (cn.op(g)) {
-      case BatchOp::kInput: {
-        const std::uint32_t pos = cn.input_pos(g);
-        const std::uint8_t* const src = inputs + pos * B;
-        const double arrive =
-            input_times_ps != nullptr ? (*input_times_ps)[pos] : 0.0;
-        for (std::size_t b = 0; b < B; ++b) v[b] = src[b];
-        for (std::size_t b = 0; b < B; ++b) t[b] = arrive;
-        continue;
-      }
-      case BatchOp::kConst0:
-        for (std::size_t b = 0; b < B; ++b) v[b] = 0;
-        for (std::size_t b = 0; b < B; ++b) t[b] = kAlwaysSettled;
-        continue;
-      case BatchOp::kConst1:
-        for (std::size_t b = 0; b < B; ++b) v[b] = 1;
-        for (std::size_t b = 0; b < B; ++b) t[b] = kAlwaysSettled;
-        continue;
-      case BatchOp::kBuf:
-      case BatchOp::kNot: {
-        const std::size_t f = static_cast<std::size_t>(fanins[fb]) * B;
-        const std::uint8_t* const va = values + f;
-        const double* const ta = times + f;
-        const std::uint8_t invert = cn.op(g) == BatchOp::kNot ? 1 : 0;
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          const std::uint8_t val = va[b] ^ invert;
-          v[b] = val;
-          t[b] = ta[b] + d(b, val);
-        }
-        continue;
-      }
-      case BatchOp::kMux: {
-        const std::size_t fs = static_cast<std::size_t>(fanins[fb]) * B;
-        const std::size_t f0 = static_cast<std::size_t>(fanins[fb + 1]) * B;
-        const std::size_t f1 = static_cast<std::size_t>(fanins[fb + 2]) * B;
-        const std::uint8_t* const vs = values + fs;
-        const double* const ts = times + fs;
-        const std::uint8_t* const v0 = values + f0;
-        const double* const t0 = times + f0;
-        const std::uint8_t* const v1 = values + f1;
-        const double* const t1 = times + f1;
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          // Same three cases as the scalar engine, as selects over
-          // unconditionally-loaded locals (see the kAnd2 comment).
-          const std::uint8_t s = vs[b];
-          const std::uint8_t y0 = v0[b];
-          const std::uint8_t y1 = v1[b];
-          const double xs = ts[b];
-          const double x0 = t0[b];
-          const double x1 = t1[b];
-          const bool sel = s != 0;
-          const std::uint8_t val = sel ? y1 : y0;
-          const double chosen_t = sel ? x1 : x0;
-          const double det =
-              xs == kAlwaysSettled
-                  ? chosen_t
-                  : (y0 == y1 ? std::max(x0, x1) : std::max(xs, chosen_t));
-          v[b] = val;
-          t[b] = det + d(b, val);
-        }
-        continue;
-      }
-      case BatchOp::kAnd2:
-      case BatchOp::kNand2:
-      case BatchOp::kOr2:
-      case BatchOp::kNor2: {
-        const BatchOp op = cn.op(g);
-        const bool controlling =
-            (op == BatchOp::kOr2 || op == BatchOp::kNor2);
-        const std::uint8_t invert =
-            (op == BatchOp::kNand2 || op == BatchOp::kNor2) ? 1 : 0;
-        const std::size_t f0 = static_cast<std::size_t>(fanins[fb]) * B;
-        const std::size_t f1 = static_cast<std::size_t>(fanins[fb + 1]) * B;
-        const std::uint8_t* __restrict const va = values + f0;
-        const double* __restrict const ta = times + f0;
-        const std::uint8_t* __restrict const vb = values + f1;
-        const double* __restrict const tb = times + f1;
-        std::uint8_t* __restrict const vo = v;
-        double* __restrict const to = t;
-        const std::uint8_t ctrl = controlling ? 1 : 0;
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          // Branchless form of the scalar loop's dataflow (earliest
-          // controlling input if any, else the latest input): controlling
-          // inputs keep their time, others become +inf, then one min
-          // against a max fallback.  Loads are hoisted into locals first —
-          // GCC refuses to if-convert `cond ? mem[b] : const` (it sees a
-          // conditional load), which silently kills vectorization.
-          const std::uint8_t sa = va[b];
-          const std::uint8_t sb = vb[b];
-          const double xa = ta[b];
-          const double xb = tb[b];
-          const double ca = sa == ctrl ? xa : kInf;
-          const double cb = sb == ctrl ? xb : kInf;
-          const double m = std::min(ca, cb);
-          const double det = m != kInf ? m : std::max(xa, xb);
-          const std::uint8_t val =
-              (controlling ? (sa | sb) : (sa & sb)) ^ invert;
-          vo[b] = val;
-          to[b] = det + d(b, val);
-        }
-        continue;
-      }
-      case BatchOp::kXor2:
-      case BatchOp::kXnor2: {
-        const std::uint8_t invert = cn.op(g) == BatchOp::kXnor2 ? 1 : 0;
-        const std::size_t f0 = static_cast<std::size_t>(fanins[fb]) * B;
-        const std::size_t f1 = static_cast<std::size_t>(fanins[fb + 1]) * B;
-        const std::uint8_t* __restrict const va = values + f0;
-        const double* __restrict const ta = times + f0;
-        const std::uint8_t* __restrict const vb = values + f1;
-        const double* __restrict const tb = times + f1;
-        std::uint8_t* __restrict const vo = v;
-        double* __restrict const to = t;
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          const std::uint8_t val = va[b] ^ vb[b] ^ invert;
-          vo[b] = val;
-          to[b] = std::max(ta[b], tb[b]) + d(b, val);
-        }
-        continue;
-      }
-      case BatchOp::kAndN:
-      case BatchOp::kNandN:
-      case BatchOp::kOrN:
-      case BatchOp::kNorN: {
-        const BatchOp op = cn.op(g);
-        const bool controlling = (op == BatchOp::kOrN || op == BatchOp::kNorN);
-        const bool inverted = (op == BatchOp::kNandN || op == BatchOp::kNorN);
-        const std::uint8_t ctrl = controlling ? 1 : 0;
-        double* const latest = out.scratch_a.data();
-        double* const earliest = out.scratch_b.data();  // +inf = none yet
-        for (std::size_t b = 0; b < B; ++b) latest[b] = kAlwaysSettled;
-        for (std::size_t b = 0; b < B; ++b) earliest[b] = kInf;
-        const std::uint32_t fe = fb + cn.fanin_count(g);
-        for (std::uint32_t k = fb; k < fe; ++k) {
-          const std::size_t f = static_cast<std::size_t>(fanins[k]) * B;
-          const std::uint8_t* const vi = values + f;
-          const double* const ti = times + f;
-          for (std::size_t b = 0; b < B; ++b) {
-            const double x = ti[b];
-            const double e = earliest[b];
-            latest[b] = std::max(latest[b], x);
-            earliest[b] = vi[b] == ctrl ? std::min(e, x) : e;
-          }
-        }
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          const double e = earliest[b];
-          const double l = latest[b];
-          const bool any = e != kInf;
-          const bool raw = any ? controlling : !controlling;
-          const std::uint8_t val = (raw != inverted) ? 1 : 0;
-          const double det = any ? e : l;
-          v[b] = val;
-          t[b] = det + d(b, val);
-        }
-        continue;
-      }
-      case BatchOp::kXorN:
-      case BatchOp::kXnorN: {
-        const std::uint8_t init = cn.op(g) == BatchOp::kXnorN ? 1 : 0;
-        double* const latest = out.scratch_a.data();
-        for (std::size_t b = 0; b < B; ++b) latest[b] = kAlwaysSettled;
-        for (std::size_t b = 0; b < B; ++b) v[b] = init;
-        const std::uint32_t fe = fb + cn.fanin_count(g);
-        for (std::uint32_t k = fb; k < fe; ++k) {
-          const std::size_t f = static_cast<std::size_t>(fanins[k]) * B;
-          const std::uint8_t* const vi = values + f;
-          const double* const ti = times + f;
-          for (std::size_t b = 0; b < B; ++b) {
-            v[b] ^= vi[b];
-            latest[b] = std::max(latest[b], ti[b]);
-          }
-        }
-        const auto d = delay_at.bind(g);
-        for (std::size_t b = 0; b < B; ++b) {
-          t[b] = latest[b] + d(b, v[b]);
-        }
-        continue;
-      }
-    }
-  }
-}
-
-void TimingSimulator::run_batch(const std::uint8_t* inputs, std::size_t batch,
-                                const DelaySet& delays, BatchState& out,
-                                const std::vector<double>* input_times_ps) const {
-  check_delay_count(delays.rise_ps.size(), delays.fall_ps.size());
-  obs::Span span = trace_batch(batch, net_->num_gates());
-  run_batch_impl(inputs, batch,
-                 SharedDelayAt{delays.rise_ps.data(), delays.fall_ps.data()},
-                 out, input_times_ps);
-}
-
-void TimingSimulator::run_batch(const std::uint8_t* inputs, std::size_t batch,
-                                const BatchDelays& delays, BatchState& out,
-                                const std::vector<double>* input_times_ps) const {
-  if (delays.batch != batch ||
-      delays.rise_ps.size() != net_->num_gates() * batch ||
-      delays.fall_ps.size() != net_->num_gates() * batch) {
-    throw std::invalid_argument("run_batch: wrong per-lane delay count");
-  }
-  obs::Span span = trace_batch(batch, net_->num_gates());
-  run_batch_impl(
-      inputs, batch,
-      LaneDelayAt{delays.rise_ps.data(), delays.fall_ps.data(), batch}, out,
-      input_times_ps);
 }
 
 }  // namespace pufatt::timingsim

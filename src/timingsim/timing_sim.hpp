@@ -14,18 +14,12 @@
 // depend on the inputs x_{i-1} and x_{i+3} because carry bits ... are
 // propagated from the LSB side to the MSB side").
 //
-// Two engines share the semantics above and are bit-identical per net:
-//   * the scalar engine (`run`) evaluates one input vector;
-//   * the batch engine (`run_batch`) evaluates B input vectors per pass over
-//     a structure-of-arrays state (contiguous per-gate value/time lanes), so
-//     per-gate dispatch and delay loads amortize over the batch and the lane
-//     loops vectorize.  Million-challenge experiments (HD sweeps, CRP
-//     datasets, verifier emulation) run on the batch engine.
-// Both walk the CompiledNetlist schedule (levelized topological order, CSR
-// fanins) instead of chasing per-gate fanin vectors.
+// The scalar engine (`run`) below is the exactness reference: it evaluates
+// one input vector by walking the CompiledNetlist (CSR fanins) in gate-id
+// order.  The bit-sliced engine (bitslice.hpp) evaluates 64 vectors per
+// machine word with the same semantics and must match it double for double.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -57,130 +51,60 @@ struct DelaySet {
   std::vector<double> fall_ps;  ///< delay when the gate output is 0
 };
 
-/// Per-gate, per-lane delays for one batch evaluation (SoA, gate-major:
-/// lane b of gate g lives at `[g * batch + b]`).  This is the layout the
-/// noisy device path uses — every evaluation in a batch jitters its own
-/// delay realization.
+/// Per-gate, per-lane delays for one batch evaluation (gate-major: lane b
+/// of gate g lives at `[g * batch + b]`).  This is the layout the noisy
+/// device path uses — every evaluation in a batch jitters its own delay
+/// realization (BitSliceEngine's lane-delay mode consumes it).
 struct BatchDelays {
   std::size_t batch = 0;
   std::vector<double> rise_ps;
   std::vector<double> fall_ps;
 };
 
-/// Structure-of-arrays result of one batch evaluation: for every gate, a
-/// contiguous lane of values and settle times (gate-major, `[g*batch+b]`).
-/// Gates outside the simulator's observed cone keep zeroed lanes.
-struct BatchState {
-  std::size_t batch = 0;
-  std::vector<std::uint8_t> values;  ///< 0/1 per gate-lane
-  std::vector<double> times_ps;
-
-  bool value(netlist::GateId g, std::size_t lane) const {
-    return values[static_cast<std::size_t>(g) * batch + lane] != 0;
-  }
-  double time_ps(netlist::GateId g, std::size_t lane) const {
-    return times_ps[static_cast<std::size_t>(g) * batch + lane];
-  }
-
-  /// Internal scratch for n-ary gate reductions; sized by the kernel.
-  std::vector<double> scratch_a;
-  std::vector<double> scratch_b;
-};
-
-/// Packs `count` challenge vectors into the input-major lane layout the
-/// batch engine consumes: `out[i*count + lane] = challenges[lane].bit(i)`.
-/// Every challenge must have exactly `num_inputs` bits.
-void pack_input_lanes(const support::BitVector* challenges, std::size_t count,
-                      std::size_t num_inputs, std::vector<std::uint8_t>& out);
-
 /// Reusable simulator for one netlist.  The per-gate delay set changes
 /// per evaluation (noise) or per operating point; the netlist does not.
 ///
 /// Construction compiles the netlist (levelized schedule, CSR fanins) and
 /// validates that input gates appear in netlist order — the layout the
-/// input cursor of every evaluation path assumes; a permuted netlist (see
+/// input binding of every evaluation path assumes; a permuted netlist (see
 /// Netlist::reorder_inputs) is rejected with std::invalid_argument rather
 /// than silently mis-binding challenge bits.
 class TimingSimulator {
  public:
   explicit TimingSimulator(const netlist::Netlist& net);
 
-  /// Cone-restricted simulator: only the transitive fanin of `observed`
-  /// gates is evaluated (states/lanes of other gates are left zeroed by
-  /// run_batch; the scalar engine still fills every gate, see run).
+  /// Cone-restricted simulator: its compiled schedule (what a
+  /// BitSliceEngine built over compiled() evaluates) holds only the
+  /// transitive fanin of `observed` gates.  The scalar `run` still fills
+  /// every gate.
   TimingSimulator(const netlist::Netlist& net,
                   const std::vector<netlist::GateId>& observed);
 
-  // ------------------------------------------------------- scalar engine
-  //
   // `inputs` — value per primary input, in input order.
   // `delays` — rise/fall delay per gate id (inputs/constants ignored).
   // `input_times_ps` — optional arrival time per primary input (defaults
   //   to 0: the synchronized launch the paper's sync logic provides).
   // Results for all gates land in `states` (resized as needed).
 
-  /// Primary overload: BitVector challenge, no conversion allocation.
   void run(const support::BitVector& inputs, const DelaySet& delays,
            std::vector<SignalState>& states,
            const std::vector<double>* input_times_ps = nullptr) const;
 
-  /// Raw byte-lane inputs (0/1 per entry), e.g. one lane of a batch.
-  void run(const std::uint8_t* inputs, std::size_t count,
-           const DelaySet& delays, std::vector<SignalState>& states,
-           const std::vector<double>* input_times_ps = nullptr) const;
-
-  /// Legacy vector<bool> overload (thin wrapper; avoid on hot paths).
-  void run(const std::vector<bool>& inputs, const DelaySet& delays,
-           std::vector<SignalState>& states,
-           const std::vector<double>* input_times_ps = nullptr) const;
-
-  /// Symmetric-delay convenience overloads (rise == fall).
+  /// Symmetric delays (rise == fall).
   void run(const support::BitVector& inputs,
            const std::vector<double>& gate_delays_ps,
            std::vector<SignalState>& states,
            const std::vector<double>* input_times_ps = nullptr) const;
-  void run(const std::vector<bool>& inputs,
-           const std::vector<double>& gate_delays_ps,
-           std::vector<SignalState>& states,
-           const std::vector<double>* input_times_ps = nullptr) const;
-
-  /// Convenience wrapper returning a fresh state vector (test/diagnostic
-  /// use; evaluation loops should pass a reused `states` instead).
-  std::vector<SignalState> run(const std::vector<bool>& inputs,
-                               const std::vector<double>& gate_delays_ps) const;
-
-  // -------------------------------------------------------- batch engine
-  //
-  // `inputs` — input-major lanes: `inputs[i*batch + lane]` is the value of
-  //   primary input i for evaluation `lane` (see pack_input_lanes).
-  // Responses are bit-identical to `batch` scalar `run` calls: the kernels
-  // perform the same floating-point operations in the same order per lane.
-
-  /// Shared delays across lanes (deterministic emulation, HD sweeps).
-  void run_batch(const std::uint8_t* inputs, std::size_t batch,
-                 const DelaySet& delays, BatchState& out,
-                 const std::vector<double>* input_times_ps = nullptr) const;
-
-  /// Per-lane delays (noisy device evaluation).
-  void run_batch(const std::uint8_t* inputs, std::size_t batch,
-                 const BatchDelays& delays, BatchState& out,
-                 const std::vector<double>* input_times_ps = nullptr) const;
 
   const netlist::Netlist& net() const { return *net_; }
   const CompiledNetlist& compiled() const { return compiled_; }
 
  private:
-  template <typename InputAt, typename DelayOf>
-  void run_impl(InputAt&& input_at, DelayOf&& delay_of,
+  template <typename DelayOf>
+  void run_impl(const support::BitVector& inputs, std::size_t rise_count,
+                std::size_t fall_count, DelayOf&& delay_of,
                 std::vector<SignalState>& states,
                 const std::vector<double>* input_times_ps) const;
-
-  template <typename LaneDelay>
-  void run_batch_impl(const std::uint8_t* inputs, std::size_t batch,
-                      LaneDelay&& delay_at, BatchState& out,
-                      const std::vector<double>* input_times_ps) const;
-
-  void check_delay_count(std::size_t rise, std::size_t fall) const;
 
   const netlist::Netlist* net_;
   CompiledNetlist compiled_;

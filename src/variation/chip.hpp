@@ -76,8 +76,9 @@ class ChipInstance {
                      timingsim::DelaySet& out) const;
 
   /// `count` independent noisy realizations at once, written gate-major
-  /// into the SoA layout the batch engine consumes (out.rise_ps[g*count+x]
-  /// is lane x's gate g) — contiguous lane writes, no per-lane transpose.
+  /// into the BatchDelays layout the bit-sliced lane-delay mode consumes
+  /// (out.rise_ps[g*count+x] is lane x's gate g) — contiguous lane writes,
+  /// no per-lane transpose.
   /// Lane x's jitter comes from noise_rngs[x]: exactly one gaussian_fast()
   /// deviate per gate in gate order, zero-delay gates included, so each
   /// lane's stream position is a function of the gate index alone and a

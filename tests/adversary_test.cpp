@@ -220,10 +220,8 @@ Tournament tiny_tournament(std::size_t threads,
 }
 
 TEST(Tournament, MatrixIsThreadInvariant) {
-  const auto one =
-      tiny_tournament(1, timingsim::BatchEngine::kAuto).run();
-  const auto four =
-      tiny_tournament(4, timingsim::BatchEngine::kAuto).run();
+  const auto one = tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
+  const auto four = tiny_tournament(4, timingsim::BatchEngine::kBitslice).run();
   EXPECT_EQ(matrix_json(one), matrix_json(four));
   ASSERT_EQ(one.cells.size(), 4u);
   EXPECT_EQ(one.cells.front().reports.size(), 2u);
@@ -234,15 +232,14 @@ TEST(Tournament, MatrixIsEngineInvariant) {
   // rides eval_batch, whose responses are engine-exact).
   const auto scalar =
       tiny_tournament(1, timingsim::BatchEngine::kScalar).run();
-  const auto soa = tiny_tournament(1, timingsim::BatchEngine::kBatch).run();
   const auto sliced =
       tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
-  EXPECT_EQ(matrix_json(scalar), matrix_json(soa));
   EXPECT_EQ(matrix_json(scalar), matrix_json(sliced));
 }
 
 TEST(Tournament, FindLocatesCells) {
-  const auto result = tiny_tournament(1, timingsim::BatchEngine::kAuto).run();
+  const auto result =
+      tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
   ASSERT_NE(result.find("arbiter", "lr"), nullptr);
   ASSERT_NE(result.find("alu-raw", "mlp"), nullptr);
   EXPECT_EQ(result.find("arbiter", "cmaes"), nullptr);

@@ -3,9 +3,7 @@
 #include <limits>
 #include <set>
 
-#include "ecc/bch.hpp"
 #include "ecc/gf2_matrix.hpp"
-#include "ecc/gf2m.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
 #include "support/rng.hpp"
@@ -15,83 +13,6 @@ namespace {
 
 using support::BitVector;
 using support::Xoshiro256pp;
-
-// ------------------------------------------------------------------ GF(2^m)
-
-TEST(GF2m, RejectsBadDegree) {
-  EXPECT_THROW(GF2m(1), std::invalid_argument);
-  EXPECT_THROW(GF2m(13), std::invalid_argument);
-}
-
-TEST(GF2m, OrderAndGeneratorCycle) {
-  for (unsigned m = 2; m <= 10; ++m) {
-    const GF2m f(m);
-    EXPECT_EQ(f.order(), (1u << m) - 1);
-    // alpha generates the full multiplicative group.
-    std::set<GF2m::Element> seen;
-    for (std::uint32_t e = 0; e < f.order(); ++e) seen.insert(f.alpha_pow(e));
-    EXPECT_EQ(seen.size(), f.order());
-    EXPECT_EQ(f.alpha_pow(f.order()), 1u);  // alpha^(2^m-1) = 1
-  }
-}
-
-TEST(GF2m, AdditionIsXor) {
-  const GF2m f(4);
-  EXPECT_EQ(f.add(0b1010, 0b0110), 0b1100u);
-  EXPECT_EQ(f.add(7, 7), 0u);
-}
-
-TEST(GF2m, MultiplicationProperties) {
-  const GF2m f(5);
-  Xoshiro256pp rng(2);
-  for (int i = 0; i < 500; ++i) {
-    const auto a = static_cast<GF2m::Element>(rng.uniform_u64(32));
-    const auto b = static_cast<GF2m::Element>(rng.uniform_u64(32));
-    const auto c = static_cast<GF2m::Element>(rng.uniform_u64(32));
-    EXPECT_EQ(f.mul(a, b), f.mul(b, a));
-    EXPECT_EQ(f.mul(a, f.mul(b, c)), f.mul(f.mul(a, b), c));
-    EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
-    EXPECT_EQ(f.mul(a, 1), a);
-    EXPECT_EQ(f.mul(a, 0), 0u);
-  }
-}
-
-TEST(GF2m, InverseAndDivision) {
-  const GF2m f(6);
-  for (GF2m::Element a = 1; a < 64; ++a) {
-    EXPECT_EQ(f.mul(a, f.inv(a)), 1u);
-    EXPECT_EQ(f.div(a, a), 1u);
-  }
-  EXPECT_THROW(f.inv(0), std::domain_error);
-  EXPECT_THROW(f.div(1, 0), std::domain_error);
-}
-
-TEST(GF2m, PowMatchesRepeatedMul) {
-  const GF2m f(5);
-  for (GF2m::Element a = 1; a < 32; ++a) {
-    GF2m::Element acc = 1;
-    for (int e = 0; e < 10; ++e) {
-      EXPECT_EQ(f.pow(a, e), acc);
-      acc = f.mul(acc, a);
-    }
-  }
-  EXPECT_EQ(f.pow(0, 0), 1u);
-  EXPECT_EQ(f.pow(0, 5), 0u);
-}
-
-TEST(GF2m, LogExpRoundTrip) {
-  const GF2m f(8);
-  for (GF2m::Element a = 1; a < 256; ++a) {
-    EXPECT_EQ(f.alpha_pow(f.log(a)), a);
-  }
-  EXPECT_THROW(f.log(0), std::domain_error);
-}
-
-TEST(GF2m, NegativeExponents) {
-  const GF2m f(4);
-  EXPECT_EQ(f.alpha_pow(-1), f.inv(f.alpha_pow(1)));
-  EXPECT_EQ(f.alpha_pow(-15), f.alpha_pow(0));
-}
 
 // --------------------------------------------------------------- Gf2Matrix
 
@@ -177,142 +98,6 @@ TEST(Gf2Matrix, Transpose) {
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_TRUE(t.get(2, 0));
   EXPECT_TRUE(t.get(0, 1));
-}
-
-// --------------------------------------------------------------------- BCH
-
-class BchParams
-    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {};
-
-TEST_P(BchParams, EncodeDecodeAtFullCapacity) {
-  const auto [m, t] = GetParam();
-  const BchCode code(m, t);
-  Xoshiro256pp rng(100 * m + t);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto msg = BitVector::random(code.k(), rng);
-    const auto cw = code.encode(msg);
-    EXPECT_EQ(code.syndrome(cw).popcount(), 0u);
-    // Inject exactly t errors at distinct positions.
-    auto noisy = cw;
-    std::set<std::size_t> positions;
-    while (positions.size() < t) {
-      positions.insert(rng.uniform_u64(code.n()));
-    }
-    for (const auto p : positions) noisy.flip(p);
-    const auto decoded = code.decode(noisy);
-    ASSERT_TRUE(decoded.has_value()) << "m=" << m << " t=" << t;
-    EXPECT_EQ(*decoded, msg);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Codes, BchParams,
-    ::testing::Values(std::tuple{4u, std::size_t{1}},
-                      std::tuple{4u, std::size_t{2}},
-                      std::tuple{5u, std::size_t{3}},
-                      std::tuple{5u, std::size_t{7}},
-                      std::tuple{6u, std::size_t{5}},
-                      std::tuple{7u, std::size_t{9}},
-                      std::tuple{8u, std::size_t{10}}));
-
-TEST(Bch, ParametersOfClassicCodes) {
-  const BchCode c15_1(4, 1);
-  EXPECT_EQ(c15_1.n(), 15u);
-  EXPECT_EQ(c15_1.k(), 11u);  // Hamming(15,11)
-  const BchCode c15_2(4, 2);
-  EXPECT_EQ(c15_2.k(), 7u);
-  const BchCode c15_3(4, 3);
-  EXPECT_EQ(c15_3.k(), 5u);
-  const BchCode c31_7(5, 7);
-  EXPECT_EQ(c31_7.n(), 31u);
-  EXPECT_EQ(c31_7.k(), 6u);  // the closest true-BCH cousin of "[32,6,16]"
-}
-
-TEST(Bch, NoErrorsPassThrough) {
-  const BchCode code(5, 3);
-  Xoshiro256pp rng(9);
-  const auto msg = BitVector::random(code.k(), rng);
-  const auto cw = code.encode(msg);
-  EXPECT_EQ(code.decode(cw), msg);
-  EXPECT_EQ(code.decode_to_codeword(cw), cw);
-}
-
-TEST(Bch, SystematicStructure) {
-  const BchCode code(5, 3);
-  Xoshiro256pp rng(10);
-  const auto msg = BitVector::random(code.k(), rng);
-  const auto cw = code.encode(msg);
-  const std::size_t redundancy = code.n() - code.k();
-  for (std::size_t i = 0; i < code.k(); ++i) {
-    EXPECT_EQ(cw.get(redundancy + i), msg.get(i));
-  }
-}
-
-TEST(Bch, ParityCheckAnnihilatesAllCodewords) {
-  const BchCode code(4, 2);
-  for (std::uint64_t m = 0; m < (1ULL << code.k()); ++m) {
-    const auto cw = code.encode(BitVector(code.k(), m));
-    EXPECT_EQ(code.syndrome(cw).popcount(), 0u);
-  }
-  EXPECT_EQ(code.parity_check().rows(), code.n() - code.k());
-  EXPECT_EQ(code.parity_check().rank(), code.n() - code.k());
-}
-
-TEST(Bch, MinDistanceSpotCheck) {
-  // All nonzero codewords of BCH(15, t=2) have weight >= 5.
-  const BchCode code(4, 2);
-  for (std::uint64_t m = 1; m < (1ULL << code.k()); ++m) {
-    const auto cw = code.encode(BitVector(code.k(), m));
-    EXPECT_GE(cw.popcount(), 5u);
-  }
-}
-
-TEST(Bch, BeyondCapacityDetectedOrMiscorrected) {
-  // t+1 errors: the decoder must either give up or return *a* codeword —
-  // never crash; and it must not return the transmitted codeword as if
-  // nothing happened while errors remain unflagged.
-  const BchCode code(5, 3);
-  Xoshiro256pp rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto msg = BitVector::random(code.k(), rng);
-    auto noisy = code.encode(msg);
-    std::set<std::size_t> positions;
-    while (positions.size() < code.guaranteed_correction() + 2) {
-      positions.insert(rng.uniform_u64(code.n()));
-    }
-    for (const auto p : positions) noisy.flip(p);
-    const auto decoded = code.decode_to_codeword(noisy);
-    if (decoded.has_value()) {
-      EXPECT_EQ(code.syndrome(*decoded).popcount(), 0u);
-    }
-  }
-}
-
-TEST(Bch, ShorteningWorks) {
-  const BchCode code(5, 3, 10);  // [21, 6] shortened from [31, 16]
-  EXPECT_EQ(code.n(), 21u);
-  EXPECT_EQ(code.k(), 6u);
-  Xoshiro256pp rng(12);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto msg = BitVector::random(code.k(), rng);
-    auto noisy = code.encode(msg);
-    std::set<std::size_t> positions;
-    while (positions.size() < 3) positions.insert(rng.uniform_u64(code.n()));
-    for (const auto p : positions) noisy.flip(p);
-    EXPECT_EQ(code.decode(noisy), msg);
-  }
-}
-
-TEST(Bch, RejectsBadConfigs) {
-  EXPECT_THROW(BchCode(4, 0), std::invalid_argument);
-  EXPECT_THROW(BchCode(4, 100), std::invalid_argument);
-  EXPECT_THROW(BchCode(4, 1, 11), std::invalid_argument);  // shorten >= k
-}
-
-TEST(Bch, EncodeRejectsWrongLength) {
-  const BchCode code(4, 1);
-  EXPECT_THROW(code.encode(BitVector(5)), std::invalid_argument);
-  EXPECT_THROW(code.decode(BitVector(5)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- Reed-Muller
@@ -454,7 +239,6 @@ TEST(ReedMuller, WordSoftDecodeRejectsWideCodes) {
 class HelperDataCodes : public ::testing::Test {
  protected:
   ReedMuller1 rm_{5};
-  BchCode bch_{5, 7};  // [31, 6, 15]
 };
 
 TEST_F(HelperDataCodes, HelperSizeIsNMinusK) {
@@ -483,31 +267,40 @@ TEST_F(HelperDataCodes, ReproducesExactProverResponse) {
   }
 }
 
-TEST_F(HelperDataCodes, WorksWithBchToo) {
-  const SyndromeHelper helper(bch_);
+TEST_F(HelperDataCodes, WorksWithOtherRmOrders) {
+  // The construction is code-agnostic: RM(1,4) (the 16-bit FPGA width) and
+  // RM(1,6) recover the exact response from references within their
+  // guaranteed radius too.
   Xoshiro256pp rng(17);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto y_prover = BitVector::random(31, rng);
-    const auto h = helper.generate(y_prover);
-    auto y_ref = y_prover;
-    std::set<std::size_t> positions;
-    while (positions.size() < 7) positions.insert(rng.uniform_u64(31));
-    for (const auto p : positions) y_ref.flip(p);
-    const auto reproduced = helper.reproduce(y_ref, h);
-    ASSERT_TRUE(reproduced.has_value());
-    EXPECT_EQ(*reproduced, y_prover);
+  for (const unsigned m : {4u, 6u}) {
+    const ReedMuller1 code(m);
+    const SyndromeHelper helper(code);
+    const std::size_t n = code.n();
+    for (int trial = 0; trial < 100; ++trial) {
+      const auto y_prover = BitVector::random(n, rng);
+      const auto h = helper.generate(y_prover);
+      auto y_ref = y_prover;
+      std::set<std::size_t> positions;
+      while (positions.size() < code.guaranteed_correction()) {
+        positions.insert(rng.uniform_u64(n));
+      }
+      for (const auto p : positions) y_ref.flip(p);
+      const auto reproduced = helper.reproduce(y_ref, h);
+      ASSERT_TRUE(reproduced.has_value()) << "m=" << m;
+      EXPECT_EQ(*reproduced, y_prover) << "m=" << m;
+    }
   }
 }
 
 TEST_F(HelperDataCodes, FarReferenceFailsOrMismatches) {
-  const SyndromeHelper helper(bch_);
+  const SyndromeHelper helper(rm_);
   Xoshiro256pp rng(18);
   int mismatch_or_fail = 0;
   const int trials = 100;
   for (int trial = 0; trial < trials; ++trial) {
-    const auto y_prover = BitVector::random(31, rng);
+    const auto y_prover = BitVector::random(32, rng);
     const auto h = helper.generate(y_prover);
-    const auto y_ref = BitVector::random(31, rng);  // unrelated reference
+    const auto y_ref = BitVector::random(32, rng);  // unrelated reference
     const auto reproduced = helper.reproduce(y_ref, h);
     if (!reproduced || *reproduced != y_prover) ++mismatch_or_fail;
   }
@@ -553,26 +346,6 @@ TEST_F(HelperDataCodes, WordReproduceRoundTripsGeneratedHelpers) {
     ASSERT_TRUE(word.has_value());
     ASSERT_EQ(*word, y.to_u64()) << "trial " << trial;
     ASSERT_EQ(helper.reproduce_soft(llr, h), BitVector(32, *word));
-  }
-}
-
-TEST_F(HelperDataCodes, CodesWithoutWordDecoderFallBack) {
-  // BCH has no word decoder: BinaryCode's default decode_soft_word packs
-  // the hard-decision fallback, so the word reproduce still works.
-  const SyndromeHelper helper(bch_);
-  Xoshiro256pp rng(21);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto y = BitVector::random(31, rng);
-    std::vector<double> llr(31);
-    for (std::size_t i = 0; i < 31; ++i) llr[i] = y.get(i) ? -1.0 : 1.0;
-    for (int e = 0; e < 5; ++e) llr[rng.uniform_u64(31)] *= -1.0;
-    const auto h = helper.generate(y);
-    const auto word = helper.reproduce_soft_word(llr.data(), h.to_u64());
-    const auto bits = helper.reproduce_soft(llr, h);
-    ASSERT_EQ(word.has_value(), bits.has_value());
-    if (word) {
-      EXPECT_EQ(BitVector(31, *word), *bits);
-    }
   }
 }
 

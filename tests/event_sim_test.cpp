@@ -6,6 +6,7 @@
 #include "support/rng.hpp"
 #include "timingsim/event_sim.hpp"
 #include "timingsim/timing_sim.hpp"
+#include "to_bits.hpp"
 
 namespace pufatt::timingsim {
 namespace {
@@ -14,6 +15,7 @@ using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
 using support::Xoshiro256pp;
+using testref::to_bits;
 
 DelaySet uniform_delays(const Netlist& net, double d) {
   DelaySet delays;
@@ -144,7 +146,7 @@ TEST_P(CrossEngine, FinalValuesAgreeOnAluPuf) {
       prev.push_back(rng.bernoulli(0.5));
       next.push_back(rng.bernoulli(0.5));
     }
-    fast.run(next, delays, fast_states);
+    fast.run(to_bits(next), delays, fast_states);
     const auto slow_states = slow.run(prev, next, delays);
     for (std::size_t g = 0; g < fast_states.size(); ++g) {
       ASSERT_EQ(slow_states[g].value, fast_states[g].value) << "gate " << g;
@@ -182,7 +184,7 @@ TEST_P(CrossEngine, FloatingModeIsConservativeForSettledRaces) {
     for (std::size_t i = 0; i < circuit.net.num_inputs(); ++i) {
       next.push_back(rng.bernoulli(0.5));
     }
-    fast.run(next, delays, fast_states);
+    fast.run(to_bits(next), delays, fast_states);
     const auto slow_states = slow.run(zeros, next, delays);
     for (const auto& raced : {circuit.race0, circuit.race1}) {
       for (const auto gate : raced) {

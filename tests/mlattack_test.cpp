@@ -213,7 +213,6 @@ TEST(ParallelCrp, SequentialDatasetsAreEngineInvariant) {
     return collect_alu_raw(puf, 4, 200, rng, engine);
   };
   const auto scalar = collect_with(BatchEngine::kScalar);
-  EXPECT_TRUE(same_examples(scalar, collect_with(BatchEngine::kBatch)));
   EXPECT_TRUE(same_examples(scalar, collect_with(BatchEngine::kBitslice)));
 
   const ecc::ReedMuller1 code(4);
@@ -229,7 +228,6 @@ TEST(ParallelCrp, SequentialDatasetsAreEngineInvariant) {
     return collect_obfuscated(device, 3, 96, rng, engine);
   };
   const auto obf_scalar = collect_obf_with(BatchEngine::kScalar);
-  EXPECT_TRUE(same_examples(obf_scalar, collect_obf_with(BatchEngine::kBatch)));
   EXPECT_TRUE(
       same_examples(obf_scalar, collect_obf_with(BatchEngine::kBitslice)));
 }

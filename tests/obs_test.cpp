@@ -460,13 +460,8 @@ TEST(GlobalTracing, SimulatorHooksRecordUnderGlobalTracer) {
   Xoshiro256pp rng(0x51D);
   std::uint64_t challenges[16];
   for (auto& c : challenges) c = rng.next();
-  // 16 obfuscated queries expand to 128 raw races, so kAuto routes this
-  // through the bit-sliced engine; force the SoA engine on a second batch
-  // so both batched paths prove their hooks.
+  // 16 obfuscated queries expand to 128 raw races on the bit-sliced engine.
   (void)fleet.devices[0].device->query_batch(challenges, 16, env, rng);
-  (void)fleet.devices[0].device->query_batch(
-      challenges, 16, env, rng, nullptr, nullptr,
-      timingsim::BatchEngine::kBatch);
   set_global_trace(false);
 
   EXPECT_GT(global_registry().counter("sim.batches").value(), 0u);
@@ -479,7 +474,6 @@ TEST(GlobalTracing, SimulatorHooksRecordUnderGlobalTracer) {
   EXPECT_EQ(names.count("puf.sample_delays"), 1u);
   EXPECT_EQ(names.count("puf.arbiter"), 1u);
   EXPECT_EQ(names.count("sim.run_bitslice"), 1u);
-  EXPECT_EQ(names.count("sim.run_batch"), 1u);
   tracer.clear();
 }
 

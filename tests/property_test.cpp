@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <bitset>
 
-#include "ecc/bch.hpp"
 #include "ecc/reed_muller.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/techmap.hpp"
@@ -14,6 +13,7 @@
 #include "support/rng.hpp"
 #include "timingsim/bitslice.hpp"
 #include "timingsim/timing_sim.hpp"
+#include "to_bits.hpp"
 
 namespace pufatt {
 namespace {
@@ -23,6 +23,7 @@ using netlist::GateKind;
 using netlist::Netlist;
 using support::BitVector;
 using support::Xoshiro256pp;
+using testref::to_bits;
 
 /// Random DAG circuit generator: `inputs` primary inputs, `gates` random
 /// gates over earlier nets.
@@ -81,7 +82,7 @@ TEST_P(RandomCircuit, TimingValuesMatchFunctionalModel) {
       in.push_back(rng.bernoulli(0.5));
     }
     const auto golden = net.evaluate(in);
-    sim.run(in, delays, states);
+    sim.run(to_bits(in), delays, states);
     for (std::size_t g = 0; g < golden.size(); ++g) {
       ASSERT_EQ(states[g].value, golden[g]) << "gate " << g;
     }
@@ -105,8 +106,8 @@ TEST_P(RandomCircuit, SettlingTimesAreCausal) {
       delays[g] = 0.0;
     }
   }
-  std::vector<bool> in(net.num_inputs(), true);
-  const auto states = sim.run(in, delays);
+  std::vector<timingsim::SignalState> states;
+  sim.run(to_bits(std::vector<bool>(net.num_inputs(), true)), delays, states);
   for (std::size_t g = 0; g < states.size(); ++g) {
     const double t = states[g].time_ps;
     ASSERT_TRUE(t == timingsim::kAlwaysSettled || t >= 0.0);
@@ -134,119 +135,15 @@ TEST_P(RandomCircuit, UniformDelayScalingScalesTimes) {
   for (std::size_t i = 0; i < net.num_inputs(); ++i) {
     in.push_back(rng.bernoulli(0.5));
   }
-  const auto s1 = sim.run(in, delays);
-  const auto s3 = sim.run(in, scaled);
+  std::vector<timingsim::SignalState> s1, s3;
+  sim.run(to_bits(in), delays, s1);
+  sim.run(to_bits(in), scaled, s3);
   for (std::size_t g = 0; g < s1.size(); ++g) {
     if (s1[g].time_ps == timingsim::kAlwaysSettled) {
       ASSERT_EQ(s3[g].time_ps, timingsim::kAlwaysSettled);
     } else {
       ASSERT_NEAR(s3[g].time_ps, 3.0 * s1[g].time_ps, 1e-9);
     }
-  }
-}
-
-TEST_P(RandomCircuit, BatchEngineBitIdenticalToScalar) {
-  // The SoA batch kernel must produce exactly the scalar engine's doubles:
-  // same operations in the same order per lane, so == not NEAR.
-  Xoshiro256pp rng(5000 + GetParam());
-  const auto net = random_circuit(8, 70, rng);
-  timingsim::TimingSimulator sim(net);
-  timingsim::DelaySet delays;
-  delays.rise_ps.resize(net.num_gates());
-  delays.fall_ps.resize(net.num_gates());
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    delays.rise_ps[g] = rng.uniform(1.0, 30.0);
-    delays.fall_ps[g] = rng.uniform(1.0, 30.0);
-  }
-  const std::size_t batch = 1 + rng.uniform_u64(40);
-  std::vector<BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(BitVector::random(net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState out;
-  sim.run_batch(lanes.data(), batch, delays, out);
-  std::vector<timingsim::SignalState> states;
-  for (std::size_t b = 0; b < batch; ++b) {
-    sim.run(challenges[b], delays, states);
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      ASSERT_EQ(out.value(static_cast<GateId>(g), b), states[g].value);
-      ASSERT_EQ(out.time_ps(static_cast<GateId>(g), b), states[g].time_ps);
-    }
-  }
-}
-
-TEST_P(RandomCircuit, PerLaneDelaysMatchScalarPerLane) {
-  // BatchDelays mode: every lane carries its own delay realization and
-  // must equal a scalar run with that realization.
-  Xoshiro256pp rng(6000 + GetParam());
-  const auto net = random_circuit(6, 50, rng);
-  timingsim::TimingSimulator sim(net);
-  const std::size_t batch = 1 + rng.uniform_u64(12);
-  std::vector<timingsim::DelaySet> per_lane(batch);
-  timingsim::BatchDelays batch_delays;
-  batch_delays.batch = batch;
-  batch_delays.rise_ps.resize(net.num_gates() * batch);
-  batch_delays.fall_ps.resize(net.num_gates() * batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    per_lane[b].rise_ps.resize(net.num_gates());
-    per_lane[b].fall_ps.resize(net.num_gates());
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      per_lane[b].rise_ps[g] = rng.uniform(1.0, 20.0);
-      per_lane[b].fall_ps[g] = rng.uniform(1.0, 20.0);
-      batch_delays.rise_ps[g * batch + b] = per_lane[b].rise_ps[g];
-      batch_delays.fall_ps[g * batch + b] = per_lane[b].fall_ps[g];
-    }
-  }
-  std::vector<BitVector> challenges;
-  for (std::size_t b = 0; b < batch; ++b) {
-    challenges.push_back(BitVector::random(net.num_inputs(), rng));
-  }
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState out;
-  sim.run_batch(lanes.data(), batch, batch_delays, out);
-  std::vector<timingsim::SignalState> states;
-  for (std::size_t b = 0; b < batch; ++b) {
-    sim.run(challenges[b], per_lane[b], states);
-    for (std::size_t g = 0; g < net.num_gates(); ++g) {
-      ASSERT_EQ(out.value(static_cast<GateId>(g), b), states[g].value);
-      ASSERT_EQ(out.time_ps(static_cast<GateId>(g), b), states[g].time_ps);
-    }
-  }
-}
-
-TEST_P(RandomCircuit, ScalarInputOverloadsAgree) {
-  // BitVector, vector<bool> and raw uint8_t* inputs are the same engine.
-  Xoshiro256pp rng(7000 + GetParam());
-  const auto net = random_circuit(7, 40, rng);
-  timingsim::TimingSimulator sim(net);
-  timingsim::DelaySet delays;
-  delays.rise_ps.resize(net.num_gates());
-  delays.fall_ps.resize(net.num_gates());
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    delays.rise_ps[g] = rng.uniform(1.0, 9.0);
-    delays.fall_ps[g] = rng.uniform(1.0, 9.0);
-  }
-  const auto challenge = BitVector::random(net.num_inputs(), rng);
-  std::vector<bool> as_bools(net.num_inputs());
-  std::vector<std::uint8_t> as_bytes(net.num_inputs());
-  for (std::size_t i = 0; i < net.num_inputs(); ++i) {
-    as_bools[i] = challenge.get(i);
-    as_bytes[i] = challenge.get(i) ? 1 : 0;
-  }
-  std::vector<timingsim::SignalState> a, b, c;
-  sim.run(challenge, delays, a);
-  sim.run(as_bools, delays, b);
-  sim.run(as_bytes.data(), as_bytes.size(), delays, c);
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    ASSERT_EQ(a[g].value, b[g].value);
-    ASSERT_EQ(a[g].time_ps, b[g].time_ps);
-    ASSERT_EQ(a[g].value, c[g].value);
-    ASSERT_EQ(a[g].time_ps, c[g].time_ps);
   }
 }
 
@@ -288,18 +185,21 @@ TEST_P(RandomCircuit, BitSliceSharedModeBitIdenticalToScalar) {
   }
 }
 
-TEST_P(RandomCircuit, BitSliceLaneModeBitIdenticalToBatch) {
+TEST_P(RandomCircuit, BitSliceLaneModeMatchesScalar) {
   // Lane-delay mode: every lane carries its own delay realization and must
-  // reproduce the SoA batch engine bit-for-bit.
+  // equal a scalar run with that lane's column of the BatchDelays matrix,
+  // value and time on every gate.  Batches up to 100 lanes cover
+  // multi-word states and ragged tails.
   Xoshiro256pp rng(9000 + GetParam());
   const auto net = random_circuit(6, 50, rng);
   timingsim::TimingSimulator sim(net);
   const timingsim::BitSliceEngine slice(sim.compiled());
   const std::size_t batch = 1 + rng.uniform_u64(100);
+  const std::size_t gates = net.num_gates();
   timingsim::BatchDelays delays;
   delays.batch = batch;
-  delays.rise_ps.resize(net.num_gates() * batch);
-  delays.fall_ps.resize(net.num_gates() * batch);
+  delays.rise_ps.resize(gates * batch);
+  delays.fall_ps.resize(gates * batch);
   for (auto& d : delays.rise_ps) d = rng.uniform(1.0, 20.0);
   for (auto& d : delays.fall_ps) d = rng.uniform(1.0, 20.0);
   std::vector<BitVector> challenges;
@@ -311,17 +211,21 @@ TEST_P(RandomCircuit, BitSliceLaneModeBitIdenticalToBatch) {
                               words);
   timingsim::BitSliceState out;
   slice.run(words.data(), batch, delays, out);
-  std::vector<std::uint8_t> lanes;
-  timingsim::pack_input_lanes(challenges.data(), batch, net.num_inputs(),
-                              lanes);
-  timingsim::BatchState soa;
-  sim.run_batch(lanes.data(), batch, delays, soa);
-  for (std::size_t g = 0; g < net.num_gates(); ++g) {
-    const auto id = static_cast<GateId>(g);
-    for (std::size_t b = 0; b < batch; ++b) {
-      ASSERT_EQ(slice.value(out, id, b), soa.value(id, b) != 0)
+  timingsim::DelaySet column;
+  column.rise_ps.resize(gates);
+  column.fall_ps.resize(gates);
+  std::vector<timingsim::SignalState> states;
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t g = 0; g < gates; ++g) {
+      column.rise_ps[g] = delays.rise_ps[g * batch + b];
+      column.fall_ps[g] = delays.fall_ps[g * batch + b];
+    }
+    sim.run(challenges[b], column, states);
+    for (std::size_t g = 0; g < gates; ++g) {
+      const auto id = static_cast<GateId>(g);
+      ASSERT_EQ(slice.value(out, id, b), states[g].value)
           << "gate " << g << " lane " << b;
-      ASSERT_EQ(slice.time_ps(out, id, b), soa.time_ps(id, b))
+      ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
           << "gate " << g << " lane " << b;
     }
   }
@@ -372,50 +276,6 @@ TEST(CodecCross, SoftDecodeWithUniformConfidenceMatchesHard) {
     // Equal-confidence soft decoding picks a codeword at the same distance
     // (ties may break differently).
     EXPECT_EQ(soft->hamming_distance(word), hard->hamming_distance(word));
-  }
-}
-
-TEST(CodecCross, BchAndRmAgreeOnCodewordMembership) {
-  // Both parity-check matrices must declare exactly their own codewords.
-  const ecc::ReedMuller1 rm(5);
-  const ecc::BchCode bch(5, 7);  // [31, 6]
-  Xoshiro256pp rng(9);
-  for (std::uint64_t m = 0; m < 64; ++m) {
-    const auto rm_cw = rm.encode(BitVector(6, m));
-    EXPECT_EQ(rm.syndrome(rm_cw).popcount(), 0u);
-    const auto bch_cw = bch.encode(BitVector(6, m));
-    EXPECT_EQ(bch.syndrome(bch_cw).popcount(), 0u);
-  }
-  // Random words are almost never codewords.
-  int rm_hits = 0, bch_hits = 0;
-  for (int t = 0; t < 200; ++t) {
-    if (rm.syndrome(BitVector::random(32, rng)).popcount() == 0) ++rm_hits;
-    if (bch.syndrome(BitVector::random(31, rng)).popcount() == 0) ++bch_hits;
-  }
-  EXPECT_LE(rm_hits, 1);
-  EXPECT_LE(bch_hits, 1);
-}
-
-TEST(CodecCross, BchGuaranteedRadiusIsTight) {
-  // BCH(15, t=3): decodes every weight-3 error from the zero codeword, and
-  // the decoder never reports success with a *different* codeword for
-  // weight <= t errors.
-  const ecc::BchCode code(4, 3);
-  const BitVector zero_cw(code.n());
-  // All weight-1..3 error patterns (exhaustive: C(15,3) = 455 + 105 + 15).
-  for (std::size_t a = 0; a < code.n(); ++a) {
-    for (std::size_t b = a; b < code.n(); ++b) {
-      for (std::size_t c = b; c < code.n(); ++c) {
-        auto word = zero_cw;
-        word.flip(a);
-        if (b != a) word.flip(b);
-        if (c != b && c != a) word.flip(c);
-        const auto decoded = code.decode_to_codeword(word);
-        ASSERT_TRUE(decoded.has_value());
-        EXPECT_EQ(decoded->popcount(), 0u)
-            << "errors at " << a << "," << b << "," << c;
-      }
-    }
   }
 }
 

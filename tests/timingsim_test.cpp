@@ -7,6 +7,7 @@
 #include "timingsim/arbiter.hpp"
 #include "timingsim/bitslice.hpp"
 #include "timingsim/timing_sim.hpp"
+#include "to_bits.hpp"
 #include "variation/chip.hpp"
 
 namespace pufatt::timingsim {
@@ -15,6 +16,7 @@ namespace {
 using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
+using testref::to_bits;
 
 std::vector<double> unit_delays(const Netlist& net, double d = 1.0) {
   std::vector<double> delays(net.num_gates(), d);
@@ -28,6 +30,15 @@ std::vector<double> unit_delays(const Netlist& net, double d = 1.0) {
   return delays;
 }
 
+/// One scalar run with symmetric delays, into a fresh state vector.
+std::vector<SignalState> settle(const TimingSimulator& sim,
+                                const std::vector<bool>& inputs,
+                                const std::vector<double>& delays) {
+  std::vector<SignalState> states;
+  sim.run(to_bits(inputs), delays, states);
+  return states;
+}
+
 // ------------------------------------------------------ settling semantics
 
 TEST(TimingSim, BufferChainAccumulatesDelay) {
@@ -35,7 +46,7 @@ TEST(TimingSim, BufferChainAccumulatesDelay) {
   GateId sig = net.add_input("a");
   for (int i = 0; i < 5; ++i) sig = net.add_gate(GateKind::kBuf, {sig});
   TimingSimulator sim(net);
-  const auto states = sim.run({true}, unit_delays(net, 2.0));
+  const auto states = settle(sim, {true}, unit_delays(net, 2.0));
   EXPECT_TRUE(states[sig].value);
   EXPECT_DOUBLE_EQ(states[sig].time_ps, 10.0);
 }
@@ -50,7 +61,7 @@ TEST(TimingSim, XorWaitsForLatestInput) {
   auto delays = unit_delays(net, 1.0);
   delays[slow] = 7.0;
   delays[x] = 1.0;
-  const auto states = sim.run({true, false}, delays);
+  const auto states = settle(sim, {true, false}, delays);
   EXPECT_DOUBLE_EQ(states[x].time_ps, 8.0);  // max(0, 7) + 1
 }
 
@@ -66,11 +77,11 @@ TEST(TimingSim, AndControlledByEarliestZero) {
   delays[g] = 1.0;
   // a=0 arrives at t=0 and controls the AND: output settles at 0+1,
   // regardless of the slow b path.
-  const auto s0 = sim.run({false, true}, delays);
+  const auto s0 = settle(sim, {false, true}, delays);
   EXPECT_FALSE(s0[g].value);
   EXPECT_DOUBLE_EQ(s0[g].time_ps, 1.0);
   // Both 1: must wait for the slow path.
-  const auto s1 = sim.run({true, true}, delays);
+  const auto s1 = settle(sim, {true, true}, delays);
   EXPECT_TRUE(s1[g].value);
   EXPECT_DOUBLE_EQ(s1[g].time_ps, 10.0);
 }
@@ -85,10 +96,10 @@ TEST(TimingSim, OrControlledByEarliestOne) {
   auto delays = unit_delays(net);
   delays[slow_b] = 9.0;
   delays[g] = 1.0;
-  const auto s1 = sim.run({true, false}, delays);
+  const auto s1 = settle(sim, {true, false}, delays);
   EXPECT_TRUE(s1[g].value);
   EXPECT_DOUBLE_EQ(s1[g].time_ps, 1.0);
-  const auto s0 = sim.run({false, false}, delays);
+  const auto s0 = settle(sim, {false, false}, delays);
   EXPECT_FALSE(s0[g].value);
   EXPECT_DOUBLE_EQ(s0[g].time_ps, 10.0);
 }
@@ -100,7 +111,7 @@ TEST(TimingSim, NandNorInvertValues) {
   const GateId nand_g = net.add_gate(GateKind::kNand, {a, b});
   const GateId nor_g = net.add_gate(GateKind::kNor, {a, b});
   TimingSimulator sim(net);
-  const auto states = sim.run({true, true}, unit_delays(net));
+  const auto states = settle(sim, {true, true}, unit_delays(net));
   EXPECT_FALSE(states[nand_g].value);
   EXPECT_FALSE(states[nor_g].value);
 }
@@ -110,7 +121,7 @@ TEST(TimingSim, ConstantsAlwaysSettled) {
   const GateId c0 = net.add_gate(GateKind::kConst0, {});
   const GateId c1 = net.add_gate(GateKind::kConst1, {});
   TimingSimulator sim(net);
-  const auto states = sim.run({}, unit_delays(net));
+  const auto states = settle(sim, {}, unit_delays(net));
   EXPECT_EQ(states[c0].time_ps, kAlwaysSettled);
   EXPECT_EQ(states[c1].time_ps, kAlwaysSettled);
 }
@@ -127,7 +138,7 @@ TEST(TimingSim, MuxStaticSelectUsesOnlyChosenPath) {
   delays[slow] = 50.0;
   delays[fast] = 1.0;
   delays[mux] = 1.0;
-  const auto states = sim.run({true}, delays);
+  const auto states = settle(sim, {true}, delays);
   EXPECT_TRUE(states[mux].value);
   EXPECT_DOUBLE_EQ(states[mux].time_ps, 2.0);  // fast path only
 }
@@ -144,11 +155,11 @@ TEST(TimingSim, MuxDynamicSelectWaitsForSelect) {
   delays[slow_sel] = 5.0;
   delays[mux] = 1.0;
   // a != b: output depends on select, which settles at t=5.
-  const auto states = sim.run({true, false, true}, delays);
+  const auto states = settle(sim, {true, false, true}, delays);
   EXPECT_TRUE(states[mux].value);
   EXPECT_DOUBLE_EQ(states[mux].time_ps, 6.0);
   // a == b: select is irrelevant; settles when data settles.
-  const auto states2 = sim.run({true, true, true}, delays);
+  const auto states2 = settle(sim, {true, true, true}, delays);
   EXPECT_DOUBLE_EQ(states2[mux].time_ps, 1.0);
 }
 
@@ -160,7 +171,7 @@ TEST(TimingSim, InputArrivalTimesRespected) {
   TimingSimulator sim(net);
   std::vector<SignalState> states;
   const std::vector<double> arrival{3.0, 10.0};
-  sim.run(std::vector<bool>{true, false}, unit_delays(net), states, &arrival);
+  sim.run(to_bits({true, false}), unit_delays(net), states, &arrival);
   EXPECT_DOUBLE_EQ(states[x].time_ps, 11.0);
 }
 
@@ -177,7 +188,7 @@ TEST(TimingSim, ValuesMatchFunctionalEvaluation) {
       in.push_back(rng.bernoulli(0.5));
     }
     const auto golden = circuit.net.evaluate(in);
-    const auto states = sim.run(in, delays);
+    const auto states = settle(sim, in, delays);
     for (std::size_t g = 0; g < golden.size(); ++g) {
       ASSERT_EQ(states[g].value, golden[g]) << "gate " << g;
     }
@@ -201,10 +212,10 @@ TEST(TimingSim, CarryChainDelayGrowsWithPropagation) {
   std::vector<bool> ripple(16, false);
   for (int i = 0; i < 8; ++i) ripple[i] = true;  // a = 0xFF
   ripple[8] = true;                              // b = 0x01
-  const auto with_carry = sim.run(ripple, delays);
+  const auto with_carry = settle(sim, ripple, delays);
 
   const std::vector<bool> no_carry(16, false);  // a = 0, b = 0: kill chain
-  const auto without = sim.run(no_carry, delays);
+  const auto without = settle(sim, no_carry, delays);
 
   EXPECT_GT(with_carry[ports.sum[7]].time_ps,
             without[ports.sum[7]].time_ps + 5.0);
@@ -214,8 +225,8 @@ TEST(TimingSim, RunValidatesSizes) {
   Netlist net;
   net.add_input("a");
   TimingSimulator sim(net);
-  EXPECT_THROW(sim.run({}, {0.0}), std::invalid_argument);
-  EXPECT_THROW(sim.run({true}, {}), std::invalid_argument);
+  EXPECT_THROW(settle(sim, {}, {0.0}), std::invalid_argument);
+  EXPECT_THROW(settle(sim, {true}, {}), std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- Arbiter
@@ -277,7 +288,8 @@ TEST(Integration, RaceDeltasAreChipSpecific) {
   const auto delays_a = chip_a.nominal_delays(env);
   const auto delays_b = chip_b.nominal_delays(env);
 
-  std::vector<bool> in(16, true);  // full carry activity
+  // Full carry activity.
+  const auto in = to_bits(std::vector<bool>(16, true));
   std::vector<SignalState> sa, sb;
   sim.run(in, delays_a, sa);
   sim.run(in, delays_b, sb);
@@ -327,21 +339,6 @@ TEST(CompiledNetlist, ObservedConeDropsUnreachableGates) {
   EXPECT_FALSE(compiled.active(b));
   EXPECT_FALSE(compiled.active(y));
   EXPECT_EQ(compiled.num_active(), 2u);
-
-  // The batch engine leaves non-cone lanes zeroed.
-  TimingSimulator sim(net, {x});
-  DelaySet delays;
-  delays.rise_ps.assign(net.num_gates(), 1.0);
-  delays.fall_ps.assign(net.num_gates(), 1.0);
-  const std::uint8_t lanes[] = {0, 1,   // input a
-                                1, 0};  // input b
-  BatchState out;
-  sim.run_batch(lanes, 2, delays, out);
-  EXPECT_TRUE(out.value(x, 0));
-  EXPECT_FALSE(out.value(x, 1));
-  EXPECT_FALSE(out.value(y, 0));
-  EXPECT_EQ(out.time_ps(y, 0), 0.0);
-  EXPECT_EQ(out.time_ps(y, 1), 0.0);
 }
 
 TEST(TimingSim, RejectsPermutedInputOrder) {
@@ -355,18 +352,6 @@ TEST(TimingSim, RejectsPermutedInputOrder) {
   EXPECT_NO_THROW(TimingSimulator{net});
   net.reorder_inputs({1, 0});
   EXPECT_THROW(TimingSimulator{net}, std::invalid_argument);
-}
-
-TEST(TimingSim, BatchRejectsBadDelayShape) {
-  Netlist net;
-  const GateId a = net.add_input("a");
-  net.add_output("o", net.add_gate(GateKind::kNot, {a}));
-  TimingSimulator sim(net);
-  const std::uint8_t lanes[] = {0, 1};
-  BatchState out;
-  BatchDelays delays;  // wrong batch / sizes
-  delays.batch = 3;
-  EXPECT_THROW(sim.run_batch(lanes, 2, delays, out), std::invalid_argument);
 }
 
 // ---------------------------------------------------- bit-sliced engine
@@ -465,7 +450,10 @@ TEST(BitSlice, SharedModeShortBatchesMatchScalar) {
   }
 }
 
-TEST(BitSlice, LaneDelayModeMatchesRunBatch) {
+TEST(BitSlice, LaneDelayModeMatchesScalar) {
+  // The noisy device path: every lane carries its own delay realization,
+  // and each lane must equal a scalar run on that lane's column of the
+  // BatchDelays matrix, gate for gate.
   const auto circuit = netlist::build_alu_puf_circuit(8);
   const variation::ChipInstance chip(circuit.net, {}, {}, 1234);
   const auto base = chip.nominal_delays(variation::Environment::nominal());
@@ -496,16 +484,21 @@ TEST(BitSlice, LaneDelayModeMatchesRunBatch) {
   BitSliceState out;
   slice.run(words.data(), count, delays, out);
 
-  std::vector<std::uint8_t> lanes;
-  pack_input_lanes(challenges.data(), count, circuit.net.num_inputs(), lanes);
-  BatchState soa;
-  sim.run_batch(lanes.data(), count, delays, soa);
-  for (std::size_t g = 0; g < gates; ++g) {
-    const auto id = static_cast<GateId>(g);
-    for (std::size_t b = 0; b < count; ++b) {
-      ASSERT_EQ(slice.value(out, id, b), soa.value(id, b) != 0)
+  DelaySet column;
+  column.rise_ps.resize(gates);
+  column.fall_ps.resize(gates);
+  std::vector<SignalState> states;
+  for (std::size_t b = 0; b < count; ++b) {
+    for (std::size_t g = 0; g < gates; ++g) {
+      column.rise_ps[g] = delays.rise_ps[g * count + b];
+      column.fall_ps[g] = delays.fall_ps[g * count + b];
+    }
+    sim.run(challenges[b], column, states);
+    for (std::size_t g = 0; g < gates; ++g) {
+      const auto id = static_cast<GateId>(g);
+      ASSERT_EQ(slice.value(out, id, b), states[g].value)
           << "gate " << g << " lane " << b;
-      ASSERT_EQ(slice.time_ps(out, id, b), soa.time_ps(id, b))
+      ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
           << "gate " << g << " lane " << b;
     }
   }

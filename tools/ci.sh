@@ -13,12 +13,12 @@
 # exercised under each sanitizer too.  attack_matrix_quick runs the whole
 # adversary-lab roster (bench/attack_matrix --quick) with shrunk budgets
 # and relaxed accuracy gates, but still asserts the matrix is byte-stable
-# across thread counts and invariant across the scalar/SoA/bit-sliced
-# timing engines.  sim_engine_smoke additionally gates the bit-sliced
-# engine (zero divergence vs scalar, engine-invariant CRP digests), and
+# across thread counts and invariant across the scalar/bit-sliced timing
+# engines.  sim_engine_smoke additionally gates the bit-sliced engine
+# (zero divergence vs scalar, engine-invariant CRP digests), and
 # gen_crps_engine_parity re-derives the same contract at the CLI layer:
-# gen-crps output must be byte-identical across --engine=scalar/batch/
-# bitslice.  The TSan tree in particular covers the socket front end's
+# gen-crps output must be byte-identical across --engine=scalar/bitslice.
+# The TSan tree in particular covers the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
 # and the shard workers' concurrent use of one prewarmed device through

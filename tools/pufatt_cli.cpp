@@ -31,7 +31,7 @@
 //                                                  server) are merged into
 //                                                  cross-process timelines
 //   pufatt-cli gen-crps <chip-seed> <count> <threads> <out.csv>
-//              [--engine={auto,scalar,batch,bitslice}]
+//              [--engine={scalar,bitslice}]
 //                                                  dump protocol CRPs (batched)
 //   pufatt-cli store-inspect <store-dir>           recover + summarize a store
 //                                                  (sharded stores print every
@@ -136,11 +136,11 @@ int usage() {
                "       pufatt-cli trace-report <trace-file>...\n"
                "       pufatt-cli gen-crps <chip-seed> <count> <threads> "
                "<out.csv>\n"
-               "                  [--engine={auto,scalar,batch,bitslice}]  "
+               "                  [--engine={scalar,bitslice}]  "
                "timing kernel\n"
                "       pufatt-cli attack-matrix [--quick] [--seed=<s>] "
                "[--threads=<n>]\n"
-               "                  [--engine={auto,scalar,batch,bitslice}] "
+               "                  [--engine={scalar,bitslice}] "
                "[--out=<matrix.json>]\n"
                "       pufatt-cli store-inspect <store-dir>\n"
                "       pufatt-cli store-compact <store-dir> "
@@ -170,15 +170,11 @@ int bad_argument(const char* what, const char* got) {
 }
 
 /// Strict engine-selector parse: exact names only, same reject-don't-guess
-/// contract as parse_u64.  All engines produce byte-identical output (the
+/// contract as parse_u64.  Both engines produce byte-identical output (the
 /// exactness contract has a crosscheck gate), so the flag only trades speed.
 bool parse_engine(const std::string& name, timingsim::BatchEngine& engine) {
-  if (name == "auto") {
-    engine = timingsim::BatchEngine::kAuto;
-  } else if (name == "scalar") {
+  if (name == "scalar") {
     engine = timingsim::BatchEngine::kScalar;
-  } else if (name == "batch") {
-    engine = timingsim::BatchEngine::kBatch;
   } else if (name == "bitslice") {
     engine = timingsim::BatchEngine::kBitslice;
   } else {
@@ -188,16 +184,7 @@ bool parse_engine(const std::string& name, timingsim::BatchEngine& engine) {
 }
 
 const char* engine_name(timingsim::BatchEngine engine) {
-  switch (engine) {
-    case timingsim::BatchEngine::kScalar:
-      return "scalar";
-    case timingsim::BatchEngine::kBatch:
-      return "batch";
-    case timingsim::BatchEngine::kBitslice:
-      return "bitslice";
-    default:
-      return "auto";
-  }
+  return engine == timingsim::BatchEngine::kScalar ? "scalar" : "bitslice";
 }
 
 /// Strict double parse, same contract as parse_u64.
@@ -1532,13 +1519,13 @@ int main(int argc, char** argv) {
       if (!parse_u64(argv[4], threads)) {
         return bad_argument("thread count", argv[4]);
       }
-      auto engine = timingsim::BatchEngine::kAuto;
+      auto engine = timingsim::BatchEngine::kBitslice;
       if (argc == 7) {
         const std::string arg = argv[6];
         const std::string prefix = "--engine=";
         if (arg.rfind(prefix, 0) != 0 ||
             !parse_engine(arg.substr(prefix.size()), engine)) {
-          return bad_argument("engine (want auto/scalar/batch/bitslice)",
+          return bad_argument("engine (want scalar/bitslice)",
                               arg.c_str());
         }
       }
@@ -1612,7 +1599,7 @@ int main(int argc, char** argv) {
       bool quick = false;
       std::uint64_t seed = 0xA17AC4ULL;  // the bench's fixed matrix seed
       std::uint64_t threads = 1;
-      auto engine = timingsim::BatchEngine::kAuto;
+      auto engine = timingsim::BatchEngine::kBitslice;
       std::string out;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1630,7 +1617,7 @@ int main(int argc, char** argv) {
           }
         } else if (arg.rfind("--engine=", 0) == 0) {
           if (!parse_engine(arg.substr(9), engine)) {
-            return bad_argument("engine (want auto/scalar/batch/bitslice)",
+            return bad_argument("engine (want scalar/bitslice)",
                                 arg.c_str());
           }
         } else if (arg.rfind("--out=", 0) == 0) {
