@@ -124,7 +124,6 @@ class ObfuscatedAluVariant final : public PufVariant {
       throw std::invalid_argument("ObfuscatedAluVariant: bit out of range");
     }
     device_.prewarm(variation::Environment::nominal());
-    emulator_.raw_emulator().prewarm(variation::Environment::nominal());
   }
 
   std::string name() const override { return "alu-obf-b" + std::to_string(bit_); }

@@ -6,13 +6,13 @@
 // arbiter metastability and (optionally) clock-induced setup violations —
 // the mechanism behind the paper's overclocking-attack resilience.
 // AluPufEmulator is the verifier's PUF.Emulate(): the same race computed
-// deterministically from the enrollment delay table H.
+// deterministically from the enrollment delay table H.  The circuit is
+// the same design on every chip, so both share one PufCircuit per shape.
 #pragma once
 
 #include <cstdint>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "netlist/builder.hpp"
 #include "support/bitvec.hpp"
@@ -64,6 +64,29 @@ struct AluPufBatchScratch {
   std::vector<std::uint64_t> input_words;
 };
 
+/// The dual-ALU netlist of one (width, layout) with the timing engines
+/// compiled over it.  Immutable and shared (see shared_circuit), so copies
+/// of an AluPuf or AluPufEmulator stay valid without their source; the
+/// engines point into `circuit`, so the object never moves.
+struct PufCircuit {
+  PufCircuit(std::size_t width, const netlist::AluPufLayout& layout);
+  PufCircuit(const PufCircuit&) = delete;
+  PufCircuit& operator=(const PufCircuit&) = delete;
+
+  netlist::AluPufCircuit circuit;
+  timingsim::TimingSimulator sim;  ///< full netlist (scalar paths)
+  /// Restricted to the arbiter cones: its compiled schedule feeds the
+  /// bit-sliced engines, and its scalar `run` is the kScalar reference
+  /// loop of AluPuf::eval_batch.
+  timingsim::TimingSimulator cone_sim;
+  timingsim::BitSliceEngine lane_engine;  ///< lane-delay mode over cone_sim
+};
+
+/// The process-wide PufCircuit for (width, layout), built on first use and
+/// never evicted (a process uses a handful of shapes).  Thread-safe.
+std::shared_ptr<const PufCircuit> shared_circuit(
+    std::size_t width, const netlist::AluPufLayout& layout = {});
+
 class AluPuf {
  public:
   /// Builds the dual-ALU circuit and manufactures one chip from
@@ -113,8 +136,8 @@ class AluPuf {
       AluPufBatchScratch* scratch = nullptr,
       timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
-  /// Warms the per-env nominal-delay cache so that subsequent const
-  /// evaluations at `env` are read-only (required before sharing *this
+  /// Warms the per-env nominal-delay cache so that eval_batch at `env`
+  /// with per-thread scratch is read-only (required before sharing *this
   /// across threads — the cache itself is not synchronized).
   void prewarm(const variation::Environment& env) const { nominal_for(env); }
 
@@ -144,17 +167,12 @@ class AluPuf {
 
   const AluPufConfig& config() const { return config_; }
   const variation::ChipInstance& chip() const { return chip_; }
-  const netlist::AluPufCircuit& circuit() const { return circuit_; }
+  const netlist::AluPufCircuit& circuit() const { return circuit_->circuit; }
 
  private:
   AluPufConfig config_;
-  netlist::AluPufCircuit circuit_;
+  std::shared_ptr<const PufCircuit> circuit_;
   variation::ChipInstance chip_;
-  timingsim::TimingSimulator sim_;       ///< full netlist (analysis paths)
-  /// Arbiter-cone restricted: its compiled cone feeds slice_sim_, and its
-  /// scalar `run` is eval_batch's kScalar reference loop.
-  timingsim::TimingSimulator cone_sim_;
-  timingsim::BitSliceEngine slice_sim_;  ///< lane-delay mode, same cone
   timingsim::Arbiter arbiter_;
   // Per-env delay cache: most experiments evaluate millions of challenges
   // at a fixed operating point.
@@ -169,95 +187,54 @@ class AluPuf {
   void check_challenge(const Challenge& challenge) const;
 };
 
-/// Verifier-side deterministic emulation from the enrollment model H.
+/// Verifier-side deterministic emulation from the enrollment model H, at
+/// the nominal operating point the verifier assumes the prover runs at.
+/// Immutable: the nominal delays and the engine over them are built once
+/// (H is not kept) and scratch is call-local or the caller's.
 class AluPufEmulator {
  public:
-  AluPufEmulator(std::size_t width, variation::DelayTable model,
-                 netlist::AluPufLayout layout = {});
+  AluPufEmulator(std::size_t width, const variation::DelayTable& model,
+                 const netlist::AluPufLayout& layout = {});
 
   std::size_t response_bits() const { return width_; }
+  const netlist::AluPufCircuit& circuit() const { return circuit_->circuit; }
 
-  /// Noise-free expected response at `env` (default: nominal conditions —
-  /// what the verifier assumes the prover runs at).
-  RawResponse eval(const Challenge& challenge,
-                   const variation::Environment& env =
-                       variation::Environment::nominal()) const;
+  /// Noise-free expected response.
+  RawResponse eval(const Challenge& challenge) const;
 
   /// Soft expected response: per-bit log-likelihood values where a positive
   /// entry means "bit is 0" and the magnitude is the race margin in ps.
   /// Bits the physical arbiter resolves near-randomly (tiny margin) come
   /// out near zero, which is exactly the reliability information the
-  /// soft-decision helper-data reconstruction consumes.
-  std::vector<double> eval_soft(const Challenge& challenge,
-                                const variation::Environment& env =
-                                    variation::Environment::nominal()) const;
+  /// soft-decision helper-data reconstruction consumes.  The scalar
+  /// reference the batched paths below are bit-identical to.
+  std::vector<double> eval_soft(const Challenge& challenge) const;
 
-  /// Batched deterministic emulation: bit-identical to `count` `eval`
-  /// calls (the emulator is noise-free, so there is no RNG contract to
-  /// negotiate — both engines compute the same doubles).  The emulator's
-  /// delays are shared across lanes, so kBitslice here uses the
-  /// shared-delay BitSliceEngine with its time-representation shortcuts
-  /// (the fastest fleet-emulation path).
-  std::vector<RawResponse> eval_batch(
-      const Challenge* challenges, std::size_t count,
-      const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
-
-  /// Batched soft responses: `out` is resized to count*width, challenge x's
-  /// LLRs at `out[x*width .. (x+1)*width)`.  Bit-identical to eval_soft.
-  /// kBitslice shares the kernel of eval_soft_words.
-  void eval_soft_batch(
-      const Challenge* challenges, std::size_t count, std::vector<double>& out,
-      const variation::Environment& env = variation::Environment::nominal(),
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
+  /// Batched soft responses on the bit-sliced engine: `out` is resized to
+  /// count*width, challenge x's LLRs at `out[x*width .. (x+1)*width)`.
+  /// Bit-identical to eval_soft.
+  void eval_soft_batch(const Challenge* challenges, std::size_t count,
+                       std::vector<double>& out) const;
 
   /// Word-level soft batch (width <= 32, 1 <= count <= 64): challenge x is
   /// the 2*width-bit word `challenges[x]` (a then b, bit i = challenge bit
   /// i; higher bits must be zero), and its LLRs land at
   /// `out[x*width .. (x+1)*width)`.  One shared-delay bit-sliced run, sized
-  /// to the batch (see BitSliceState::padded); allocates nothing once the
-  /// emulator's scratch state has seen the batch size.  The verifier's
-  /// per-call path (PufEmulator::emulate_words).
-  void eval_soft_words(
-      const std::uint64_t* challenges, std::size_t count, double* out,
-      const variation::Environment& env =
-          variation::Environment::nominal()) const;
-
-  /// Warms the per-env delay cache (see AluPuf::prewarm).
-  void prewarm(const variation::Environment& env =
-                   variation::Environment::nominal()) const {
-    delays_for(env);
-  }
+  /// to the batch (see BitSliceState::padded), into the caller's `state`;
+  /// allocates nothing once `state` has seen the batch size.  The
+  /// verifier's per-call path (PufEmulator::emulate_words).
+  void eval_soft_words(const std::uint64_t* challenges, std::size_t count,
+                       double* out, timingsim::BitSliceState& state) const;
 
  private:
-  void run_challenge(const Challenge& challenge,
-                     const variation::Environment& env) const;
-  const timingsim::DelaySet& delays_for(const variation::Environment& env) const;
-  /// Runs the shared-delay bit-sliced kernel into slice_state_.  kScalar
-  /// never reaches here — callers loop the scalar path themselves.
-  void run_slice(const Challenge* challenges, std::size_t count,
-                 const variation::Environment& env) const;
-  void check_batch(const Challenge* challenges, std::size_t count) const;
-  /// LLRs of the last bit-sliced run (slice_state_) in eval_soft_batch
-  /// layout.
-  void soft_from_slice(double* out) const;
+  /// LLRs of a bit-sliced run in eval_soft_batch layout.
+  void soft_from_slice(const timingsim::BitSliceState& state,
+                       double* out) const;
 
   std::size_t width_;
-  netlist::AluPufCircuit circuit_;
-  variation::DelayTable model_;
-  timingsim::TimingSimulator sim_;  ///< full netlist (scalar paths)
-  /// Arbiter-cone restricted; its compiled cone feeds cached_slice_.
-  timingsim::TimingSimulator cone_sim_;
-  mutable variation::Environment cached_env_;
-  mutable bool has_cache_ = false;
-  mutable timingsim::DelaySet cached_delays_;
-  /// Shared-delay bit-sliced engine over the cached DelaySet; rebuilt with
-  /// the cache (prewarm builds it too, keeping post-prewarm evaluation
-  /// read-only for thread sharing).
-  mutable std::unique_ptr<timingsim::BitSliceEngine> cached_slice_;
-  mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable timingsim::BitSliceState slice_state_;
-  mutable std::vector<std::uint64_t> slice_words_;
+  std::shared_ptr<const PufCircuit> circuit_;
+  timingsim::DelaySet delays_;      ///< nominal, from H (scalar paths)
+  timingsim::BitSliceEngine engine_;  ///< shared-delay mode over delays_
 };
 
 }  // namespace pufatt::alupuf

@@ -105,10 +105,10 @@ std::vector<PufOutput> PufDevice::query_batch(
   return outputs;
 }
 
-PufEmulator::PufEmulator(std::size_t width, variation::DelayTable model,
+PufEmulator::PufEmulator(std::size_t width, const variation::DelayTable& model,
                          const ecc::BinaryCode& code,
-                         netlist::AluPufLayout layout)
-    : emulator_(width, std::move(model), layout),
+                         const netlist::AluPufLayout& layout)
+    : emulator_(width, model, layout),
       helper_(code),
       obfuscation_(width, ObfuscationNetwork::Pairing::kHardened) {
   if (code.n() != width) {
@@ -121,20 +121,18 @@ PufEmulator::PufEmulator(std::size_t width, variation::DelayTable model,
 }
 
 std::optional<BitVector> PufEmulator::emulate(
-    std::uint64_t challenge, const std::vector<BitVector>& helpers,
-    const variation::Environment& env) const {
+    std::uint64_t challenge, const std::vector<BitVector>& helpers) const {
   const auto expanded =
       ChallengeExpander::expand(challenge, emulator_.response_bits());
   std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput> challenges;
   std::copy(expanded.begin(), expanded.end(), challenges.begin());
-  return emulate_raw(challenges, helpers, env);
+  return emulate_raw(challenges, helpers);
 }
 
 std::optional<BitVector> PufEmulator::emulate_raw(
     const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
         challenges,
-    const std::vector<BitVector>& helpers,
-    const variation::Environment& env) const {
+    const std::vector<BitVector>& helpers) const {
   if (helpers.size() != ObfuscationNetwork::kResponsesPerOutput) {
     return std::nullopt;
   }
@@ -149,21 +147,22 @@ std::optional<BitVector> PufEmulator::emulate_raw(
     challenge_words[r] = challenges[r].to_u64();
     helper_words[r] = helpers[r].to_u64();
   }
-  const auto z = emulate_words(challenge_words, helper_words, env).z;
+  timingsim::BitSliceState state;
+  const auto z = emulate_words(challenge_words, helper_words, state).z;
   if (!z) return std::nullopt;
   return BitVector(output_bits(), *z);
 }
 
 PufEmulator::CallResult PufEmulator::emulate_words(
     const Words& challenges, const Words& helpers,
-    const variation::Environment& env) const {
+    timingsim::BitSliceState& state) const {
   constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
   const std::size_t width = emulator_.response_bits();
   // All 8 soft emulations in one batched pass over the timing engine —
   // bit-identical to per-challenge eval_soft (the emulator is noise-free),
   // and the dominant cost of a verifier job.
   std::array<double, kPer * kMaxWordWidth> soft{};
-  emulator_.eval_soft_words(challenges.data(), kPer, soft.data(), env);
+  emulator_.eval_soft_words(challenges.data(), kPer, soft.data(), state);
   CallResult result;
   Words responses;
   for (std::size_t r = 0; r < kPer; ++r) {
@@ -186,8 +185,8 @@ PufEmulator::CallResult PufEmulator::emulate_words(
     }
     responses[r] = *reconstructed;
   }
-  if (result.stats.distance > max_call_distance_ ||
-      result.stats.weighted_ps > max_weighted_distance_ps_) {
+  if (result.stats.distance > kMaxCallDistance ||
+      result.stats.weighted_ps > kMaxWeightedDistancePs) {
     return result;
   }
   result.z = obfuscation_.obfuscate_words(responses);

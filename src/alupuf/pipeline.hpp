@@ -104,17 +104,17 @@ class PufDevice {
 class PufEmulator {
  public:
   /// `width` <= 32 (one challenge per machine word); `code.n()` must equal
-  /// it and `code` must outlive the emulator.
-  PufEmulator(std::size_t width, variation::DelayTable model,
+  /// it and `code` must outlive the emulator.  H is read, not kept.
+  PufEmulator(std::size_t width, const variation::DelayTable& model,
               const ecc::BinaryCode& code,
-              netlist::AluPufLayout layout = {});
+              const netlist::AluPufLayout& layout = {});
 
   /// Maximum summed HD(reconstructed, reference) per PUF() call (8
-  /// responses).  Default 48 sits well above the honest mean (~22 for the
+  /// responses).  48 sits well above the honest mean (~22 for the
   /// calibrated 32-bit PUF, max ~33 observed) while impostor transcripts
   /// (~64) land beyond it.
-  void set_max_call_distance(std::size_t bits) { max_call_distance_ = bits; }
-  std::size_t max_call_distance() const { return max_call_distance_; }
+  static constexpr std::size_t kMaxCallDistance = 48;
+  std::size_t max_call_distance() const { return kMaxCallDistance; }
 
   /// Maximum *reliability-weighted* disagreement per PUF() call: the sum of
   /// the emulated race margins (ps) over all bits where the reconstruction
@@ -123,10 +123,10 @@ class PufEmulator {
   /// foreign responses — and ML-decoding errors that snap onto a nearby
   /// codeword — disagree on high-margin bits and blow the budget.  This is
   /// a per-bit likelihood-ratio test and the protocol's main response
-  /// authenticity check (see DESIGN.md).  Default 60 ps = roughly honest
-  /// mean + 6 sigma for the calibrated model.
-  void set_max_weighted_distance(double ps) { max_weighted_distance_ps_ = ps; }
-  double max_weighted_distance() const { return max_weighted_distance_ps_; }
+  /// authenticity check (see DESIGN.md).  60 ps = roughly honest mean +
+  /// 6 sigma for the calibrated model.
+  static constexpr double kMaxWeightedDistancePs = 60.0;
+  double max_weighted_distance() const { return kMaxWeightedDistancePs; }
 
   /// Reconstruction distance of one PUF() call — verifiers aggregate these
   /// across a whole attestation transcript (the summed statistic separates
@@ -141,34 +141,30 @@ class PufEmulator {
   };
   using Words = std::array<std::uint64_t, ObfuscationNetwork::kResponsesPerOutput>;
 
-  /// One PUF() call as a fixed-size word pipeline with no heap allocation:
-  /// the 8 raw challenges (2*width bits each, as in PufDevice::query_raw)
-  /// run as one bit-sliced soft batch, each response is reconstructed from
-  /// its helper word (low helper_bits() bits; higher bits are ignored) on
-  /// machine words, both distance budgets are checked, and the obfuscation
-  /// folds and rotates words.  `z` is empty when reconstruction fails or a
-  /// budget trips (an honest-prover false negative or a forged transcript).
+  /// One PUF() call as a fixed-size word pipeline: the 8 raw challenges
+  /// (2*width bits each, as in PufDevice::query_raw) run as one bit-sliced
+  /// soft batch in the caller's `state`, each response is reconstructed
+  /// from its helper word (low helper_bits() bits; higher bits are ignored)
+  /// on machine words, both distance budgets are checked, and the
+  /// obfuscation folds and rotates words.  No heap allocation once `state`
+  /// has run a call.  `z` is empty when reconstruction fails or a budget
+  /// trips (an honest-prover false negative or a forged transcript).
   CallResult emulate_words(const Words& challenges, const Words& helpers,
-                           const variation::Environment& env =
-                               variation::Environment::nominal()) const;
+                           timingsim::BitSliceState& state) const;
 
   /// Recomputes z for a challenge given the prover's helper data; nullopt
   /// when reconstruction fails (reference and measurement too far apart —
   /// an honest-prover false negative or a forged transcript).
   std::optional<support::BitVector> emulate(
       std::uint64_t challenge,
-      const std::vector<support::BitVector>& helpers,
-      const variation::Environment& env =
-          variation::Environment::nominal()) const;
+      const std::vector<support::BitVector>& helpers) const;
 
   /// Raw-challenge variant matching PufDevice::query_raw.  Both wrap
-  /// emulate_words.
+  /// emulate_words with a call-local state.
   std::optional<support::BitVector> emulate_raw(
       const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
           challenges,
-      const std::vector<support::BitVector>& helpers,
-      const variation::Environment& env =
-          variation::Environment::nominal()) const;
+      const std::vector<support::BitVector>& helpers) const;
 
   std::size_t output_bits() const { return obfuscation_.output_bits(); }
   std::size_t helper_bits() const { return helper_.helper_bits(); }
@@ -178,8 +174,6 @@ class PufEmulator {
   AluPufEmulator emulator_;
   ecc::SyndromeHelper helper_;
   ObfuscationNetwork obfuscation_;
-  std::size_t max_call_distance_ = 48;
-  double max_weighted_distance_ps_ = 60.0;
 };
 
 }  // namespace pufatt::alupuf

@@ -78,15 +78,16 @@ swat::PufQuery emulator_query(const alupuf::PufEmulator& emulator,
                               const std::vector<std::uint32_t>& transcript,
                               std::size_t& cursor,
                               double* total_weighted_ps) {
-  return [&emulator, &transcript, &cursor, total_weighted_ps](
-             const std::array<std::uint64_t, 8>& challenges)
+  return [&emulator, &transcript, &cursor, total_weighted_ps,
+          state = timingsim::BitSliceState{}](
+             const std::array<std::uint64_t, 8>& challenges) mutable
              -> std::optional<std::uint32_t> {
     if (cursor + 8 > transcript.size()) return std::nullopt;
     alupuf::PufEmulator::Words helpers;
     std::copy_n(transcript.begin() + static_cast<std::ptrdiff_t>(cursor), 8,
                 helpers.begin());
     cursor += 8;
-    const auto call = emulator.emulate_words(challenges, helpers);
+    const auto call = emulator.emulate_words(challenges, helpers, state);
     if (total_weighted_ps != nullptr) {
       *total_weighted_ps += call.stats.weighted_ps;
     }

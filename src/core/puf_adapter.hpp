@@ -64,7 +64,8 @@ swat::PufQuery device_query(const alupuf::PufDevice& device,
 /// it accumulates the reliability-weighted reconstruction distance over
 /// every call, which the verifier checks against a whole-transcript budget.
 /// Challenge and helper words go straight to PufEmulator::emulate_words;
-/// a call builds no BitVector.
+/// a call builds no BitVector.  The query owns the bit-sliced scratch its
+/// calls share, so the emulator stays a shared, read-only value.
 swat::PufQuery emulator_query(const alupuf::PufEmulator& emulator,
                               const std::vector<std::uint32_t>& transcript,
                               std::size_t& cursor,

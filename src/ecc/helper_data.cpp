@@ -6,21 +6,7 @@ namespace pufatt::ecc {
 
 using support::BitVector;
 
-SyndromeHelper::SyndromeHelper(const BinaryCode& code) : code_(&code) {
-  const auto& h = code.parity_check();
-  preimage_.reserve(h.rows());
-  for (std::size_t j = 0; j < h.rows(); ++j) {
-    BitVector unit(h.rows());
-    unit.set(j, true);
-    auto solution = h.solve(unit);
-    if (!solution) {
-      throw std::invalid_argument(
-          "SyndromeHelper: parity-check matrix is rank-deficient");
-    }
-    if (code.n() <= 64) preimage_words_.push_back(solution->to_u64());
-    preimage_.push_back(std::move(*solution));
-  }
-}
+SyndromeHelper::SyndromeHelper(const BinaryCode& code) : code_(&code) {}
 
 BitVector SyndromeHelper::generate(const BitVector& response) const {
   if (response.size() != code_->n()) {
@@ -38,9 +24,10 @@ std::optional<BitVector> SyndromeHelper::reproduce(
     throw std::invalid_argument("SyndromeHelper::reproduce: bad helper size");
   }
   // y0: any word with syndrome equal to the helper data.
+  const auto& preimages = code_->syndrome_preimages();
   BitVector y0(code_->n());
   for (std::size_t j = 0; j < helper.size(); ++j) {
-    if (helper.get(j)) y0 ^= preimage_[j];
+    if (helper.get(j)) y0 ^= preimages[j];
   }
   // reference XOR y0 = (codeword) XOR (small error); decode it.
   const auto codeword = code_->decode_to_codeword(reference ^ y0);
@@ -70,9 +57,10 @@ std::optional<std::uint64_t> SyndromeHelper::reproduce_soft_word(
         "SyndromeHelper::reproduce_soft_word: code wider than 64 bits");
   }
   // y0: any word with syndrome equal to the helper data.
+  const auto& preimages = code_->syndrome_preimage_words();
   std::uint64_t y0 = 0;
-  for (std::size_t j = 0; j < preimage_words_.size(); ++j) {
-    if ((helper >> j) & 1ULL) y0 ^= preimage_words_[j];
+  for (std::size_t j = 0; j < preimages.size(); ++j) {
+    if ((helper >> j) & 1ULL) y0 ^= preimages[j];
   }
   // The word to decode is reference XOR y0; XOR with a known bit flips the
   // sign of the soft value.

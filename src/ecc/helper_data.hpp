@@ -23,7 +23,7 @@ namespace pufatt::ecc {
 
 class SyndromeHelper {
  public:
-  /// `code` must outlive this object.
+  /// `code` must outlive this object; y0 comes from its preimage table.
   explicit SyndromeHelper(const BinaryCode& code);
 
   /// Helper data for a measured response (n bits in, n-k bits out).
@@ -50,7 +50,7 @@ class SyndromeHelper {
   /// (codes of at most 64 bits): `reference_llr` points at n() values,
   /// `helper`'s low helper_bits() bits are the helper data (higher bits are
   /// ignored), and bit i of the result is response bit i.  y0 is the XOR of
-  /// precomputed preimage words; nothing is allocated.
+  /// the code's preimage words; nothing is allocated.
   std::optional<std::uint64_t> reproduce_soft_word(const double* reference_llr,
                                                    std::uint64_t helper) const;
 
@@ -63,11 +63,6 @@ class SyndromeHelper {
 
  private:
   const BinaryCode* code_;
-  /// preimage_[j] = a fixed word whose syndrome is the j-th unit vector;
-  /// any word with syndrome h is the XOR of preimages of h's set bits.
-  std::vector<support::BitVector> preimage_;
-  /// preimage_ as words (codes of at most 64 bits), for the word kernel.
-  std::vector<std::uint64_t> preimage_words_;
 };
 
 }  // namespace pufatt::ecc

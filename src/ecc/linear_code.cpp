@@ -1,6 +1,25 @@
 #include "ecc/linear_code.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 namespace pufatt::ecc {
+
+BinaryCode::BinaryCode(Gf2Matrix parity_check)
+    : parity_check_(std::move(parity_check)) {
+  const auto& h = parity_check_;
+  for (std::size_t j = 0; j < h.rows(); ++j) {
+    support::BitVector unit(h.rows());
+    unit.set(j, true);
+    auto solution = h.solve(unit);
+    if (!solution) {
+      throw std::invalid_argument(
+          "BinaryCode: parity-check matrix is rank-deficient");
+    }
+    if (h.cols() <= 64) preimage_words_.push_back(solution->to_u64());
+    preimages_.push_back(std::move(*solution));
+  }
+}
 
 Gf2Matrix parity_from_generator(const Gf2Matrix& generator) {
   // Rows of H = basis of the null space of G (as row space): H must satisfy

@@ -55,13 +55,34 @@ class BinaryCode {
       const double* llr) const = 0;
 
   /// (n-k) x n parity-check matrix; its null space is exactly the code.
-  virtual const Gf2Matrix& parity_check() const = 0;
+  const Gf2Matrix& parity_check() const { return parity_check_; }
 
   /// Syndrome of an n-bit word: H * w, an (n-k)-bit vector, zero iff w is
   /// a codeword.  This is the helper data of the PUF post-processing.
   support::BitVector syndrome(const support::BitVector& word) const {
     return parity_check().mul_vector(word);
   }
+
+  /// Entry j: a fixed word whose syndrome is the j-th unit vector, so any
+  /// word with syndrome h is the XOR of the entries of h's set bits (the
+  /// helper data's y0).  One table per code; the word form is empty for
+  /// codes longer than 64 bits.
+  const std::vector<support::BitVector>& syndrome_preimages() const {
+    return preimages_;
+  }
+  const std::vector<std::uint64_t>& syndrome_preimage_words() const {
+    return preimage_words_;
+  }
+
+ protected:
+  /// Takes the code's full-rank parity-check matrix and solves the
+  /// preimage table from it (H x = e_j per syndrome bit).
+  explicit BinaryCode(Gf2Matrix parity_check);
+
+ private:
+  Gf2Matrix parity_check_;
+  std::vector<support::BitVector> preimages_;
+  std::vector<std::uint64_t> preimage_words_;
 };
 
 /// Derives a full-rank parity-check matrix from a generator matrix by

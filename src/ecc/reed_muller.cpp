@@ -43,21 +43,26 @@ std::size_t peak_index(const T* f, std::size_t n) {
   return best;
 }
 
-}  // namespace
-
-ReedMuller1::ReedMuller1(unsigned m) : m_(m), n_(std::size_t{1} << m) {
+Gf2Matrix rm_parity_check(unsigned m) {
   if (m < 2 || m > 16) {
     throw std::invalid_argument("ReedMuller1: m must be in [2,16]");
   }
   // Generator matrix rows: all-ones (u0) plus the m "coordinate" rows.
-  Gf2Matrix gen(k(), n());
-  for (std::size_t i = 0; i < n_; ++i) gen.set(0, i, true);
-  for (unsigned b = 0; b < m_; ++b) {
-    for (std::size_t i = 0; i < n_; ++i) {
+  const std::size_t n = std::size_t{1} << m;
+  Gf2Matrix gen(m + 1, n);
+  for (std::size_t i = 0; i < n; ++i) gen.set(0, i, true);
+  for (unsigned b = 0; b < m; ++b) {
+    for (std::size_t i = 0; i < n; ++i) {
       if ((i >> b) & 1u) gen.set(b + 1, i, true);
     }
   }
-  parity_check_ = parity_from_generator(gen);
+  return parity_from_generator(gen);
+}
+
+}  // namespace
+
+ReedMuller1::ReedMuller1(unsigned m)
+    : BinaryCode(rm_parity_check(m)), m_(m), n_(std::size_t{1} << m) {
   if (n_ <= 64) {
     // Word decoder table: the codeword with linear part `idx`, u0 = 0.
     linear_words_.resize(n_);

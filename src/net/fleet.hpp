@@ -51,8 +51,10 @@ class SimFleet {
 
   /// Honest responder for device `index`, deterministic in `rng_seed`.
   /// Thread-safe to *create* here; the returned responder runs sessions on
-  /// whatever worker thread the pool picks, one at a time per device (the
-  /// emulator-cache lease upstream guarantees that).
+  /// whatever worker thread the pool picks, one at a time per device: all
+  /// responders of a device share its PufDevice, whose const evaluation
+  /// mutates per-env caches, and the emulator-cache lease upstream
+  /// serializes them.
   core::Responder responder(std::size_t index, std::uint64_t rng_seed) const;
 
   /// Responder for a wire job: resolves the device id and seeds the

@@ -17,69 +17,61 @@ EmulatorCache::EmulatorCache(const RegistryView& registry,
   }
 }
 
-void EmulatorCache::touch(
-    std::unordered_map<std::string, Slot>::iterator it) {
+void EmulatorCache::touch(SlotIt it) {
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+}
+
+void EmulatorCache::erase(SlotIt it) {
+  lru_.erase(it->second.lru_it);
+  map_.erase(it);
 }
 
 EmulatorCache::Lease EmulatorCache::acquire(const std::string& device_id,
                                             const obs::TraceScope& trace) {
   obs::Span acquire_span = trace.span("cache.acquire");
-  bool hit = false;
+  const auto record = registry_->load(device_id);
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (it != map_.end()) {
+    if (record && it != map_.end() && it->second.entry->record == record) {
       ++counters_.hits;
-      hit = true;
       touch(it);
       entry = it->second.entry;
     } else {
       ++counters_.misses;
+      if (!record && it != map_.end()) erase(it);  // revoked
     }
   }
-  acquire_span.note("hit", hit ? 1.0 : 0.0);
+  acquire_span.note("hit", entry ? 1.0 : 0.0);
+  if (!record) return Lease{};
 
   if (!entry) {
-    const auto record = registry_->load(device_id);
-    if (!record) return Lease{};
-    // Construction happens unlocked: it simulates the whole ALU circuit to
-    // calibrate the emulator and must not stall unrelated lookups.
+    // Construction happens unlocked so it never stalls unrelated lookups.
     obs::Span build_span = acquire_span.child("cache.build");
-    auto fresh =
-        std::make_shared<Entry>(*record, *code_, channel_, slack_);
+    auto fresh = std::make_shared<Entry>(record, *code_, channel_, slack_);
     build_span.end();
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (it != map_.end()) {
+    if (it != map_.end() && it->second.entry->record == record) {
       // Another thread won the construction race; use its entry.
       ++counters_.discarded;
       touch(it);
       entry = it->second.entry;
     } else {
+      if (it != map_.end()) erase(it);  // built from an older record
       lru_.push_front(device_id);
       map_.emplace(device_id, Slot{fresh, lru_.begin()});
       entry = std::move(fresh);
       if (map_.size() > capacity_) {
-        const std::string victim = lru_.back();
-        lru_.pop_back();
-        map_.erase(victim);  // in-flight leases keep the entry alive
+        erase(map_.find(lru_.back()));  // in-flight leases keep it alive
         ++counters_.evictions;
       }
     }
   }
 
   return Lease(std::move(entry));  // blocks on the entry's session mutex
-}
-
-void EmulatorCache::invalidate(const std::string& device_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(device_id);
-  if (it == map_.end()) return;
-  lru_.erase(it->second.lru_it);
-  map_.erase(it);
 }
 
 std::size_t EmulatorCache::size() const {

@@ -1,17 +1,17 @@
-// LRU cache of constructed verifiers (and their PufEmulators).
+// LRU cache of constructed verifiers.
 //
-// Building a core::Verifier is the expensive part of serving a request:
-// the constructor instantiates the gate-level ALU circuit and a timing
-// simulator from the enrollment delay table.  Rebuilding it per request —
-// what every bench and example does today — would dominate service time,
-// so the cache amortizes construction across requests, bounded by
-// `capacity` verifiers (each holds a full circuit model, so memory is the
-// real constraint on a fleet of millions).
+// A core::Verifier is an immutable value over the process-wide shared
+// circuit (alupuf::shared_circuit): cheap to build, but not free, so the
+// cache amortizes construction across requests, bounded by `capacity`.
+// Every acquire re-loads the device's record and hits only while the
+// registry still holds the snapshot the entry was built from: a revoked
+// device gets an empty lease, a re-enrolled one is rebuilt as a miss.
 //
-// Concurrency contract: Verifier::verify mutates per-instance scratch
-// buffers under const (the emulator's delay/state caches), so a cached
-// verifier must never run two sessions at once.  acquire() therefore
-// returns a *lease* — an RAII object holding both a shared_ptr to the
+// Concurrency contract: verify() is safe to run concurrently on one
+// verifier, but the in-process *simulated device* behind a served job is
+// not — every responder of a device shares one alupuf::PufDevice, whose
+// AluPuf keeps per-environment caches and scratch under const.  acquire()
+// therefore returns a *lease*: an RAII object holding a shared_ptr to the
 // entry (it survives concurrent eviction) and that entry's session mutex.
 // Two requests for the same device serialize on the lease, which is the
 // physically faithful behaviour anyway: a real device can only execute
@@ -39,16 +39,19 @@ namespace pufatt::service {
 
 struct CacheCounters {
   std::size_t hits = 0;
-  std::size_t misses = 0;      ///< lookups that found no entry
+  std::size_t misses = 0;      ///< lookups that found no current entry
   std::size_t evictions = 0;   ///< entries pushed out by capacity
   std::size_t discarded = 0;   ///< lost construction races (miss storms)
 };
 
 class EmulatorCache {
   struct Entry {
-    Entry(const core::EnrollmentRecord& record, const ecc::BinaryCode& code,
-          const core::ChannelParams& channel, double slack)
-        : verifier(record, code, channel, slack) {}
+    Entry(std::shared_ptr<const core::EnrollmentRecord> from,
+          const ecc::BinaryCode& code, const core::ChannelParams& channel,
+          double slack)
+        : record(std::move(from)), verifier(*record, code, channel, slack) {}
+    /// The registry snapshot the verifier was built from.
+    std::shared_ptr<const core::EnrollmentRecord> record;
     core::Verifier verifier;
     std::mutex session_mutex;  ///< one attestation session at a time
   };
@@ -91,10 +94,6 @@ class EmulatorCache {
   /// cold" from "the device was busy" in a trace.
   Lease acquire(const std::string& device_id, const obs::TraceScope& trace);
 
-  /// Drops a cached verifier (e.g. after re-enrollment changed the
-  /// record).  In-flight leases stay valid; the next acquire rebuilds.
-  void invalidate(const std::string& device_id);
-
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   CacheCounters counters() const;
@@ -105,8 +104,12 @@ class EmulatorCache {
     std::list<std::string>::iterator lru_it;
   };
 
+  using SlotIt = std::unordered_map<std::string, Slot>::iterator;
+
   /// Marks `it` most-recently-used.  Caller holds mutex_.
-  void touch(std::unordered_map<std::string, Slot>::iterator it);
+  void touch(SlotIt it);
+  /// Drops `it` from the map and the LRU list.  Caller holds mutex_.
+  void erase(SlotIt it);
 
   const RegistryView* registry_;
   const ecc::BinaryCode* code_;

@@ -17,7 +17,8 @@
 // verdict-identical to running the same jobs serially in any order.
 // bench/service_throughput checks exactly this parity.
 //
-// Same-device jobs serialize on the cache lease (see emulator_cache.hpp);
+// Same-device jobs serialize on the cache lease (see emulator_cache.hpp),
+// which guards the device's shared simulated PufDevice, not the verifier;
 // throughput scales with the number of *distinct* devices in flight,
 // which is the realistic fleet workload.
 #pragma once

@@ -126,14 +126,6 @@ std::string BitVector::to_string() const {
   return out;
 }
 
-void BitVector::set_word(std::size_t i, std::uint64_t value) {
-  if (i >= words_.size()) {
-    throw std::out_of_range("BitVector::set_word: index out of range");
-  }
-  words_[i] = value;
-  if (i + 1 == words_.size()) mask_tail();
-}
-
 void BitVector::mask_tail() {
   const std::size_t tail = size_ % kWordBits;
   if (tail != 0 && !words_.empty()) {
@@ -180,31 +172,6 @@ void pack_bit_columns(const BitVector* vecs, std::size_t count,
     const std::size_t lim = std::min<std::size_t>(64, nbits - blk * 64);
     for (std::size_t k = 0; k < lim; ++k) {
       out[(blk * 64 + k) * stride] = m[k];
-    }
-  }
-}
-
-void unpack_bit_columns(const std::uint64_t* in, std::size_t nbits,
-                        std::size_t stride, BitVector* vecs,
-                        std::size_t count) {
-  if (count > 64) {
-    throw std::invalid_argument("unpack_bit_columns: more than 64 lanes");
-  }
-  for (std::size_t l = 0; l < count; ++l) {
-    if (vecs[l].size() != nbits) {
-      throw std::invalid_argument("unpack_bit_columns: wrong vector width");
-    }
-  }
-  std::uint64_t m[64];
-  const std::size_t nblocks = (nbits + 63) / 64;
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    const std::size_t lim = std::min<std::size_t>(64, nbits - blk * 64);
-    for (std::size_t k = 0; k < 64; ++k) {
-      m[k] = k < lim ? in[(blk * 64 + k) * stride] : 0;
-    }
-    transpose_64x64(m);
-    for (std::size_t l = 0; l < count; ++l) {
-      vecs[l].set_word(blk, m[l]);
     }
   }
 }

@@ -75,11 +75,6 @@ class BitVector {
   /// construction, indexes past words().size() are an error.
   std::uint64_t word(std::size_t i) const { return words_[i]; }
 
-  /// Overwrites word `i`; bits beyond size() in the last word are masked
-  /// off so the tail-is-zero invariant every word-wise consumer relies on
-  /// (popcount, hamming_distance, operator==) survives bulk imports.
-  void set_word(std::size_t i, std::uint64_t value);
-
   /// MSB-first '0'/'1' string.
   std::string to_string() const;
 
@@ -97,8 +92,8 @@ class BitVector {
 /// In-place transpose of a 64x64 bit matrix held as 64 row words: bit c of
 /// row r moves to bit r of row c.  This is the primitive behind bit-sliced
 /// ("64 lanes per word") evaluation — packing 64 same-length BitVectors
-/// into per-bit lane words and back is a sequence of these block
-/// transposes instead of 4096 single-bit probes.
+/// into per-bit lane words is a sequence of these block transposes
+/// instead of 4096 single-bit probes.
 void transpose_64x64(std::uint64_t m[64]);
 
 /// Packs one block of up to 64 equal-length BitVectors into bit-column
@@ -109,13 +104,5 @@ void transpose_64x64(std::uint64_t m[64]);
 void pack_bit_columns(const BitVector* vecs, std::size_t count,
                       std::size_t nbits, std::uint64_t* out,
                       std::size_t stride);
-
-/// Inverse of pack_bit_columns: reads the word at `in[i * stride]` for
-/// every bit index i in [0, nbits) and writes bit i of vecs[0..count).
-/// Every destination vector must have exactly `nbits` bits; `count` must
-/// be <= 64.  Lane bits beyond `count` in the input words are ignored.
-void unpack_bit_columns(const std::uint64_t* in, std::size_t nbits,
-                        std::size_t stride, BitVector* vecs,
-                        std::size_t count);
 
 }  // namespace pufatt::support

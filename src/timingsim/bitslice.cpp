@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 
@@ -363,7 +364,7 @@ struct PreOp {
 /// Everything the stamp covers is baked into the PreOp pointers, so a
 /// matching stamp means the ops can run as-is.
 struct ExecPlan {
-  const void* owner = nullptr;
+  std::uint64_t owner = 0;
   std::size_t count = 0;
   const std::uint64_t* values = nullptr;
   const double* times = nullptr;
@@ -817,8 +818,17 @@ void pack_input_words(const std::uint64_t* challenges, std::size_t count,
   }
 }
 
+namespace {
+
+std::uint64_t next_engine_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled)
-    : cn_(&compiled) {
+    : cn_(&compiled), id_(next_engine_id()) {
   init_common();
   // Lane-delay mode: every lane jitters its own delays, so no gate's time
   // can be lane-invariant except the delay-free inputs and constants.
@@ -841,7 +851,7 @@ BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled)
 
 BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled,
                                const DelaySet& delays)
-    : cn_(&compiled), shared_(true) {
+    : cn_(&compiled), id_(next_engine_id()), shared_(true) {
   if (delays.rise_ps.size() != cn_->num_gates() ||
       delays.fall_ps.size() != cn_->num_gates()) {
     throw std::invalid_argument("BitSliceEngine: wrong delay count");
@@ -1060,31 +1070,6 @@ double BitSliceEngine::time_ps(const BitSliceState& s, GateId g,
   }
 }
 
-void BitSliceEngine::race_words(const BitSliceState& s, GateId g0, GateId g1,
-                                std::uint64_t* out) const {
-  for (std::size_t w = 0; w < s.nwords; ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t lim = std::min<std::size_t>(64, s.count - base);
-    std::uint64_t bits = 0;
-    if (rep_[g0] == kWideT && rep_[g1] == kWideT) {
-      const double* const p0 =
-          s.times.data() + static_cast<std::size_t>(slot_[g0]) * s.padded;
-      const double* const p1 =
-          s.times.data() + static_cast<std::size_t>(slot_[g1]) * s.padded;
-      for (std::size_t l = 0; l < lim; ++l) {
-        const double delta = p1[base + l] - p0[base + l];
-        bits |= static_cast<std::uint64_t>(delta > 0.0 ? 1 : 0) << l;
-      }
-    } else {
-      for (std::size_t l = 0; l < lim; ++l) {
-        const double delta = time_ps(s, g1, base + l) - time_ps(s, g0, base + l);
-        bits |= static_cast<std::uint64_t>(delta > 0.0 ? 1 : 0) << l;
-      }
-    }
-    out[w] = bits;
-  }
-}
-
 void BitSliceEngine::race_deltas(const BitSliceState& s, GateId g0,
                                  GateId g1, double* out,
                                  std::size_t stride) const {
@@ -1118,9 +1103,9 @@ void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   // read 0 from the previous run — as long as the previous run was this
   // engine (another netlist's schedule leaves different gates untouched).
   const std::size_t vneed = n * out.nwords;
-  if (out.values.size() != vneed || out.owner != this) {
+  if (out.values.size() != vneed || out.owner != id_) {
     out.values.assign(vneed, 0);
-    out.owner = this;
+    out.owner = id_;
   }
   const std::size_t tneed = wide_count_ * out.padded;
   if (out.times.size() != tneed) out.times.assign(tneed, 0.0);
@@ -1174,13 +1159,13 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
   // addresses, delay rows) — per-gate setup vanishes from the steady-state
   // batch loop.
   ExecPlan* ep = static_cast<ExecPlan*>(out.exec.get());
-  if (ep == nullptr || ep->owner != this || ep->count != count ||
+  if (ep == nullptr || ep->owner != id_ || ep->count != count ||
       ep->values != values || ep->times != times || ep->ldr != ld_rise ||
       ep->ldf != ld_fall) {
     auto fresh = std::make_shared<ExecPlan>();
     ep = fresh.get();
     out.exec = std::move(fresh);
-    ep->owner = this;
+    ep->owner = id_;
     ep->count = count;
     ep->values = values;
     ep->times = times;

@@ -32,9 +32,9 @@
 //
 // Lane layout: lane l of word w is evaluation index w*64 + l.  Inputs
 // arrive as transposed challenge words from `pack_input_words`
-// (`words[i*nwords + w]` = input bit i across lanes); responses come back
-// through the word-parallel arbiter `race_words` and
-// `support::unpack_bit_columns`.  Input arrival-time overrides
+// (`words[i*nwords + w]` = input bit i across lanes); race margins come
+// back per lane through `race_deltas` (device paths read `time_ps`).
+// Input arrival-time overrides
 // (`input_times_ps`) are not supported — every PUF path launches inputs at
 // t=0, which is what the engine assumes.
 #pragma once
@@ -50,7 +50,7 @@
 namespace pufatt::timingsim {
 
 /// Evaluation-engine selector for batch entry points (AluPuf /
-/// AluPufEmulator / PufDevice / gen-crps).  Both produce identical doubles
+/// PufDevice / gen-crps).  Both produce identical doubles
 /// and therefore identical responses; they differ only in speed.
 enum class BatchEngine : std::uint8_t {
   kScalar,    ///< one scalar `run` per lane (reference path)
@@ -84,10 +84,12 @@ struct BitSliceState {
   std::size_t padded = 0;
   std::vector<std::uint64_t> values;  ///< [gate*nwords + w]
   std::vector<double> times;          ///< [wide_slot*padded + lane]
-  /// Engine that last filled this state.  Same engine + same shape lets a
-  /// rerun skip re-zeroing `values`: unscheduled gates were zeroed once and
-  /// are never written, scheduled gates are fully rewritten.
-  const void* owner = nullptr;
+  /// Id of the engine that last filled this state (0 = none).  Same engine
+  /// + same shape lets a rerun skip re-zeroing `values`: unscheduled gates
+  /// were zeroed once and are never written, scheduled gates are fully
+  /// rewritten.  Ids are never reused (an address could be, by a later
+  /// engine), so a caller may keep one state across many engines.
+  std::uint64_t owner = 0;
   /// Materialized time-pass dispatch (kernel arguments resolved to
   /// pointers), rebuilt whenever the engine, lane count, buffer addresses,
   /// or per-lane delay rows change.  Fleet workloads reuse one state across
@@ -142,14 +144,8 @@ class BitSliceEngine {
   double time_ps(const BitSliceState& s, netlist::GateId g,
                  std::size_t lane) const;
 
-  /// Word-parallel arbiter: writes `s.nwords` words where bit l of word w
-  /// is Arbiter::decide(t[g1] - t[g0]) for lane w*64+l.  Tail bits beyond
-  /// `s.count` are zero.
-  void race_words(const BitSliceState& s, netlist::GateId g0,
-                  netlist::GateId g1, std::uint64_t* out) const;
-
-  /// Soft counterpart of race_words: `out[l * stride]` = t[g1] - t[g0] for
-  /// every live lane l (the race margin the arbiter thresholds at 0).
+  /// Race margins: `out[l * stride]` = t[g1] - t[g0] for every live lane
+  /// l (the arbiter decides bit 1 when it is > 0).
   void race_deltas(const BitSliceState& s, netlist::GateId g0,
                    netlist::GateId g1, double* out, std::size_t stride) const;
 
@@ -180,6 +176,7 @@ class BitSliceEngine {
                 const BatchDelays* lane_delays, BitSliceState& out) const;
 
   const CompiledNetlist* cn_;
+  std::uint64_t id_;  ///< unique per constructed engine (copies share it)
   bool shared_ = false;
   std::size_t wide_count_ = 0;
   // Per-gate plan (indexed by gate id).

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <memory>
 
 #include "alupuf/alu_puf.hpp"
 #include "alupuf/arbiter_puf.hpp"
@@ -146,17 +147,19 @@ TEST(AluPuf, EnvironmentCornersFlipSomeBitsDeterministically) {
   // scaling, per-gate Vth tempco) — deterministic, noise-free flips on top
   // of the metastability noise the paper's Figure 4 reports.
   const AluPuf puf(small_config(32), 13);
-  const AluPufEmulator emu(32, puf.export_model());
+  const auto flips = [&](const Challenge& c, const Environment& env) {
+    const auto ref = puf.race_deltas(c, Environment::nominal());
+    const auto at = puf.race_deltas(c, env);
+    double n = 0.0;
+    for (std::size_t i = 0; i < ref.size(); ++i) n += (ref[i] > 0) != (at[i] > 0);
+    return n;
+  };
   Xoshiro256pp rng(9);
   support::OnlineStats volt_flips, temp_flips;
-  const Environment low_v{0.9, 25.0};
-  const Environment hot{1.0, 120.0};
   for (int trial = 0; trial < 150; ++trial) {
     const auto c = random_challenge(32, rng);
-    const auto ref = emu.eval(c);
-    EXPECT_EQ(emu.eval(c), ref);  // same env: fully deterministic
-    volt_flips.add(static_cast<double>(emu.eval(c, low_v).hamming_distance(ref)));
-    temp_flips.add(static_cast<double>(emu.eval(c, hot).hamming_distance(ref)));
+    volt_flips.add(flips(c, Environment{0.9, 25.0}));
+    temp_flips.add(flips(c, Environment{1.0, 120.0}));
   }
   EXPECT_GT(volt_flips.mean(), 0.3);
   EXPECT_GT(temp_flips.mean(), 0.3);
@@ -210,6 +213,49 @@ TEST(AluPufEmulator, WrongChipModelDisagrees) {
 TEST(AluPufEmulator, RejectsMismatchedModel) {
   const AluPuf puf(small_config(16), 23);
   EXPECT_THROW(AluPufEmulator(32, puf.export_model()), std::invalid_argument);
+}
+
+TEST(AluPufEmulator, EmulatorsOfOneShapeShareTheCircuit) {
+  const AluPuf puf(small_config(16), 41);
+  const AluPufEmulator a(16, puf.export_model());
+  const AluPufEmulator b(16, AluPuf(small_config(16), 42).export_model());
+  EXPECT_EQ(&a.circuit(), &b.circuit());
+  EXPECT_EQ(&a.circuit(), &puf.circuit());
+  const AluPufEmulator wide(32, AluPuf(small_config(32), 43).export_model());
+  EXPECT_NE(&a.circuit(), &wide.circuit());
+}
+
+TEST(AluPufEmulator, CopiesOutliveTheirSource) {
+  // Copies share the immutable circuit and own everything else, so a copy
+  // keeps evaluating identically after its source is destroyed.
+  const auto env = Environment::nominal();
+  Xoshiro256pp rng(44);
+  std::vector<Challenge> challenges;
+  for (int i = 0; i < 20; ++i) challenges.push_back(random_challenge(16, rng));
+  auto puf = std::make_unique<AluPuf>(small_config(16), 44);
+  const AluPuf puf_copy = *puf;
+  Xoshiro256pp source_rng(7), copy_rng(7);
+  const auto expected =
+      puf->eval_batch(challenges.data(), challenges.size(), env, source_rng);
+  puf.reset();
+  EXPECT_EQ(puf_copy.eval_batch(challenges.data(), challenges.size(), env,
+                                copy_rng),
+            expected);
+
+  const ecc::ReedMuller1 code(5);
+  const PufDevice device(small_config(32), 45, code);
+  auto emulator = std::make_unique<PufEmulator>(32, device.export_model(), code);
+  const PufEmulator emulator_copy = *emulator;
+  std::vector<PufOutput> outs;
+  std::vector<std::optional<BitVector>> zs;
+  for (std::uint64_t x = 0; x < 6; ++x) {
+    outs.push_back(device.query(x, env, rng));
+    zs.push_back(emulator->emulate(x, outs[x].helpers));
+  }
+  emulator.reset();
+  for (std::uint64_t x = 0; x < 6; ++x) {
+    EXPECT_EQ(emulator_copy.emulate(x, outs[x].helpers), zs[x]);
+  }
 }
 
 // ------------------------------------------------------------- Obfuscation
@@ -442,6 +488,7 @@ TEST_F(PipelineFixture, EmulateWordsMatchesReferencePipeline) {
   const PufDevice impostor(small_config(32), 999, code_);
   const auto& emu = emulator_.raw_emulator();
   Xoshiro256pp rng(22);
+  timingsim::BitSliceState state;
   int accepted = 0, rejected = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const PufDevice& prover = trial % 3 == 2 ? impostor : device_;
@@ -471,7 +518,8 @@ TEST_F(PipelineFixture, EmulateWordsMatchesReferencePipeline) {
         expected.distance <= emulator_.max_call_distance() &&
         expected.weighted_ps <= emulator_.max_weighted_distance();
 
-    const auto call = emulator_.emulate_words(challenge_words, helper_words);
+    const auto call =
+        emulator_.emulate_words(challenge_words, helper_words, state);
     ASSERT_EQ(call.stats.distance, expected.distance) << "trial " << trial;
     ASSERT_EQ(call.stats.weighted_ps, expected.weighted_ps) << "trial " << trial;
     ASSERT_EQ(call.z.has_value(), within) << "trial " << trial;
@@ -740,11 +788,9 @@ TEST(AluPufBatch, EmulatorBatchBitIdenticalToScalar) {
   std::vector<Challenge> challenges;
   Xoshiro256pp rng(31);
   for (int i = 0; i < 25; ++i) challenges.push_back(random_challenge(16, rng));
-  const auto batch = emulator.eval_batch(challenges.data(), challenges.size());
   std::vector<double> soft;
   emulator.eval_soft_batch(challenges.data(), challenges.size(), soft);
   for (std::size_t x = 0; x < challenges.size(); ++x) {
-    EXPECT_EQ(batch[x], emulator.eval(challenges[x]));
     const auto scalar_soft = emulator.eval_soft(challenges[x]);
     for (std::size_t i = 0; i < scalar_soft.size(); ++i) {
       EXPECT_EQ(soft[x * 16 + i], scalar_soft[i]);
@@ -757,6 +803,7 @@ TEST(AluPufBatch, EmulatorSoftWordsMatchScalar) {
     const AluPuf puf(small_config(width), 23);
     const AluPufEmulator emulator(width, puf.export_model());
     Xoshiro256pp rng(32);
+    timingsim::BitSliceState state;
     for (const std::size_t count : {1u, 5u, 8u}) {
       std::vector<Challenge> challenges;
       std::vector<std::uint64_t> words;
@@ -765,7 +812,7 @@ TEST(AluPufBatch, EmulatorSoftWordsMatchScalar) {
         words.push_back(challenges.back().to_u64());
       }
       std::vector<double> soft(count * width);
-      emulator.eval_soft_words(words.data(), count, soft.data());
+      emulator.eval_soft_words(words.data(), count, soft.data(), state);
       for (std::size_t x = 0; x < count; ++x) {
         const auto scalar_soft = emulator.eval_soft(challenges[x]);
         for (std::size_t i = 0; i < width; ++i) {
@@ -777,7 +824,7 @@ TEST(AluPufBatch, EmulatorSoftWordsMatchScalar) {
     if (width < 32) {
       const std::uint64_t stray = 1ULL << (2 * width);
       double out[32];
-      EXPECT_THROW(emulator.eval_soft_words(&stray, 1, out),
+      EXPECT_THROW(emulator.eval_soft_words(&stray, 1, out, state),
                    std::invalid_argument);
     }
   }
@@ -799,7 +846,7 @@ TEST(AluPufBatch, DeviceQueryBatchMatchesObfuscationShape) {
   // The verifier reconstructs every batched output.
   PufEmulator verifier(32, device.export_model(), code);
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto z = verifier.emulate(xs[i], outs[i].helpers, env);
+    const auto z = verifier.emulate(xs[i], outs[i].helpers);
     ASSERT_TRUE(z.has_value());
     EXPECT_EQ(*z, outs[i].z);
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <thread>
+
 #include "core/channel.hpp"
 #include "cpu/assembler.hpp"
 #include "core/crp_database.hpp"
@@ -279,6 +283,80 @@ TEST_F(ProtocolTest, ReplayWithStaleNonceFails) {
   const auto result = bed().verifier.verify(b, outcome.response,
                                             elapsed_us(outcome));
   EXPECT_NE(result.status, VerifyStatus::kAccepted);
+}
+
+// --------------------------------------------- one immutable, shared verifier
+
+struct Judged {
+  AttestationRequest request;
+  CpuProver::Outcome outcome;
+};
+
+class SharedVerifierTest : public ProtocolTest {
+ protected:
+  /// Seeded honest, naive-malware, redirect-at-1.35x, wrong-die and
+  /// fresh-nonce replay transcripts.
+  static const std::vector<Judged>& transcripts() {
+    static const std::vector<Judged> instance = [] {
+      using V = CpuProver::Variant;
+      const alupuf::PufDevice other_die(bed().profile.puf_config, 31338,
+                                        bed().code);
+      auto tampered = bed().record;
+      for (std::size_t w = 880; w < 940; ++w) tampered.enrolled_image[w] ^= 0x5A5Au;
+      Xoshiro256pp rng(2024);
+      std::vector<Judged> out;
+      const auto run = [&](const alupuf::PufDevice& die,
+                           const EnrollmentRecord& record, V variant,
+                           double clock_scale) {
+        CpuProver prover(die, record, variant, rng.next(),
+                         bed().record.profile.base_clock_mhz * clock_scale);
+        const AttestationRequest request{rng.next()};
+        out.push_back({request, prover.respond(request)});
+      };
+      run(bed().device, bed().record, V::kHonest, 1.0);
+      run(bed().device, tampered, V::kHonest, 1.0);
+      run(bed().device, bed().record, V::kRedirectMalware, 1.35);
+      run(other_die, bed().record, V::kHonest, 1.0);
+      run(bed().device, bed().record, V::kHonest, 1.0);
+      out.back().request = AttestationRequest{rng.next()};
+      return out;
+    }();
+    return instance;
+  }
+
+  static std::vector<VerifyStatus> verdicts(const Verifier& verifier) {
+    std::vector<VerifyStatus> out;
+    for (const auto& [request, outcome] : transcripts()) {
+      out.push_back(
+          verifier.verify(request, outcome.response, elapsed_us(outcome)).status);
+    }
+    return out;
+  }
+};
+
+TEST_F(SharedVerifierTest, ConcurrentVerifiesMatchSerial) {
+  // verify() keeps no state between calls, so threads may share one
+  // Verifier (and run clean under ThreadSanitizer).
+  const auto serial = verdicts(bed().verifier);
+  ASSERT_EQ(std::count(serial.begin(), serial.end(), VerifyStatus::kAccepted),
+            1);  // only the honest transcript
+  std::vector<std::vector<VerifyStatus>> seen(8);
+  std::vector<std::thread> threads;
+  for (auto& mine : seen) {
+    threads.emplace_back([&mine] {
+      for (int round = 0; round < 2; ++round) mine = verdicts(bed().verifier);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& mine : seen) EXPECT_EQ(mine, serial);
+}
+
+TEST_F(SharedVerifierTest, CopyOutlivesItsSource) {
+  auto source = std::make_unique<Verifier>(bed().record, bed().code);
+  const auto expected = verdicts(*source);
+  const Verifier copy = *source;
+  source.reset();
+  EXPECT_EQ(verdicts(copy), expected);
 }
 
 // --------------------------------------------------------------- misc API

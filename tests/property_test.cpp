@@ -327,7 +327,7 @@ TEST(BitColumns, Transpose64x64MatchesNaiveAndIsInvolution) {
   }
 }
 
-TEST(BitColumns, PackUnpackRoundTripsWithStrideAndPartialBlocks) {
+TEST(BitColumns, PackWritesColumnsWithStrideAndPartialBlocks) {
   Xoshiro256pp rng(12);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t count = 1 + rng.uniform_u64(64);
@@ -346,10 +346,6 @@ TEST(BitColumns, PackUnpackRoundTripsWithStrideAndPartialBlocks) {
             << "bit " << i << " lane " << l;  // tail lanes must be zeroed
       }
     }
-    std::vector<BitVector> back(count, BitVector(nbits));
-    support::unpack_bit_columns(cols.data(), nbits, stride, back.data(),
-                                count);
-    for (std::size_t l = 0; l < count; ++l) ASSERT_EQ(back[l], vecs[l]);
   }
 }
 
@@ -361,9 +357,6 @@ TEST(BitColumns, PackValidatesWidthAndLaneCount) {
   std::vector<BitVector> many(65, BitVector(4));
   std::uint64_t out4[4] = {};
   EXPECT_THROW(support::pack_bit_columns(many.data(), 65, 4, out4, 1),
-               std::invalid_argument);
-  std::vector<BitVector> back(65, BitVector(4));
-  EXPECT_THROW(support::unpack_bit_columns(out4, 4, 1, back.data(), 65),
                std::invalid_argument);
   // pack_input_words inherits the width check per 64-lane block.
   BitVector ragged[2] = {BitVector(6), BitVector(7)};

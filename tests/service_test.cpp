@@ -1,8 +1,8 @@
 // Concurrent attestation service tests: sharded registry semantics under
-// contention, emulator-cache LRU accounting and per-device lease mutual
-// exclusion, and the worker pool's backpressure, drain and verdict-parity
-// contracts.  Every multi-threaded test here is expected to run clean
-// under -DPUFATT_TSAN=ON (see README build matrix).
+// contention, emulator-cache LRU accounting, revocation and re-enrollment,
+// per-device lease mutual exclusion, and the worker pool's backpressure,
+// drain and verdict-parity contracts.  Every multi-threaded test here is
+// expected to run clean under -DPUFATT_TSAN=ON (see README build matrix).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,6 +205,32 @@ TEST(EmulatorCache, UnknownDeviceYieldsEmptyLease) {
   EXPECT_FALSE(cache.acquire("never-enrolled"));
   EXPECT_EQ(cache.counters().misses, 1u);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(EmulatorCache, RevokedDeviceGetsNoLease) {
+  const auto& fleet = Fleet::instance();
+  auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 2);
+  ASSERT_TRUE(cache.acquire("unit-0"));
+  ASSERT_TRUE(registry.evict("unit-0"));
+  EXPECT_FALSE(cache.acquire("unit-0"));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(EmulatorCache, ReEnrolledDeviceIsVerifiedAgainstTheNewRecord) {
+  const auto& fleet = Fleet::instance();
+  auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 2);
+  ASSERT_TRUE(cache.acquire("unit-0"));
+  // The id now names another die (a board swap): its H replaces the old.
+  registry.store("unit-0", fleet.devices[1].record);
+  const auto lease = cache.acquire("unit-0");
+  ASSERT_TRUE(lease);
+  EXPECT_EQ(lease.verifier().record().model.intrinsic_ps,
+            fleet.devices[1].record.model.intrinsic_ps);
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().misses, 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(EmulatorCache, SameDeviceLeasesAreMutuallyExclusive) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "netlist/builder.hpp"
 #include "support/stats.hpp"
@@ -535,45 +536,10 @@ TEST(BitSlice, OutsideConeGatesReadZero) {
   EXPECT_EQ(slice.time_ps(out, y, 1), 0.0);
 }
 
-TEST(BitSlice, RaceWordsMatchesArbiterAndZerosTail) {
-  const auto circuit = netlist::build_alu_puf_circuit(8);
-  const variation::ChipInstance chip(circuit.net, {}, {}, 77);
-  const auto delays = chip.nominal_delays(variation::Environment::nominal());
-  const TimingSimulator sim(circuit.net);
-  const BitSliceEngine slice(sim.compiled(), delays);
-
-  const std::size_t count = 70;
-  support::Xoshiro256pp rng(93);
-  std::vector<support::BitVector> challenges;
-  for (std::size_t i = 0; i < count; ++i) {
-    challenges.push_back(
-        support::BitVector::random(circuit.net.num_inputs(), rng));
-  }
-  std::vector<std::uint64_t> words;
-  pack_input_words(challenges.data(), count, circuit.net.num_inputs(), words);
-  BitSliceState out;
-  slice.run(words.data(), count, out);
-
-  std::vector<std::uint64_t> race(out.nwords);
-  for (std::size_t i = 0; i < circuit.race0.size(); ++i) {
-    slice.race_words(out, circuit.race0[i], circuit.race1[i], race.data());
-    for (std::size_t b = 0; b < count; ++b) {
-      const double delta = slice.time_ps(out, circuit.race1[i], b) -
-                           slice.time_ps(out, circuit.race0[i], b);
-      const bool bit = (race[b >> 6] >> (b & 63)) & 1ULL;
-      ASSERT_EQ(bit, Arbiter::decide(delta)) << "race " << i << " lane " << b;
-    }
-    // Lanes past `count` in the tail word must be zero.
-    for (std::size_t b = count; b < out.nwords * 64; ++b) {
-      ASSERT_FALSE((race[b >> 6] >> (b & 63)) & 1ULL);
-    }
-  }
-}
-
 TEST(BitSlice, StateReuseAcrossRunsAndEngines) {
   // BitSliceState caches a materialized execution plan stamped with its
-  // owning engine; reusing one state across runs and across engines must
-  // stay correct (the stamp forces a rebuild on engine change).
+  // owning engine's id; reusing one state across runs and across engines
+  // must stay correct (the stamp forces a rebuild on engine change).
   const auto circuit = netlist::build_alu_puf_circuit(8);
   const variation::ChipInstance chip_a(circuit.net, {}, {}, 1);
   const variation::ChipInstance chip_b(circuit.net, {}, {}, 2);
@@ -620,6 +586,18 @@ TEST(BitSlice, StateReuseAcrossRunsAndEngines) {
       ASSERT_EQ(slice_b.value(shared_state, id, b), slice_b.value(fresh, id, b));
       ASSERT_EQ(slice_b.time_ps(shared_state, id, b),
                 slice_b.time_ps(fresh, id, b));
+    }
+  }
+  // An engine built where a destroyed one lived is a new owner too.
+  std::optional<BitSliceEngine> slot(std::in_place, sim.compiled(), delays_a);
+  BitSliceState reused;
+  slot->run(words.data(), count, reused);
+  slot.emplace(sim.compiled(), delays_b);
+  slot->run(words.data(), count, reused);
+  for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
+    const auto id = static_cast<GateId>(g);
+    for (std::size_t b = 0; b < count; ++b) {
+      ASSERT_EQ(slot->time_ps(reused, id, b), slice_b.time_ps(fresh, id, b));
     }
   }
 }

@@ -21,8 +21,9 @@
 # The TSan tree in particular covers the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
-# and the shard workers' concurrent use of one prewarmed device through
-# the bit-sliced and scalar eval paths.
+# the shard workers' concurrent use of one prewarmed device through the
+# bit-sliced and scalar eval paths, and eight threads verifying seeded
+# transcripts on one shared core::Verifier (SharedVerifierTest).
 #
 # The plain (and sanitizer) trees also run the cross-process tracing
 # fixture trace_merge_pipeline: traced serve + traced loadgen as two OS
