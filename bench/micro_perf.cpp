@@ -13,6 +13,7 @@
 #include "swat/program.hpp"
 
 #include "alupuf/pipeline.hpp"
+#include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
 #include "ecc/helper_data.hpp"
@@ -156,6 +157,22 @@ void BM_FullAttestationRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullAttestationRoundTrip);
+
+void BM_CpuProverRespond(benchmark::State& state) {
+  // One simulated honest prover run on the served (small) profile: the PR32
+  // interpreter plus one PUF() word call per puf_interval rounds.
+  const auto profile = core::DistributedParams::small_profile();
+  const alupuf::PufDevice device(profile.puf_config, 8, rm5());
+  const auto record = core::enroll(
+      device, profile,
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(500, 3)));
+  core::CpuProver prover(device, record, core::CpuProver::Variant::kHonest, 9);
+  std::uint64_t nonce = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prover.respond(core::AttestationRequest{++nonce}));
+  }
+}
+BENCHMARK(BM_CpuProverRespond)->Unit(benchmark::kMicrosecond);
 
 void BM_TimingSimScalarRun(benchmark::State& state) {
   const auto circuit = netlist::build_alu_puf_circuit(32);

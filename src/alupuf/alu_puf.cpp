@@ -130,6 +130,55 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   if (count == 0) return responses;
   for (std::size_t x = 0; x < count; ++x) check_challenge(challenges[x]);
 
+  AluPufBatchScratch local;
+  AluPufBatchScratch& ws = scratch != nullptr ? *scratch : local;
+  timingsim::pack_input_words(challenges, count, challenge_bits(),
+                              ws.input_words);
+  const std::size_t rwords = (config_.width + 63) / 64;
+  std::vector<std::uint64_t> words(count * rwords, 0);
+  eval_packed(batch_seed, ws.input_words.data(), count, env, clock, ws, engine,
+              words.data());
+  for (std::size_t x = 0; x < count; ++x) {
+    RawResponse response(config_.width);
+    for (std::size_t i = 0; i < config_.width; ++i) {
+      response.set(i, (words[x * rwords + i / 64] >> (i % 64)) & 1ULL);
+    }
+    responses.push_back(std::move(response));
+  }
+  return responses;
+}
+
+void AluPuf::eval_words(const std::uint64_t* challenges, std::size_t count,
+                        const variation::Environment& env,
+                        support::Xoshiro256pp& rng,
+                        const ClockConstraint* clock,
+                        AluPufBatchScratch& scratch,
+                        std::uint64_t* responses) const {
+  const std::size_t inputs = challenge_bits();
+  if (count == 0 || count > 64 || inputs > 64) {
+    throw std::invalid_argument(
+        "AluPuf::eval_words: needs 1..64 challenges, width <= 32");
+  }
+  for (std::size_t x = 0; x < count; ++x) {
+    if (inputs < 64 && (challenges[x] >> inputs) != 0) {
+      throw std::invalid_argument("AluPuf: challenge must be 2*width bits");
+    }
+  }
+  const std::uint64_t batch_seed = rng.next();
+  scratch.input_words.resize(inputs);
+  timingsim::pack_input_words(challenges, count, inputs,
+                              scratch.input_words.data());
+  std::fill_n(responses, count, 0);
+  eval_packed(batch_seed, scratch.input_words.data(), count, env, clock,
+              scratch, timingsim::BatchEngine::kBitslice, responses);
+}
+
+void AluPuf::eval_packed(std::uint64_t batch_seed,
+                         const std::uint64_t* input_words, std::size_t count,
+                         const variation::Environment& env,
+                         const ClockConstraint* clock, AluPufBatchScratch& ws,
+                         timingsim::BatchEngine engine,
+                         std::uint64_t* responses) const {
   // Batch profiling under the global tracer: the delay-sampling loop and
   // the arbiter sweep are the two scalar phases flanking the vectorized
   // timing kernel (which records its own span), so the three children of
@@ -141,7 +190,6 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
     eval_span.note("engine", static_cast<double>(engine));
   }
 
-  AluPufBatchScratch& ws = scratch != nullptr ? *scratch : batch_scratch_;
   const auto& nominal = nominal_for(env);
 
   // Per-lane noisy delay realization: each lane's derived generator feeds
@@ -163,26 +211,30 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   const bool sliced = engine == timingsim::BatchEngine::kBitslice;
   std::vector<double> scalar_t0, scalar_t1;
   if (sliced) {
-    timingsim::pack_input_words(challenges, count, challenge_bits(),
-                                ws.input_words);
-    slice_engine.run(ws.input_words.data(), count, ws.delays, ws.slice);
+    slice_engine.run(input_words, count, ws.delays, ws.slice);
   } else {
     // One cone-restricted scalar run per lane, each with its own column
-    // of the sampled delay matrix.  All-local state: the reference path
-    // must stay safe under the same thread-sharing rules as the other.
+    // of the sampled delay matrix and its challenge unpacked from the
+    // lane words.  All-local state: the reference path must stay safe
+    // under the same thread-sharing rules as the other.
     scalar_t0.resize(count * config_.width);
     scalar_t1.resize(count * config_.width);
     const std::size_t gates = circuit().net.num_gates();
+    const std::size_t nwords = (count + 63) / 64;
     timingsim::DelaySet lane_delays;
     lane_delays.rise_ps.resize(gates);
     lane_delays.fall_ps.resize(gates);
     std::vector<timingsim::SignalState> states;
+    Challenge challenge(challenge_bits());
     for (std::size_t x = 0; x < count; ++x) {
       for (std::size_t g = 0; g < gates; ++g) {
         lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
         lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
       }
-      circuit_->cone_sim.run(challenges[x], lane_delays, states);
+      for (std::size_t i = 0; i < challenge_bits(); ++i) {
+        challenge.set(i, (input_words[i * nwords + x / 64] >> (x % 64)) & 1ULL);
+      }
+      circuit_->cone_sim.run(challenge, lane_delays, states);
       for (std::size_t i = 0; i < config_.width; ++i) {
         scalar_t0[x * config_.width + i] = states[circuit().race0[i]].time_ps;
         scalar_t1[x * config_.width + i] = states[circuit().race1[i]].time_ps;
@@ -193,9 +245,10 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
   obs::Span arbiter_span = eval_span.child("puf.arbiter");
   const double deadline =
       clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;
+  const std::size_t rwords = (config_.width + 63) / 64;
   for (std::size_t x = 0; x < count; ++x) {
     support::Xoshiro256pp& lrng = ws.lane_rngs[x];
-    RawResponse response(config_.width);
+    std::uint64_t* const response = responses + x * rwords;
     for (std::size_t i = 0; i < config_.width; ++i) {
       const double t0 =
           sliced ? slice_engine.time_ps(ws.slice, circuit().race0[i], x)
@@ -203,16 +256,13 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
       const double t1 =
           sliced ? slice_engine.time_ps(ws.slice, circuit().race1[i], x)
                  : scalar_t1[x * config_.width + i];
-      if (clock != nullptr && std::min(t0, t1) > deadline) {
-        response.set(i, lrng.bernoulli(0.5));
-        continue;
-      }
-      response.set(i, arbiter_.sample(t1 - t0, lrng));
+      const bool bit = clock != nullptr && std::min(t0, t1) > deadline
+                           ? lrng.bernoulli(0.5)
+                           : arbiter_.sample(t1 - t0, lrng);
+      response[i / 64] |= static_cast<std::uint64_t>(bit) << (i % 64);
     }
-    responses.push_back(std::move(response));
   }
   arbiter_span.end();
-  return responses;
 }
 
 std::vector<double> AluPuf::race_deltas(const Challenge& challenge,

@@ -53,13 +53,14 @@ struct ClockConstraint {
   double setup_ps = 20.0;  ///< register setup time
 };
 
-/// Reusable per-worker scratch for AluPuf::eval_batch.  Threaded drivers
-/// allocate one per worker slot; single-threaded callers may pass nullptr
-/// (the PUF then uses an internal scratch, which is NOT thread-safe).
+/// Caller-owned working memory of AluPuf::eval_batch / eval_words: the
+/// per-lane noisy delays and generators, the packed challenges and the
+/// bit-sliced state.  One per thread (threaded drivers keep one per worker
+/// slot); a call reusing it allocates nothing once it has seen the batch
+/// shape.  It carries no result from one call to the next.
 struct AluPufBatchScratch {
   timingsim::BatchDelays delays;
   std::vector<support::Xoshiro256pp> lane_rngs;
-  // Bit-sliced path (BatchEngine::kBitslice).
   timingsim::BitSliceState slice;
   std::vector<std::uint64_t> input_words;
 };
@@ -129,6 +130,7 @@ class AluPuf {
   /// delay realization and the arbiter sweep are engine-independent, and
   /// both engines compute the same settle-time doubles (the repo's
   /// exactness contract), so responses are byte-identical across engines.
+  /// A null `scratch` runs in a call-local one.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
@@ -136,9 +138,23 @@ class AluPuf {
       AluPufBatchScratch* scratch = nullptr,
       timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
+  /// Word form of eval_batch (width <= 32, 1 <= count <= 64): challenge x
+  /// is the 2*width-bit word `challenges[x]` (a then b, bit i = challenge
+  /// bit i; higher bits must be zero) and response x lands in
+  /// `responses[x]` (bit i = response bit i).  The same kernel, RNG
+  /// contract and responses as eval_batch over the same challenges, run
+  /// bit-sliced in the caller's `scratch`.  The prover's per-call path
+  /// (PufDevice::query_words).
+  void eval_words(const std::uint64_t* challenges, std::size_t count,
+                  const variation::Environment& env,
+                  support::Xoshiro256pp& rng, const ClockConstraint* clock,
+                  AluPufBatchScratch& scratch,
+                  std::uint64_t* responses) const;
+
   /// Warms the per-env nominal-delay cache so that eval_batch at `env`
-  /// with per-thread scratch is read-only (required before sharing *this
-  /// across threads — the cache itself is not synchronized).
+  /// with per-thread (or call-local) scratch is read-only (required
+  /// before sharing *this across threads — the cache itself is not
+  /// synchronized).
   void prewarm(const variation::Environment& env) const { nominal_for(env); }
 
   /// Arrival-time difference (t_alu1 - t_alu0) per response bit, noise
@@ -181,10 +197,18 @@ class AluPuf {
   mutable timingsim::DelaySet cached_nominal_;
   mutable timingsim::DelaySet scratch_delays_;
   mutable std::vector<timingsim::SignalState> scratch_states_;
-  mutable AluPufBatchScratch batch_scratch_;  ///< used when caller passes none
 
   const timingsim::DelaySet& nominal_for(const variation::Environment& env) const;
   void check_challenge(const Challenge& challenge) const;
+  /// The kernel both eval forms wrap: `count` challenges packed as
+  /// pack_input_words lays them out, noise from `batch_seed` (the RNG
+  /// contract above); response x's bit i is OR-ed into
+  /// `responses[x * ceil(width/64) + i/64]`, which the caller zeroes.
+  void eval_packed(std::uint64_t batch_seed, const std::uint64_t* input_words,
+                   std::size_t count, const variation::Environment& env,
+                   const ClockConstraint* clock, AluPufBatchScratch& ws,
+                   timingsim::BatchEngine engine,
+                   std::uint64_t* responses) const;
 };
 
 /// Verifier-side deterministic emulation from the enrollment model H, at

@@ -47,6 +47,22 @@ PufDevice::PufDevice(const AluPufConfig& config, std::uint64_t chip_seed,
   }
 }
 
+PufOutputWords PufDevice::query_words(const CallWords& challenges,
+                                      const variation::Environment& env,
+                                      support::Xoshiro256pp& rng,
+                                      const ClockConstraint* clock,
+                                      AluPufBatchScratch& scratch) const {
+  CallWords responses;
+  puf_.eval_words(challenges.data(), challenges.size(), env, rng, clock,
+                  scratch, responses.data());
+  PufOutputWords out;
+  for (std::size_t r = 0; r < responses.size(); ++r) {
+    out.helpers[r] = helper_.generate_word(responses[r]);
+  }
+  out.z = obfuscation_.obfuscate_words(responses);
+  return out;
+}
+
 PufOutput PufDevice::query(std::uint64_t challenge,
                            const variation::Environment& env,
                            support::Xoshiro256pp& rng,
@@ -63,14 +79,19 @@ PufOutput PufDevice::query_raw(
         challenges,
     const variation::Environment& env, support::Xoshiro256pp& rng,
     const ClockConstraint* clock) const {
-  std::array<BitVector, ObfuscationNetwork::kResponsesPerOutput> responses;
-  PufOutput out;
-  out.helpers.reserve(responses.size());
-  for (std::size_t r = 0; r < responses.size(); ++r) {
-    responses[r] = puf_.eval(challenges[r], env, rng, clock);
-    out.helpers.push_back(helper_.generate(responses[r]));
+  CallWords words;
+  for (std::size_t r = 0; r < challenges.size(); ++r) {
+    if (challenges[r].size() != puf_.challenge_bits()) {
+      throw std::invalid_argument("AluPuf: challenge must be 2*width bits");
+    }
+    words[r] = challenges[r].to_u64();
   }
-  out.z = obfuscation_.obfuscate(responses);
+  AluPufBatchScratch scratch;
+  const auto call = query_words(words, env, rng, clock, scratch);
+  PufOutput out;
+  out.z = BitVector(output_bits(), call.z);
+  out.helpers.reserve(call.helpers.size());
+  for (const auto h : call.helpers) out.helpers.emplace_back(helper_bits(), h);
   return out;
 }
 
@@ -158,12 +179,16 @@ PufEmulator::CallResult PufEmulator::emulate_words(
     timingsim::BitSliceState& state) const {
   constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
   const std::size_t width = emulator_.response_bits();
+  CallResult result;
+  const std::size_t helper_width = helper_bits();
+  for (const auto h : helpers) {
+    if (helper_width < 64 && (h >> helper_width) != 0) return result;
+  }
   // All 8 soft emulations in one batched pass over the timing engine —
   // bit-identical to per-challenge eval_soft (the emulator is noise-free),
   // and the dominant cost of a verifier job.
   std::array<double, kPer * kMaxWordWidth> soft{};
   emulator_.eval_soft_words(challenges.data(), kPer, soft.data(), state);
-  CallResult result;
   Words responses;
   for (std::size_t r = 0; r < kPer; ++r) {
     // Soft-decision reconstruction: the emulation's race margins tell the

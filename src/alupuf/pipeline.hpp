@@ -31,6 +31,17 @@ class ChallengeExpander {
   static std::vector<Challenge> expand(std::uint64_t x, std::size_t width);
 };
 
+/// The 8 words of one PUF() call: raw challenges (2*width bits each, a
+/// then b) or helper words (low helper_bits() bits each).
+using CallWords =
+    std::array<std::uint64_t, ObfuscationNetwork::kResponsesPerOutput>;
+
+/// Result of one word-level PUF() query on the prover.
+struct PufOutputWords {
+  std::uint64_t z = 0;  ///< bit i = output bit i
+  CallWords helpers{};  ///< helper data per raw response, in call order
+};
+
 /// Result of one PUF() query on the prover.
 struct PufOutput {
   support::BitVector z;  ///< obfuscated response (width bits)
@@ -47,14 +58,28 @@ class PufDevice {
   PufDevice(const AluPufConfig& config, std::uint64_t chip_seed,
             const ecc::BinaryCode& code);
 
-  /// One PUF() call: 8 physical evaluations at `env`.
+  /// One PUF() call as a fixed-size word pipeline (width <= 32): the 8
+  /// raw adder challenges race as one 8-lane AluPuf::eval_words batch in
+  /// the caller's `scratch` (its RNG contract: exactly one `rng.next()`
+  /// per call, ziggurat noise per lane, the capture-deadline coin when
+  /// `clock` is set), each response's syndrome is taken on a machine word
+  /// and the obfuscation folds and rotates words.  The path the CPU's PUF
+  /// port uses (each PUF-mode `add` carries one challenge in its register
+  /// operands); allocates nothing once `scratch` has run a call.
+  PufOutputWords query_words(const CallWords& challenges,
+                             const variation::Environment& env,
+                             support::Xoshiro256pp& rng,
+                             const ClockConstraint* clock,
+                             AluPufBatchScratch& scratch) const;
+
+  /// One PUF() call from a 64-bit protocol challenge: 8 physical
+  /// evaluations at `env`.  Wraps query_words with a call-local scratch.
   PufOutput query(std::uint64_t challenge, const variation::Environment& env,
                   support::Xoshiro256pp& rng,
                   const ClockConstraint* clock = nullptr) const;
 
-  /// Same, but with the 8 raw adder challenges supplied directly — the path
-  /// the CPU's PUF port uses (each PUF-mode `add` carries one challenge in
-  /// its register operands).
+  /// Same, with the 8 raw adder challenges supplied as BitVectors; wraps
+  /// query_words with a call-local scratch.
   PufOutput query_raw(
       const std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput>&
           challenges,
@@ -139,16 +164,18 @@ class PufEmulator {
     std::optional<std::uint64_t> z;  ///< bit i = output bit i
     CallStats stats;  ///< as far as reconstruction got
   };
-  using Words = std::array<std::uint64_t, ObfuscationNetwork::kResponsesPerOutput>;
+  using Words = CallWords;
 
   /// One PUF() call as a fixed-size word pipeline: the 8 raw challenges
-  /// (2*width bits each, as in PufDevice::query_raw) run as one bit-sliced
-  /// soft batch in the caller's `state`, each response is reconstructed
-  /// from its helper word (low helper_bits() bits; higher bits are ignored)
-  /// on machine words, both distance budgets are checked, and the
-  /// obfuscation folds and rotates words.  No heap allocation once `state`
-  /// has run a call.  `z` is empty when reconstruction fails or a budget
-  /// trips (an honest-prover false negative or a forged transcript).
+  /// (2*width bits each, as in PufDevice::query_words) run as one
+  /// bit-sliced soft batch in the caller's `state`, each response is
+  /// reconstructed from its helper word on machine words, both distance
+  /// budgets are checked, and the obfuscation folds and rotates words.  A
+  /// helper word with any bit set at or above helper_bits() fails the call
+  /// (no prover emits one, so the transcript was altered).  No heap
+  /// allocation once `state` has run a call.  `z` is empty when
+  /// reconstruction fails or a budget trips (an honest-prover false
+  /// negative or a forged transcript).
   CallResult emulate_words(const Words& challenges, const Words& helpers,
                            timingsim::BitSliceState& state) const;
 

@@ -30,7 +30,6 @@ DevicePufPort::DevicePufPort(const alupuf::PufDevice& device,
     throw std::invalid_argument(
         "DevicePufPort: protocol requires a 32-bit PUF (64-bit challenges)");
   }
-  for (auto& c : challenges_) c = BitVector(64);
 }
 
 void DevicePufPort::start() {
@@ -40,7 +39,7 @@ void DevicePufPort::start() {
 
 void DevicePufPort::feed(std::uint64_t challenge, double cycle_ps) {
   if (fed_ < challenges_.size()) {
-    challenges_[fed_] = challenge_from_u64(challenge);
+    challenges_[fed_] = challenge;
   }
   ++fed_;
   cycle_ps_ = cycle_ps;
@@ -53,24 +52,23 @@ std::uint32_t DevicePufPort::finish(std::vector<std::uint32_t>& helper_words) {
         " PUF-mode adds (hardware expects exactly 8)");
   }
   const alupuf::ClockConstraint clock{cycle_ps_, setup_ps_};
-  const auto out = device_->query_raw(challenges_, env_, *rng_, &clock);
-  helper_words.clear();
-  for (const auto& h : out.helpers) helper_words.push_back(helper_to_word(h));
-  return static_cast<std::uint32_t>(out.z.to_u64());
+  const auto out = device_->query_words(challenges_, env_, *rng_, &clock,
+                                        scratch_);
+  helper_words.assign(out.helpers.begin(), out.helpers.end());
+  return static_cast<std::uint32_t>(out.z);
 }
 
 swat::PufQuery device_query(const alupuf::PufDevice& device,
                             const variation::Environment& env,
                             support::Xoshiro256pp& rng,
                             std::vector<std::uint32_t>& transcript) {
-  return [&device, env, &rng, &transcript](
-             const std::array<std::uint64_t, 8>& challenges)
+  return [&device, env, &rng, &transcript,
+          scratch = alupuf::AluPufBatchScratch{}](
+             const std::array<std::uint64_t, 8>& challenges) mutable
              -> std::optional<std::uint32_t> {
-    std::array<alupuf::Challenge, 8> raw;
-    for (std::size_t r = 0; r < 8; ++r) raw[r] = challenge_from_u64(challenges[r]);
-    const auto out = device.query_raw(raw, env, rng);
-    for (const auto& h : out.helpers) transcript.push_back(helper_to_word(h));
-    return static_cast<std::uint32_t>(out.z.to_u64());
+    const auto out = device.query_words(challenges, env, rng, nullptr, scratch);
+    transcript.insert(transcript.end(), out.helpers.begin(), out.helpers.end());
+    return static_cast<std::uint32_t>(out.z);
   };
 }
 

@@ -25,9 +25,11 @@ support::BitVector helper_from_word(std::uint32_t word,
 
 /// cpu::PufPort backed by a physical PufDevice: collects the 8 PUF-mode
 /// `add` challenges, then runs the full pipeline (races, syndromes,
-/// obfuscation) on `pend`.  The capture deadline from the CPU clock is
-/// honoured per evaluation, so overclocking corrupts responses exactly as
-/// in Section 4.2 of the paper.
+/// obfuscation) on `pend` as one PufDevice::query_words call.  The capture
+/// deadline from the CPU clock is honoured per evaluation, so overclocking
+/// corrupts responses exactly as in Section 4.2 of the paper.  The port
+/// owns the noisy-batch scratch its calls share (it lives for one
+/// attestation run), so the device keeps none.
 class DevicePufPort final : public cpu::PufPort {
  public:
   DevicePufPort(const alupuf::PufDevice& device, variation::Environment env,
@@ -46,13 +48,16 @@ class DevicePufPort final : public cpu::PufPort {
   variation::Environment env_;
   support::Xoshiro256pp* rng_;
   double setup_ps_ = 20.0;
-  std::array<alupuf::Challenge, 8> challenges_;
+  alupuf::CallWords challenges_{};
+  alupuf::AluPufBatchScratch scratch_;
   std::size_t fed_ = 0;
   double cycle_ps_ = 0.0;
 };
 
 /// swat::PufQuery adapter over a physical device (native prover path):
-/// records the helper words of every call into `transcript`.
+/// records the helper words of every call into `transcript`.  Challenge
+/// words go straight to PufDevice::query_words; the query owns the
+/// noisy-batch scratch its calls share.
 swat::PufQuery device_query(const alupuf::PufDevice& device,
                             const variation::Environment& env,
                             support::Xoshiro256pp& rng,

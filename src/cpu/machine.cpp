@@ -4,7 +4,8 @@
 
 namespace pufatt::cpu {
 
-Machine::Machine(std::size_t mem_words) : memory_(mem_words, 0) {}
+Machine::Machine(std::size_t mem_words)
+    : memory_(mem_words, 0), decoded_(mem_words) {}
 
 void Machine::load(const std::vector<std::uint32_t>& words,
                    std::uint32_t base) {
@@ -13,6 +14,7 @@ void Machine::load(const std::vector<std::uint32_t>& words,
   }
   for (std::size_t i = 0; i < words.size(); ++i) {
     memory_[base + i] = words[i];
+    decoded_[base + i].cost = 0;
   }
 }
 
@@ -39,6 +41,7 @@ std::uint32_t Machine::mem(std::uint32_t addr) const {
 void Machine::set_mem(std::uint32_t addr, std::uint32_t value) {
   if (addr >= memory_.size()) throw MachineError("memory write out of range");
   memory_[addr] = value;
+  decoded_[addr].cost = 0;
 }
 
 void Machine::reset() {
@@ -57,20 +60,25 @@ RunResult Machine::run(std::uint64_t max_cycles) {
     if (pc_ >= memory_.size()) {
       throw MachineError("pc out of memory at " + std::to_string(pc_));
     }
-    Instruction inst;
-    try {
-      inst = decode(memory_[pc_]);
-    } catch (const std::invalid_argument& e) {
-      throw MachineError(std::string("decode fault at pc ") +
-                         std::to_string(pc_) + ": " + e.what());
+    Decoded& slot = decoded_[pc_];
+    if (slot.cost == 0) {
+      try {
+        slot.inst = decode(memory_[pc_]);
+      } catch (const std::invalid_argument& e) {
+        throw MachineError(std::string("decode fault at pc ") +
+                           std::to_string(pc_) + ": " + e.what());
+      }
+      slot.cost = cycle_cost(slot.inst.op);
     }
-    exec(inst);
+    // A copy: the instruction may overwrite (and so drop) its own slot.
+    const Decoded step = slot;
+    exec(step.inst, step.cost);
   }
   return RunResult{cycles_, halted_};
 }
 
-void Machine::exec(const Instruction& inst) {
-  cycles_ += cycle_cost(inst.op);
+void Machine::exec(const Instruction& inst, std::uint32_t cost) {
+  cycles_ += cost;
   const std::uint32_t a = regs_[inst.rs1];
   const std::uint32_t b = regs_[inst.rs2];
   const auto sa = static_cast<std::int32_t>(a);

@@ -50,6 +50,10 @@ struct RunResult {
   bool halted = false;  ///< false = max_cycles exhausted
 };
 
+/// The interpreter decodes each memory word once, on its first execution,
+/// and keeps the decoded form per word address; every write to memory
+/// (`load`, `set_mem`, a `sw`) drops the entries it overwrites, so
+/// self-modifying code runs exactly as if every step decoded afresh.
 class Machine {
  public:
   explicit Machine(std::size_t mem_words = 1 << 16);
@@ -88,9 +92,17 @@ class Machine {
   void reset();
 
  private:
-  void exec(const Instruction& inst);
+  /// A memory word as the interpreter runs it; `cost` 0 marks a word not
+  /// decoded since it was last written (every opcode costs >= 1 cycle).
+  struct Decoded {
+    Instruction inst;
+    std::uint32_t cost = 0;
+  };
+
+  void exec(const Instruction& inst, std::uint32_t cost);
 
   std::vector<std::uint32_t> memory_;
+  std::vector<Decoded> decoded_;  ///< per word address, parallel to memory_
   std::array<std::uint32_t, 16> regs_{};
   std::uint32_t pc_ = 0;
   std::uint64_t cycles_ = 0;

@@ -1,5 +1,6 @@
 #include "ecc/helper_data.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace pufatt::ecc {
@@ -13,6 +14,20 @@ BitVector SyndromeHelper::generate(const BitVector& response) const {
     throw std::invalid_argument("SyndromeHelper::generate: wrong length");
   }
   return code_->syndrome(response);
+}
+
+std::uint64_t SyndromeHelper::generate_word(std::uint64_t response) const {
+  const auto& rows = code_->parity_check_words();
+  if (code_->n() > 64) {
+    throw std::invalid_argument(
+        "SyndromeHelper::generate_word: code wider than 64 bits");
+  }
+  std::uint64_t helper = 0;
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    helper |= static_cast<std::uint64_t>(std::popcount(rows[j] & response) & 1)
+              << j;
+  }
+  return helper;
 }
 
 std::optional<BitVector> SyndromeHelper::reproduce(

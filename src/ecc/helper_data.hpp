@@ -29,6 +29,12 @@ class SyndromeHelper {
   /// Helper data for a measured response (n bits in, n-k bits out).
   support::BitVector generate(const support::BitVector& response) const;
 
+  /// Word form of generate for codes of at most 64 bits: bit i of
+  /// `response` is response bit i (bits at or above n() are ignored), and
+  /// bit j of the result is syndrome bit j, exactly helper_bits() wide.
+  /// The prover's per-call path (PufDevice::query_words); allocates nothing.
+  std::uint64_t generate_word(std::uint64_t response) const;
+
   /// Reconstructs the prover's response from the verifier's reference and
   /// the received helper data; nullopt if the decoder gives up (reference
   /// too far from the prover's measurement).

@@ -16,7 +16,10 @@ BinaryCode::BinaryCode(Gf2Matrix parity_check)
       throw std::invalid_argument(
           "BinaryCode: parity-check matrix is rank-deficient");
     }
-    if (h.cols() <= 64) preimage_words_.push_back(solution->to_u64());
+    if (h.cols() <= 64) {
+      preimage_words_.push_back(solution->to_u64());
+      parity_check_words_.push_back(h.row(j).to_u64());
+    }
     preimages_.push_back(std::move(*solution));
   }
 }

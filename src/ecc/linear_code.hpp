@@ -74,15 +74,24 @@ class BinaryCode {
     return preimage_words_;
   }
 
+  /// Row j of the parity-check matrix as a word (bit i = column i), so
+  /// syndrome bit j of a word w is the parity of `row & w`.  Empty for
+  /// codes longer than 64 bits.
+  const std::vector<std::uint64_t>& parity_check_words() const {
+    return parity_check_words_;
+  }
+
  protected:
   /// Takes the code's full-rank parity-check matrix and solves the
-  /// preimage table from it (H x = e_j per syndrome bit).
+  /// preimage table from it (H x = e_j per syndrome bit); codes of at most
+  /// 64 bits also get the word forms of both tables.
   explicit BinaryCode(Gf2Matrix parity_check);
 
  private:
   Gf2Matrix parity_check_;
   std::vector<support::BitVector> preimages_;
   std::vector<std::uint64_t> preimage_words_;
+  std::vector<std::uint64_t> parity_check_words_;
 };
 
 /// Derives a full-rank parity-check matrix from a generator matrix by

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 
@@ -850,6 +851,160 @@ TEST(AluPufBatch, DeviceQueryBatchMatchesObfuscationShape) {
     ASSERT_TRUE(z.has_value());
     EXPECT_EQ(*z, outs[i].z);
   }
+}
+
+TEST(AluPufBatch, WordFormMatchesBatch) {
+  // eval_words is eval_batch's kernel on machine words: the same responses
+  // and the same single rng.next() for 1..64 lanes, with and without a
+  // capture deadline, in one reused scratch.
+  const AluPuf puf(small_config(32), 13);
+  const auto env = Environment::nominal();
+  const ClockConstraint clock{puf.max_settle_ps(env) * 0.5 + 20.0, 20.0};
+  Xoshiro256pp crng(41);
+  AluPufBatchScratch scratch;
+  for (const std::size_t count : {1u, 5u, 8u, 64u}) {
+    std::vector<Challenge> challenges;
+    std::vector<std::uint64_t> words;
+    for (std::size_t x = 0; x < count; ++x) {
+      challenges.push_back(random_challenge(32, crng));
+      words.push_back(challenges.back().to_u64());
+    }
+    for (const ClockConstraint* c :
+         {static_cast<const ClockConstraint*>(nullptr), &clock}) {
+      Xoshiro256pp batch_rng(500 + count), word_rng(500 + count);
+      const auto batch =
+          puf.eval_batch(challenges.data(), count, env, batch_rng, c);
+      std::vector<std::uint64_t> out(count, ~0ULL);
+      puf.eval_words(words.data(), count, env, word_rng, c, scratch,
+                     out.data());
+      for (std::size_t x = 0; x < count; ++x) {
+        ASSERT_EQ(out[x], batch[x].to_u64())
+            << "count " << count << " lane " << x;
+      }
+      EXPECT_EQ(batch_rng.next(), word_rng.next());
+    }
+  }
+  std::uint64_t out[65];
+  Xoshiro256pp rng(1);
+  std::vector<std::uint64_t> too_many(65, 0);
+  EXPECT_THROW(
+      puf.eval_words(too_many.data(), 65, env, rng, nullptr, scratch, out),
+      std::invalid_argument);
+  const AluPuf narrow(small_config(16), 13);
+  const std::uint64_t stray = 1ULL << 32;
+  EXPECT_THROW(narrow.eval_words(&stray, 1, env, rng, nullptr, scratch, out),
+               std::invalid_argument);
+}
+
+// ------------------------------------------- the prover's PUF() word call
+
+class ProverCallTest : public ::testing::Test {
+ protected:
+  ProverCallTest() : code_(5), device_(small_config(32), 77, code_) {}
+
+  CallWords random_call(Xoshiro256pp& rng) const {
+    CallWords challenges;
+    for (auto& c : challenges) c = rng.next();
+    return challenges;
+  }
+
+  ecc::ReedMuller1 code_;
+  PufDevice device_;
+};
+
+TEST_F(ProverCallTest, QueryConsumesOneNextAndIsReproducible) {
+  // The eval_batch RNG contract, per PUF() call: query_words and its
+  // BitVector wrapper query_raw spend exactly one rng.next() of the
+  // caller's generator, and the call is a function of that state.
+  const auto env = Environment::nominal();
+  Xoshiro256pp crng(3);
+  AluPufBatchScratch scratch;
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto challenges = random_call(crng);
+    std::array<Challenge, 8> bits;
+    for (std::size_t r = 0; r < 8; ++r) bits[r] = BitVector(64, challenges[r]);
+    Xoshiro256pp rng(900 + trial);
+    Xoshiro256pp probe = rng, again = rng, raw_rng = rng;
+    const auto out =
+        device_.query_words(challenges, env, rng, nullptr, scratch);
+    probe.next();
+    EXPECT_EQ(rng.next(), probe.next());
+    const auto repeat =
+        device_.query_words(challenges, env, again, nullptr, scratch);
+    EXPECT_EQ(repeat.z, out.z);
+    EXPECT_EQ(repeat.helpers, out.helpers);
+    const auto raw = device_.query_raw(bits, env, raw_rng);
+    EXPECT_EQ(raw_rng.next(), again.next());
+    EXPECT_EQ(raw.z.to_u64(), out.z);
+    ASSERT_EQ(raw.helpers.size(), 8u);
+    for (std::size_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(raw.helpers[r].size(), device_.helper_bits());
+      EXPECT_EQ(raw.helpers[r].to_u64(), out.helpers[r]);
+    }
+  }
+}
+
+TEST_F(ProverCallTest, QueryMatchesReferencePipeline) {
+  // query_words against the same call composed from eval_batch lanes,
+  // BitVector syndromes and bit-by-bit obfuscation, with no clock and with
+  // capture deadlines below T_ALU + T_set (which corrupt some bits).
+  const auto env = Environment::nominal();
+  const double settle = device_.raw_puf().max_settle_ps(env);
+  const ClockConstraint slow{settle * 0.8 + 20.0, 20.0};
+  const ClockConstraint starved{settle * 0.5 + 20.0, 20.0};
+  Xoshiro256pp crng(4);
+  AluPufBatchScratch scratch;
+  for (const ClockConstraint* clock :
+       {static_cast<const ClockConstraint*>(nullptr), &slow, &starved}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto challenges = random_call(crng);
+      Xoshiro256pp rng(trial * 31 + 7), ref_rng(trial * 31 + 7);
+      const auto out =
+          device_.query_words(challenges, env, rng, clock, scratch);
+      const auto ref = testref::reference_device_query(
+          device_.raw_puf(), code_, challenges, env, ref_rng, clock);
+      ASSERT_EQ(out.z, ref.z.to_u64()) << "trial " << trial;
+      for (std::size_t r = 0; r < 8; ++r) {
+        ASSERT_EQ(out.helpers[r], ref.helpers[r].to_u64()) << "trial " << trial;
+      }
+      ASSERT_EQ(rng.next(), ref_rng.next());
+    }
+  }
+}
+
+TEST_F(ProverCallTest, CallNoiseMatchesScalarStatistically) {
+  // The prover's PUF() call now draws its noise through the batch
+  // contract; the raw flip rate of its 8-lane kernel over many calls must
+  // match scalar eval's within the eval_batch parity test's tolerance.
+  const AluPuf& puf = device_.raw_puf();
+  const auto env = Environment::nominal();
+  Xoshiro256pp crng(5);
+  const auto challenge = random_challenge(32, crng);
+  const std::size_t calls = 64;
+
+  Xoshiro256pp srng(100);
+  const auto reference = puf.eval(challenge, env, srng);
+  std::size_t scalar_flips = 0;
+  for (std::size_t i = 0; i < calls * 8; ++i) {
+    scalar_flips += (puf.eval(challenge, env, srng) ^ reference).popcount();
+  }
+
+  CallWords lanes;
+  lanes.fill(challenge.to_u64());
+  Xoshiro256pp wrng(200);
+  AluPufBatchScratch scratch;
+  std::size_t word_flips = 0;
+  for (std::size_t call = 0; call < calls; ++call) {
+    CallWords responses;
+    puf.eval_words(lanes.data(), 8, env, wrng, nullptr, scratch,
+                   responses.data());
+    for (const auto y : responses) {
+      word_flips += static_cast<std::size_t>(
+          std::popcount(y ^ reference.to_u64()));
+    }
+  }
+  const double bits = static_cast<double>(calls * 8 * 32);
+  EXPECT_NEAR(word_flips / bits, scalar_flips / bits, 0.05);
 }
 
 }  // namespace

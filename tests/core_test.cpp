@@ -285,6 +285,77 @@ TEST_F(ProtocolTest, ReplayWithStaleNonceFails) {
   EXPECT_NE(result.status, VerifyStatus::kAccepted);
 }
 
+TEST_F(ProtocolTest, HelperWordsWithBitsAboveTheSyndromeRejected) {
+  // Helper words are helper_bits() (26) wide inside 32-bit transcript
+  // words.  No prover sets bits 26-31, so a transcript carrying any was
+  // altered: it must fail reconstruction, not be accepted by ignoring them.
+  const std::size_t helper_bits = bed().device.helper_bits();
+  ASSERT_EQ(helper_bits, 26u);
+  CpuProver prover(bed().device, bed().record, CpuProver::Variant::kHonest, 13);
+  int honest_accepted = 0;
+  for (int run = 0; run < 20; ++run) {
+    const auto request = bed().verifier.make_request(rng_);
+    const auto outcome = prover.respond(request);
+    const auto& words = outcome.response.helper_words;
+    for (const auto h : words) ASSERT_EQ(h >> helper_bits, 0u);
+    if (bed().verifier.verify(request, outcome.response, elapsed_us(outcome))
+            .accepted()) {
+      ++honest_accepted;
+    }
+    auto all = outcome.response;
+    for (auto& h : all.helper_words) h |= 0xFC000000u;  // bits 26-31
+    EXPECT_EQ(bed().verifier.verify(request, all, elapsed_us(outcome)).status,
+              VerifyStatus::kPufReconstructionFailed)
+        << "run " << run;
+    auto one = outcome.response;
+    one.helper_words[(run * 7) % one.helper_words.size()] |=
+        1u << (helper_bits + run % 6);
+    EXPECT_EQ(bed().verifier.verify(request, one, elapsed_us(outcome)).status,
+              VerifyStatus::kPufReconstructionFailed)
+        << "run " << run;
+  }
+  EXPECT_GE(honest_accepted, 19);
+}
+
+TEST(CpuProverCycles, MatchPinnedCounts) {
+  // The predecoded interpreter must charge exactly the cycles the
+  // decode-every-step one did.  Counts pinned from that interpreter for
+  // fixed nonces, honest and redirect provers, small and standard SWAT.
+  using V = CpuProver::Variant;
+  struct Case {
+    bool standard;
+    V variant;
+    std::uint64_t nonce;
+    std::uint64_t cycles;
+  };
+  const Case cases[] = {
+      {false, V::kHonest, 0x0123456789ABCDEFULL, 9509},
+      {false, V::kHonest, 0xFEDCBA9876543210ULL, 9509},
+      {false, V::kRedirectMalware, 0x0123456789ABCDEFULL, 11047},
+      {false, V::kRedirectMalware, 0xFEDCBA9876543210ULL, 11047},
+      {true, V::kHonest, 0x0123456789ABCDEFULL, 37781},
+      {true, V::kHonest, 0xFEDCBA9876543210ULL, 37781},
+      {true, V::kRedirectMalware, 0x0123456789ABCDEFULL, 43927},
+      {true, V::kRedirectMalware, 0xFEDCBA9876543210ULL, 43927},
+  };
+  const ecc::ReedMuller1 code(5);
+  const auto standard = DeviceProfile::standard();
+  const alupuf::PufDevice device(standard.puf_config, 4242, code);
+  const auto small = Testbed::make_profile();
+  const EnrollmentRecord small_record = enroll(
+      device, small, make_enrolled_image(small, Testbed::make_payload()));
+  const EnrollmentRecord standard_record = enroll(
+      device, standard, make_enrolled_image(standard, Testbed::make_payload()));
+  for (const auto& c : cases) {
+    const auto& record = c.standard ? standard_record : small_record;
+    CpuProver prover(device, record, c.variant, 99);
+    const auto outcome = prover.respond(AttestationRequest{c.nonce});
+    EXPECT_EQ(outcome.cycles, c.cycles)
+        << (c.standard ? "standard" : "small") << " variant "
+        << static_cast<int>(c.variant) << " nonce " << std::hex << c.nonce;
+  }
+}
+
 // --------------------------------------------- one immutable, shared verifier
 
 struct Judged {

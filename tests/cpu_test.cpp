@@ -317,6 +317,72 @@ TEST(Machine, Traps) {
   EXPECT_THROW(nofifo.run(), MachineError);
 }
 
+// ------------------------------------------------- predecoded instructions
+
+TEST(Machine, StoredInstructionReplacesOneAlreadyExecuted) {
+  // Self-modifying code: the loop body overwrites its own first
+  // instruction after running it once, so later passes must run the new
+  // word, not the decoded form of the old one.
+  Machine m(64);
+  m.load(assemble(R"(
+          addi r3, r0, 0
+          lw   r5, 16(r0)      ; the replacement instruction word
+          addi r4, r0, 3
+    loop: addi r1, r1, 1       ; overwritten after the first pass
+          addi r3, r3, 1
+          sw   r5, 3(r0)
+          blt  r3, r4, loop
+          halt
+  )").words);
+  m.set_mem(16, assemble("addi r1, r1, 100").words[0]);
+  const auto result = m.run();
+  EXPECT_TRUE(result.halted);
+  EXPECT_EQ(m.reg(1), 201u);
+  // addi+lw+addi, three 5-cycle passes, two taken branches, halt.
+  EXPECT_EQ(result.cycles, 4u + 15u + 2u + 1u);
+
+  // Writes from outside the program drop decoded words too: set_mem over
+  // the executed loop head, and load over the whole image.
+  m.reset();
+  m.set_mem(3, assemble("addi r1, r1, 7").words[0]);
+  m.set_mem(5, assemble("addi r0, r0, 0").words[0]);  // keep word 3
+  m.run();
+  EXPECT_EQ(m.reg(1), 21u);
+  m.reset();
+  m.load(assemble("addi r1, r0, 9\nhalt\n").words);
+  m.run();
+  EXPECT_EQ(m.reg(1), 9u);
+}
+
+TEST(Machine, StoredInvalidWordFaultsWhenReached) {
+  // An executed instruction overwritten with a word that does not decode
+  // faults with the usual message when control comes back to it.
+  Machine m(64);
+  m.load(assemble(R"(
+          lui  r5, 0xFF00      ; opcode 0xFF: no such instruction
+          addi r3, r0, 0
+    loop: addi r3, r3, 1
+          sw   r5, 2(r0)
+          jal  r0, loop
+          halt
+  )").words);
+  try {
+    m.run();
+    FAIL() << "expected a decode fault";
+  } catch (const MachineError& e) {
+    EXPECT_STREQ(e.what(), "decode fault at pc 2: decode: unknown opcode 255");
+  }
+  EXPECT_EQ(m.reg(3), 1u);
+  Machine data(64);
+  data.load({0x00000000u});
+  try {
+    data.run();
+    FAIL() << "expected a decode fault";
+  } catch (const MachineError& e) {
+    EXPECT_STREQ(e.what(), "decode fault at pc 0: decode: unknown opcode 0");
+  }
+}
+
 TEST(Machine, ResetPreservesMemory) {
   Machine m(64);
   m.load(assemble("addi r1, r0, 7\nsw r1, 32(r0)\nhalt\n").words);

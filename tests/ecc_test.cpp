@@ -339,13 +339,36 @@ TEST_F(HelperDataCodes, WordReproduceRoundTripsGeneratedHelpers) {
       const auto p = rng.uniform_u64(32);
       llr[p] = (llr[p] < 0.0 ? 1.0 : -1.0) * rng.uniform();  // weak, wrong
     }
-    // Bits above helper_bits() ride along in the 32-bit transcript word
-    // and must be ignored.
+    // The kernel ignores bits above helper_bits() (the emulator rejects a
+    // transcript word carrying any before it reconstructs).
     const std::uint64_t junk = rng.next() << helper.helper_bits();
     const auto word = helper.reproduce_soft_word(llr.data(), h.to_u64() | junk);
     ASSERT_TRUE(word.has_value());
     ASSERT_EQ(*word, y.to_u64()) << "trial " << trial;
     ASSERT_EQ(helper.reproduce_soft(llr, h), BitVector(32, *word));
+  }
+}
+
+TEST_F(HelperDataCodes, GenerateWordMatchesGenerate) {
+  // The prover's word syndrome against the BitVector H * y it replaces,
+  // for RM(1,4..6): exactly helper_bits() wide, and response bits at or
+  // above n() do not reach it.
+  Xoshiro256pp rng(21);
+  for (const unsigned m : {4u, 5u, 6u}) {
+    const ReedMuller1 code(m);
+    const SyndromeHelper helper(code);
+    const std::size_t n = code.n();
+    for (int trial = 0; trial < 500; ++trial) {
+      const auto y = BitVector::random(n, rng);
+      const auto expected = helper.generate(y).to_u64();
+      ASSERT_EQ(helper.generate_word(y.to_u64()), expected)
+          << "m=" << m << " trial " << trial;
+      if (n < 64) {
+        const std::uint64_t junk = rng.next() << n;
+        ASSERT_EQ(helper.generate_word(y.to_u64() | junk), expected);
+      }
+      ASSERT_EQ(expected >> helper.helper_bits(), 0u);
+    }
   }
 }
 

@@ -1,12 +1,14 @@
-// Bit-by-bit reference implementations of the verifier's PUF.Emulate()
-// stages, for differential tests of the word kernels.
+// Bit-by-bit reference implementations of the PUF() pipeline stages on
+// both protocol sides, for differential tests of the word kernels.
 //
 // Each function restates a stage from its definition on BitVectors and
 // std::vectors, independent of the kernels it checks: the obfuscation
-// network's fold/rotate (paper Section 2 plus the kHardened matching), and
+// network's fold/rotate (paper Section 2 plus the kHardened matching),
 // syndrome helper-data soft reconstruction with a first-order Reed-Muller
-// fast-Hadamard decoder.  The floating-point operation order of the
-// decoder matches the production transform, so results compare with ==.
+// fast-Hadamard decoder, and the prover's PUF() call composed from
+// AluPuf::eval_batch lanes, BitVector syndromes and that obfuscation.  The
+// floating-point operation order of the decoder matches the production
+// transform, so results compare with ==.
 #pragma once
 
 #include <array>
@@ -16,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "alupuf/alu_puf.hpp"
 #include "alupuf/obfuscation.hpp"
+#include "ecc/helper_data.hpp"
 #include "ecc/linear_code.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
@@ -119,6 +123,37 @@ inline BitVector reference_reproduce_soft(const ecc::BinaryCode& code,
     if (y0.get(i)) flipped[i] = -flipped[i];
   }
   return reference_rm_decode_soft(code, flipped) ^ y0;
+}
+
+/// The prover's PUF() call on 8 raw challenge words: one 8-lane
+/// AluPuf::eval_batch (its RNG contract: one `rng.next()`), a BitVector
+/// syndrome per lane, and the bit-by-bit kHardened obfuscation.
+struct ReferenceCall {
+  BitVector z;
+  std::array<BitVector, 8> helpers;
+};
+
+inline ReferenceCall reference_device_query(
+    const alupuf::AluPuf& puf, const ecc::BinaryCode& code,
+    const std::array<std::uint64_t, 8>& challenges,
+    const variation::Environment& env, support::Xoshiro256pp& rng,
+    const alupuf::ClockConstraint* clock) {
+  std::array<BitVector, 8> lanes;
+  for (std::size_t r = 0; r < 8; ++r) {
+    lanes[r] = BitVector(puf.challenge_bits(), challenges[r]);
+  }
+  const auto responses =
+      puf.eval_batch(lanes.data(), lanes.size(), env, rng, clock);
+  const ecc::SyndromeHelper helper(code);
+  ReferenceCall call;
+  std::array<BitVector, 8> ys;
+  for (std::size_t r = 0; r < 8; ++r) {
+    ys[r] = responses[r];
+    call.helpers[r] = helper.generate(responses[r]);
+  }
+  call.z = reference_obfuscate(
+      ys, alupuf::ObfuscationNetwork::Pairing::kHardened);
+  return call;
 }
 
 }  // namespace pufatt::testref

@@ -354,7 +354,9 @@ TEST(VerifierPool, FullQueueRejectsWithRetryAfterHint) {
   auto blocking_job = [&](std::uint64_t tag) {
     AttestationJob j;
     j.device_id = fleet.devices[0].id;
-    j.responder = [&, released](const core::AttestationRequest& request) {
+    // `tag` by value: the responder runs after blocking_job has returned.
+    j.responder = [&, released,
+                   tag](const core::AttestationRequest& request) {
       released.wait();
       auto prover = std::make_shared<core::CpuProver>(
           *fleet.devices[0].device, fleet.devices[0].record,
