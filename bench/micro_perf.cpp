@@ -174,6 +174,27 @@ void BM_CpuProverRespond(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuProverRespond)->Unit(benchmark::kMicrosecond);
 
+void BM_NoiseFillLanes(benchmark::State& state) {
+  // The per-gate noise of one PUF() call on the served (small) profile:
+  // 8 lanes of jitter over the ALU's gates (385 at width 32), one
+  // gaussian_fast() stream per lane, through the lane fill.
+  const auto profile = core::DistributedParams::small_profile();
+  const alupuf::PufDevice device(profile.puf_config, 8, rm5());
+  const auto& chip = device.raw_puf().chip();
+  const auto nominal = chip.nominal_delays(variation::Environment::nominal());
+  std::vector<support::Xoshiro256pp> lanes;
+  for (std::uint64_t x = 0; x < 8; ++x) lanes.emplace_back(16 + x);
+  timingsim::BatchDelays delays;
+  for (auto _ : state) {
+    chip.sample_delays_batch(nominal, profile.puf_config.noise, lanes.data(),
+                             lanes.size(), delays);
+    benchmark::DoNotOptimize(delays.rise_ps.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(delays.rise_ps.size()));
+}
+BENCHMARK(BM_NoiseFillLanes)->Unit(benchmark::kMicrosecond);
+
 void BM_TimingSimScalarRun(benchmark::State& state) {
   const auto circuit = netlist::build_alu_puf_circuit(32);
   const variation::ChipInstance chip(circuit.net, {}, {}, 1);

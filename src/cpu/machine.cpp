@@ -1,6 +1,8 @@
 #include "cpu/machine.hpp"
 
 #include <array>
+#include <limits>
+#include <string>
 
 namespace pufatt::cpu {
 
@@ -49,151 +51,172 @@ void Machine::reset() {
   pc_ = 0;
   cycles_ = 0;
   puf_mode_ = false;
-  halted_ = false;
   helper_fifo_.clear();
 }
 
 RunResult Machine::run(std::uint64_t max_cycles) {
-  const std::uint64_t limit = cycles_ + max_cycles;
-  halted_ = false;
-  while (!halted_ && cycles_ < limit) {
-    if (pc_ >= memory_.size()) {
-      throw MachineError("pc out of memory at " + std::to_string(pc_));
-    }
-    Decoded& slot = decoded_[pc_];
-    if (slot.cost == 0) {
-      try {
-        slot.inst = decode(memory_[pc_]);
-      } catch (const std::invalid_argument& e) {
-        throw MachineError(std::string("decode fault at pc ") +
-                           std::to_string(pc_) + ": " + e.what());
-      }
-      slot.cost = cycle_cost(slot.inst.op);
-    }
-    // A copy: the instruction may overwrite (and so drop) its own slot.
-    const Decoded step = slot;
-    exec(step.inst, step.cost);
-  }
-  return RunResult{cycles_, halted_};
-}
-
-void Machine::exec(const Instruction& inst, std::uint32_t cost) {
-  cycles_ += cost;
-  const std::uint32_t a = regs_[inst.rs1];
-  const std::uint32_t b = regs_[inst.rs2];
-  const auto sa = static_cast<std::int32_t>(a);
-  std::uint32_t next_pc = pc_ + 1;
-
-  auto write = [&](std::uint32_t value) {
-    if (inst.rd != 0) regs_[inst.rd] = value;
-  };
-  auto branch = [&](bool taken) {
-    if (taken) {
-      next_pc = pc_ + static_cast<std::uint32_t>(inst.imm);
-      cycles_ += kTakenBranchPenalty;
-    }
+  // The loop keeps pc, the cycle count and the registers in locals, which
+  // no memory store or PUF port call can alias, and writes them back when
+  // it returns or throws; r[0] is re-zeroed after every step, so writes to
+  // r0 need no test.
+  std::uint32_t pc = pc_;
+  std::uint64_t cycles = cycles_;
+  std::array<std::uint32_t, 16> r = regs_;
+  const std::uint64_t limit =
+      max_cycles > std::numeric_limits<std::uint64_t>::max() - cycles
+          ? std::numeric_limits<std::uint64_t>::max()
+          : cycles + max_cycles;
+  const std::size_t words = memory_.size();
+  std::uint32_t* const memory = memory_.data();
+  Decoded* const decoded = decoded_.data();
+  bool halted = false;
+  auto store_state = [&] {
+    pc_ = pc;
+    cycles_ = cycles;
+    regs_ = r;
   };
 
-  switch (inst.op) {
-    case Opcode::kAdd:
-      if (puf_mode_) {
-        if (puf_ == nullptr) throw MachineError("PUF add without PUF block");
-        puf_->feed((static_cast<std::uint64_t>(a) << 32) | b, cycle_ps());
+  try {
+    while (!halted && cycles < limit) {
+      if (pc >= words) {
+        throw MachineError("pc out of memory at " + std::to_string(pc));
       }
-      // The ALU result is architecturally visible in both modes.
-      write(a + b);
-      break;
-    case Opcode::kSub: write(a - b); break;
-    case Opcode::kAnd: write(a & b); break;
-    case Opcode::kOr: write(a | b); break;
-    case Opcode::kXor: write(a ^ b); break;
-    case Opcode::kSll: write(a << (b & 31)); break;
-    case Opcode::kSrl: write(a >> (b & 31)); break;
-    case Opcode::kSra:
-      write(static_cast<std::uint32_t>(sa >> (b & 31)));
-      break;
-    case Opcode::kMul: write(a * b); break;
-    case Opcode::kSlt:
-      write(sa < static_cast<std::int32_t>(b) ? 1 : 0);
-      break;
-    case Opcode::kSltu: write(a < b ? 1 : 0); break;
+      Decoded& slot = decoded[pc];
+      if (slot.cost == 0) {
+        try {
+          slot.inst = decode(memory[pc]);
+        } catch (const std::invalid_argument& e) {
+          throw MachineError(std::string("decode fault at pc ") +
+                             std::to_string(pc) + ": " + e.what());
+        }
+        slot.cost = cycle_cost(slot.inst.op);
+      }
+      // A copy: the instruction may overwrite (and so drop) its own slot.
+      const Instruction inst = slot.inst;
+      cycles += slot.cost;
+      const std::uint32_t a = r[inst.rs1];
+      const std::uint32_t b = r[inst.rs2];
+      const auto sa = static_cast<std::int32_t>(a);
+      const auto imm = static_cast<std::uint32_t>(inst.imm);
+      std::uint32_t next_pc = pc + 1;
+      auto branch = [&](bool taken) {
+        if (taken) {
+          next_pc = pc + imm;
+          cycles += kTakenBranchPenalty;
+        }
+      };
 
-    case Opcode::kAddi: write(a + static_cast<std::uint32_t>(inst.imm)); break;
-    case Opcode::kAndi: write(a & static_cast<std::uint32_t>(inst.imm)); break;
-    case Opcode::kOri: write(a | static_cast<std::uint32_t>(inst.imm)); break;
-    case Opcode::kXori: write(a ^ static_cast<std::uint32_t>(inst.imm)); break;
-    case Opcode::kSlli: write(a << (inst.imm & 31)); break;
-    case Opcode::kSrli: write(a >> (inst.imm & 31)); break;
-    case Opcode::kSrai:
-      write(static_cast<std::uint32_t>(sa >> (inst.imm & 31)));
-      break;
-    case Opcode::kSlti:
-      write(sa < inst.imm ? 1 : 0);
-      break;
-    case Opcode::kLui:
-      write(static_cast<std::uint32_t>(inst.imm) << 16);
-      break;
+      switch (inst.op) {
+        case Opcode::kAdd:
+          if (puf_mode_) {
+            if (puf_ == nullptr) {
+              throw MachineError("PUF add without PUF block");
+            }
+            puf_->feed((static_cast<std::uint64_t>(a) << 32) | b, cycle_ps());
+          }
+          // The ALU result is architecturally visible in both modes.
+          r[inst.rd] = a + b;
+          break;
+        case Opcode::kSub: r[inst.rd] = a - b; break;
+        case Opcode::kAnd: r[inst.rd] = a & b; break;
+        case Opcode::kOr: r[inst.rd] = a | b; break;
+        case Opcode::kXor: r[inst.rd] = a ^ b; break;
+        case Opcode::kSll: r[inst.rd] = a << (b & 31); break;
+        case Opcode::kSrl: r[inst.rd] = a >> (b & 31); break;
+        case Opcode::kSra:
+          r[inst.rd] = static_cast<std::uint32_t>(sa >> (b & 31));
+          break;
+        case Opcode::kMul: r[inst.rd] = a * b; break;
+        case Opcode::kSlt:
+          r[inst.rd] = sa < static_cast<std::int32_t>(b) ? 1 : 0;
+          break;
+        case Opcode::kSltu: r[inst.rd] = a < b ? 1 : 0; break;
 
-    case Opcode::kLw: {
-      const std::uint32_t addr = a + static_cast<std::uint32_t>(inst.imm);
-      write(mem(addr));
-      break;
+        case Opcode::kAddi: r[inst.rd] = a + imm; break;
+        case Opcode::kAndi: r[inst.rd] = a & imm; break;
+        case Opcode::kOri: r[inst.rd] = a | imm; break;
+        case Opcode::kXori: r[inst.rd] = a ^ imm; break;
+        case Opcode::kSlli: r[inst.rd] = a << (imm & 31); break;
+        case Opcode::kSrli: r[inst.rd] = a >> (imm & 31); break;
+        case Opcode::kSrai:
+          r[inst.rd] = static_cast<std::uint32_t>(sa >> (imm & 31));
+          break;
+        case Opcode::kSlti: r[inst.rd] = sa < inst.imm ? 1 : 0; break;
+        case Opcode::kLui: r[inst.rd] = imm << 16; break;
+
+        case Opcode::kLw: {
+          const std::uint32_t addr = a + imm;
+          if (addr >= words) throw MachineError("memory read out of range");
+          r[inst.rd] = memory[addr];
+          break;
+        }
+        case Opcode::kSw: {
+          const std::uint32_t addr = a + imm;
+          if (addr >= words) throw MachineError("memory write out of range");
+          memory[addr] = b;
+          decoded[addr].cost = 0;
+          break;
+        }
+
+        case Opcode::kBeq: branch(a == b); break;
+        case Opcode::kBne: branch(a != b); break;
+        case Opcode::kBlt: branch(sa < static_cast<std::int32_t>(b)); break;
+        case Opcode::kBge: branch(sa >= static_cast<std::int32_t>(b)); break;
+        case Opcode::kBltu: branch(a < b); break;
+        case Opcode::kBgeu: branch(a >= b); break;
+
+        case Opcode::kJal:
+          r[inst.rd] = pc + 1;
+          next_pc = pc + imm;
+          break;
+        case Opcode::kJalr:
+          r[inst.rd] = pc + 1;
+          next_pc = a + imm;
+          break;
+
+        case Opcode::kHalt:
+          halted = true;
+          break;
+
+        case Opcode::kPstart:
+          if (puf_ == nullptr) throw MachineError("pstart without PUF block");
+          puf_->start();
+          puf_mode_ = true;
+          break;
+        case Opcode::kPend: {
+          if (puf_ == nullptr) throw MachineError("pend without PUF block");
+          if (!puf_mode_) throw MachineError("pend outside PUF mode");
+          std::vector<std::uint32_t> helpers;
+          const std::uint32_t z = puf_->finish(helpers);
+          for (const auto h : helpers) helper_fifo_.push_back(h);
+          r[inst.rd] = z;
+          puf_mode_ = false;
+          break;
+        }
+        case Opcode::kHread:
+          if (helper_fifo_.empty()) throw MachineError("hread on empty FIFO");
+          r[inst.rd] = helper_fifo_.front();
+          helper_fifo_.pop_front();
+          break;
+
+        case Opcode::kRdcyc:
+          r[inst.rd] = static_cast<std::uint32_t>(cycles);
+          break;
+        case Opcode::kRdcych:
+          r[inst.rd] = static_cast<std::uint32_t>(cycles >> 32);
+          break;
+      }
+      r[0] = 0;
+      pc = next_pc;
     }
-    case Opcode::kSw: {
-      const std::uint32_t addr = a + static_cast<std::uint32_t>(inst.imm);
-      set_mem(addr, b);
-      break;
-    }
-
-    case Opcode::kBeq: branch(a == b); break;
-    case Opcode::kBne: branch(a != b); break;
-    case Opcode::kBlt: branch(sa < static_cast<std::int32_t>(b)); break;
-    case Opcode::kBge: branch(sa >= static_cast<std::int32_t>(b)); break;
-    case Opcode::kBltu: branch(a < b); break;
-    case Opcode::kBgeu: branch(a >= b); break;
-
-    case Opcode::kJal:
-      write(pc_ + 1);
-      next_pc = pc_ + static_cast<std::uint32_t>(inst.imm);
-      break;
-    case Opcode::kJalr:
-      write(pc_ + 1);
-      next_pc = a + static_cast<std::uint32_t>(inst.imm);
-      break;
-
-    case Opcode::kHalt:
-      halted_ = true;
-      break;
-
-    case Opcode::kPstart:
-      if (puf_ == nullptr) throw MachineError("pstart without PUF block");
-      puf_->start();
-      puf_mode_ = true;
-      break;
-    case Opcode::kPend: {
-      if (puf_ == nullptr) throw MachineError("pend without PUF block");
-      if (!puf_mode_) throw MachineError("pend outside PUF mode");
-      std::vector<std::uint32_t> helpers;
-      const std::uint32_t z = puf_->finish(helpers);
-      for (const auto h : helpers) helper_fifo_.push_back(h);
-      write(z);
-      puf_mode_ = false;
-      break;
-    }
-    case Opcode::kHread:
-      if (helper_fifo_.empty()) throw MachineError("hread on empty FIFO");
-      write(helper_fifo_.front());
-      helper_fifo_.pop_front();
-      break;
-
-    case Opcode::kRdcyc:
-      write(static_cast<std::uint32_t>(cycles_));
-      break;
-    case Opcode::kRdcych:
-      write(static_cast<std::uint32_t>(cycles_ >> 32));
-      break;
+  } catch (...) {
+    // Every fault, the PUF port's included, leaves pc at the faulting
+    // instruction and its cost charged if it decoded.
+    store_state();
+    throw;
   }
-  pc_ = next_pc;
+  store_state();
+  return RunResult{cycles, halted};
 }
 
 }  // namespace pufatt::cpu

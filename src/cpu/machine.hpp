@@ -85,7 +85,10 @@ class Machine {
     return static_cast<double>(cycle_count) / clock_mhz_;
   }
 
-  /// Executes until halt or until `max_cycles` additional cycles elapse.
+  /// Executes until halt or until `max_cycles` additional cycles elapse
+  /// (a budget past the counter's range runs to halt).  On a MachineError
+  /// pc(), cycles() and the registers show the faulting step: pc at the
+  /// faulting instruction, its cost charged once it decoded.
   RunResult run(std::uint64_t max_cycles = 100'000'000);
 
   /// Resets registers, pc, cycle counter and PUF mode (memory preserved).
@@ -99,8 +102,6 @@ class Machine {
     std::uint32_t cost = 0;
   };
 
-  void exec(const Instruction& inst, std::uint32_t cost);
-
   std::vector<std::uint32_t> memory_;
   std::vector<Decoded> decoded_;  ///< per word address, parallel to memory_
   std::array<std::uint32_t, 16> regs_{};
@@ -108,7 +109,6 @@ class Machine {
   std::uint64_t cycles_ = 0;
   double clock_mhz_ = 400.0;
   bool puf_mode_ = false;
-  bool halted_ = false;
   PufPort* puf_ = nullptr;
   std::deque<std::uint32_t> helper_fifo_;
 };

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -77,10 +78,15 @@ class Xoshiro256pp {
   /// (ChipInstance::sample_delays_batch) standardize on this one.
   double gaussian_fast();
 
-  /// Bulk fill: out[i] = mean + stddev * N(0,1), exactly n gaussian_fast()
-  /// deviates in order.
-  void gaussian_fill(double* out, std::size_t n, double mean = 0.0,
-                     double stddev = 1.0);
+  /// Lane-interleaved bulk fill: out[i*lanes + x] = mean + stddev * z,
+  /// where z is generator rngs[x]'s i-th gaussian_fast() deviate, for
+  /// i < n and x < lanes.  Each generator ends exactly where n calls of
+  /// gaussian_fast() would leave it, so the fill and the scalar loop are
+  /// the same stream, byte for byte.  On AVX-512 builds blocks of 8 lanes
+  /// run the generator and the ziggurat's fast path in vector registers.
+  static void gaussian_fill_lanes(Xoshiro256pp* rngs, std::size_t lanes,
+                                  std::size_t n, double* out, double mean,
+                                  double stddev);
 
   /// Bernoulli trial.
   bool bernoulli(double p);
@@ -89,6 +95,10 @@ class Xoshiro256pp {
   Xoshiro256pp split();
 
  private:
+  /// The ziggurat's slow path, continuing a gaussian_fast() draw whose
+  /// first word `bits` missed the fast path: tail, wedge and any redraws.
+  double gaussian_fast_slow(std::uint64_t bits);
+
   std::array<std::uint64_t, 4> s_{};
   bool have_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -151,14 +151,18 @@ void ChipInstance::sample_delays_batch(const timingsim::DelaySet& nominal,
   out.batch = count;
   out.rise_ps.resize(n * count);
   out.fall_ps.resize(n * count);
+  // The lane fill writes each lane's jitter factor 1 + ratio * z into the
+  // gate-major layout; the rise/fall scaling then runs in place.
+  support::Xoshiro256pp::gaussian_fill_lanes(noise_rngs, count, n,
+                                             out.rise_ps.data(), 1.0,
+                                             noise.delay_jitter_ratio);
   for (std::size_t g = 0; g < n; ++g) {
     const double rise = nominal.rise_ps[g];
     const double fall = nominal.fall_ps[g];
     double* rise_row = out.rise_ps.data() + g * count;
     double* fall_row = out.fall_ps.data() + g * count;
     for (std::size_t x = 0; x < count; ++x) {
-      const double jitter =
-          1.0 + noise.delay_jitter_ratio * noise_rngs[x].gaussian_fast();
+      const double jitter = rise_row[x];
       rise_row[x] = rise <= 0.0 ? 0.0 : rise * jitter;
       fall_row[x] = fall <= 0.0 ? 0.0 : fall * jitter;
     }

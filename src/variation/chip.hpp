@@ -83,9 +83,11 @@ class ChipInstance {
   /// deviate per gate in gate order, zero-delay gates included, so each
   /// lane's stream position is a function of the gate index alone and a
   /// caller may keep using noise_rngs[x] afterwards (AluPuf::eval_batch
-  /// continues it for the arbiter draws).  Same semantics as
-  /// sample_delays per lane — shared rise/fall jitter, zeros preserved —
-  /// but via the fast sampler, so not stream-compatible with it.
+  /// continues it for the arbiter draws).  The draws come from one
+  /// Xoshiro256pp::gaussian_fill_lanes call, stream-identical to that
+  /// per-gate loop.  Same semantics as sample_delays per lane — shared
+  /// rise/fall jitter, zeros preserved — but via the fast sampler, so not
+  /// stream-compatible with it.
   void sample_delays_batch(const timingsim::DelaySet& nominal,
                            const NoiseParams& noise,
                            support::Xoshiro256pp* noise_rngs,

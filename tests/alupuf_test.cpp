@@ -853,6 +853,39 @@ TEST(AluPufBatch, DeviceQueryBatchMatchesObfuscationShape) {
   }
 }
 
+TEST(AluPufBatch, SampleDelaysBatchMatchesPerGateLoop) {
+  // sample_delays_batch draws through the lane fill; it must equal the
+  // per-gate gaussian_fast() loop, zero-delay gates included, for a full
+  // 8-lane block and for a block plus a scalar tail, and leave every lane
+  // generator where that loop does.
+  const AluPuf puf(small_config(32), 17);
+  const auto nominal = puf.chip().nominal_delays(Environment::nominal());
+  std::size_t zero_gates = 0;
+  for (const double d : nominal.rise_ps) zero_gates += d <= 0.0 ? 1 : 0;
+  ASSERT_GT(zero_gates, 0u);
+  const variation::NoiseParams noise{.delay_jitter_ratio = 0.02};
+  for (const std::size_t count : {8u, 13u}) {
+    std::vector<Xoshiro256pp> rngs;
+    for (std::size_t x = 0; x < count; ++x) rngs.emplace_back(900 + 37 * x);
+    std::vector<Xoshiro256pp> ref_rngs = rngs;
+    timingsim::BatchDelays got;
+    timingsim::BatchDelays want;
+    puf.chip().sample_delays_batch(nominal, noise, rngs.data(), count, got);
+    testref::reference_sample_delays(nominal, noise, ref_rngs.data(), count,
+                                     want);
+    ASSERT_EQ(got.batch, want.batch);
+    ASSERT_EQ(got.rise_ps.size(), want.rise_ps.size());
+    ASSERT_EQ(got.fall_ps.size(), want.fall_ps.size());
+    for (std::size_t k = 0; k < want.rise_ps.size(); ++k) {
+      ASSERT_EQ(got.rise_ps[k], want.rise_ps[k]) << count << " lanes, " << k;
+      ASSERT_EQ(got.fall_ps[k], want.fall_ps[k]) << count << " lanes, " << k;
+    }
+    for (std::size_t x = 0; x < count; ++x) {
+      EXPECT_EQ(rngs[x].next(), ref_rngs[x].next()) << "lane " << x;
+    }
+  }
+}
+
 TEST(AluPufBatch, WordFormMatchesBatch) {
   // eval_words is eval_batch's kernel on machine words: the same responses
   // and the same single rng.next() for 1..64 lanes, with and without a

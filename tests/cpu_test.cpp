@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "cpu/assembler.hpp"
 #include "cpu/isa.hpp"
 #include "cpu/machine.hpp"
@@ -315,6 +320,117 @@ TEST(Machine, Traps) {
   nofifo.load(assemble("hread r1\nhalt\n").words);
   nofifo.attach_puf(&port);
   EXPECT_THROW(nofifo.run(), MachineError);
+}
+
+// Registers, pc and the cycle count as a fault left them.
+struct Snapshot {
+  std::uint32_t pc;
+  std::uint64_t cycles;
+  std::array<std::uint32_t, 16> regs;
+};
+
+Snapshot snapshot(const Machine& m) {
+  Snapshot s{m.pc(), m.cycles(), {}};
+  for (unsigned i = 0; i < 16; ++i) s.regs[i] = m.reg(i);
+  return s;
+}
+
+// Runs `source` on a 64-word machine (with a PUF port attached) and
+// expects `message`; returns the machine's state after the fault.
+Snapshot fault_state(const std::string& source, const std::string& message,
+                     const std::vector<std::uint32_t>& extra = {}) {
+  struct NullPort : PufPort {
+    void start() override {}
+    void feed(std::uint64_t, double) override {}
+    std::uint32_t finish(std::vector<std::uint32_t>&) override { return 0; }
+  };
+  static NullPort port;
+  Machine m(64);
+  auto words = assemble(source).words;
+  words.insert(words.end(), extra.begin(), extra.end());
+  m.load(words);
+  m.attach_puf(&port);
+  try {
+    m.run();
+    ADD_FAILURE() << "expected: " << message;
+  } catch (const MachineError& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+  return snapshot(m);
+}
+
+TEST(Machine, FaultLeavesPinnedState) {
+  // What a trap leaves observable (values pinned from the step-at-a-time
+  // interpreter): pc at the faulting instruction, its cost charged if it
+  // decoded, earlier register writes kept.
+  const std::string prologue = "addi r1, r0, 7\naddi r2, r0, 9\n";
+  struct Case {
+    std::string body;
+    std::vector<std::uint32_t> extra;
+    std::string message;
+    std::uint32_t pc;
+    std::uint64_t cycles;
+  };
+  const Case cases[] = {
+      {"", {0x00000000u}, "decode fault at pc 2: decode: unknown opcode 0", 2,
+       2},
+      {"lw r3, 9999(r0)\n", {}, "memory read out of range", 2, 4},
+      {"sw r2, 64(r0)\n", {}, "memory write out of range", 2, 4},
+      {"jal r3, 100\n", {}, "pc out of memory at 102", 102, 4},
+      {"hread r3\n", {}, "hread on empty FIFO", 2, 3},
+      {"pend r3\n", {}, "pend outside PUF mode", 2, 42},
+  };
+  for (const auto& c : cases) {
+    const Snapshot s = fault_state(prologue + c.body, c.message, c.extra);
+    EXPECT_EQ(s.pc, c.pc) << c.message;
+    EXPECT_EQ(s.cycles, c.cycles) << c.message;
+    std::array<std::uint32_t, 16> regs{};
+    regs[1] = 7;
+    regs[2] = 9;
+    // Only jal writes its link register before control leaves memory.
+    if (c.body.starts_with("jal")) regs[3] = 3;
+    EXPECT_EQ(s.regs, regs) << c.message;
+  }
+}
+
+TEST(Machine, ExhaustedBudgetLeavesPinnedState) {
+  Machine m(64);
+  m.load(assemble(R"(
+          addi r2, r0, 5
+    spin: addi r1, r1, 1
+          jal  r0, spin
+  )").words);
+  // addi (1 cycle), then 3-cycle passes: the budget ends on a pass
+  // boundary, and the second run's ends just after an addi.
+  const auto result = m.run(1000);
+  EXPECT_FALSE(result.halted);
+  EXPECT_EQ(result.cycles, 1000u);
+  EXPECT_EQ(m.cycles(), 1000u);
+  EXPECT_EQ(m.pc(), 1u);
+  EXPECT_EQ(m.reg(1), 333u);
+  EXPECT_EQ(m.reg(2), 5u);
+  // A second run continues from there.
+  const auto more = m.run(10);
+  EXPECT_EQ(more.cycles, 1010u);
+  EXPECT_EQ(m.pc(), 2u);
+  EXPECT_EQ(m.reg(1), 337u);
+}
+
+TEST(Machine, UnboundedBudgetAfterEarlierRunReachesHalt) {
+  // cycles() + max_cycles must saturate, not wrap: a machine that has run
+  // before still gets the whole budget.
+  Machine m(64);
+  m.load(assemble(R"(
+          addi r2, r0, 50
+    loop: addi r1, r1, 1
+          blt  r1, r2, loop
+          halt
+  )").words);
+  EXPECT_FALSE(m.run(10).halted);
+  const auto result = m.run(std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(result.halted);
+  EXPECT_EQ(m.reg(1), 50u);
+  EXPECT_EQ(result.cycles, 1u + 50u * 2u + 49u + 1u);
 }
 
 // ------------------------------------------------- predecoded instructions

@@ -5,8 +5,9 @@
 // std::vectors, independent of the kernels it checks: the obfuscation
 // network's fold/rotate (paper Section 2 plus the kHardened matching),
 // syndrome helper-data soft reconstruction with a first-order Reed-Muller
-// fast-Hadamard decoder, and the prover's PUF() call composed from
-// AluPuf::eval_batch lanes, BitVector syndromes and that obfuscation.  The
+// fast-Hadamard decoder, the prover's PUF() call composed from
+// AluPuf::eval_batch lanes, BitVector syndromes and that obfuscation, and
+// the per-gate noise draws of the batched delay sampling.  The
 // floating-point operation order of the decoder matches the production
 // transform, so results compare with ==.
 #pragma once
@@ -24,6 +25,8 @@
 #include "ecc/linear_code.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
+#include "timingsim/timing_sim.hpp"
+#include "variation/chip.hpp"
 
 namespace pufatt::testref {
 
@@ -154,6 +157,31 @@ inline ReferenceCall reference_device_query(
   call.z = reference_obfuscate(
       ys, alupuf::ObfuscationNetwork::Pairing::kHardened);
   return call;
+}
+
+/// ChipInstance::sample_delays_batch as the per-gate loop it was written
+/// as: lane x's jitter 1 + ratio * gaussian_fast() from noise_rngs[x], one
+/// draw per gate in gate order (zero-delay gates included), the same
+/// jitter scaling rise and fall, gate-major layout.
+inline void reference_sample_delays(const timingsim::DelaySet& nominal,
+                                    const variation::NoiseParams& noise,
+                                    support::Xoshiro256pp* noise_rngs,
+                                    std::size_t count,
+                                    timingsim::BatchDelays& out) {
+  const std::size_t n = nominal.rise_ps.size();
+  out.batch = count;
+  out.rise_ps.assign(n * count, 0.0);
+  out.fall_ps.assign(n * count, 0.0);
+  for (std::size_t g = 0; g < n; ++g) {
+    for (std::size_t x = 0; x < count; ++x) {
+      const double jitter =
+          1.0 + noise.delay_jitter_ratio * noise_rngs[x].gaussian_fast();
+      const double rise = nominal.rise_ps[g];
+      const double fall = nominal.fall_ps[g];
+      out.rise_ps[g * count + x] = rise <= 0.0 ? 0.0 : rise * jitter;
+      out.fall_ps[g * count + x] = fall <= 0.0 ? 0.0 : fall * jitter;
+    }
+  }
 }
 
 }  // namespace pufatt::testref

@@ -118,14 +118,53 @@ TEST(Xoshiro, GaussianFastDeterministic) {
   }
 }
 
-TEST(Xoshiro, GaussianFillMatchesRepeatedDraws) {
-  Xoshiro256pp a(9);
-  Xoshiro256pp b(9);
-  std::vector<double> buf(257);
-  a.gaussian_fill(buf.data(), buf.size(), 1.5, 2.0);
-  for (const double v : buf) {
-    ASSERT_EQ(v, 1.5 + 2.0 * b.gaussian_fast());
+// next() calls that separate `before` from `after` on the same stream.
+int draws_between(Xoshiro256pp before, const Xoshiro256pp& after) {
+  for (int k = 0; k <= 64; ++k) {
+    Xoshiro256pp a = before;
+    Xoshiro256pp b = after;
+    if (a.next() == b.next() && a.next() == b.next()) return k;
+    before.next();
   }
+  return -1;
+}
+
+TEST(Xoshiro, GaussianFillLanesMatchesScalarDraws) {
+  // The lane fill must be each lane's gaussian_fast() stream, byte for
+  // byte: lane counts around the 8-lane vector block (tails, one lane),
+  // and enough draws to reach the ziggurat's tail and wedge paths.
+  std::size_t tail = 0;
+  std::size_t wedge = 0;
+  for (const std::size_t lanes : {1, 5, 8, 9, 16, 64}) {
+    for (const std::size_t n : {0, 1, 385, 4096}) {
+      std::vector<Xoshiro256pp> filled;
+      for (std::size_t x = 0; x < lanes; ++x) {
+        filled.emplace_back(SplitMix64::mix(lanes * 100000 + n * 100 + x));
+      }
+      std::vector<Xoshiro256pp> scalar = filled;
+      std::vector<double> out(lanes * n);
+      Xoshiro256pp::gaussian_fill_lanes(filled.data(), lanes, n, out.data(),
+                                        1.5, 2.0);
+      for (std::size_t x = 0; x < lanes; ++x) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const Xoshiro256pp before = scalar[x];
+          const double z = scalar[x].gaussian_fast();
+          if (std::abs(z) > 3.442619855899) {
+            ++tail;
+          } else if (draws_between(before, scalar[x]) == 2) {
+            ++wedge;  // one layer draw plus one accepting uniform()
+          }
+          ASSERT_EQ(out[i * lanes + x], 1.5 + 2.0 * z)
+              << "lanes " << lanes << " n " << n << " lane " << x
+              << " draw " << i;
+        }
+        ASSERT_EQ(filled[x].next(), scalar[x].next())
+            << "lanes " << lanes << " n " << n << " lane " << x;
+      }
+    }
+  }
+  EXPECT_GT(tail, 0u);
+  EXPECT_GT(wedge, 0u);
 }
 
 TEST(Xoshiro, BernoulliProbability) {
