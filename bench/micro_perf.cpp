@@ -70,6 +70,71 @@ void BM_PufEmulate(benchmark::State& state) {
 }
 BENCHMARK(BM_PufEmulate);
 
+/// One recorded honest PUF() call on the served (small) profile: the
+/// device's 8 raw challenges and helper words at nominal V/T, and the
+/// verifier's emulator for that die.
+struct RecordedCall {
+  RecordedCall()
+      : profile(core::DistributedParams::small_profile()),
+        device(profile.puf_config, 8, rm5()),
+        emulator(profile.puf_config.width, device.export_model(), rm5(),
+                 profile.puf_config.layout) {
+    support::Xoshiro256pp rng(17);
+    for (auto& c : challenges) c = rng.next();
+    alupuf::AluPufBatchScratch scratch;
+    const auto out = device.query_words(
+        challenges, variation::Environment::nominal(), rng, nullptr, scratch);
+    helpers = out.helpers;
+    z = out.z;
+  }
+
+  core::DeviceProfile profile;
+  alupuf::PufDevice device;
+  alupuf::PufEmulator emulator;
+  alupuf::CallWords challenges{};
+  alupuf::CallWords helpers{};
+  std::uint64_t z = 0;
+};
+
+void BM_EmulateWords(benchmark::State& state) {
+  // The verifier's per-call path: one bit-sliced soft batch, 8 helper-data
+  // reconstructions, the distance budgets and the obfuscation, in a
+  // reused engine state.
+  const RecordedCall call;
+  timingsim::BitSliceState engine;
+  if (call.emulator.emulate_words(call.challenges, call.helpers, engine).z !=
+      call.z) {
+    state.SkipWithError("recorded honest call did not verify");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        call.emulator.emulate_words(call.challenges, call.helpers, engine));
+  }
+}
+BENCHMARK(BM_EmulateWords);
+
+void BM_ReproduceSoftWord(benchmark::State& state) {
+  // One call's 8 soft reconstructions, on the soft batch the emulator
+  // computes for a recorded honest call.
+  const RecordedCall call;
+  const ecc::SyndromeHelper helper(rm5());
+  const std::size_t width = call.profile.puf_config.width;
+  std::vector<double> soft(call.challenges.size() * width);
+  timingsim::BitSliceState engine;
+  call.emulator.raw_emulator().eval_soft_words(
+      call.challenges.data(), call.challenges.size(), soft.data(), engine);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < call.helpers.size(); ++r) {
+      benchmark::DoNotOptimize(
+          helper.reproduce_soft_word(soft.data() + r * width, call.helpers[r]));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(call.helpers.size()));
+}
+BENCHMARK(BM_ReproduceSoftWord);
+
 void BM_RmSoftDecode(benchmark::State& state) {
   support::Xoshiro256pp rng(5);
   std::vector<double> llr(32);

@@ -24,13 +24,18 @@ const char* to_string(VerifyStatus status) {
 }
 
 Verifier::Verifier(EnrollmentRecord record, const ecc::BinaryCode& code,
-                   const ChannelParams& channel, double slack)
+                   const ChannelParams& channel, double slack,
+                   double max_avg_weighted_ps)
     : record_(std::move(record)),
       emulator_(record_.profile.puf_config.width, record_.model, code,
                 record_.profile.puf_config.layout),
       channel_(channel),
-      slack_(slack) {
+      slack_(slack),
+      max_avg_weighted_ps_(max_avg_weighted_ps) {
   if (slack < 0.0) throw std::invalid_argument("Verifier: negative slack");
+  if (!(max_avg_weighted_ps >= 0.0)) {
+    throw std::invalid_argument("Verifier: bad weighted-distance budget");
+  }
 }
 
 AttestationRequest Verifier::make_request(support::Xoshiro256pp& rng) const {
@@ -51,7 +56,8 @@ VerifyResult Verifier::verify(const AttestationRequest& request,
   result.elapsed_us = elapsed_us;
   result.deadline_us = deadline_us(response);
 
-  if (elapsed_us > result.deadline_us) {
+  // Negated so that a NaN elapsed time fails closed.
+  if (!(0.0 <= elapsed_us && elapsed_us <= result.deadline_us)) {
     result.status = VerifyStatus::kTimeExceeded;
     return result;
   }

@@ -64,14 +64,14 @@ class Verifier {
   /// `code` must outlive the verifier (RM(1,5) for the 32-bit protocol).
   /// `slack` is the tolerance on the honest compute time; the channel
   /// budget for the two protocol messages is added on top.
+  /// `max_avg_weighted_ps` is the whole-transcript budget on the average
+  /// reliability-weighted reconstruction distance per PUF call (ps).
+  /// Summing over all calls makes the statistic ~sqrt(calls) more
+  /// sensitive than the per-call threshold, closing the marginal-overclock
+  /// window (see DESIGN.md).
   Verifier(EnrollmentRecord record, const ecc::BinaryCode& code,
-           const ChannelParams& channel = {}, double slack = 0.03);
-
-  /// Whole-transcript budget on the average reliability-weighted
-  /// reconstruction distance per PUF call (ps).  Summing over all calls
-  /// makes the statistic ~sqrt(calls) more sensitive than the per-call
-  /// threshold, closing the marginal-overclock window (see DESIGN.md).
-  void set_max_avg_weighted_ps(double v) { max_avg_weighted_ps_ = v; }
+           const ChannelParams& channel = {}, double slack = 0.03,
+           double max_avg_weighted_ps = 36.0);
 
   AttestationRequest make_request(support::Xoshiro256pp& rng) const;
 
@@ -79,7 +79,9 @@ class Verifier {
   double deadline_us(const AttestationResponse& response) const;
 
   /// Verifies a response measured at `elapsed_us` (prover compute time plus
-  /// channel time, as seen by the verifier's clock).
+  /// channel time, as seen by the verifier's clock).  An elapsed time that
+  /// is not in [0, deadline] — NaN and negative values included — is
+  /// kTimeExceeded.
   VerifyResult verify(const AttestationRequest& request,
                       const AttestationResponse& response,
                       double elapsed_us) const;
@@ -91,7 +93,7 @@ class Verifier {
   alupuf::PufEmulator emulator_;
   Channel channel_;
   double slack_;
-  double max_avg_weighted_ps_ = 36.0;
+  double max_avg_weighted_ps_;
 };
 
 /// A prover running the real PR32 machine with an attached physical PUF.

@@ -121,8 +121,9 @@ SessionOutcome AttestationSession::run_impl(const Responder& responder,
                           ? response_delivery.transfer_us
                           : 0.0);
     if (!response_delivery.delivered ||
-        elapsed > policy_.response_timeout_us) {
-      // Lost, or arrived after the verifier stopped listening.
+        !(0.0 <= elapsed && elapsed <= policy_.response_timeout_us)) {
+      // Lost, or arrived after the verifier stopped listening (a NaN or
+      // negative time counts as never arriving).
       rec.elapsed_us = policy_.response_timeout_us;
       out.total_us += policy_.response_timeout_us;
       out.attempts.push_back(rec);

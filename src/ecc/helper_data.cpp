@@ -17,17 +17,11 @@ BitVector SyndromeHelper::generate(const BitVector& response) const {
 }
 
 std::uint64_t SyndromeHelper::generate_word(std::uint64_t response) const {
-  const auto& rows = code_->parity_check_words();
   if (code_->n() > 64) {
     throw std::invalid_argument(
         "SyndromeHelper::generate_word: code wider than 64 bits");
   }
-  std::uint64_t helper = 0;
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    helper |= static_cast<std::uint64_t>(std::popcount(rows[j] & response) & 1)
-              << j;
-  }
-  return helper;
+  return code_->syndrome_word(response);
 }
 
 std::optional<BitVector> SyndromeHelper::reproduce(
@@ -72,16 +66,15 @@ std::optional<std::uint64_t> SyndromeHelper::reproduce_soft_word(
         "SyndromeHelper::reproduce_soft_word: code wider than 64 bits");
   }
   // y0: any word with syndrome equal to the helper data.
-  const auto& preimages = code_->syndrome_preimage_words();
-  std::uint64_t y0 = 0;
-  for (std::size_t j = 0; j < preimages.size(); ++j) {
-    if ((helper >> j) & 1ULL) y0 ^= preimages[j];
-  }
+  const std::uint64_t y0 = code_->preimage_word(helper);
   // The word to decode is reference XOR y0; XOR with a known bit flips the
-  // sign of the soft value.
+  // sign of the soft value, so the sign bit takes y0's bit (exactly unary
+  // minus, +-0.0 included, with no data-dependent branch).
   double llr[64] = {};
   for (std::size_t i = 0; i < n; ++i) {
-    llr[i] = (y0 >> i) & 1ULL ? -reference_llr[i] : reference_llr[i];
+    const std::uint64_t sign = ((y0 >> i) & 1ULL) << 63;
+    llr[i] = std::bit_cast<double>(
+        std::bit_cast<std::uint64_t>(reference_llr[i]) ^ sign);
   }
   const auto codeword = code_->decode_soft_word(llr);
   if (!codeword) return std::nullopt;

@@ -32,7 +32,8 @@ class SyndromeHelper {
   /// Word form of generate for codes of at most 64 bits: bit i of
   /// `response` is response bit i (bits at or above n() are ignored), and
   /// bit j of the result is syndrome bit j, exactly helper_bits() wide.
-  /// The prover's per-call path (PufDevice::query_words); allocates nothing.
+  /// The prover's per-call path (PufDevice::query_words): one byte-table
+  /// lookup per response byte (BinaryCode::syndrome_word); allocates nothing.
   std::uint64_t generate_word(std::uint64_t response) const;
 
   /// Reconstructs the prover's response from the verifier's reference and
@@ -55,8 +56,8 @@ class SyndromeHelper {
   /// Word-level soft reconstruction, the kernel reproduce_soft wraps
   /// (codes of at most 64 bits): `reference_llr` points at n() values,
   /// `helper`'s low helper_bits() bits are the helper data (higher bits are
-  /// ignored), and bit i of the result is response bit i.  y0 is the XOR of
-  /// the code's preimage words; nothing is allocated.
+  /// ignored), and bit i of the result is response bit i.  y0 comes from the
+  /// code's byte-table preimage map; nothing is allocated.
   std::optional<std::uint64_t> reproduce_soft_word(const double* reference_llr,
                                                    std::uint64_t helper) const;
 

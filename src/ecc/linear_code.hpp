@@ -6,6 +6,7 @@
 // ReedMuller1 (reed_muller.hpp): the paper's "BCH[32,6,16]" is RM(1,5).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -14,6 +15,28 @@
 #include "support/bitvec.hpp"
 
 namespace pufatt::ecc {
+
+/// A GF(2)-linear map on machine words, applied a byte at a time: entry v
+/// of table b is the XOR of the images of the set bits of v, read as input
+/// bits 8b..8b+7.  One apply is one load and XOR per table; input bits
+/// beyond the last column are ignored.
+class Gf2WordMap {
+ public:
+  Gf2WordMap() = default;
+  /// `columns[i]` is the image of input bit i (at most 64 columns).
+  explicit Gf2WordMap(const std::vector<std::uint64_t>& columns);
+
+  std::uint64_t operator()(std::uint64_t x) const {
+    std::uint64_t y = 0;
+    for (std::size_t b = 0; b < tables_.size(); ++b) {
+      y ^= tables_[b][(x >> (8 * b)) & 0xFF];
+    }
+    return y;
+  }
+
+ private:
+  std::vector<std::array<std::uint64_t, 256>> tables_;
+};
 
 class BinaryCode {
  public:
@@ -65,33 +88,37 @@ class BinaryCode {
 
   /// Entry j: a fixed word whose syndrome is the j-th unit vector, so any
   /// word with syndrome h is the XOR of the entries of h's set bits (the
-  /// helper data's y0).  One table per code; the word form is empty for
-  /// codes longer than 64 bits.
+  /// helper data's y0).  One table per code.
   const std::vector<support::BitVector>& syndrome_preimages() const {
     return preimages_;
   }
-  const std::vector<std::uint64_t>& syndrome_preimage_words() const {
-    return preimage_words_;
+
+  /// Word form of syndrome() for codes of at most 64 bits: bit i of `word`
+  /// is word bit i (bits at or above n() are ignored), bit j of the result
+  /// is syndrome bit j.  Returns 0 for longer codes.
+  std::uint64_t syndrome_word(std::uint64_t word) const {
+    return syndrome_(word);
   }
 
-  /// Row j of the parity-check matrix as a word (bit i = column i), so
-  /// syndrome bit j of a word w is the parity of `row & w`.  Empty for
-  /// codes longer than 64 bits.
-  const std::vector<std::uint64_t>& parity_check_words() const {
-    return parity_check_words_;
+  /// Word form of the preimage table for codes of at most 64 bits: the XOR
+  /// of the preimages of the set bits of `syndrome` (bits at or above
+  /// n() - k() are ignored), a word whose syndrome is `syndrome`.  Returns
+  /// 0 for longer codes.
+  std::uint64_t preimage_word(std::uint64_t syndrome) const {
+    return preimage_(syndrome);
   }
 
  protected:
   /// Takes the code's full-rank parity-check matrix and solves the
   /// preimage table from it (H x = e_j per syndrome bit); codes of at most
-  /// 64 bits also get the word forms of both tables.
+  /// 64 bits also get the byte-table word maps of H and of the preimages.
   explicit BinaryCode(Gf2Matrix parity_check);
 
  private:
   Gf2Matrix parity_check_;
   std::vector<support::BitVector> preimages_;
-  std::vector<std::uint64_t> preimage_words_;
-  std::vector<std::uint64_t> parity_check_words_;
+  Gf2WordMap syndrome_;
+  Gf2WordMap preimage_;
 };
 
 /// Derives a full-rank parity-check matrix from a generator matrix by

@@ -6,6 +6,17 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__AVX512F__)
+// GCC 12's AVX-512 headers seed unmasked results with _mm512_undefined_*,
+// which -Wmaybe-uninitialized misreports at -O3 (GCC bug 105593).
+#pragma GCC diagnostic push
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+#include <immintrin.h>
+#pragma GCC diagnostic pop
+#endif
+
 namespace pufatt::ecc {
 
 using support::BitVector;
@@ -42,6 +53,59 @@ std::size_t peak_index(const T* f, std::size_t n) {
   }
   return best;
 }
+
+#if defined(__AVX512F__)
+/// One in-register butterfly stage with half-width h in {1, 2, 4}: `sw` is
+/// `x` with each lane j swapped with its partner j ^ h, and the lanes of
+/// `upper` (those with bit h set) take sw - x = a[j] - a[j+h] while the
+/// others take x + sw = a[j] + a[j+h] — the scalar butterfly's operands.
+inline __m512d butterfly(__m512d x, __m512d sw, __mmask8 upper) {
+  return _mm512_mask_sub_pd(_mm512_add_pd(x, sw), upper, sw, x);
+}
+
+/// fwht + peak_index for n = 32 on four zmm registers; f[0..32) receives
+/// the transform.  Same stage order and operands as fwht, so every f[i]
+/// is bit-identical.  The peak is the lowest index whose |f| equals the
+/// maximum, which is peak_index's first strict maximum; a NaN makes that
+/// equality unusable, so such a word falls back to the scalar scan.
+std::size_t fwht32_peak(const double* llr, double* f) {
+  __m512d a[4];
+  for (int r = 0; r < 4; ++r) {
+    __m512d x = _mm512_loadu_pd(llr + 8 * r);
+    x = butterfly(x, _mm512_permute_pd(x, 0x55), 0xAA);
+    x = butterfly(x, _mm512_permutex_pd(x, 0x4E), 0xCC);
+    x = butterfly(x, _mm512_shuffle_f64x2(x, x, 0x4E), 0xF0);
+    a[r] = x;
+  }
+  for (const int h : {1, 2}) {  // h = 8 and 16 doubles: whole registers
+    for (int r = 0; r < 4; r += 2 * h) {
+      for (int j = r; j < r + h; ++j) {
+        const __m512d x = a[j];
+        const __m512d y = a[j + h];
+        a[j] = _mm512_add_pd(x, y);
+        a[j + h] = _mm512_sub_pd(x, y);
+      }
+    }
+  }
+  __m512d mag[4];
+  __mmask8 nan = 0;
+  for (int r = 0; r < 4; ++r) {
+    _mm512_storeu_pd(f + 8 * r, a[r]);
+    mag[r] = _mm512_abs_pd(a[r]);
+    nan |= _mm512_cmp_pd_mask(a[r], a[r], _CMP_UNORD_Q);
+  }
+  if (nan != 0) return peak_index(f, 32);
+  const __m512d peak = _mm512_set1_pd(_mm512_reduce_max_pd(_mm512_max_pd(
+      _mm512_max_pd(mag[0], mag[1]), _mm512_max_pd(mag[2], mag[3]))));
+  std::uint32_t at_peak = 0;
+  for (int r = 0; r < 4; ++r) {
+    at_peak |= static_cast<std::uint32_t>(
+                   _mm512_cmp_pd_mask(mag[r], peak, _CMP_EQ_OQ))
+               << (8 * r);
+  }
+  return static_cast<std::size_t>(std::countr_zero(at_peak));
+}
+#endif
 
 Gf2Matrix rm_parity_check(unsigned m) {
   if (m < 2 || m > 16) {
@@ -139,9 +203,17 @@ std::optional<std::uint64_t> ReedMuller1::decode_soft_word(
     throw std::invalid_argument("ReedMuller1::decode_soft_word: m > 6");
   }
   double f[64] = {};  // positive = bit 0, as encoded codeword +1
-  std::copy_n(llr, n_, f);
-  fwht(f, n_);
-  const std::size_t best = peak_index(f, n_);
+  std::size_t best = 0;
+#if defined(__AVX512F__)
+  if (n_ == 32) {
+    best = fwht32_peak(llr, f);
+  } else
+#endif
+  {
+    std::copy_n(llr, n_, f);
+    fwht(f, n_);
+    best = peak_index(f, n_);
+  }
   const std::uint64_t all = n_ == 64 ? ~0ULL : (1ULL << n_) - 1;
   return f[best] < 0.0 ? linear_words_[best] ^ all : linear_words_[best];
 }

@@ -6,6 +6,7 @@
 #include "ecc/gf2_matrix.hpp"
 #include "ecc/helper_data.hpp"
 #include "ecc/reed_muller.hpp"
+#include "reference_pipeline.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::ecc {
@@ -224,6 +225,22 @@ TEST(ReedMuller, WordSoftDecodeMatchesBruteForceMl) {
         rm.decode_soft_to_codeword(std::vector<double>(llr, llr + 32));
     ASSERT_EQ(bits->to_u64(), *word) << "trial " << trial;
   }
+  // Signed zeros: -1, 0 and 1 mixed with +0.0 and -0.0, so the transform
+  // has signed-zero entries.  The first two words are all -0.0 and all
+  // +0.0: every |f| is zero, the peak is index 0, and f[0] = -0.0 must
+  // read as a non-negative affine constant, as in the brute force.
+  for (int trial = 0; trial < 1000; ++trial) {
+    for (auto& v : llr) {
+      const auto pick = trial < 2 ? static_cast<std::uint64_t>(trial)
+                                  : rng.uniform_u64(4);
+      v = pick == 0   ? -0.0
+          : pick == 1 ? 0.0
+                      : static_cast<double>(rng.uniform_u64(3)) - 1.0;
+    }
+    const auto word = rm.decode_soft_word(llr);
+    ASSERT_TRUE(word.has_value());
+    ASSERT_EQ(*word, brute_force_rm5(rm, llr)) << "zeros trial " << trial;
+  }
 }
 
 TEST(ReedMuller, WordSoftDecodeRejectsWideCodes) {
@@ -346,6 +363,53 @@ TEST_F(HelperDataCodes, WordReproduceRoundTripsGeneratedHelpers) {
     ASSERT_TRUE(word.has_value());
     ASSERT_EQ(*word, y.to_u64()) << "trial " << trial;
     ASSERT_EQ(helper.reproduce_soft(llr, h), BitVector(32, *word));
+  }
+  // Against the BitVector reference (y0 by solving H x = h, unary minus,
+  // the scalar transform) on RM(1,4), RM(1,5) and RM(1,6), which covers
+  // the in-register RM(1,5) decoder and both widths of the scalar one:
+  // continuous LLRs far from any codeword, small integers (exact sums, so
+  // transform ties exercise the first-maximum tie-break), small integers
+  // mixed with +0.0 and -0.0 (the sign flip must act on zeros), and a few
+  // words whose transform holds NaNs.
+  for (const unsigned m : {4u, 5u, 6u}) {
+    const ReedMuller1 code(m);
+    const SyndromeHelper code_helper(code);
+    const std::size_t n = code.n();
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto h = code_helper.generate(BitVector::random(n, rng));
+      std::vector<double> llr(n);
+      for (auto& v : llr) {
+        switch (trial % 3) {
+          case 0: v = rng.gaussian() * 10.0; break;
+          case 1: v = static_cast<double>(rng.uniform_u64(7)) - 3.0; break;
+          default: {
+            const auto pick = rng.uniform_u64(4);
+            v = pick == 0   ? 0.0
+                : pick == 1 ? -0.0
+                            : static_cast<double>(rng.uniform_u64(5)) - 2.0;
+          }
+        }
+      }
+      if (trial % 30 == 2) {
+        // All zeros, signed so that the word to decode is all -0.0: the
+        // peak is index 0 and f[0] = -0.0 is a non-negative constant.
+        const auto y0 = code.preimage_word(h.to_u64());
+        for (std::size_t i = 0; i < n; ++i) llr[i] = (y0 >> i) & 1 ? 0.0 : -0.0;
+      }
+      if (trial % 30 == 3) {
+        // Bits 0 and 1 of the word to decode at +inf and -inf: f[0] is NaN
+        // and every odd f is infinite, and the peak must still be where the
+        // reference's scalar scan puts it.
+        const auto y0 = code.preimage_word(h.to_u64());
+        const double inf = std::numeric_limits<double>::infinity();
+        llr[0] = y0 & 1 ? -inf : inf;
+        llr[1] = (y0 >> 1) & 1 ? inf : -inf;
+      }
+      const auto word = code_helper.reproduce_soft_word(llr.data(), h.to_u64());
+      ASSERT_TRUE(word.has_value());
+      ASSERT_EQ(*word, testref::reference_reproduce_soft(code, llr, h).to_u64())
+          << "m=" << m << " trial " << trial;
+    }
   }
 }
 

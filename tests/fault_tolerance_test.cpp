@@ -3,6 +3,8 @@
 // lossy links, fresh-nonce discipline, and degraded distributed audits.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/distributed.hpp"
@@ -298,6 +300,33 @@ TEST_F(Session, CorruptedFramesAreTransportFaultsNotEvidence) {
     EXPECT_FALSE(attempt.verify.has_value());
   }
   EXPECT_GT(link.counters().packets_corrupted, 0u);
+}
+
+TEST_F(Session, NonFiniteComputeTimeCountsAsTimedOut) {
+  // A reply whose reported time is NaN (or -inf) never arrived as far as
+  // the verifier's clock is concerned: every attempt times out, nothing is
+  // verified, and the session's total time stays finite.
+  CpuProver prover(bed().device, bed().record, CpuProver::Variant::kHonest, 9);
+  for (const double compute_us : {std::numeric_limits<double>::quiet_NaN(),
+                                   -std::numeric_limits<double>::infinity()}) {
+    const Responder responder = [&](const AttestationRequest& request) {
+      return ProverReply{prover.respond(request).response, compute_us};
+    };
+    SessionPolicy policy;
+    policy.max_attempts = 2;
+    FaultyChannel link({}, {}, 70);
+    AttestationSession session(bed().verifier, link, policy);
+    Xoshiro256pp rng(19);
+    const auto outcome = session.run(responder, rng);
+    EXPECT_EQ(outcome.status, SessionStatus::kTimeout) << compute_us;
+    ASSERT_EQ(outcome.attempts.size(), 2u);
+    for (const auto& attempt : outcome.attempts) {
+      EXPECT_FALSE(attempt.response_delivered);
+      EXPECT_FALSE(attempt.verify.has_value());
+      EXPECT_EQ(attempt.elapsed_us, policy.response_timeout_us);
+    }
+    EXPECT_TRUE(std::isfinite(outcome.total_us));
+  }
 }
 
 TEST_F(Session, BackoffGrowsExponentially) {

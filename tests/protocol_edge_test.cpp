@@ -2,6 +2,8 @@
 // malformed messages and byte streams, verifier knob behaviour, determinism.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
 #include "core/puf_adapter.hpp"
@@ -117,6 +119,26 @@ TEST_F(ProtocolEdge, ZeroElapsedStillNeedsCorrectChecksum) {
   EXPECT_EQ(result.status, VerifyStatus::kChecksumMismatch);
 }
 
+TEST_F(ProtocolEdge, NonFiniteOrNegativeElapsedIsTimeExceeded) {
+  // The time bound fails closed: an elapsed time outside [0, deadline] is
+  // never accepted, even on an honest transcript.
+  CpuProver prover(bed().device, bed().record, CpuProver::Variant::kHonest, 9);
+  const auto request = bed().verifier.make_request(rng_);
+  const auto outcome = prover.respond(request);
+  ASSERT_TRUE(bed()
+                  .verifier.verify(request, outcome.response,
+                                   bed().elapsed(outcome))
+                  .accepted());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double elapsed :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1.0, -1e9}) {
+    const auto result =
+        bed().verifier.verify(request, outcome.response, elapsed);
+    EXPECT_EQ(result.status, VerifyStatus::kTimeExceeded)
+        << "elapsed " << elapsed;
+  }
+}
+
 TEST_F(ProtocolEdge, DeadlineScalesWithTranscriptSize) {
   // The channel budget accounts for the response payload the prover must
   // push through the constrained link.
@@ -130,14 +152,20 @@ TEST_F(ProtocolEdge, DeadlineScalesWithTranscriptSize) {
 TEST_F(ProtocolEdge, TightWeightedBudgetRejectsHonest) {
   // Sanity on the knob: an absurd budget flags even the honest device —
   // proving the statistic is actually consulted.
-  Verifier strict(bed().record, bed().code);
-  strict.set_max_avg_weighted_ps(0.001);
+  const Verifier strict(bed().record, bed().code, ChannelParams{}, 0.03,
+                        0.001);
   CpuProver prover(bed().device, bed().record, CpuProver::Variant::kHonest, 6);
   const auto request = strict.make_request(rng_);
   const auto outcome = prover.respond(request);
   const auto result =
       strict.verify(request, outcome.response, bed().elapsed(outcome));
   EXPECT_EQ(result.status, VerifyStatus::kPufReconstructionFailed);
+  // A budget no transcript can exceed (NaN) or meet (negative) is refused.
+  for (const double budget : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EXPECT_THROW(
+        Verifier(bed().record, bed().code, ChannelParams{}, 0.03, budget),
+        std::invalid_argument);
+  }
 }
 
 TEST_F(ProtocolEdge, RequestNoncesAreFresh) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Pre-merge gate: configure, build, and test the four supported trees.
+# Pre-merge gate: configure, build, and test the five supported trees.
 #
-#   build         plain (PUFATT_TRACE=ON by default)
-#   build-asan    AddressSanitizer + UBSan   (-DPUFATT_SANITIZE=ON)
-#   build-tsan    ThreadSanitizer           (-DPUFATT_TSAN=ON)
-#   build-notrace tracing compiled out      (-DPUFATT_TRACE=OFF)
+#   build          plain (PUFATT_TRACE=ON by default)
+#   build-asan     AddressSanitizer + UBSan   (-DPUFATT_SANITIZE=ON)
+#   build-tsan     ThreadSanitizer           (-DPUFATT_TSAN=ON)
+#   build-notrace  tracing compiled out      (-DPUFATT_TRACE=OFF)
+#   build-portable kernels without -march=native (-DPUFATT_NATIVE_SIMD=OFF)
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
@@ -34,10 +35,18 @@
 # GTEST_SKIP themselves — the wire-format and interop tests still run, so
 # the no-trace tree keeps proving the traced/untraced byte compatibility.
 #
+# The other trees compile the kernel translation units for the build
+# host's vector ISA, so on an AVX-512 host they run the SIMD paths (the
+# lane noise fill, the in-register RM(1,5) decoder).  build-portable runs
+# the same suite on the scalar fallbacks of those kernels, whose outputs
+# must be the same bytes: the differential tests against the scalar
+# references hold on both.
+#
 # Each tree then reruns the torture-labeled seeded kill-and-recover loop
 # (tests/store_torture.cpp) with a second seed: random fault points over
 # an append workload, gating that follower promotion stays byte-identical
-# to direct crash recovery under plain, ASan, TSan, and no-trace builds.
+# to direct crash recovery under plain, ASan, TSan, no-trace and portable
+# builds.
 # Tune with TORTURE_ITERS / TORTURE_SEED.
 #
 # Usage: tools/ci.sh [extra ctest args...]
@@ -74,5 +83,6 @@ run_tree build-tsan -DPUFATT_TSAN=ON
 # The store's span instrumentation compiles to no-ops here; this leg keeps
 # the subsystem (and everything else) honest about not *requiring* tracing.
 run_tree build-notrace -DPUFATT_TRACE=OFF
+run_tree build-portable -DPUFATT_NATIVE_SIMD=OFF
 
 echo "=== ci.sh: all trees green ==="
