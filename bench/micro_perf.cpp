@@ -382,6 +382,79 @@ void BM_BitsliceLaneRun(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsliceLaneRun);
 
+// The served shapes: every PUF() call runs exactly 8 lanes of the 32-bit
+// ALU, packed from challenge words, through one reused state (the
+// verifier in shared-delay mode, the simulated device in lane-delay mode).
+constexpr std::size_t kCallLanes = 8;
+
+void BM_PackInputWords8(benchmark::State& state) {
+  support::Xoshiro256pp rng(20);
+  std::uint64_t challenges[kCallLanes];
+  for (auto& c : challenges) c = rng.next();
+  std::uint64_t words[64];
+  for (auto _ : state) {
+    timingsim::pack_input_words(challenges, kCallLanes, 64, words);
+    benchmark::DoNotOptimize(words);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCallLanes));
+}
+BENCHMARK(BM_PackInputWords8);
+
+void BM_BitsliceSharedRun8(benchmark::State& state) {
+  const auto circuit = netlist::build_alu_puf_circuit(32);
+  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
+  const auto delays = chip.nominal_delays(variation::Environment::nominal());
+  const timingsim::TimingSimulator sim(circuit.net);
+  support::Xoshiro256pp rng(21);
+  std::uint64_t challenges[kCallLanes];
+  for (auto& c : challenges) c = rng.next();
+  std::uint64_t words[64];
+  timingsim::pack_input_words(challenges, kCallLanes, 64, words);
+  const timingsim::BitSliceEngine engine(sim.compiled(), delays);
+  timingsim::BitSliceState out;
+  for (auto _ : state) {
+    engine.run(words, kCallLanes, out);
+    benchmark::DoNotOptimize(out.times.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCallLanes));
+}
+BENCHMARK(BM_BitsliceSharedRun8);
+
+void BM_BitsliceLaneRun8(benchmark::State& state) {
+  const auto circuit = netlist::build_alu_puf_circuit(32);
+  const variation::ChipInstance chip(circuit.net, {}, {}, 1);
+  const auto delays = chip.nominal_delays(variation::Environment::nominal());
+  const timingsim::TimingSimulator sim(circuit.net);
+  support::Xoshiro256pp rng(22);
+  std::uint64_t challenges[kCallLanes];
+  for (auto& c : challenges) c = rng.next();
+  std::uint64_t words[64];
+  timingsim::pack_input_words(challenges, kCallLanes, 64, words);
+  const std::size_t gates = circuit.net.num_gates();
+  timingsim::BatchDelays lane_delays;
+  lane_delays.batch = kCallLanes;
+  lane_delays.rise_ps.resize(gates * kCallLanes);
+  lane_delays.fall_ps.resize(gates * kCallLanes);
+  for (std::size_t g = 0; g < gates; ++g) {
+    for (std::size_t b = 0; b < kCallLanes; ++b) {
+      const double jitter = 1.0 + 0.01 * rng.uniform();
+      lane_delays.rise_ps[g * kCallLanes + b] = delays.rise_ps[g] * jitter;
+      lane_delays.fall_ps[g * kCallLanes + b] = delays.fall_ps[g] * jitter;
+    }
+  }
+  const timingsim::BitSliceEngine engine(sim.compiled());
+  timingsim::BitSliceState out;
+  for (auto _ : state) {
+    engine.run(words, kCallLanes, lane_delays, out);
+    benchmark::DoNotOptimize(out.times.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCallLanes));
+}
+BENCHMARK(BM_BitsliceLaneRun8);
+
 void BM_AluPufEvalBatch(benchmark::State& state) {
   const alupuf::AluPuf puf(puf32(), 1);
   support::Xoshiro256pp rng(14);

@@ -375,7 +375,11 @@ struct ExecPlan {
 };
 
 #if defined(__AVX512F__)
-template <bool kLane, int MX, int MY>
+/// The fused step over lanes [0, vlim).  x and y are fetched by their
+/// run-time mode (fetchv), like g: a per-mode template dispatch measured
+/// no faster at 256 and 512 lanes, and the served 8-lane calls run the
+/// loop once, so there it would only add the dispatch.
+template <bool kLane>
 void fused_avx(const FusedCtx& c, std::size_t vlim) {
   const __m512d vinf = _mm512_set1_pd(kInf);
   const SrcV vx = make_srcv(c.x);
@@ -396,8 +400,8 @@ void fused_avx(const FusedCtx& c, std::size_t vlim) {
 #pragma GCC unroll 2
   for (std::size_t lane = 0; lane < vlim; lane += 8) {
     const std::size_t gi = lane >> 3;
-    const __m512d xa = fetch_m<MX>(vx, mvx, lane);
-    const __m512d xb = fetch_m<MY>(vy, mvy, lane);
+    const __m512d xa = fetchv(vx, lane);
+    const __m512d xb = fetchv(vy, lane);
     // P = AND-family(x, y): the single-gate and2 sequence verbatim.
     const __mmask8 kp = static_cast<__mmask8>(mvp[gi]);
     const __mmask8 maP = static_cast<__mmask8>(mvx[gi] ^ c.P.cinv);
@@ -458,38 +462,6 @@ void fused_avx(const FusedCtx& c, std::size_t vlim) {
   }
 }
 
-template <bool kLane>
-void fused_run_avx(const FusedCtx& c, std::size_t vlim) {
-  switch (c.x.mode * 3 + c.y.mode) {
-    case 0 * 3 + 0:
-      fused_avx<kLane, 0, 0>(c, vlim);
-      break;
-    case 0 * 3 + 1:
-      fused_avx<kLane, 0, 1>(c, vlim);
-      break;
-    case 0 * 3 + 2:
-      fused_avx<kLane, 0, 2>(c, vlim);
-      break;
-    case 1 * 3 + 0:
-      fused_avx<kLane, 1, 0>(c, vlim);
-      break;
-    case 1 * 3 + 1:
-      fused_avx<kLane, 1, 1>(c, vlim);
-      break;
-    case 1 * 3 + 2:
-      fused_avx<kLane, 1, 2>(c, vlim);
-      break;
-    case 2 * 3 + 0:
-      fused_avx<kLane, 2, 0>(c, vlim);
-      break;
-    case 2 * 3 + 1:
-      fused_avx<kLane, 2, 1>(c, vlim);
-      break;
-    default:
-      fused_avx<kLane, 2, 2>(c, vlim);
-      break;
-  }
-}
 #endif
 
 /// Runs a fused plan op: AVX-512 over the aligned prefix, then the
@@ -502,7 +474,7 @@ void fused_run(const FusedCtx& c, const Src& pSrc, std::size_t count,
   std::size_t lane = 0;
 #if defined(__AVX512F__)
   const std::size_t vlim = limit & ~std::size_t{7};
-  fused_run_avx<kLane>(c, vlim);
+  fused_avx<kLane>(c, vlim);
   lane = vlim;
 #endif
   if (lane >= limit) return;
@@ -674,8 +646,10 @@ VT eval_combo(GateKind kind, const VT* ins, std::size_t nf, double rise,
   return {value, det + (value ? rise : fall)};
 }
 
-// Value pass: one word op evaluates a gate for 64 lanes.  Templated on the
-// word count so the common batch sizes (64..1024 lanes) get fully unrolled
+// Value pass: one word op evaluates a gate for 64 lanes.  It walks the
+// compiled netlist's flat value program (one record per gate, operands
+// resolved to value rows) with one switch per gate, templated on the word
+// count so the common batch sizes (64..1024 lanes) get fully unrolled
 // inner loops — at runtime trip counts the loop overhead dwarfs the single
 // AND/XOR it wraps.  NWC == 0 is the generic any-size fallback.
 template <std::size_t NWC>
@@ -683,89 +657,77 @@ void value_pass(const CompiledNetlist& cn, const std::uint64_t* input_words,
                 std::uint64_t* values, std::size_t nw_dynamic) {
   const std::size_t NW = NWC != 0 ? NWC : nw_dynamic;
   const netlist::GateId* const fanins = cn.fanins().data();
-  for (const netlist::GateId g : cn.schedule()) {
-    const std::uint32_t fb = cn.fanin_begin(g);
-    std::uint64_t* const v = values + static_cast<std::size_t>(g) * NW;
-    const BatchOp op = cn.op(g);
-    switch (op) {
+  using W = std::uint64_t;
+  const auto row = [&](std::uint32_t g) {
+    return values + static_cast<std::size_t>(g) * NW;
+  };
+  for (const ValueOp& o : cn.value_program()) {
+    std::uint64_t* const v = row(o.out);
+    const auto binary = [&](auto f) {
+      const std::uint64_t* const a = row(o.a);
+      const std::uint64_t* const b = row(o.b);
+      for (std::size_t w = 0; w < NW; ++w) v[w] = f(a[w], b[w]);
+    };
+    switch (o.op) {
       case BatchOp::kInput: {
         const std::uint64_t* const src =
-            input_words + static_cast<std::size_t>(cn.input_pos(g)) * NW;
+            input_words + static_cast<std::size_t>(o.a) * NW;
         for (std::size_t w = 0; w < NW; ++w) v[w] = src[w];
         break;
       }
       case BatchOp::kConst0:
-        break;  // values already zero
+        break;  // never in the program: values already zero
       case BatchOp::kConst1:
         for (std::size_t w = 0; w < NW; ++w) v[w] = ~0ULL;
         break;
-      case BatchOp::kBuf:
+      case BatchOp::kBuf: {
+        const std::uint64_t* const a = row(o.a);
+        for (std::size_t w = 0; w < NW; ++w) v[w] = a[w];
+        break;
+      }
       case BatchOp::kNot: {
-        const std::uint64_t* const a =
-            values + static_cast<std::size_t>(fanins[fb]) * NW;
-        if (op == BatchOp::kNot) {
-          for (std::size_t w = 0; w < NW; ++w) v[w] = ~a[w];
-        } else {
-          for (std::size_t w = 0; w < NW; ++w) v[w] = a[w];
-        }
+        const std::uint64_t* const a = row(o.a);
+        for (std::size_t w = 0; w < NW; ++w) v[w] = ~a[w];
         break;
       }
       case BatchOp::kMux: {
-        const std::uint64_t* const s =
-            values + static_cast<std::size_t>(fanins[fb]) * NW;
-        const std::uint64_t* const d0 =
-            values + static_cast<std::size_t>(fanins[fb + 1]) * NW;
-        const std::uint64_t* const d1 =
-            values + static_cast<std::size_t>(fanins[fb + 2]) * NW;
+        const std::uint64_t* const s = row(o.a);
+        const std::uint64_t* const d0 = row(o.b);
+        const std::uint64_t* const d1 = row(o.c);
         for (std::size_t w = 0; w < NW; ++w) {
           v[w] = (s[w] & d1[w]) | (~s[w] & d0[w]);
         }
         break;
       }
       case BatchOp::kAnd2:
-      case BatchOp::kNand2:
-      case BatchOp::kOr2:
-      case BatchOp::kNor2:
-      case BatchOp::kXor2:
-      case BatchOp::kXnor2: {
-        const std::uint64_t* const a =
-            values + static_cast<std::size_t>(fanins[fb]) * NW;
-        const std::uint64_t* const b =
-            values + static_cast<std::size_t>(fanins[fb + 1]) * NW;
-        switch (op) {
-          case BatchOp::kAnd2:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = a[w] & b[w];
-            break;
-          case BatchOp::kNand2:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = ~(a[w] & b[w]);
-            break;
-          case BatchOp::kOr2:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = a[w] | b[w];
-            break;
-          case BatchOp::kNor2:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = ~(a[w] | b[w]);
-            break;
-          case BatchOp::kXor2:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = a[w] ^ b[w];
-            break;
-          default:
-            for (std::size_t w = 0; w < NW; ++w) v[w] = ~(a[w] ^ b[w]);
-            break;
-        }
+        binary([](W a, W b) { return a & b; });
         break;
-      }
+      case BatchOp::kOr2:
+        binary([](W a, W b) { return a | b; });
+        break;
+      case BatchOp::kNand2:
+        binary([](W a, W b) { return ~(a & b); });
+        break;
+      case BatchOp::kNor2:
+        binary([](W a, W b) { return ~(a | b); });
+        break;
+      case BatchOp::kXor2:
+        binary([](W a, W b) { return a ^ b; });
+        break;
+      case BatchOp::kXnor2:
+        binary([](W a, W b) { return ~(a ^ b); });
+        break;
       case BatchOp::kAndN:
       case BatchOp::kNandN:
       case BatchOp::kOrN:
       case BatchOp::kNorN: {
-        const bool or_like = (op == BatchOp::kOrN || op == BatchOp::kNorN);
-        const bool inverted = (op == BatchOp::kNandN || op == BatchOp::kNorN);
-        const std::uint32_t fe = fb + cn.fanin_count(g);
+        const bool or_like = (o.op == BatchOp::kOrN || o.op == BatchOp::kNorN);
+        const bool inverted =
+            (o.op == BatchOp::kNandN || o.op == BatchOp::kNorN);
         for (std::size_t w = 0; w < NW; ++w) {
           std::uint64_t acc = or_like ? 0 : ~0ULL;
-          for (std::uint32_t k = fb; k < fe; ++k) {
-            const std::uint64_t fw =
-                values[static_cast<std::size_t>(fanins[k]) * NW + w];
+          for (std::uint32_t k = o.a; k < o.b; ++k) {
+            const std::uint64_t fw = row(fanins[k])[w];
             acc = or_like ? (acc | fw) : (acc & fw);
           }
           v[w] = inverted ? ~acc : acc;
@@ -774,12 +736,9 @@ void value_pass(const CompiledNetlist& cn, const std::uint64_t* input_words,
       }
       case BatchOp::kXorN:
       case BatchOp::kXnorN: {
-        const std::uint32_t fe = fb + cn.fanin_count(g);
         for (std::size_t w = 0; w < NW; ++w) {
-          std::uint64_t acc = op == BatchOp::kXnorN ? ~0ULL : 0;
-          for (std::uint32_t k = fb; k < fe; ++k) {
-            acc ^= values[static_cast<std::size_t>(fanins[k]) * NW + w];
-          }
+          std::uint64_t acc = o.op == BatchOp::kXnorN ? ~0ULL : 0;
+          for (std::uint32_t k = o.a; k < o.b; ++k) acc ^= row(fanins[k])[w];
           v[w] = acc;
         }
         break;
@@ -787,6 +746,23 @@ void value_pass(const CompiledNetlist& cn, const std::uint64_t* input_words,
     }
   }
 }
+
+#if defined(__AVX512F__)
+/// The word packer for one PUF() call's worth of challenges (1..8 lanes,
+/// one output word per input), without the 64x64 transpose: lane l of `v`
+/// is challenge l (tail lanes zero), and testing every lane against input
+/// bit i yields lane word i as an 8-bit mask.
+void pack_block8(const std::uint64_t* challenges, std::size_t count,
+                 std::size_t num_inputs, std::uint64_t* out) {
+  const __m512i v = _mm512_maskz_loadu_epi64(
+      static_cast<__mmask8>((1u << count) - 1), challenges);
+  __m512i bit = _mm512_set1_epi64(1);
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    out[i] = _mm512_test_epi64_mask(v, bit);
+    bit = _mm512_add_epi64(bit, bit);
+  }
+}
+#endif
 
 }  // namespace
 
@@ -807,6 +783,12 @@ void pack_input_words(const std::uint64_t* challenges, std::size_t count,
   if (num_inputs > 64) {
     throw std::invalid_argument("pack_input_words: more than 64 inputs");
   }
+#if defined(__AVX512F__)
+  if (count != 0 && count <= 8) {
+    pack_block8(challenges, count, num_inputs, out);
+    return;
+  }
+#endif
   const std::size_t nwords = (count + 63) / 64;
   std::uint64_t m[64] = {};
   for (std::size_t blk = 0; blk < nwords; ++blk) {

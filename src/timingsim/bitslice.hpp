@@ -30,6 +30,14 @@
 // the classification shortcut vanishes — the win there is the word-wide
 // value pass and mask-driven delay selection.
 //
+// The value pass walks the compiled netlist's flat value program (one
+// record per gate, shared by every engine over that netlist).  Both served
+// paths run exactly 8 lanes per PUF() call (the verifier in shared mode,
+// the simulated device in lane-delay mode), so the wide time stride is one
+// AVX-512 block and each fused step is one trip of its lane loop, with its
+// sources fetched by their run-time mode rather than through a per-mode
+// template dispatch.
+//
 // Lane layout: lane l of word w is evaluation index w*64 + l.  Inputs
 // arrive as transposed challenge words from `pack_input_words`
 // (`words[i*nwords + w]` = input bit i across lanes); race margins come
@@ -67,7 +75,8 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
 /// Word form of the above for netlists of at most 64 inputs: input i of
 /// challenge x is bit i of `challenges[x]` (bits at or above `num_inputs`
 /// are ignored).  Writes `num_inputs * ceil(count/64)` words to `out`, in
-/// the same layout; allocates nothing.
+/// the same layout; allocates nothing.  On AVX-512 builds 1..8 challenges
+/// (one PUF() call) skip the 64x64 transpose.
 void pack_input_words(const std::uint64_t* challenges, std::size_t count,
                       std::size_t num_inputs, std::uint64_t* out);
 

@@ -140,6 +140,37 @@ void CompiledNetlist::build(const netlist::Netlist& net,
       schedule_[cursor[level_[id]]++] = static_cast<GateId>(id);
     }
   }
+
+  value_program_.reserve(active_count);
+  for (const GateId g : schedule_) {
+    const BatchOp op = ops_[g];
+    if (op == BatchOp::kConst0) continue;
+    const std::uint32_t fb = fanin_offsets_[g];
+    const std::uint32_t fe = fanin_offsets_[g + 1];
+    ValueOp step{op, g, 0, 0, 0};
+    switch (op) {
+      case BatchOp::kInput:
+        step.a = input_pos_[g];
+        break;
+      case BatchOp::kConst1:
+        break;
+      case BatchOp::kAndN:
+      case BatchOp::kOrN:
+      case BatchOp::kNandN:
+      case BatchOp::kNorN:
+      case BatchOp::kXorN:
+      case BatchOp::kXnorN:
+        step.a = fb;
+        step.b = fe;
+        break;
+      default:  // unary, mux and 2-input ops: operands in fanin order
+        step.a = fanins_[fb];
+        if (fe - fb > 1) step.b = fanins_[fb + 1];
+        if (fe - fb > 2) step.c = fanins_[fb + 2];
+        break;
+    }
+    value_program_.push_back(step);
+  }
   if (span.active()) {
     span.note("gates", static_cast<double>(n));
     span.note("levels", static_cast<double>(num_levels()));

@@ -12,6 +12,10 @@
 //     bit-sliced kernels dispatch once per gate instead of re-inspecting
 //     `Gate` records;
 //   * the input-gate index map (gate id -> primary-input position);
+//   * a flat value program: the schedule as one contiguous array of
+//     {op, out, operand rows} records, so the bit-sliced value pass walks
+//     a single stream instead of chasing op / fanin-offset / fanin tables
+//     per gate;
 //   * an observed-cone mask: when the consumer only reads a subset of nets
 //     (the arbiter cones of a PUF), gates outside their transitive fanin
 //     are dropped from the schedule entirely.
@@ -50,6 +54,18 @@ enum class BatchOp : std::uint8_t {
   kNorN,
   kXorN,
   kXnorN,
+};
+
+/// One step of the bit-sliced value pass: gate `out` computed from the
+/// value rows `a`, `b`, `c`.  kInput reads input row `a`; kBuf/kNot use
+/// `a`; kMux is (select `a`, d0 `b`, d1 `c`); 2-input ops use `a`, `b`;
+/// n-ary ops read the fanin range `fanins()[a .. b)`.
+struct ValueOp {
+  BatchOp op;
+  std::uint32_t out;
+  std::uint32_t a;
+  std::uint32_t b;
+  std::uint32_t c;
 };
 
 class CompiledNetlist {
@@ -105,6 +121,10 @@ class CompiledNetlist {
   }
   const std::vector<netlist::GateId>& fanins() const { return fanins_; }
 
+  /// The schedule as value-pass steps, in schedule order.  kConst0 gates
+  /// have no step: their words are zeroed once and never written.
+  const std::vector<ValueOp>& value_program() const { return value_program_; }
+
  private:
   void build(const netlist::Netlist& net,
              const std::vector<netlist::GateId>* observed);
@@ -119,6 +139,7 @@ class CompiledNetlist {
   std::vector<std::uint8_t> active_;
   std::vector<netlist::GateId> schedule_;
   std::vector<std::uint32_t> level_offsets_;
+  std::vector<ValueOp> value_program_;
   bool inputs_in_netlist_order_ = true;
 };
 

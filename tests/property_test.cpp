@@ -231,6 +231,76 @@ TEST_P(RandomCircuit, BitSliceLaneModeMatchesScalar) {
   }
 }
 
+TEST_P(RandomCircuit, BitSliceFixedCountsMatchScalarInBothModes) {
+  // The random-batch suites above rarely draw the served shape (exactly 8
+  // lanes, one AVX-512 block of the time kernels) or n-ary, Mux and Xnor
+  // gates at one word.  Fixed counts pin those shapes down: 1 and 5 lanes
+  // (short blocks), 8 (one block), 64 and 65 (a full word, then a second
+  // word).  Both modes run through one reused state.
+  Xoshiro256pp rng(10000 + GetParam());
+  const auto net = random_circuit(8, 70, rng);
+  timingsim::TimingSimulator sim(net);
+  const std::size_t gates = net.num_gates();
+  timingsim::DelaySet shared;
+  shared.rise_ps.resize(gates);
+  shared.fall_ps.resize(gates);
+  for (std::size_t g = 0; g < gates; ++g) {
+    shared.rise_ps[g] = rng.uniform(1.0, 30.0);
+    shared.fall_ps[g] = rng.uniform(1.0, 30.0);
+  }
+  const timingsim::BitSliceEngine shared_slice(sim.compiled(), shared);
+  const timingsim::BitSliceEngine lane_slice(sim.compiled());
+
+  timingsim::BitSliceState out;
+  timingsim::DelaySet column;
+  column.rise_ps.resize(gates);
+  column.fall_ps.resize(gates);
+  std::vector<timingsim::SignalState> states;
+  const auto expect_lane = [&](const timingsim::BitSliceEngine& slice,
+                               std::size_t count, std::size_t b) {
+    for (std::size_t g = 0; g < gates; ++g) {
+      const auto id = static_cast<GateId>(g);
+      ASSERT_EQ(slice.value(out, id, b), states[g].value)
+          << "count " << count << " gate " << g << " lane " << b;
+      ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
+          << "count " << count << " gate " << g << " lane " << b;
+    }
+  };
+  for (const std::size_t count : {1u, 5u, 8u, 64u, 65u, 8u}) {
+    std::vector<BitVector> challenges;
+    std::vector<std::uint64_t> challenge_words;
+    for (std::size_t b = 0; b < count; ++b) {
+      challenges.push_back(BitVector::random(net.num_inputs(), rng));
+      challenge_words.push_back(challenges.back().to_u64());
+    }
+    std::vector<std::uint64_t> words(net.num_inputs() * ((count + 63) / 64));
+    timingsim::pack_input_words(challenge_words.data(), count,
+                                net.num_inputs(), words.data());
+
+    shared_slice.run(words.data(), count, out);
+    for (std::size_t b = 0; b < count; ++b) {
+      sim.run(challenges[b], shared, states);
+      ASSERT_NO_FATAL_FAILURE(expect_lane(shared_slice, count, b));
+    }
+
+    timingsim::BatchDelays delays;
+    delays.batch = count;
+    delays.rise_ps.resize(gates * count);
+    delays.fall_ps.resize(gates * count);
+    for (auto& d : delays.rise_ps) d = rng.uniform(1.0, 20.0);
+    for (auto& d : delays.fall_ps) d = rng.uniform(1.0, 20.0);
+    lane_slice.run(words.data(), count, delays, out);
+    for (std::size_t b = 0; b < count; ++b) {
+      for (std::size_t g = 0; g < gates; ++g) {
+        column.rise_ps[g] = delays.rise_ps[g * count + b];
+        column.fall_ps[g] = delays.fall_ps[g * count + b];
+      }
+      sim.run(challenges[b], column, states);
+      ASSERT_NO_FATAL_FAILURE(expect_lane(lane_slice, count, b));
+    }
+  }
+}
+
 TEST_P(RandomCircuit, TechmapNeverExceedsGateCount) {
   Xoshiro256pp rng(4000 + GetParam());
   const auto net = random_circuit(6, 80, rng);

@@ -639,5 +639,93 @@ TEST(BitSlice, RunValidatesModeAndShapes) {
   EXPECT_THROW(BitSliceEngine(sim.compiled(), wrong), std::invalid_argument);
 }
 
+TEST(BitSlice, LaneDelayModeOneBlockMatchesScalar) {
+  // The simulated device's shape: one PUF() call is exactly 8 lanes of the
+  // 32-bit ALU packed from challenge words, one AVX-512 block of the time
+  // kernels.  1 and 5 lanes cover the short batches beside it; one state
+  // is reused across every count, as a device's scratch state is.
+  const auto circuit = netlist::build_alu_puf_circuit(32);
+  const variation::ChipInstance chip(circuit.net, {}, {}, 2468);
+  const auto base = chip.nominal_delays(variation::Environment::nominal());
+  const TimingSimulator sim(circuit.net);
+  const BitSliceEngine slice(sim.compiled());
+  const std::size_t gates = circuit.net.num_gates();
+  const std::size_t inputs = circuit.net.num_inputs();
+  ASSERT_EQ(inputs, 64u);
+
+  support::Xoshiro256pp rng(96);
+  BitSliceState out;
+  DelaySet column;
+  column.rise_ps.resize(gates);
+  column.fall_ps.resize(gates);
+  std::vector<SignalState> states;
+  for (const std::size_t count : {1u, 5u, 8u, 8u, 1u}) {
+    BatchDelays delays;
+    delays.batch = count;
+    delays.rise_ps.resize(gates * count);
+    delays.fall_ps.resize(gates * count);
+    for (std::size_t g = 0; g < gates; ++g) {
+      for (std::size_t b = 0; b < count; ++b) {
+        const double jitter = 1.0 + 0.02 * rng.uniform();
+        delays.rise_ps[g * count + b] = base.rise_ps[g] * jitter;
+        delays.fall_ps[g * count + b] = base.fall_ps[g] * jitter;
+      }
+    }
+    std::vector<std::uint64_t> challenges(count);
+    for (auto& c : challenges) c = rng.next();
+    std::uint64_t words[64];
+    pack_input_words(challenges.data(), count, inputs, words);
+    slice.run(words, count, delays, out);
+
+    for (std::size_t b = 0; b < count; ++b) {
+      for (std::size_t g = 0; g < gates; ++g) {
+        column.rise_ps[g] = delays.rise_ps[g * count + b];
+        column.fall_ps[g] = delays.fall_ps[g * count + b];
+      }
+      sim.run(support::BitVector(inputs, challenges[b]), column, states);
+      for (std::size_t g = 0; g < gates; ++g) {
+        const auto id = static_cast<GateId>(g);
+        ASSERT_EQ(slice.value(out, id, b), states[g].value)
+            << "count " << count << " gate " << g << " lane " << b;
+        ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
+            << "count " << count << " gate " << g << " lane " << b;
+      }
+    }
+  }
+}
+
+TEST(BitSlice, WordPackMatchesBitVectorPack) {
+  // The word packer's contract against the BitVector packer: same layout
+  // for every batch size (the 1..8-lane block included), bits at or above
+  // num_inputs ignored, and exactly num_inputs * nwords words written.
+  support::Xoshiro256pp rng(97);
+  constexpr std::uint64_t kCanary = 0xC0FFEE0123456789ULL;
+  for (const std::size_t inputs : {1u, 7u, 8u, 9u, 63u, 64u}) {
+    for (std::size_t count = 1; count <= 130; ++count) {
+      std::vector<std::uint64_t> raw(count);
+      std::vector<support::BitVector> challenges;
+      for (auto& c : raw) {
+        c = rng.next();  // junk above `inputs` must not leak into lanes
+        const std::uint64_t low =
+            inputs == 64 ? c : c & ((std::uint64_t{1} << inputs) - 1);
+        support::BitVector bits(inputs);
+        for (std::size_t i = 0; i < inputs; ++i) bits.set(i, (low >> i) & 1);
+        challenges.push_back(std::move(bits));
+      }
+      std::vector<std::uint64_t> expected;
+      pack_input_words(challenges.data(), count, inputs, expected);
+      const std::size_t nwords = (count + 63) / 64;
+      ASSERT_EQ(expected.size(), inputs * nwords);
+
+      std::vector<std::uint64_t> got(expected.size() + 1, kCanary);
+      pack_input_words(raw.data(), count, inputs, got.data());
+      ASSERT_EQ(got.back(), kCanary)
+          << "inputs " << inputs << " count " << count;
+      got.pop_back();
+      ASSERT_EQ(got, expected) << "inputs " << inputs << " count " << count;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pufatt::timingsim

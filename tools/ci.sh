@@ -9,16 +9,19 @@
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
-# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick), so the
-# stable-schema BENCH_*.json writers and the tracing overhead gates are
-# exercised under each sanitizer too.  attack_matrix_quick runs the whole
-# adversary-lab roster (bench/attack_matrix --quick) with shrunk budgets
-# and relaxed accuracy gates, but still asserts the matrix is byte-stable
-# across thread counts and invariant across the scalar/bit-sliced timing
-# engines.  sim_engine_smoke additionally gates the bit-sliced engine
-# (zero divergence vs scalar, engine-invariant CRP digests), and
-# gen_crps_engine_parity re-derives the same contract at the CLI layer:
-# gen-crps output must be byte-identical across --engine=scalar/bitslice.
+# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick,
+# engine_crosscheck), so the stable-schema BENCH_*.json writers and the
+# tracing overhead gates are exercised under each sanitizer too.
+# attack_matrix_quick runs the whole adversary-lab roster
+# (bench/attack_matrix --quick) with shrunk budgets and relaxed accuracy
+# gates, but still asserts the matrix is byte-stable across thread counts
+# and invariant across the scalar/bit-sliced timing engines.
+# sim_engine_smoke additionally gates the bit-sliced engine (zero
+# divergence vs scalar, engine-invariant CRP digests), engine_crosscheck
+# gates zero divergence per net per lane in both delay modes (one large
+# batch and the served 8-lane calls), and gen_crps_engine_parity
+# re-derives the same contract at the CLI layer: gen-crps output must be
+# byte-identical across --engine=scalar/bitslice.
 # The TSan tree in particular covers the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
@@ -37,10 +40,11 @@
 #
 # The other trees compile the kernel translation units for the build
 # host's vector ISA, so on an AVX-512 host they run the SIMD paths (the
-# lane noise fill, the in-register RM(1,5) decoder).  build-portable runs
-# the same suite on the scalar fallbacks of those kernels, whose outputs
-# must be the same bytes: the differential tests against the scalar
-# references hold on both.
+# lane noise fill, the in-register RM(1,5) decoder, the 8-lane input pack
+# and the bit-sliced engine's time kernels).  build-portable runs the same
+# suite on the scalar fallbacks of those kernels, whose outputs must be
+# the same bytes: the differential tests against the scalar references
+# hold on both.
 #
 # Each tree then reruns the torture-labeled seeded kill-and-recover loop
 # (tests/store_torture.cpp) with a second seed: random fault points over
