@@ -459,7 +459,6 @@ void BM_AluPufEvalBatch(benchmark::State& state) {
   const alupuf::AluPuf puf(puf32(), 1);
   support::Xoshiro256pp rng(14);
   const auto env = variation::Environment::nominal();
-  puf.prewarm(env);
   const std::size_t batch = 64;
   std::vector<alupuf::Challenge> challenges;
   for (std::size_t b = 0; b < batch; ++b) {

@@ -72,9 +72,8 @@ struct Workload {
   /// compute + radio round trip (~13 ms at 250 kbit/s): in deployment a
   /// verifier worker spends almost all of each session waiting on the
   /// link, and overlapping that latency across devices is precisely the
-  /// pool's job.  The sleep happens while the job holds the device lease
-  /// — the physical device really is busy for that long — and it leaves
-  /// the simulated clocks (and so every verdict) untouched.
+  /// pool's job.  The sleep leaves the simulated clocks (and so every
+  /// verdict) untouched.
   core::Responder responder(std::size_t job) const {
     const auto& dev = target(job);
     auto prover = std::make_shared<core::CpuProver>(

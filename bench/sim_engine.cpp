@@ -279,7 +279,6 @@ int main(int argc, char** argv) {
   const alupuf::AluPufConfig puf_config;  // width 32
   const alupuf::AluPuf puf(puf_config, 777);
   const auto env = variation::Environment::nominal();
-  puf.prewarm(env);
   std::vector<alupuf::Challenge> device_challenges;
   device_challenges.reserve(device_evals);
   for (std::size_t i = 0; i < device_evals; ++i) {

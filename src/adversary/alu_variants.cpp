@@ -45,7 +45,6 @@ class AluRawBitVariant final : public PufVariant {
     if (bit_ >= puf_.response_bits()) {
       throw std::invalid_argument("AluRawBitVariant: bit out of range");
     }
-    puf_.prewarm(variation::Environment::nominal());
   }
 
   std::string name() const override {
@@ -123,7 +122,6 @@ class ObfuscatedAluVariant final : public PufVariant {
     if (bit_ >= device_.output_bits()) {
       throw std::invalid_argument("ObfuscatedAluVariant: bit out of range");
     }
-    device_.prewarm(variation::Environment::nominal());
   }
 
   std::string name() const override { return "alu-obf-b" + std::to_string(bit_); }

@@ -67,7 +67,8 @@ AluPuf::AluPuf(const AluPufConfig& config, std::uint64_t chip_seed)
     : config_(config),
       circuit_(shared_circuit(config.width, config.layout)),
       chip_(circuit().net, config.tech, config.quadtree, chip_seed),
-      arbiter_(config.arbiter) {}
+      arbiter_(config.arbiter),
+      nominal_(chip_.nominal_delays(variation::Environment::nominal())) {}
 
 void AluPuf::check_challenge(const Challenge& challenge) const {
   if (challenge.size() != challenge_bits()) {
@@ -75,14 +76,11 @@ void AluPuf::check_challenge(const Challenge& challenge) const {
   }
 }
 
-const timingsim::DelaySet& AluPuf::nominal_for(
-    const variation::Environment& env) const {
-  if (!has_cache_ || !same_env(env, cached_env_)) {
-    chip_.nominal_delays(env, cached_nominal_);
-    cached_env_ = env;
-    has_cache_ = true;
-  }
-  return cached_nominal_;
+const timingsim::DelaySet& AluPuf::delays_at(
+    const variation::Environment& env, timingsim::DelaySet& corner) const {
+  if (same_env(env, variation::Environment::nominal())) return nominal_;
+  chip_.nominal_delays(env, corner);
+  return corner;
 }
 
 RawResponse AluPuf::eval(const Challenge& challenge,
@@ -90,16 +88,17 @@ RawResponse AluPuf::eval(const Challenge& challenge,
                          support::Xoshiro256pp& rng,
                          const ClockConstraint* clock) const {
   check_challenge(challenge);
-  const auto& nominal = nominal_for(env);
-  chip_.sample_delays(nominal, config_.noise, rng, scratch_delays_);
-  circuit_->sim.run(challenge, scratch_delays_, scratch_states_);
+  timingsim::DelaySet corner, delays;
+  chip_.sample_delays(delays_at(env, corner), config_.noise, rng, delays);
+  std::vector<timingsim::SignalState> states;
+  circuit_->sim.run(challenge, delays, states);
 
   RawResponse response(config_.width);
   const double deadline =
       clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;
   for (std::size_t i = 0; i < config_.width; ++i) {
-    const double t0 = scratch_states_[circuit().race0[i]].time_ps;
-    const double t1 = scratch_states_[circuit().race1[i]].time_ps;
+    const double t0 = states[circuit().race0[i]].time_ps;
+    const double t1 = states[circuit().race1[i]].time_ps;
     if (clock != nullptr && std::min(t0, t1) > deadline) {
       // Neither transition reached the arbiter before the capture edge:
       // the register samples a signal mid-flight and resolves metastably —
@@ -190,7 +189,8 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
     eval_span.note("engine", static_cast<double>(engine));
   }
 
-  const auto& nominal = nominal_for(env);
+  timingsim::DelaySet corner;
+  const auto& nominal = delays_at(env, corner);
 
   // Per-lane noisy delay realization: each lane's derived generator feeds
   // the batched ziggurat fill (one deviate per gate, gate order) and stays
@@ -268,11 +268,13 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
 std::vector<double> AluPuf::race_deltas(const Challenge& challenge,
                                         const variation::Environment& env) const {
   check_challenge(challenge);
-  circuit_->sim.run(challenge, nominal_for(env), scratch_states_);
+  timingsim::DelaySet corner;
+  std::vector<timingsim::SignalState> states;
+  circuit_->sim.run(challenge, delays_at(env, corner), states);
   std::vector<double> deltas(config_.width);
   for (std::size_t i = 0; i < config_.width; ++i) {
-    deltas[i] = scratch_states_[circuit().race1[i]].time_ps -
-                scratch_states_[circuit().race0[i]].time_ps;
+    deltas[i] = states[circuit().race1[i]].time_ps -
+                states[circuit().race0[i]].time_ps;
   }
   return deltas;
 }
@@ -282,11 +284,13 @@ double AluPuf::max_settle_ps(const variation::Environment& env) const {
   Challenge challenge(challenge_bits());
   for (std::size_t i = 0; i < config_.width; ++i) challenge.set(i, true);
   challenge.set(config_.width, true);
-  circuit_->sim.run(challenge, nominal_for(env), scratch_states_);
+  timingsim::DelaySet corner;
+  std::vector<timingsim::SignalState> states;
+  circuit_->sim.run(challenge, delays_at(env, corner), states);
   double worst = 0.0;
   for (std::size_t i = 0; i < config_.width; ++i) {
-    worst = std::max({worst, scratch_states_[circuit().race0[i]].time_ps,
-                      scratch_states_[circuit().race1[i]].time_ps});
+    worst = std::max({worst, states[circuit().race0[i]].time_ps,
+                      states[circuit().race1[i]].time_ps});
   }
   return worst;
 }
@@ -294,7 +298,7 @@ double AluPuf::max_settle_ps(const variation::Environment& env) const {
 void AluPuf::age_uniformly(double duty, double hours,
                            const variation::AgingParams& params) {
   chip_.age_uniformly(duty, hours, params);
-  has_cache_ = false;  // delays changed
+  chip_.nominal_delays(variation::Environment::nominal(), nominal_);
 }
 
 void AluPuf::apply_stage_stress(std::size_t bit, bool alu1, double duty,
@@ -308,7 +312,7 @@ void AluPuf::apply_stage_stress(std::size_t bit, bool alu1, double duty,
   for (const auto gate : stage) {
     chip_.apply_stress(gate, duty, hours, params);
   }
-  has_cache_ = false;
+  chip_.nominal_delays(variation::Environment::nominal(), nominal_);
 }
 
 AluPufEmulator::AluPufEmulator(std::size_t width,

@@ -88,6 +88,9 @@ struct PufCircuit {
 std::shared_ptr<const PufCircuit> shared_circuit(
     std::size_t width, const netlist::AluPufLayout& layout = {});
 
+/// The const interface is read-only: threads may share one device and
+/// evaluate it at any mix of operating points, each with its own scratch
+/// and generator.  Only the aging mutators write.
 class AluPuf {
  public:
   /// Builds the dual-ALU circuit and manufactures one chip from
@@ -151,12 +154,6 @@ class AluPuf {
                   AluPufBatchScratch& scratch,
                   std::uint64_t* responses) const;
 
-  /// Warms the per-env nominal-delay cache so that eval_batch at `env`
-  /// with per-thread (or call-local) scratch is read-only (required
-  /// before sharing *this across threads — the cache itself is not
-  /// synchronized).
-  void prewarm(const variation::Environment& env) const { nominal_for(env); }
-
   /// Arrival-time difference (t_alu1 - t_alu0) per response bit, noise
   /// free, at `env`.  Exposed for analysis and calibration.
   std::vector<double> race_deltas(const Challenge& challenge,
@@ -190,15 +187,14 @@ class AluPuf {
   std::shared_ptr<const PufCircuit> circuit_;
   variation::ChipInstance chip_;
   timingsim::Arbiter arbiter_;
-  // Per-env delay cache: most experiments evaluate millions of challenges
-  // at a fixed operating point.
-  mutable variation::Environment cached_env_;
-  mutable bool has_cache_ = false;
-  mutable timingsim::DelaySet cached_nominal_;
-  mutable timingsim::DelaySet scratch_delays_;
-  mutable std::vector<timingsim::SignalState> scratch_states_;
+  /// The die's noise-free delays at Environment::nominal(), where nearly
+  /// every evaluation runs; the aging mutators recompute it.
+  timingsim::DelaySet nominal_;
 
-  const timingsim::DelaySet& nominal_for(const variation::Environment& env) const;
+  /// The die's noise-free delays at `env`: nominal_ at the nominal point,
+  /// otherwise computed for this call into `corner`.
+  const timingsim::DelaySet& delays_at(const variation::Environment& env,
+                                       timingsim::DelaySet& corner) const;
   void check_challenge(const Challenge& challenge) const;
   /// The kernel both eval forms wrap: `count` challenges packed as
   /// pack_input_words lays them out, noise from `batch_seed` (the RNG

@@ -99,9 +99,6 @@ class PufDevice {
       AluPufBatchScratch* scratch = nullptr,
       timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
 
-  /// See AluPuf::prewarm — required before multi-threaded use at `env`.
-  void prewarm(const variation::Environment& env) const { puf_.prewarm(env); }
-
   /// Manufacturer enrollment: the delay table H handed to the verifier.
   variation::DelayTable export_model() const { return puf_.export_model(); }
 

@@ -112,7 +112,6 @@ std::vector<Example> collect_alu_raw_parallel(
     const alupuf::AluPuf& puf, std::size_t bit, std::size_t count,
     const ParallelCrpConfig& config) {
   const auto env = variation::Environment::nominal();
-  puf.prewarm(env);  // const evaluation below must not mutate shared caches
   std::vector<Example> out(count);
   const std::size_t workers = std::max<std::size_t>(1, config.threads);
   std::vector<alupuf::AluPufBatchScratch> scratch(workers);
@@ -142,7 +141,6 @@ std::vector<Example> collect_obfuscated_parallel(
     const alupuf::PufDevice& device, std::size_t bit, std::size_t count,
     const ParallelCrpConfig& config) {
   const auto env = variation::Environment::nominal();
-  device.prewarm(env);
   std::vector<Example> out(count);
   const std::size_t workers = std::max<std::size_t>(1, config.threads);
   std::vector<alupuf::AluPufBatchScratch> scratch(workers);

@@ -50,11 +50,8 @@ class SimFleet {
   std::size_t index_of(const std::string& device_id) const;
 
   /// Honest responder for device `index`, deterministic in `rng_seed`.
-  /// Thread-safe to *create* here; the returned responder runs sessions on
-  /// whatever worker thread the pool picks, one at a time per device: all
-  /// responders of a device share its PufDevice, whose const evaluation
-  /// mutates per-env caches, and the emulator-cache lease upstream
-  /// serializes them.
+  /// Each owns its prover; all responders of a device share its read-only
+  /// PufDevice, so any number may run at once on the pool's workers.
   core::Responder responder(std::size_t index, std::uint64_t rng_seed) const;
 
   /// Responder for a wire job: resolves the device id and seeds the

@@ -26,8 +26,8 @@ void EmulatorCache::erase(SlotIt it) {
   map_.erase(it);
 }
 
-EmulatorCache::Lease EmulatorCache::acquire(const std::string& device_id,
-                                            const obs::TraceScope& trace) {
+std::shared_ptr<const core::Verifier> EmulatorCache::acquire(
+    const std::string& device_id, const obs::TraceScope& trace) {
   obs::Span acquire_span = trace.span("cache.acquire");
   const auto record = registry_->load(device_id);
   std::shared_ptr<Entry> entry;
@@ -44,7 +44,7 @@ EmulatorCache::Lease EmulatorCache::acquire(const std::string& device_id,
     }
   }
   acquire_span.note("hit", entry ? 1.0 : 0.0);
-  if (!record) return Lease{};
+  if (!record) return nullptr;
 
   if (!entry) {
     // Construction happens unlocked so it never stalls unrelated lookups.
@@ -65,13 +65,14 @@ EmulatorCache::Lease EmulatorCache::acquire(const std::string& device_id,
       map_.emplace(device_id, Slot{fresh, lru_.begin()});
       entry = std::move(fresh);
       if (map_.size() > capacity_) {
-        erase(map_.find(lru_.back()));  // in-flight leases keep it alive
+        erase(map_.find(lru_.back()));  // in-flight sessions keep it alive
         ++counters_.evictions;
       }
     }
   }
 
-  return Lease(std::move(entry));  // blocks on the entry's session mutex
+  // Aliases the entry, so the verifier outlives eviction while held.
+  return std::shared_ptr<const core::Verifier>(entry, &entry->verifier);
 }
 
 std::size_t EmulatorCache::size() const {

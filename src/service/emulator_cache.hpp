@@ -5,18 +5,7 @@
 // cache amortizes construction across requests, bounded by `capacity`.
 // Every acquire re-loads the device's record and hits only while the
 // registry still holds the snapshot the entry was built from: a revoked
-// device gets an empty lease, a re-enrolled one is rebuilt as a miss.
-//
-// Concurrency contract: verify() is safe to run concurrently on one
-// verifier, but the in-process *simulated device* behind a served job is
-// not — every responder of a device shares one alupuf::PufDevice, whose
-// AluPuf keeps per-environment caches and scratch under const.  acquire()
-// therefore returns a *lease*: an RAII object holding a shared_ptr to the
-// entry (it survives concurrent eviction) and that entry's session mutex.
-// Two requests for the same device serialize on the lease, which is the
-// physically faithful behaviour anyway: a real device can only execute
-// one attestation at a time.  Requests for different devices never share
-// a lease and run fully in parallel.
+// device gets no verifier, a re-enrolled one is rebuilt as a miss.
 //
 // On a miss the verifier is constructed *outside* the cache lock; if two
 // threads miss the same id simultaneously both construct and the loser's
@@ -52,8 +41,7 @@ class EmulatorCache {
         : record(std::move(from)), verifier(*record, code, channel, slack) {}
     /// The registry snapshot the verifier was built from.
     std::shared_ptr<const core::EnrollmentRecord> record;
-    core::Verifier verifier;
-    std::mutex session_mutex;  ///< one attestation session at a time
+    const core::Verifier verifier;
   };
 
  public:
@@ -68,31 +56,19 @@ class EmulatorCache {
   EmulatorCache(const EmulatorCache&) = delete;
   EmulatorCache& operator=(const EmulatorCache&) = delete;
 
-  class Lease {
-   public:
-    Lease() = default;
-    explicit operator bool() const { return entry_ != nullptr; }
-    /// Valid for the lease's lifetime; exclusive across threads.
-    const core::Verifier& verifier() const { return entry_->verifier; }
-
-   private:
-    friend class EmulatorCache;
-    explicit Lease(std::shared_ptr<Entry> entry)
-        : entry_(std::move(entry)), session_lock_(entry_->session_mutex) {}
-    std::shared_ptr<Entry> entry_;
-    std::unique_lock<std::mutex> session_lock_;
-  };
-
-  /// Blocks while another thread holds this device's lease.  Returns an
-  /// empty lease when the device is not registered.
-  Lease acquire(const std::string& device_id) { return acquire(device_id, {}); }
+  /// The device's verifier, which stays valid however long the caller
+  /// holds it, even if the cache evicts or rebuilds the entry meanwhile.
+  /// Any number of threads may run sessions on it at once.  Empty when
+  /// the device is not registered (unknown or revoked).
+  std::shared_ptr<const core::Verifier> acquire(const std::string& device_id) {
+    return acquire(device_id, {});
+  }
 
   /// As above, recording a "cache.acquire" span under `trace` covering
-  /// lookup + (on a miss) construction + the wait for the device lease,
-  /// with a hit=0/1 note; misses get a nested "cache.build" span around
-  /// the verifier construction itself, which separates "the emulator was
-  /// cold" from "the device was busy" in a trace.
-  Lease acquire(const std::string& device_id, const obs::TraceScope& trace);
+  /// lookup + (on a miss) construction, with a hit=0/1 note; misses get a
+  /// nested "cache.build" span around the verifier construction itself.
+  std::shared_ptr<const core::Verifier> acquire(const std::string& device_id,
+                                                const obs::TraceScope& trace);
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }

@@ -139,16 +139,15 @@ void VerifierPool::run_job(const AttestationJob& job, std::uint64_t trace_id,
     scope = obs::TraceScope{config_.tracer, verify_span.id()};
   }
 
-  // The lease pins the cached verifier and serializes this device: it is
-  // held for the whole session, covering both verify() and the responder
-  // (one physical device answers one attestation at a time).
-  auto lease = cache_->acquire(job.device_id, scope);
-  if (!lease) {
+  // Pins the cached verifier for the whole session; same-device jobs run
+  // on it side by side.
+  const auto verifier = cache_->acquire(job.device_id, scope);
+  if (!verifier) {
     result.outcome = JobOutcome::kUnknownDevice;
     metrics_.record_outcome(result.outcome, 0.0);
   } else {
     core::FaultyChannel link(config_.channel, job.faults, job.channel_seed);
-    core::AttestationSession session(lease.verifier(), link, config_.session);
+    core::AttestationSession session(*verifier, link, config_.session);
     support::Xoshiro256pp rng(job.rng_seed);
     result.session = session.run(job.responder, rng, scope);
 

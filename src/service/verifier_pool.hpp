@@ -17,10 +17,9 @@
 // verdict-identical to running the same jobs serially in any order.
 // bench/service_throughput checks exactly this parity.
 //
-// Same-device jobs serialize on the cache lease (see emulator_cache.hpp),
-// which guards the device's shared simulated PufDevice, not the verifier;
-// throughput scales with the number of *distinct* devices in flight,
-// which is the realistic fleet workload.
+// Jobs share nothing mutable but the queue: same-device jobs run side by
+// side on the one cached verifier (verify() is safe to run concurrently),
+// and their responders may share one read-only simulated PufDevice.
 #pragma once
 
 #include <condition_variable>

@@ -84,25 +84,10 @@ inline __m512d fetchv(const SrcV& s, std::size_t lane) {
   return s.b0;
 }
 
-/// Mode-templated fetch for the hot 2-input kernels: the fanin's time rep
-/// is loop-invariant, so the dispatch happens once per gate (9-way switch)
-/// and the inner loop carries no branches.  `mv` views the fanin's value
-/// words as bytes — byte g of the value array IS the __mmask8 for lane
-/// group g, so mask extraction is a single byte load.
-template <int M>
-inline __m512d fetch_m(const SrcV& s, const std::uint8_t* mv,
-                       std::size_t lane) {
-  if constexpr (M == 2) {
-    return _mm512_loadu_pd(s.wide + lane);
-  } else if constexpr (M == 1) {
-    return _mm512_mask_blend_pd(static_cast<__mmask8>(mv[lane >> 3]), s.b0,
-                                s.b1);
-  } else {
-    return s.b0;
-  }
-}
-
-template <bool kLane, int MA, int MB>
+/// The single-gate AVX-512 kernels.  Sources are fetched by their run-time
+/// mode, as in the fused step (fused_avx); `mv*` view value words as
+/// bytes — byte g of the value array IS the __mmask8 for lane group g.
+template <bool kLane>
 void and2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
               const std::uint8_t* mvb, const std::uint8_t* mvo,
               std::uint8_t cinv, __m512d vr, __m512d vf, const double* rp,
@@ -114,8 +99,8 @@ void and2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
     const __mmask8 ma = static_cast<__mmask8>(mva[gi] ^ cinv);
     const __mmask8 mb = static_cast<__mmask8>(mvb[gi] ^ cinv);
     const __mmask8 ko = static_cast<__mmask8>(mvo[gi]);
-    const __m512d xa = fetch_m<MA>(va, mva, lane);
-    const __m512d xb = fetch_m<MB>(vb, mvb, lane);
+    const __m512d xa = fetchv(va, lane);
+    const __m512d xb = fetchv(vb, lane);
     const __m512d ca = _mm512_mask_blend_pd(ma, vinf, xa);
     const __m512d cb = _mm512_mask_blend_pd(mb, vinf, xb);
     const __m512d mn = _mm512_min_pd(ca, cb);
@@ -133,17 +118,15 @@ void and2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
   }
 }
 
-template <bool kLane, int MA, int MB>
-void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
-              const std::uint8_t* mvb, const std::uint8_t* mvo, __m512d vr,
-              __m512d vf, const double* rp, const double* fp, double* tp,
-              std::size_t vlim) {
+template <bool kLane>
+void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mvo,
+              __m512d vr, __m512d vf, const double* rp, const double* fp,
+              double* tp, std::size_t vlim) {
 #pragma GCC unroll 2
   for (std::size_t lane = 0; lane < vlim; lane += 8) {
-    const std::size_t gi = lane >> 3;
-    const __mmask8 ko = static_cast<__mmask8>(mvo[gi]);
-    const __m512d xa = fetch_m<MA>(va, mva, lane);
-    const __m512d xb = fetch_m<MB>(vb, mvb, lane);
+    const __mmask8 ko = static_cast<__mmask8>(mvo[lane >> 3]);
+    const __m512d xa = fetchv(va, lane);
+    const __m512d xb = fetchv(vb, lane);
     const __m512d det = _mm512_max_pd(xa, xb);
     __m512d dr = vr;
     __m512d df = vf;
@@ -215,53 +198,13 @@ void wide_and2(const Src& sa, const Src& sb, const std::uint64_t* vow,
   const std::size_t limit = kLane ? count : padded;
   std::size_t lane = 0;
 #if defined(__AVX512F__)
-  const SrcV va = make_srcv(sa);
-  const SrcV vb = make_srcv(sb);
-  const auto* const mva = reinterpret_cast<const std::uint8_t*>(sa.vw);
-  const auto* const mvb = reinterpret_cast<const std::uint8_t*>(sb.vw);
-  const auto* const mvo = reinterpret_cast<const std::uint8_t*>(vow);
-  const std::uint8_t cinv = ctrl ? 0x00 : 0xFF;
-  const __m512d vr = _mm512_set1_pd(grise);
-  const __m512d vf = _mm512_set1_pd(gfall);
   const std::size_t vlim = limit & ~std::size_t{7};
-  switch (sa.mode * 3 + sb.mode) {
-    case 0 * 3 + 0:
-      and2_avx<kLane, 0, 0>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 0 * 3 + 1:
-      and2_avx<kLane, 0, 1>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 0 * 3 + 2:
-      and2_avx<kLane, 0, 2>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 1 * 3 + 0:
-      and2_avx<kLane, 1, 0>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 1 * 3 + 1:
-      and2_avx<kLane, 1, 1>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 1 * 3 + 2:
-      and2_avx<kLane, 1, 2>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 2 * 3 + 0:
-      and2_avx<kLane, 2, 0>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    case 2 * 3 + 1:
-      and2_avx<kLane, 2, 1>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-    default:
-      and2_avx<kLane, 2, 2>(va, vb, mva, mvb, mvo, cinv, vr, vf, rp, fp, tp,
-                            vlim);
-      break;
-  }
+  and2_avx<kLane>(make_srcv(sa), make_srcv(sb),
+                  reinterpret_cast<const std::uint8_t*>(sa.vw),
+                  reinterpret_cast<const std::uint8_t*>(sb.vw),
+                  reinterpret_cast<const std::uint8_t*>(vow),
+                  ctrl ? 0x00 : 0xFF, _mm512_set1_pd(grise),
+                  _mm512_set1_pd(gfall), rp, fp, tp, vlim);
   lane = vlim;
 #endif
   and2_span<kLane>(sa, sb, vow, ctrl, grise, gfall, rp, fp, tp, lane, limit);
@@ -274,43 +217,11 @@ void wide_xor2(const Src& sa, const Src& sb, const std::uint64_t* vow,
   const std::size_t limit = kLane ? count : padded;
   std::size_t lane = 0;
 #if defined(__AVX512F__)
-  const SrcV va = make_srcv(sa);
-  const SrcV vb = make_srcv(sb);
-  const auto* const mva = reinterpret_cast<const std::uint8_t*>(sa.vw);
-  const auto* const mvb = reinterpret_cast<const std::uint8_t*>(sb.vw);
-  const auto* const mvo = reinterpret_cast<const std::uint8_t*>(vow);
-  const __m512d vr = _mm512_set1_pd(grise);
-  const __m512d vf = _mm512_set1_pd(gfall);
   const std::size_t vlim = limit & ~std::size_t{7};
-  switch (sa.mode * 3 + sb.mode) {
-    case 0 * 3 + 0:
-      xor2_avx<kLane, 0, 0>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 0 * 3 + 1:
-      xor2_avx<kLane, 0, 1>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 0 * 3 + 2:
-      xor2_avx<kLane, 0, 2>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 1 * 3 + 0:
-      xor2_avx<kLane, 1, 0>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 1 * 3 + 1:
-      xor2_avx<kLane, 1, 1>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 1 * 3 + 2:
-      xor2_avx<kLane, 1, 2>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 2 * 3 + 0:
-      xor2_avx<kLane, 2, 0>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    case 2 * 3 + 1:
-      xor2_avx<kLane, 2, 1>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-    default:
-      xor2_avx<kLane, 2, 2>(va, vb, mva, mvb, mvo, vr, vf, rp, fp, tp, vlim);
-      break;
-  }
+  xor2_avx<kLane>(make_srcv(sa), make_srcv(sb),
+                  reinterpret_cast<const std::uint8_t*>(vow),
+                  _mm512_set1_pd(grise), _mm512_set1_pd(gfall), rp, fp, tp,
+                  vlim);
   lane = vlim;
 #endif
   xor2_span<kLane>(sa, sb, vow, grise, gfall, rp, fp, tp, lane, limit);

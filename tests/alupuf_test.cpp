@@ -3,7 +3,10 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <latch>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "alupuf/alu_puf.hpp"
 #include "alupuf/arbiter_puf.hpp"
@@ -166,6 +169,65 @@ TEST(AluPuf, EnvironmentCornersFlipSomeBitsDeterministically) {
   EXPECT_GT(temp_flips.mean(), 0.3);
   EXPECT_LT(volt_flips.mean(), 6.0);  // corners disturb, not destroy
   EXPECT_LT(temp_flips.mean(), 6.0);
+}
+
+TEST(AluPuf, ConcurrentEvaluationAcrossEnvironmentsMatchesSerial) {
+  // One const device shared by four threads, two at the nominal point and
+  // two at a hot low-voltage corner, each with its own scratch and
+  // generator: every evaluation form reads only the device, so each
+  // thread gets exactly what a serial run of its calls gets.
+  const AluPuf puf(small_config(32), 42);
+  const Environment envs[] = {Environment::nominal(), Environment{0.9, 120.0}};
+  struct Results {
+    std::vector<std::uint64_t> words;
+    std::vector<RawResponse> responses;
+    std::vector<std::vector<double>> deltas;
+    std::vector<double> settle_ps;
+    bool operator==(const Results&) const = default;
+  };
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 150;
+  const auto run = [&](std::size_t thread) {
+    const Environment env = envs[thread % 2];
+    Xoshiro256pp rng(0xC0FFEE + thread);
+    AluPufBatchScratch scratch;
+    Results out;
+    for (int round = 0; round < kRounds; ++round) {
+      std::uint64_t words[8], responses[8];
+      for (auto& word : words) word = rng.next();
+      puf.eval_words(words, 8, env, rng, nullptr, scratch, responses);
+      out.words.insert(out.words.end(), responses, responses + 8);
+      std::vector<Challenge> challenges;
+      for (int c = 0; c < 8; ++c) {
+        challenges.push_back(random_challenge(32, rng));
+      }
+      for (const auto engine : {timingsim::BatchEngine::kBitslice,
+                                timingsim::BatchEngine::kScalar}) {
+        const auto batch = puf.eval_batch(challenges.data(), 8, env, rng,
+                                          nullptr, &scratch, engine);
+        out.responses.insert(out.responses.end(), batch.begin(), batch.end());
+      }
+      out.responses.push_back(puf.eval(challenges[0], env, rng));
+      out.deltas.push_back(puf.race_deltas(challenges[1], env));
+      out.settle_ps.push_back(puf.max_settle_ps(env));
+    }
+    return out;
+  };
+  std::vector<Results> serial;
+  for (std::size_t t = 0; t < kThreads; ++t) serial.push_back(run(t));
+  std::vector<Results> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      concurrent[t] = run(t);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(concurrent[t] == serial[t]) << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------- Emulator

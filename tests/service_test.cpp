@@ -1,7 +1,7 @@
 // Concurrent attestation service tests: sharded registry semantics under
 // contention, emulator-cache LRU accounting, revocation and re-enrollment,
-// per-device lease mutual exclusion, and the worker pool's backpressure,
-// drain and verdict-parity contracts.  Every multi-threaded test here is
+// and the worker pool's backpressure, drain and verdict-parity contracts
+// (same-device jobs included).  Every multi-threaded test here is
 // expected to run clean under -DPUFATT_TSAN=ON (see README build matrix).
 #include <gtest/gtest.h>
 
@@ -185,11 +185,11 @@ TEST(EmulatorCache, CountsHitsMissesEvictions) {
   const auto registry = fleet.make_registry();
   EmulatorCache cache(registry, code(), /*capacity=*/2);
 
-  { auto lease = cache.acquire("unit-0"); ASSERT_TRUE(lease); }   // miss
-  { auto lease = cache.acquire("unit-0"); ASSERT_TRUE(lease); }   // hit
-  { auto lease = cache.acquire("unit-1"); ASSERT_TRUE(lease); }   // miss
-  { auto lease = cache.acquire("unit-2"); ASSERT_TRUE(lease); }   // miss, evicts unit-0
-  { auto lease = cache.acquire("unit-0"); ASSERT_TRUE(lease); }   // miss again
+  ASSERT_TRUE(cache.acquire("unit-0"));  // miss
+  ASSERT_TRUE(cache.acquire("unit-0"));  // hit
+  ASSERT_TRUE(cache.acquire("unit-1"));  // miss
+  ASSERT_TRUE(cache.acquire("unit-2"));  // miss, evicts unit-0
+  ASSERT_TRUE(cache.acquire("unit-0"));  // miss again
 
   const auto counters = cache.counters();
   EXPECT_EQ(counters.hits, 1u);
@@ -198,7 +198,7 @@ TEST(EmulatorCache, CountsHitsMissesEvictions) {
   EXPECT_LE(cache.size(), cache.capacity());
 }
 
-TEST(EmulatorCache, UnknownDeviceYieldsEmptyLease) {
+TEST(EmulatorCache, UnknownDeviceYieldsNoVerifier) {
   const auto& fleet = Fleet::instance();
   const auto registry = fleet.make_registry();
   EmulatorCache cache(registry, code(), 2);
@@ -207,7 +207,7 @@ TEST(EmulatorCache, UnknownDeviceYieldsEmptyLease) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(EmulatorCache, RevokedDeviceGetsNoLease) {
+TEST(EmulatorCache, RevokedDeviceGetsNoVerifier) {
   const auto& fleet = Fleet::instance();
   auto registry = fleet.make_registry();
   EmulatorCache cache(registry, code(), 2);
@@ -224,37 +224,13 @@ TEST(EmulatorCache, ReEnrolledDeviceIsVerifiedAgainstTheNewRecord) {
   ASSERT_TRUE(cache.acquire("unit-0"));
   // The id now names another die (a board swap): its H replaces the old.
   registry.store("unit-0", fleet.devices[1].record);
-  const auto lease = cache.acquire("unit-0");
-  ASSERT_TRUE(lease);
-  EXPECT_EQ(lease.verifier().record().model.intrinsic_ps,
+  const auto verifier = cache.acquire("unit-0");
+  ASSERT_TRUE(verifier);
+  EXPECT_EQ(verifier->record().model.intrinsic_ps,
             fleet.devices[1].record.model.intrinsic_ps);
   EXPECT_EQ(cache.counters().hits, 0u);
   EXPECT_EQ(cache.counters().misses, 2u);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(EmulatorCache, SameDeviceLeasesAreMutuallyExclusive) {
-  const auto& fleet = Fleet::instance();
-  const auto registry = fleet.make_registry();
-  EmulatorCache cache(registry, code(), 2);
-
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  constexpr int kThreads = 6;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < 20; ++round) {
-        auto lease = cache.acquire("unit-0");
-        ASSERT_TRUE(lease);
-        if (inside.fetch_add(1) != 0) overlapped = true;
-        std::this_thread::yield();
-        inside.fetch_sub(1);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_FALSE(overlapped) << "two threads held the same device's lease";
 }
 
 TEST(EmulatorCache, ConcurrentMissStormIsAccountedExactly) {
@@ -269,8 +245,7 @@ TEST(EmulatorCache, ConcurrentMissStormIsAccountedExactly) {
     // instances are discarded, never doubled into the cache.
     threads.emplace_back([&] {
       for (const auto& dev : Fleet::instance().devices) {
-        auto lease = cache.acquire(dev.id);
-        ASSERT_TRUE(lease);
+        ASSERT_TRUE(cache.acquire(dev.id));
       }
     });
   }
@@ -451,6 +426,68 @@ TEST(VerifierPool, VerdictsMatchAcrossWorkerCounts) {
   const auto serial = run_with(1);
   const auto pooled = run_with(4);
   EXPECT_EQ(serial, pooled);
+}
+
+// Jobs of one device share its cached verifier and its simulated PufDevice
+// and run side by side: each must still get exactly the session it gets
+// alone.
+TEST(VerifierPool, SameDeviceJobsMatchSerialVerdicts) {
+  const auto& fleet = Fleet::instance();
+  const auto registry = fleet.make_registry();
+  constexpr std::size_t kJobs = 16;
+
+  core::FaultParams faults;
+  faults.loss_prob = 0.15;  // force some retry traffic into the sessions
+  auto make_job = [&](std::size_t job) {
+    AttestationJob j;
+    j.device_id = fleet.devices[0].id;
+    j.responder = fleet.responder(0, 0xD0 + job);
+    j.faults = faults;
+    j.channel_seed = 0xE0 + job;
+    j.rng_seed = 0xF0 + job;
+    j.tag = job;
+    return j;
+  };
+
+  PoolConfig config;
+  config.workers = 4;
+  config.queue_capacity = kJobs;
+  std::vector<core::SessionOutcome> serial(kJobs);
+  const core::Verifier verifier(fleet.devices[0].record, code());
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    const auto j = make_job(job);
+    core::FaultyChannel link(config.channel, j.faults, j.channel_seed);
+    core::AttestationSession session(verifier, link, config.session);
+    Xoshiro256pp rng(j.rng_seed);
+    serial[job] = session.run(j.responder, rng);
+  }
+
+  EmulatorCache cache(registry, code(), fleet.devices.size());
+  std::mutex results_mutex;
+  std::vector<JobResult> pooled(kJobs);
+  VerifierPool pool(cache, config, [&](const JobResult& result) {
+    std::lock_guard<std::mutex> lock(results_mutex);
+    pooled[result.tag] = result;
+  });
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    ASSERT_TRUE(pool.submit(make_job(job)).enqueued());
+  }
+  pool.drain();
+
+  std::size_t accepted = 0;
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    SCOPED_TRACE("job " + std::to_string(job));
+    const auto expected =
+        serial[job].accepted()     ? JobOutcome::kAccepted
+        : serial[job].conclusive() ? JobOutcome::kRejected
+                                   : JobOutcome::kInconclusive;
+    EXPECT_EQ(pooled[job].outcome, expected);
+    EXPECT_EQ(pooled[job].session.status, serial[job].status);
+    EXPECT_EQ(pooled[job].session.attempts.size(), serial[job].attempts.size());
+    EXPECT_EQ(pooled[job].session.total_us, serial[job].total_us);
+    accepted += serial[job].accepted() ? 1 : 0;
+  }
+  EXPECT_GT(accepted, kJobs / 2);  // honest device: most sessions conclude
 }
 
 // save_file is atomic (temp file + rename): a failed save must leave the

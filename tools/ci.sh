@@ -25,9 +25,13 @@
 # The TSan tree in particular covers the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
-# the shard workers' concurrent use of one prewarmed device through the
-# bit-sliced and scalar eval paths, and eight threads verifying seeded
-# transcripts on one shared core::Verifier (SharedVerifierTest).
+# four threads evaluating one device at two operating points through
+# every eval path
+# (AluPuf.ConcurrentEvaluationAcrossEnvironmentsMatchesSerial), pool jobs
+# of one device running side by side
+# (VerifierPool.SameDeviceJobsMatchSerialVerdicts), and eight threads
+# verifying seeded transcripts on one shared core::Verifier
+# (SharedVerifierTest).
 #
 # The plain (and sanitizer) trees also run the cross-process tracing
 # fixture trace_merge_pipeline: traced serve + traced loadgen as two OS
@@ -53,6 +57,10 @@
 # builds.
 # Tune with TORTURE_ITERS / TORTURE_SEED.
 #
+# Both ctest calls pass --no-tests=error: a selection that matches no test
+# (a mistyped -R filter, a vanished torture label) fails the tree instead
+# of passing it after running nothing.
+#
 # Usage: tools/ci.sh [extra ctest args...]
 set -euo pipefail
 
@@ -70,13 +78,13 @@ run_tree() {
   cmake --build "${tree}" -j "${JOBS}"
   echo "=== ${tree}: ctest ==="
   # ${arr[@]+...} keeps `set -u` happy on bash < 4.4 when no args given.
-  (cd "${tree}" && ctest --output-on-failure -j "${JOBS}" \
+  (cd "${tree}" && ctest --output-on-failure --no-tests=error -j "${JOBS}" \
       ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
   echo "=== ${tree}: kill-and-recover torture (seed ${TORTURE_SEED}, ${TORTURE_ITERS} iters) ==="
   (cd "${tree}" && \
       STORE_TORTURE_ITERS="${TORTURE_ITERS}" \
       STORE_TORTURE_SEED="${TORTURE_SEED}" \
-      ctest --output-on-failure -L torture)
+      ctest --output-on-failure --no-tests=error -L torture)
 }
 
 CTEST_ARGS=("$@")

@@ -406,8 +406,7 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
     job.rng_seed = 0x9E0 + 17 * s;
     job.tag = s;
     // Each job owns its prover (seeded per job): jobs never share mutable
-    // prover state, and the same-device lease already serializes access to
-    // the shared PufDevice underneath.
+    // prover state, and the PufDevice underneath is read-only.
     auto prover = std::make_shared<core::CpuProver>(
         *target.device, target.record, core::CpuProver::Variant::kHonest,
         job.rng_seed ^ 0xF00D);
@@ -1013,7 +1012,6 @@ int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
   const auto profile = core::DeviceProfile::standard();
   const alupuf::PufDevice device(profile.puf_config, chip_seed, code());
   const auto env = variation::Environment::nominal();
-  device.prewarm(env);  // fill per-env caches before going multi-threaded
 
   constexpr std::size_t kBlock = 256;  // determinism unit
   const auto n = static_cast<std::size_t>(count);
