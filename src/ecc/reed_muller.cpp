@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
-#if defined(__AVX512F__)
-// GCC 12's AVX-512 headers seed unmasked results with _mm512_undefined_*,
-// which -Wmaybe-uninitialized misreports at -O3 (GCC bug 105593).
-#pragma GCC diagnostic push
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
+#include "support/simd.hpp"
 
 namespace pufatt::ecc {
 
@@ -54,58 +47,73 @@ std::size_t peak_index(const T* f, std::size_t n) {
   return best;
 }
 
-#if defined(__AVX512F__)
-/// One in-register butterfly stage with half-width h in {1, 2, 4}: `sw` is
-/// `x` with each lane j swapped with its partner j ^ h, and the lanes of
-/// `upper` (those with bit h set) take sw - x = a[j] - a[j+h] while the
-/// others take x + sw = a[j] + a[j+h] — the scalar butterfly's operands.
-inline __m512d butterfly(__m512d x, __m512d sw, __mmask8 upper) {
-  return _mm512_mask_sub_pd(_mm512_add_pd(x, sw), upper, sw, x);
-}
-
-/// fwht + peak_index for n = 32 on four zmm registers; f[0..32) receives
-/// the transform.  Same stage order and operands as fwht, so every f[i]
-/// is bit-identical.  The peak is the lowest index whose |f| equals the
-/// maximum, which is peak_index's first strict maximum; a NaN makes that
-/// equality unusable, so such a word falls back to the scalar scan.
+/// fwht + peak_index for n = 32 in vector registers; f[0..32) receives the
+/// transform.  Same stage order and operands as fwht, so every f[i] is
+/// bit-identical.  A stage of half-width h below the vector width swaps
+/// each lane j with its partner j ^ h: lanes with bit h clear take
+/// x + partner = a[j] + a[j+h], the others partner - x = a[j-h] - a[j],
+/// the scalar butterfly's operands.  Wider stages pair whole registers.
+/// The peak is the lowest index whose |f| equals the maximum, which is
+/// peak_index's first strict maximum; a NaN makes that equality unusable,
+/// so such a word falls back to the scalar scan.
 std::size_t fwht32_peak(const double* llr, double* f) {
-  __m512d a[4];
-  for (int r = 0; r < 4; ++r) {
-    __m512d x = _mm512_loadu_pd(llr + 8 * r);
-    x = butterfly(x, _mm512_permute_pd(x, 0x55), 0xAA);
-    x = butterfly(x, _mm512_permutex_pd(x, 0x4E), 0xCC);
-    x = butterfly(x, _mm512_shuffle_f64x2(x, x, 0x4E), 0xF0);
-    a[r] = x;
+  using simd::VecD;
+  using simd::VecI;
+  constexpr std::int64_t kW = simd::kWidth;
+  constexpr std::size_t kRegs = 32 / simd::kWidth;
+  static constexpr std::int64_t kIota[simd::kLanes] = {0, 1, 2, 3,
+                                                       4, 5, 6, 7};
+  VecI iota;
+  std::memcpy(&iota, kIota, sizeof iota);
+  VecD a[kRegs];
+  std::memcpy(a, llr, sizeof a);
+  for (std::int64_t h = 1; h < kW; h *= 2) {
+    const VecI upper = (iota & h) != 0;
+    for (VecD& x : a) {
+      const VecD sw = __builtin_shuffle(x, iota ^ h);
+      x = upper ? sw - x : x + sw;
+    }
   }
-  for (const int h : {1, 2}) {  // h = 8 and 16 doubles: whole registers
-    for (int r = 0; r < 4; r += 2 * h) {
-      for (int j = r; j < r + h; ++j) {
-        const __m512d x = a[j];
-        const __m512d y = a[j + h];
-        a[j] = _mm512_add_pd(x, y);
-        a[j + h] = _mm512_sub_pd(x, y);
+  for (std::size_t h = 1; h < kRegs; h *= 2) {  // h registers apart
+    for (std::size_t r = 0; r < kRegs; r += 2 * h) {
+      for (std::size_t j = r; j < r + h; ++j) {
+        const VecD x = a[j];
+        const VecD y = a[j + h];
+        a[j] = x + y;
+        a[j + h] = x - y;
       }
     }
   }
-  __m512d mag[4];
-  __mmask8 nan = 0;
-  for (int r = 0; r < 4; ++r) {
-    _mm512_storeu_pd(f + 8 * r, a[r]);
-    mag[r] = _mm512_abs_pd(a[r]);
-    nan |= _mm512_cmp_pd_mask(a[r], a[r], _CMP_UNORD_Q);
+  std::memcpy(f, a, sizeof a);
+  // |f| by clearing the sign bit; the maximum, the NaN test and the first
+  // peak index (as a double, exact) reduce across lanes by butterflies,
+  // ending in every lane.
+  VecD mag[kRegs];
+  VecI nan{};
+  for (std::size_t r = 0; r < kRegs; ++r) {
+    mag[r] = reinterpret_cast<VecD>(reinterpret_cast<VecI>(a[r]) &
+                                    std::numeric_limits<std::int64_t>::max());
+    nan |= a[r] != a[r];
   }
-  if (nan != 0) return peak_index(f, 32);
-  const __m512d peak = _mm512_set1_pd(_mm512_reduce_max_pd(_mm512_max_pd(
-      _mm512_max_pd(mag[0], mag[1]), _mm512_max_pd(mag[2], mag[3]))));
-  std::uint32_t at_peak = 0;
-  for (int r = 0; r < 4; ++r) {
-    at_peak |= static_cast<std::uint32_t>(
-                   _mm512_cmp_pd_mask(mag[r], peak, _CMP_EQ_OQ))
-               << (8 * r);
+  VecD peak = mag[0];
+  for (std::size_t r = 1; r < kRegs; ++r) peak = peak < mag[r] ? mag[r] : peak;
+  for (std::int64_t h = 1; h < kW; h *= 2) {
+    const VecD other = __builtin_shuffle(peak, iota ^ h);
+    peak = peak < other ? other : peak;
+    nan |= __builtin_shuffle(nan, iota ^ h);
   }
-  return static_cast<std::size_t>(std::countr_zero(at_peak));
+  if (nan[0] != 0) return peak_index(f, 32);
+  const VecD lane = __builtin_convertvector(iota, VecD);
+  VecD first = lane + 32.0;
+  for (std::size_t r = kRegs; r-- > 0;) {
+    first = mag[r] == peak ? lane + static_cast<double>(r * kW) : first;
+  }
+  for (std::int64_t h = 1; h < kW; h *= 2) {
+    const VecD other = __builtin_shuffle(first, iota ^ h);
+    first = other < first ? other : first;
+  }
+  return static_cast<std::size_t>(first[0]);
 }
-#endif
 
 Gf2Matrix rm_parity_check(unsigned m) {
   if (m < 2 || m > 16) {
@@ -204,12 +212,9 @@ std::optional<std::uint64_t> ReedMuller1::decode_soft_word(
   }
   double f[64] = {};  // positive = bit 0, as encoded codeword +1
   std::size_t best = 0;
-#if defined(__AVX512F__)
   if (n_ == 32) {
     best = fwht32_peak(llr, f);
-  } else
-#endif
-  {
+  } else {
     std::copy_n(llr, n_, f);
     fwht(f, n_);
     best = peak_index(f, n_);

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
+#include "support/simd.hpp"
 
 namespace pufatt::timingsim {
 
@@ -60,175 +58,87 @@ struct Src {
   }
 };
 
-#if defined(__AVX512F__)
-/// Vector form of Src with the two broadcasts hoisted out of the lane loop.
-struct SrcV {
-  int mode;
-  __m512d b0, b1;
-  const double* wide;
-  const std::uint64_t* vw;
-};
-
-inline SrcV make_srcv(const Src& s) {
-  return SrcV{s.mode, _mm512_set1_pd(s.t0), _mm512_set1_pd(s.t1), s.wide,
-              s.vw};
+/// The value bits of lanes [lane, lane + 8), lane a multiple of 8.
+inline std::uint8_t block_bits(const std::uint64_t* words, std::size_t lane) {
+  return static_cast<std::uint8_t>(words[lane >> 6] >> (lane & 63));
 }
-
-inline __m512d fetchv(const SrcV& s, std::size_t lane) {
-  if (s.mode == 2) return _mm512_loadu_pd(s.wide + lane);
-  if (s.mode == 1) {
-    const __mmask8 m =
-        static_cast<__mmask8>(s.vw[lane >> 6] >> (lane & 63));
-    return _mm512_mask_blend_pd(m, s.b0, s.b1);
-  }
-  return s.b0;
-}
-
-/// The single-gate AVX-512 kernels.  Sources are fetched by their run-time
-/// mode, as in the fused step (fused_avx); `mv*` view value words as
-/// bytes — byte g of the value array IS the __mmask8 for lane group g.
-template <bool kLane>
-void and2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mva,
-              const std::uint8_t* mvb, const std::uint8_t* mvo,
-              std::uint8_t cinv, __m512d vr, __m512d vf, const double* rp,
-              const double* fp, double* tp, std::size_t vlim) {
-  const __m512d vinf = _mm512_set1_pd(kInf);
-#pragma GCC unroll 2
-  for (std::size_t lane = 0; lane < vlim; lane += 8) {
-    const std::size_t gi = lane >> 3;
-    const __mmask8 ma = static_cast<__mmask8>(mva[gi] ^ cinv);
-    const __mmask8 mb = static_cast<__mmask8>(mvb[gi] ^ cinv);
-    const __mmask8 ko = static_cast<__mmask8>(mvo[gi]);
-    const __m512d xa = fetchv(va, lane);
-    const __m512d xb = fetchv(vb, lane);
-    const __m512d ca = _mm512_mask_blend_pd(ma, vinf, xa);
-    const __m512d cb = _mm512_mask_blend_pd(mb, vinf, xb);
-    const __m512d mn = _mm512_min_pd(ca, cb);
-    const __m512d mx = _mm512_max_pd(xa, xb);
-    const __mmask8 fin = _mm512_cmp_pd_mask(mn, vinf, _CMP_NEQ_OQ);
-    const __m512d det = _mm512_mask_blend_pd(fin, mx, mn);
-    __m512d dr = vr;
-    __m512d df = vf;
-    if constexpr (kLane) {
-      dr = _mm512_loadu_pd(rp + lane);
-      df = _mm512_loadu_pd(fp + lane);
-    }
-    const __m512d d = _mm512_mask_blend_pd(ko, df, dr);
-    _mm512_storeu_pd(tp + lane, _mm512_add_pd(det, d));
-  }
-}
-
-template <bool kLane>
-void xor2_avx(const SrcV& va, const SrcV& vb, const std::uint8_t* mvo,
-              __m512d vr, __m512d vf, const double* rp, const double* fp,
-              double* tp, std::size_t vlim) {
-#pragma GCC unroll 2
-  for (std::size_t lane = 0; lane < vlim; lane += 8) {
-    const __mmask8 ko = static_cast<__mmask8>(mvo[lane >> 3]);
-    const __m512d xa = fetchv(va, lane);
-    const __m512d xb = fetchv(vb, lane);
-    const __m512d det = _mm512_max_pd(xa, xb);
-    __m512d dr = vr;
-    __m512d df = vf;
-    if constexpr (kLane) {
-      dr = _mm512_loadu_pd(rp + lane);
-      df = _mm512_loadu_pd(fp + lane);
-    }
-    const __m512d d = _mm512_mask_blend_pd(ko, df, dr);
-    _mm512_storeu_pd(tp + lane, _mm512_add_pd(det, d));
-  }
-}
-#endif
 
 // ------------------------------------------------------ wide time kernels
 //
 // Every kernel reproduces the scalar engine's per-lane arithmetic exactly
 // (the same selections, the same single add), so the produced doubles are
-// bit-identical to TimingSimulator::run.  The AVX-512 paths use
-// only min/max/compare/blend/add — all exact selections — and the scalar
-// tails repeat the identical expressions, so vector and tail lanes agree
-// too.  kLane = per-lane delays (device batches); shared mode processes
-// the padded tail lanes as well (inputs are zero-filled there and nothing
-// exposes them), which keeps its loop a clean multiple of 8 lanes (see
-// BitSliceState::padded).
+// bit-identical to TimingSimulator::run.  The fused (2-input AND-family)
+// and 2-input XOR kernels run 8-lane blocks (support/simd.hpp) of min/max,
+// bitwise selects and one add; the unary, MUX and n-ary kernels go lane by
+// lane.
+// kLane = per-lane delays (device batches): the delay rows hold exactly
+// `count` lanes, and so do the time rows of a one-word batch, so the last
+// block of a count that is not a multiple of 8 loads and stores only its
+// live lanes.  Shared mode processes the padded tail lanes as well (inputs
+// are zero-filled there and nothing exposes them), which keeps its loop
+// whole blocks (see BitSliceState::padded).
 
-/// Portable per-lane bodies over [start, limit): the scalar reference for
-/// the vector kernels (identical expressions), the non-multiple-of-8 tail
-/// in lane-delay mode, and the whole loop on non-AVX-512 builds.
-template <bool kLane>
-void and2_span(const Src& sa, const Src& sb, const std::uint64_t* vow,
-               bool ctrl, double grise, double gfall, const double* rp,
-               const double* fp, double* tp, std::size_t start,
-               std::size_t limit) {
-  for (std::size_t lane = start; lane < limit; ++lane) {
-    const bool a = word_bit(sa.vw, lane);
-    const bool b = word_bit(sb.vw, lane);
-    const double xa = sa.at(lane);
-    const double xb = sb.at(lane);
-    const double ca = a == ctrl ? xa : kInf;
-    const double cb = b == ctrl ? xb : kInf;
-    const double mn = std::min(ca, cb);
-    const double det = mn != kInf ? mn : std::max(xa, xb);
-    const bool val = word_bit(vow, lane);
-    const double dr = kLane ? rp[lane] : grise;
-    const double df = kLane ? fp[lane] : gfall;
-    tp[lane] = det + (val ? dr : df);
+/// Row access for one block: all 8 lanes, or the first n of a lane-delay
+/// run's last block.
+struct Whole {
+  simd::Doubles load(const double* p) const { return simd::load(p); }
+  void store(double* p, const simd::Doubles& x) const { simd::store(p, x); }
+};
+struct Part {
+  std::size_t n;
+  simd::Doubles load(const double* p) const { return simd::load(p, n); }
+  void store(double* p, const simd::Doubles& x) const {
+    simd::store(p, x, n);
   }
-}
+};
 
-template <bool kLane>
-void xor2_span(const Src& sa, const Src& sb, const std::uint64_t* vow,
-               double grise, double gfall, const double* rp, const double* fp,
-               double* tp, std::size_t start, std::size_t limit) {
-  for (std::size_t lane = start; lane < limit; ++lane) {
-    const double xa = sa.at(lane);
-    const double xb = sb.at(lane);
-    const bool val = word_bit(vow, lane);
-    const double dr = kLane ? rp[lane] : grise;
-    const double df = kLane ? fp[lane] : gfall;
-    tp[lane] = std::max(xa, xb) + (val ? dr : df);
-  }
-}
-
-template <bool kLane>
-void wide_and2(const Src& sa, const Src& sb, const std::uint64_t* vow,
-               bool ctrl, double grise, double gfall, const double* rp,
-               const double* fp, double* tp, std::size_t count,
-               std::size_t padded) {
+/// Runs body(lane, io) once per block of the kernel's lanes.
+template <bool kLane, class Body>
+void for_blocks(std::size_t count, std::size_t padded, const Body& body) {
   const std::size_t limit = kLane ? count : padded;
   std::size_t lane = 0;
-#if defined(__AVX512F__)
-  const std::size_t vlim = limit & ~std::size_t{7};
-  and2_avx<kLane>(make_srcv(sa), make_srcv(sb),
-                  reinterpret_cast<const std::uint8_t*>(sa.vw),
-                  reinterpret_cast<const std::uint8_t*>(sb.vw),
-                  reinterpret_cast<const std::uint8_t*>(vow),
-                  ctrl ? 0x00 : 0xFF, _mm512_set1_pd(grise),
-                  _mm512_set1_pd(gfall), rp, fp, tp, vlim);
-  lane = vlim;
-#endif
-  and2_span<kLane>(sa, sb, vow, ctrl, grise, gfall, rp, fp, tp, lane, limit);
+#pragma GCC unroll 2
+  for (; lane + simd::kLanes <= limit; lane += simd::kLanes) {
+    body(lane, Whole{});
+  }
+  if (lane < limit) body(lane, Part{limit - lane});
 }
 
-template <bool kLane>
-void wide_xor2(const Src& sa, const Src& sb, const std::uint64_t* vow,
-               double grise, double gfall, const double* rp, const double* fp,
-               double* tp, std::size_t count, std::size_t padded) {
-  const std::size_t limit = kLane ? count : padded;
-  std::size_t lane = 0;
-#if defined(__AVX512F__)
-  const std::size_t vlim = limit & ~std::size_t{7};
-  xor2_avx<kLane>(make_srcv(sa), make_srcv(sb),
-                  reinterpret_cast<const std::uint8_t*>(vow),
-                  _mm512_set1_pd(grise), _mm512_set1_pd(gfall), rp, fp, tp,
-                  vlim);
-  lane = vlim;
-#endif
-  xor2_span<kLane>(sa, sb, vow, grise, gfall, rp, fp, tp, lane, limit);
+/// A fanin's times over one block, fetched by its run-time mode: a
+/// per-mode template dispatch measured no faster at 256 and 512 lanes, and
+/// the served 8-lane calls run one block, so there it would only add the
+/// dispatch.
+template <class Io>
+simd::Doubles fetch(const Src& s, std::size_t lane, Io io) {
+  if (s.mode == 2) return io.load(s.wide + lane);
+  if (s.mode == 1) {
+    return simd::select(simd::lanes_of(block_bits(s.vw, lane)),
+                        simd::splat(s.t1), simd::splat(s.t0));
+  }
+  return simd::splat(s.t0);
 }
 
-/// One gate of a fused plan op: where its value bytes, delays, and output
-/// time lanes live.  `cinv` is the AND-family controlling-value invert
+/// Lanes whose value bit (in `vw`) is the AND-family controlling value;
+/// `cinv` as in FusedGate.
+inline simd::Mask controlling(const std::uint64_t* vw, std::size_t lane,
+                              std::uint8_t cinv) {
+  return simd::lanes_of(static_cast<std::uint8_t>(block_bits(vw, lane) ^ cinv));
+}
+
+/// An AND-family gate's determined time: the earliest fanin holding the
+/// controlling value (masks ca, cb), else the latest fanin, mx =
+/// max(xa, xb).  The earliest controlling time is never above mx, so the
+/// scalar engine's `earliest != inf ? earliest : latest` is one more min.
+inline simd::Doubles and_settle(const simd::Mask& ca, const simd::Doubles& xa,
+                                const simd::Mask& cb, const simd::Doubles& xb,
+                                const simd::Doubles& mx) {
+  const simd::Doubles inf = simd::splat(kInf);
+  return simd::min(
+      simd::min(simd::select(ca, xa, inf), simd::select(cb, xb, inf)), mx);
+}
+
+/// The output gate of a time step: where its value words, delays, and
+/// output time lanes live.  `cinv` is the AND-family controlling-value invert
 /// (0x00 when the controlling value is 1, 0xFF when it is 0).
 struct FusedGate {
   const std::uint64_t* vw = nullptr;  ///< own value words (delay select)
@@ -242,7 +152,8 @@ struct FusedGate {
 /// A fused full-adder step: P = AND-family(x, y), optionally S = XOR(x, y)
 /// (shares max(xa, xb) with P) and C = AND-family(g, P) (P's freshly
 /// computed times forward in registers).  Each gate's arithmetic is exactly
-/// the single-gate kernel's — fusion only shares fetches and loop overhead.
+/// the scalar engine's — fusion only shares fetches and loop overhead.  A
+/// lone AND-family gate runs as a step with neither S nor C.
 struct FusedCtx {
   Src x, y, g;
   bool has_s = false;
@@ -258,7 +169,6 @@ struct PreOp {
     kFused,
     kUnary,
     kMux,
-    kAnd2,
     kXor2,
     kNaryAnd,
     kNaryXor,
@@ -268,7 +178,6 @@ struct PreOp {
   std::uint32_t nf = 0;       // n-ary fanin count
   std::uint32_t nary_off = 0; // offset into ExecPlan::nary
   FusedCtx fc;
-  Src pSrc;                   // fused: P as a fanin source for C's tail span
 };
 
 /// The cached dispatch for one (engine, state shape, buffer placement).
@@ -285,120 +194,54 @@ struct ExecPlan {
   std::vector<Src> nary;  // flat fanin-source pool for n-ary ops
 };
 
-#if defined(__AVX512F__)
-/// The fused step over lanes [0, vlim).  x and y are fetched by their
-/// run-time mode (fetchv), like g: a per-mode template dispatch measured
-/// no faster at 256 and 512 lanes, and the served 8-lane calls run the
-/// loop once, so there it would only add the dispatch.
-template <bool kLane>
-void fused_avx(const FusedCtx& c, std::size_t vlim) {
-  const __m512d vinf = _mm512_set1_pd(kInf);
-  const SrcV vx = make_srcv(c.x);
-  const SrcV vy = make_srcv(c.y);
-  const SrcV vg = make_srcv(c.g);
-  const auto* const mvx = reinterpret_cast<const std::uint8_t*>(c.x.vw);
-  const auto* const mvy = reinterpret_cast<const std::uint8_t*>(c.y.vw);
-  const auto* const mvg = reinterpret_cast<const std::uint8_t*>(c.g.vw);
-  const auto* const mvp = reinterpret_cast<const std::uint8_t*>(c.P.vw);
-  const auto* const mvs = reinterpret_cast<const std::uint8_t*>(c.S.vw);
-  const auto* const mvc = reinterpret_cast<const std::uint8_t*>(c.C.vw);
-  const __m512d pr = _mm512_set1_pd(c.P.r);
-  const __m512d pf = _mm512_set1_pd(c.P.f);
-  const __m512d sr = _mm512_set1_pd(c.S.r);
-  const __m512d sf = _mm512_set1_pd(c.S.f);
-  const __m512d cr = _mm512_set1_pd(c.C.r);
-  const __m512d cf = _mm512_set1_pd(c.C.f);
-#pragma GCC unroll 2
-  for (std::size_t lane = 0; lane < vlim; lane += 8) {
-    const std::size_t gi = lane >> 3;
-    const __m512d xa = fetchv(vx, lane);
-    const __m512d xb = fetchv(vy, lane);
-    // P = AND-family(x, y): the single-gate and2 sequence verbatim.
-    const __mmask8 kp = static_cast<__mmask8>(mvp[gi]);
-    const __mmask8 maP = static_cast<__mmask8>(mvx[gi] ^ c.P.cinv);
-    const __mmask8 mbP = static_cast<__mmask8>(mvy[gi] ^ c.P.cinv);
-    const __m512d caP = _mm512_mask_blend_pd(maP, vinf, xa);
-    const __m512d cbP = _mm512_mask_blend_pd(mbP, vinf, xb);
-    const __m512d mnP = _mm512_min_pd(caP, cbP);
-    const __m512d mxAB = _mm512_max_pd(xa, xb);
-    const __mmask8 finP = _mm512_cmp_pd_mask(mnP, vinf, _CMP_NEQ_OQ);
-    const __m512d detP = _mm512_mask_blend_pd(finP, mxAB, mnP);
-    __m512d dpr = pr;
-    __m512d dpf = pf;
-    if constexpr (kLane) {
-      dpr = _mm512_loadu_pd(c.P.rp + lane);
-      dpf = _mm512_loadu_pd(c.P.fp + lane);
-    }
-    const __m512d tP =
-        _mm512_add_pd(detP, _mm512_mask_blend_pd(kp, dpf, dpr));
-    _mm512_storeu_pd(c.P.tp + lane, tP);
-    // S = XOR(x, y): its determined time is exactly max(xa, xb) = mxAB.
-    if (c.has_s) {
-      const __mmask8 ks = static_cast<__mmask8>(mvs[gi]);
-      __m512d dsr = sr;
-      __m512d dsf = sf;
-      if constexpr (kLane) {
-        dsr = _mm512_loadu_pd(c.S.rp + lane);
-        dsf = _mm512_loadu_pd(c.S.fp + lane);
-      }
-      _mm512_storeu_pd(
-          c.S.tp + lane,
-          _mm512_add_pd(mxAB, _mm512_mask_blend_pd(ks, dsf, dsr)));
-    }
-    // C = AND-family(g, P): tP never leaves registers.  min/max selection
-    // is operand-order independent (ties select equal doubles), so the
-    // (g, P) order here matches the single-gate kernel bit-for-bit even
-    // when C's netlist fanins are (P, g).
-    if (c.has_c) {
-      const __m512d xg = fetchv(vg, lane);
-      const __mmask8 mgC = static_cast<__mmask8>(mvg[gi] ^ c.C.cinv);
-      const __mmask8 mpC = static_cast<__mmask8>(mvp[gi] ^ c.C.cinv);
-      const __m512d cgC = _mm512_mask_blend_pd(mgC, vinf, xg);
-      const __m512d cpC = _mm512_mask_blend_pd(mpC, vinf, tP);
-      const __m512d mnC = _mm512_min_pd(cgC, cpC);
-      const __m512d mxC = _mm512_max_pd(xg, tP);
-      const __mmask8 finC = _mm512_cmp_pd_mask(mnC, vinf, _CMP_NEQ_OQ);
-      const __m512d detC = _mm512_mask_blend_pd(finC, mxC, mnC);
-      const __mmask8 kc = static_cast<__mmask8>(mvc[gi]);
-      __m512d dcr = cr;
-      __m512d dcf = cf;
-      if constexpr (kLane) {
-        dcr = _mm512_loadu_pd(c.C.rp + lane);
-        dcf = _mm512_loadu_pd(c.C.fp + lane);
-      }
-      _mm512_storeu_pd(
-          c.C.tp + lane,
-          _mm512_add_pd(detC, _mm512_mask_blend_pd(kc, dcf, dcr)));
-    }
+/// A gate's delay per lane: rise where its own value is 1, else fall.
+template <bool kLane, class Io>
+simd::Doubles delay(const FusedGate& o, std::size_t lane, Io io) {
+  const simd::Mask rise = simd::lanes_of(block_bits(o.vw, lane));
+  if constexpr (kLane) {
+    return simd::select(rise, io.load(o.rp + lane), io.load(o.fp + lane));
   }
+  return simd::select(rise, simd::splat(o.r), simd::splat(o.f));
 }
 
-#endif
-
-/// Runs a fused plan op: AVX-512 over the aligned prefix, then the
-/// single-gate portable spans over the tail (P first so C's span can read
-/// P's freshly stored times through `pSrc`).
 template <bool kLane>
-void fused_run(const FusedCtx& c, const Src& pSrc, std::size_t count,
-               std::size_t padded) {
-  const std::size_t limit = kLane ? count : padded;
-  std::size_t lane = 0;
-#if defined(__AVX512F__)
-  const std::size_t vlim = limit & ~std::size_t{7};
-  fused_avx<kLane>(c, vlim);
-  lane = vlim;
-#endif
-  if (lane >= limit) return;
-  and2_span<kLane>(c.x, c.y, c.P.vw, c.P.cinv == 0, c.P.r, c.P.f, c.P.rp,
-                   c.P.fp, c.P.tp, lane, limit);
-  if (c.has_s) {
-    xor2_span<kLane>(c.x, c.y, c.S.vw, c.S.r, c.S.f, c.S.rp, c.S.fp, c.S.tp,
-                     lane, limit);
-  }
-  if (c.has_c) {
-    and2_span<kLane>(c.g, pSrc, c.C.vw, c.C.cinv == 0, c.C.r, c.C.f, c.C.rp,
-                     c.C.fp, c.C.tp, lane, limit);
-  }
+void wide_xor2(const Src& a, const Src& b, const FusedGate& o,
+               std::size_t count, std::size_t padded) {
+  for_blocks<kLane>(count, padded, [&](std::size_t lane, auto io) {
+    const simd::Doubles det =
+        simd::max(fetch(a, lane, io), fetch(b, lane, io));
+    io.store(o.tp + lane, det + delay<kLane>(o, lane, io));
+  });
+}
+
+/// The fused step.  x, y and g are fetched by their run-time mode.
+template <bool kLane>
+void fused_run(const FusedCtx& c, std::size_t count, std::size_t padded) {
+  for_blocks<kLane>(count, padded, [&](std::size_t lane, auto io) {
+    const simd::Doubles xa = fetch(c.x, lane, io);
+    const simd::Doubles xb = fetch(c.y, lane, io);
+    const simd::Doubles mx = simd::max(xa, xb);
+    // P = AND-family(x, y).
+    const simd::Doubles tP =
+        and_settle(controlling(c.x.vw, lane, c.P.cinv), xa,
+                   controlling(c.y.vw, lane, c.P.cinv), xb, mx) +
+        delay<kLane>(c.P, lane, io);
+    io.store(c.P.tp + lane, tP);
+    // S = XOR(x, y): its determined time is exactly max(xa, xb) = mx.
+    if (c.has_s) io.store(c.S.tp + lane, mx + delay<kLane>(c.S, lane, io));
+    // C = AND-family(g, P): tP never leaves registers.  min/max selection
+    // is operand-order independent (ties select equal doubles), so the
+    // (g, P) order here matches the scalar engine bit-for-bit even when
+    // C's netlist fanins are (P, g).
+    if (c.has_c) {
+      const simd::Doubles xg = fetch(c.g, lane, io);
+      const simd::Doubles det =
+          and_settle(controlling(c.g.vw, lane, c.C.cinv), xg,
+                     controlling(c.P.vw, lane, c.C.cinv), tP,
+                     simd::max(xg, tP));
+      io.store(c.C.tp + lane, det + delay<kLane>(c.C, lane, io));
+    }
+  });
 }
 
 template <bool kLane>
@@ -658,23 +501,6 @@ void value_pass(const CompiledNetlist& cn, const std::uint64_t* input_words,
   }
 }
 
-#if defined(__AVX512F__)
-/// The word packer for one PUF() call's worth of challenges (1..8 lanes,
-/// one output word per input), without the 64x64 transpose: lane l of `v`
-/// is challenge l (tail lanes zero), and testing every lane against input
-/// bit i yields lane word i as an 8-bit mask.
-void pack_block8(const std::uint64_t* challenges, std::size_t count,
-                 std::size_t num_inputs, std::uint64_t* out) {
-  const __m512i v = _mm512_maskz_loadu_epi64(
-      static_cast<__mmask8>((1u << count) - 1), challenges);
-  __m512i bit = _mm512_set1_epi64(1);
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    out[i] = _mm512_test_epi64_mask(v, bit);
-    bit = _mm512_add_epi64(bit, bit);
-  }
-}
-#endif
-
 }  // namespace
 
 void pack_input_words(const support::BitVector* challenges, std::size_t count,
@@ -694,12 +520,38 @@ void pack_input_words(const std::uint64_t* challenges, std::size_t count,
   if (num_inputs > 64) {
     throw std::invalid_argument("pack_input_words: more than 64 inputs");
   }
-#if defined(__AVX512F__)
   if (count != 0 && count <= 8) {
-    pack_block8(challenges, count, num_inputs, out);
+    // One PUF() call's worth of challenges, an 8 x 64 bit matrix: swap
+    // bytes so that y[k] holds byte k of every challenge (byte l from
+    // challenge l), then transpose each y[k] as an 8 x 8 bit matrix, whose
+    // byte j is lane word 8k + j (stored little-endian, as on x86).  Word
+    // ops only, no 64x64 transpose.
+    std::uint64_t y[8] = {};
+    std::copy_n(challenges, count, y);
+    for (std::size_t step = 4, shift = 32; step != 0; step /= 2, shift /= 2) {
+      // The low `shift` bits of every 2*shift-bit field.
+      const std::uint64_t mask = ~0ULL / ((1ULL << shift) + 1);
+      for (std::size_t l = 0; l < 8; ++l) {
+        if ((l & step) != 0) continue;
+        const std::uint64_t t = ((y[l] >> shift) ^ y[l + step]) & mask;
+        y[l] ^= t << shift;
+        y[l + step] ^= t;
+      }
+    }
+    std::uint8_t lane_bytes[64];
+    for (std::size_t k = 0; k < 8; ++k) {
+      std::uint64_t x = y[k];
+      std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+      x ^= t ^ (t << 7);
+      t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+      x ^= t ^ (t << 14);
+      t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+      x ^= t ^ (t << 28);
+      std::memcpy(lane_bytes + 8 * k, &x, sizeof x);
+    }
+    std::copy_n(lane_bytes, num_inputs, out);
     return;
   }
-#endif
   const std::size_t nwords = (count + 63) / 64;
   std::uint64_t m[64] = {};
   for (std::size_t blk = 0; blk < nwords; ++blk) {
@@ -987,9 +839,12 @@ void BitSliceEngine::prepare(BitSliceState& out, std::size_t count) const {
   out.count = count;
   out.nwords = (count + 63) / 64;
   // A one-word batch pads only to the 8-lane vector block: the verifier's
-  // 8-challenge PUF call would otherwise compute and store 64 lanes.
-  out.padded = out.nwords == 1 ? (count + 7) & ~std::size_t{7}
-                               : out.nwords * 64;
+  // 8-challenge PUF call would otherwise compute and store 64 lanes.  A
+  // lane-delay run computes live lanes only, so its one-word rows are
+  // `count` long.
+  out.padded = out.nwords != 1 ? out.nwords * 64
+               : shared_       ? (count + 7) & ~std::size_t{7}
+                               : count;
   // Re-zeroing a same-size buffer is wasted work: the value pass rewrites
   // every scheduled gate's words, and gates outside the schedule (or
   // kConst0) are never written after the first zero-fill, so they still
@@ -1086,27 +941,28 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
       PreOp q;
       fill_out(g, q.fc.P);
 
-      if (po.s != kNoGate || po.c != kNoGate) {
-        q.kind = PreOp::kFused;
-        q.fc.x = src_of(fanins[fb]);
-        q.fc.y = src_of(fanins[fb + 1]);
-        if (po.s != kNoGate) {
-          q.fc.has_s = true;
-          fill_out(po.s, q.fc.S);
-        }
-        if (po.c != kNoGate) {
-          q.fc.has_c = true;
-          fill_out(po.c, q.fc.C);
-          const std::uint32_t cb = cn.fanin_begin(po.c);
-          const GateId other = fanins[cb] == g ? fanins[cb + 1] : fanins[cb];
-          q.fc.g = src_of(other);
-        }
-        q.pSrc = src_of(g);
-        ep->ops.push_back(q);
-        continue;
-      }
-
       switch (op) {
+        case BatchOp::kAnd2:
+        case BatchOp::kNand2:
+        case BatchOp::kOr2:
+        case BatchOp::kNor2:
+          // A lone AND-family gate is a fused step with neither S nor C.
+          q.kind = PreOp::kFused;
+          q.fc.x = src_of(fanins[fb]);
+          q.fc.y = src_of(fanins[fb + 1]);
+          if (po.s != kNoGate) {
+            q.fc.has_s = true;
+            fill_out(po.s, q.fc.S);
+          }
+          if (po.c != kNoGate) {
+            q.fc.has_c = true;
+            fill_out(po.c, q.fc.C);
+            const std::uint32_t cb = cn.fanin_begin(po.c);
+            const GateId other =
+                fanins[cb] == g ? fanins[cb + 1] : fanins[cb];
+            q.fc.g = src_of(other);
+          }
+          break;
         case BatchOp::kBuf:
         case BatchOp::kNot:
           q.kind = PreOp::kUnary;
@@ -1117,15 +973,6 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
           q.fc.x = src_of(fanins[fb]);
           q.fc.y = src_of(fanins[fb + 1]);
           q.fc.g = src_of(fanins[fb + 2]);
-          break;
-        case BatchOp::kAnd2:
-        case BatchOp::kNand2:
-        case BatchOp::kOr2:
-        case BatchOp::kNor2:
-          q.kind = PreOp::kAnd2;
-          q.ctrl = (op == BatchOp::kOr2 || op == BatchOp::kNor2);
-          q.fc.x = src_of(fanins[fb]);
-          q.fc.y = src_of(fanins[fb + 1]);
           break;
         case BatchOp::kXor2:
         case BatchOp::kXnor2:
@@ -1161,7 +1008,7 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
     const FusedGate& og = q.fc.P;
     switch (q.kind) {
       case PreOp::kFused:
-        fused_run<kLaneDelays>(q.fc, q.pSrc, count, P);
+        fused_run<kLaneDelays>(q.fc, count, P);
         break;
       case PreOp::kUnary:
         wide_unary<kLaneDelays>(q.fc.x, og.vw, og.r, og.f, og.rp, og.fp,
@@ -1171,13 +1018,8 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
         wide_mux<kLaneDelays>(q.fc.x, q.fc.y, q.fc.g, og.vw, og.r, og.f,
                               og.rp, og.fp, og.tp, count, P);
         break;
-      case PreOp::kAnd2:
-        wide_and2<kLaneDelays>(q.fc.x, q.fc.y, og.vw, q.ctrl, og.r, og.f,
-                               og.rp, og.fp, og.tp, count, P);
-        break;
       case PreOp::kXor2:
-        wide_xor2<kLaneDelays>(q.fc.x, q.fc.y, og.vw, og.r, og.f, og.rp,
-                               og.fp, og.tp, count, P);
+        wide_xor2<kLaneDelays>(q.fc.x, q.fc.y, og, count, P);
         break;
       case PreOp::kNaryAnd:
         wide_nary_and<kLaneDelays>(ep->nary.data() + q.nary_off, q.nf, og.vw,

@@ -34,9 +34,9 @@
 // record per gate, shared by every engine over that netlist).  Both served
 // paths run exactly 8 lanes per PUF() call (the verifier in shared mode,
 // the simulated device in lane-delay mode), so the wide time stride is one
-// AVX-512 block and each fused step is one trip of its lane loop, with its
-// sources fetched by their run-time mode rather than through a per-mode
-// template dispatch.
+// 8-lane vector block (support/simd.hpp) and each fused step is one trip
+// of its lane loop, with its sources fetched by their run-time mode rather
+// than through a per-mode template dispatch.
 //
 // Lane layout: lane l of word w is evaluation index w*64 + l.  Inputs
 // arrive as transposed challenge words from `pack_input_words`
@@ -75,8 +75,8 @@ void pack_input_words(const support::BitVector* challenges, std::size_t count,
 /// Word form of the above for netlists of at most 64 inputs: input i of
 /// challenge x is bit i of `challenges[x]` (bits at or above `num_inputs`
 /// are ignored).  Writes `num_inputs * ceil(count/64)` words to `out`, in
-/// the same layout; allocates nothing.  On AVX-512 builds 1..8 challenges
-/// (one PUF() call) skip the 64x64 transpose.
+/// the same layout; allocates nothing.  1..8 challenges (one PUF() call)
+/// skip the 64x64 transpose.
 void pack_input_words(const std::uint64_t* challenges, std::size_t count,
                       std::size_t num_inputs, std::uint64_t* out);
 
@@ -88,8 +88,9 @@ struct BitSliceState {
   std::size_t count = 0;   ///< live lanes
   std::size_t nwords = 0;  ///< ceil(count/64)
   /// Wide-lane stride and shared-mode loop limit: nwords * 64, except that
-  /// a batch within one word keeps only `count` rounded up to 8 (one
-  /// AVX-512 block), so short batches neither compute nor store 64 lanes.
+  /// a batch within one word keeps only `count` rounded up to 8 (one vector
+  /// block) in shared mode and `count` itself in lane-delay mode, so short
+  /// batches neither compute nor store 64 lanes.
   std::size_t padded = 0;
   std::vector<std::uint64_t> values;  ///< [gate*nwords + w]
   std::vector<double> times;          ///< [wide_slot*padded + lane]

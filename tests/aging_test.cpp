@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "alupuf/aging_tuner.hpp"
 #include "alupuf/alu_puf.hpp"
 #include "netlist/builder.hpp"
@@ -106,19 +108,35 @@ TEST(AluPufAging, UniformAgingDriftsResponses) {
   alupuf::AluPuf puf(config, 77);
   const alupuf::AluPufEmulator fresh_model(32, puf.export_model());
   Xoshiro256pp rng(13);
+  std::vector<BitVector> challenges;
+  for (int t = 0; t < 150; ++t) {
+    challenges.push_back(BitVector::random(64, rng));
+  }
+  const auto env = variation::Environment::nominal();
+  // Mean HD to the enrollment-time model over 8 noisy evaluations of each
+  // challenge.  Even the unaged die sits ~2.3-2.6 bits from its own model
+  // (evaluation noise), so drift must be measured against that floor.
+  const auto mean_hd = [&] {
+    support::OnlineStats hd;
+    for (const auto& c : challenges) {
+      for (int k = 0; k < 8; ++k) {
+        hd.add(static_cast<double>(
+            fresh_model.eval(c).hamming_distance(puf.eval(c, env, rng))));
+      }
+    }
+    return hd.mean();
+  };
+  const double unaged = mean_hd();
 
   // Ten years at moderate duty: responses drift measurably versus the
-  // enrollment-time model, but far less than inter-chip distance.
+  // enrollment-time model, but far less than inter-chip distance.  Over
+  // chips 77/78 x RNG seeds 13-20 the aged mean exceeded the unaged one by
+  // 0.21-0.69 bits, and a second unaged pass (a device that ignores
+  // age_uniformly) by -0.10-0.11 bits.
   puf.age_uniformly(0.5, 10.0 * 365 * 24, {});
-  support::OnlineStats hd;
-  const auto env = variation::Environment::nominal();
-  for (int t = 0; t < 150; ++t) {
-    const auto c = BitVector::random(64, rng);
-    hd.add(static_cast<double>(
-        fresh_model.eval(c).hamming_distance(puf.eval(c, env, rng))));
-  }
-  EXPECT_GT(hd.mean(), 1.0);   // staleness is visible...
-  EXPECT_LT(hd.mean(), 10.0);  // ...but nowhere near a different chip
+  const double aged = mean_hd();
+  EXPECT_GT(aged, unaged + 0.15);  // staleness is visible above the noise...
+  EXPECT_LT(aged, 10.0);           // ...but nowhere near a different chip
 }
 
 TEST(AluPufAging, ReenrollmentRestoresAgreement) {

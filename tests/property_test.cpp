@@ -233,10 +233,11 @@ TEST_P(RandomCircuit, BitSliceLaneModeMatchesScalar) {
 
 TEST_P(RandomCircuit, BitSliceFixedCountsMatchScalarInBothModes) {
   // The random-batch suites above rarely draw the served shape (exactly 8
-  // lanes, one AVX-512 block of the time kernels) or n-ary, Mux and Xnor
+  // lanes, one 8-lane block of the time kernels) or n-ary, Mux and Xnor
   // gates at one word.  Fixed counts pin those shapes down: 1 and 5 lanes
-  // (short blocks), 8 (one block), 64 and 65 (a full word, then a second
-  // word).  Both modes run through one reused state.
+  // (short blocks), 8 (one block), 13 (a full block, then a 5-lane partial
+  // one), 64 and 65 (a full word, then a second word).  Both modes run
+  // through one reused state.
   Xoshiro256pp rng(10000 + GetParam());
   const auto net = random_circuit(8, 70, rng);
   timingsim::TimingSimulator sim(net);
@@ -266,7 +267,7 @@ TEST_P(RandomCircuit, BitSliceFixedCountsMatchScalarInBothModes) {
           << "count " << count << " gate " << g << " lane " << b;
     }
   };
-  for (const std::size_t count : {1u, 5u, 8u, 64u, 65u, 8u}) {
+  for (const std::size_t count : {1u, 5u, 8u, 13u, 64u, 65u, 8u}) {
     std::vector<BitVector> challenges;
     std::vector<std::uint64_t> challenge_words;
     for (std::size_t b = 0; b < count; ++b) {

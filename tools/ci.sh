@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Pre-merge gate: configure, build, and test the five supported trees.
+# Pre-merge gate: configure, build, and test the six supported trees.
 #
-#   build          plain (PUFATT_TRACE=ON by default)
-#   build-asan     AddressSanitizer + UBSan   (-DPUFATT_SANITIZE=ON)
-#   build-tsan     ThreadSanitizer           (-DPUFATT_TSAN=ON)
-#   build-notrace  tracing compiled out      (-DPUFATT_TRACE=OFF)
-#   build-portable kernels without -march=native (-DPUFATT_NATIVE_SIMD=OFF)
+#   build           plain (PUFATT_TRACE=ON by default)
+#   build-asan      AddressSanitizer + UBSan   (-DPUFATT_SANITIZE=ON)
+#   build-tsan      ThreadSanitizer           (-DPUFATT_TSAN=ON)
+#   build-notrace   tracing compiled out      (-DPUFATT_TRACE=OFF)
+#   build-x86-64-v3 AVX2 target instead of -march=native
+#                   (-DPUFATT_NATIVE_SIMD=OFF -DCMAKE_CXX_FLAGS=-march=x86-64-v3)
+#   build-portable  kernels without -march=native (-DPUFATT_NATIVE_SIMD=OFF)
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
@@ -42,19 +44,19 @@
 # GTEST_SKIP themselves — the wire-format and interop tests still run, so
 # the no-trace tree keeps proving the traced/untraced byte compatibility.
 #
-# The other trees compile the kernel translation units for the build
-# host's vector ISA, so on an AVX-512 host they run the SIMD paths (the
-# lane noise fill, the in-register RM(1,5) decoder, the 8-lane input pack
-# and the bit-sliced engine's time kernels).  build-portable runs the same
-# suite on the scalar fallbacks of those kernels, whose outputs must be
-# the same bytes: the differential tests against the scalar references
-# hold on both.
+# The vector kernels (the bit-sliced engine's time steps and the RM(1,5)
+# Hadamard transform) have one source, whose vector width follows the
+# target (src/support/simd.hpp): the first four trees compile them for the
+# build host's ISA (64 bytes on an AVX-512 host), build-x86-64-v3 at 32
+# bytes on AVX2, and build-portable at 16 bytes on SSE2.  All three widths
+# must produce the same bytes: the differential tests against the scalar
+# references hold on every tree.
 #
 # Each tree then reruns the torture-labeled seeded kill-and-recover loop
 # (tests/store_torture.cpp) with a second seed: random fault points over
 # an append workload, gating that follower promotion stays byte-identical
-# to direct crash recovery under plain, ASan, TSan, no-trace and portable
-# builds.
+# to direct crash recovery under plain, ASan, TSan, no-trace, AVX2 and
+# portable builds.
 # Tune with TORTURE_ITERS / TORTURE_SEED.
 #
 # Both ctest calls pass --no-tests=error: a selection that matches no test
@@ -95,6 +97,8 @@ run_tree build-tsan -DPUFATT_TSAN=ON
 # The store's span instrumentation compiles to no-ops here; this leg keeps
 # the subsystem (and everything else) honest about not *requiring* tracing.
 run_tree build-notrace -DPUFATT_TRACE=OFF
+run_tree build-x86-64-v3 -DPUFATT_NATIVE_SIMD=OFF \
+    -DCMAKE_CXX_FLAGS=-march=x86-64-v3
 run_tree build-portable -DPUFATT_NATIVE_SIMD=OFF
 
 echo "=== ci.sh: all trees green ==="
