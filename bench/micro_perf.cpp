@@ -4,6 +4,7 @@
 // paper's methodology requires.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -454,6 +455,79 @@ void BM_BitsliceLaneRun8(benchmark::State& state) {
                           static_cast<std::int64_t>(kCallLanes));
 }
 BENCHMARK(BM_BitsliceLaneRun8);
+
+/// The served (small-profile) device, enrolled, with the clock its record
+/// sets: what one prover's PUF() calls run against.
+struct ServedDevice {
+  core::DeviceProfile profile = core::DistributedParams::small_profile();
+  alupuf::PufDevice device{profile.puf_config, 8, rm5()};
+  core::EnrollmentRecord record = core::enroll(
+      device, profile,
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(500, 3)));
+  alupuf::ClockConstraint clock{1e6 / record.profile.base_clock_mhz,
+                                record.profile.register_setup_ps};
+};
+
+void BM_DeviceQueryWords(benchmark::State& state) {
+  // One noisy PUF() call of the simulated device at the enrolled clock:
+  // noise fill, lane-delay engine run, arbiter sweep, helper data and
+  // obfuscation.
+  const ServedDevice served;
+  const auto env = variation::Environment::nominal();
+  support::Xoshiro256pp rng(24);
+  alupuf::CallWords challenges;
+  alupuf::AluPufBatchScratch scratch;
+  for (auto _ : state) {
+    for (auto& c : challenges) c = rng.next();
+    benchmark::DoNotOptimize(served.device.query_words(challenges, env, rng,
+                                                       &served.clock, scratch));
+  }
+}
+BENCHMARK(BM_DeviceQueryWords)->Unit(benchmark::kMicrosecond);
+
+void BM_ArbiterLanes(benchmark::State& state) {
+  // One call's 8 x 32 arbiter decisions at the enrolled clock, from the
+  // race times of a real noisy lane-delay run: the lane-row reads and the
+  // sweep, as AluPuf runs them.
+  const ServedDevice served;
+  const auto& puf = served.device.raw_puf();
+  const auto& circuit = puf.circuit();
+  const auto engine_circuit = alupuf::shared_circuit(
+      served.profile.puf_config.width, served.profile.puf_config.layout);
+  const auto& engine = engine_circuit->lane_engine;
+  const auto nominal =
+      puf.chip().nominal_delays(variation::Environment::nominal());
+  std::vector<support::Xoshiro256pp> lanes;
+  for (std::uint64_t x = 0; x < 8; ++x) lanes.emplace_back(25 + x);
+  timingsim::BatchDelays delays;
+  puf.chip().sample_delays_batch(nominal, served.profile.puf_config.noise,
+                                 lanes.data(), lanes.size(), delays);
+  support::Xoshiro256pp rng(26);
+  std::uint64_t challenges[kCallLanes];
+  for (auto& c : challenges) c = rng.next();
+  std::uint64_t words[64];
+  timingsim::pack_input_words(challenges, kCallLanes, 64, words);
+  timingsim::BitSliceState slice;
+  engine.run(words, kCallLanes, delays, slice);
+  const std::size_t width = circuit.race0.size();
+  std::vector<double> t0(width * kCallLanes), t1(width * kCallLanes);
+  const timingsim::Arbiter arbiter(served.profile.puf_config.arbiter);
+  const double deadline = served.clock.cycle_ps - served.clock.setup_ps;
+  std::uint64_t responses[kCallLanes];
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < width; ++i) {
+      engine.lane_times(slice, circuit.race0[i], &t0[i * kCallLanes]);
+      engine.lane_times(slice, circuit.race1[i], &t1[i * kCallLanes]);
+    }
+    std::fill_n(responses, kCallLanes, 0);
+    arbiter.sample_lanes(t0.data(), t1.data(), kCallLanes, width,
+                         &deadline, lanes.data(), responses);
+    benchmark::DoNotOptimize(responses);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(width * kCallLanes));
+}
+BENCHMARK(BM_ArbiterLanes);
 
 void BM_AluPufEvalBatch(benchmark::State& state) {
   const alupuf::AluPuf puf(puf32(), 1);

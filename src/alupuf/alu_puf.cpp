@@ -178,10 +178,10 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
                          const ClockConstraint* clock, AluPufBatchScratch& ws,
                          timingsim::BatchEngine engine,
                          std::uint64_t* responses) const {
-  // Batch profiling under the global tracer: the delay-sampling loop and
-  // the arbiter sweep are the two scalar phases flanking the vectorized
-  // timing kernel (which records its own span), so the three children of
-  // puf.eval_batch account for the whole evaluation.
+  // Batch profiling under the global tracer: the delay-sampling fill and
+  // the arbiter sweep flank the timing kernel (which records its own
+  // span), so the three children of puf.eval_batch account for the whole
+  // evaluation.
   obs::Span eval_span;
   if (obs::global_trace_enabled()) {
     eval_span = obs::global_tracer().span("puf.eval_batch");
@@ -204,12 +204,16 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
                             count, ws.delays);
   sample_span.end();
 
-  // Run the selected timing kernel.  The scalar reference path keeps its
-  // race times in a side buffer; the bit-sliced state is read in place by
-  // the arbiter sweep below.
+  // Run the selected timing kernel.  The arbiter sweep reads race times
+  // as rows of lanes, t0[i*count + x] being lane x's time at race0[i] and
+  // t1 likewise: the scalar reference path writes them lane by lane as it
+  // runs, and the bit-sliced state is copied out below.
+  const std::size_t width = config_.width;
+  ws.race_times.resize(2 * width * count);
+  double* const t0 = ws.race_times.data();
+  double* const t1 = t0 + width * count;
   const auto& slice_engine = circuit_->lane_engine;
   const bool sliced = engine == timingsim::BatchEngine::kBitslice;
-  std::vector<double> scalar_t0, scalar_t1;
   if (sliced) {
     slice_engine.run(input_words, count, ws.delays, ws.slice);
   } else {
@@ -217,8 +221,6 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
     // of the sampled delay matrix and its challenge unpacked from the
     // lane words.  All-local state: the reference path must stay safe
     // under the same thread-sharing rules as the other.
-    scalar_t0.resize(count * config_.width);
-    scalar_t1.resize(count * config_.width);
     const std::size_t gates = circuit().net.num_gates();
     const std::size_t nwords = (count + 63) / 64;
     timingsim::DelaySet lane_delays;
@@ -235,33 +237,25 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
         challenge.set(i, (input_words[i * nwords + x / 64] >> (x % 64)) & 1ULL);
       }
       circuit_->cone_sim.run(challenge, lane_delays, states);
-      for (std::size_t i = 0; i < config_.width; ++i) {
-        scalar_t0[x * config_.width + i] = states[circuit().race0[i]].time_ps;
-        scalar_t1[x * config_.width + i] = states[circuit().race1[i]].time_ps;
+      for (std::size_t i = 0; i < width; ++i) {
+        t0[i * count + x] = states[circuit().race0[i]].time_ps;
+        t1[i * count + x] = states[circuit().race1[i]].time_ps;
       }
     }
   }
 
   obs::Span arbiter_span = eval_span.child("puf.arbiter");
-  const double deadline =
-      clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;
-  const std::size_t rwords = (config_.width + 63) / 64;
-  for (std::size_t x = 0; x < count; ++x) {
-    support::Xoshiro256pp& lrng = ws.lane_rngs[x];
-    std::uint64_t* const response = responses + x * rwords;
-    for (std::size_t i = 0; i < config_.width; ++i) {
-      const double t0 =
-          sliced ? slice_engine.time_ps(ws.slice, circuit().race0[i], x)
-                 : scalar_t0[x * config_.width + i];
-      const double t1 =
-          sliced ? slice_engine.time_ps(ws.slice, circuit().race1[i], x)
-                 : scalar_t1[x * config_.width + i];
-      const bool bit = clock != nullptr && std::min(t0, t1) > deadline
-                           ? lrng.bernoulli(0.5)
-                           : arbiter_.sample(t1 - t0, lrng);
-      response[i / 64] |= static_cast<std::uint64_t>(bit) << (i % 64);
+  if (sliced) {
+    for (std::size_t i = 0; i < width; ++i) {
+      slice_engine.lane_times(ws.slice, circuit().race0[i], t0 + i * count);
+      slice_engine.lane_times(ws.slice, circuit().race1[i], t1 + i * count);
     }
   }
+  const double deadline =
+      clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;
+  arbiter_.sample_lanes(t0, t1, count, width,
+                        clock != nullptr ? &deadline : nullptr,
+                        ws.lane_rngs.data(), responses);
   arbiter_span.end();
 }
 

@@ -54,14 +54,16 @@ struct ClockConstraint {
 };
 
 /// Caller-owned working memory of AluPuf::eval_batch / eval_words: the
-/// per-lane noisy delays and generators, the packed challenges and the
-/// bit-sliced state.  One per thread (threaded drivers keep one per worker
-/// slot); a call reusing it allocates nothing once it has seen the batch
-/// shape.  It carries no result from one call to the next.
+/// per-lane noisy delays and generators, the packed challenges, the
+/// bit-sliced state and the race times the arbiter sweep reads.  One per
+/// thread (threaded drivers keep one per worker slot); a call reusing it
+/// allocates nothing once it has seen the batch shape.  It carries no
+/// result from one call to the next.
 struct AluPufBatchScratch {
   timingsim::BatchDelays delays;
   std::vector<support::Xoshiro256pp> lane_rngs;
   timingsim::BitSliceState slice;
+  std::vector<double> race_times;  ///< the arbiter sweep's lane rows
   std::vector<std::uint64_t> input_words;
 };
 

@@ -279,6 +279,9 @@ void LoadGenerator::on_reply(const std::shared_ptr<Conn>& conn,
       }
       case MsgType::kJobRequest:
         break;  // a server never sends requests; ignore
+      case MsgType::kStatsRequest:
+      case MsgType::kStatsReply:
+        break;  // the load generator never asks for fleet stats; ignore
     }
   } catch (const core::SerializationError&) {
     ++report_.decode_errors;

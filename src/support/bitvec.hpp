@@ -96,6 +96,17 @@ class BitVector {
 /// instead of 4096 single-bit probes.
 void transpose_64x64(std::uint64_t m[64]);
 
+/// Transpose of an 8x8 bit matrix held in one word, row r in byte r: bit
+/// c of byte r moves to bit r of byte c.
+constexpr std::uint64_t transpose_8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  return x ^ t ^ (t << 28);
+}
+
 /// Packs one block of up to 64 equal-length BitVectors into bit-column
 /// words: for every bit index i in [0, nbits), `out[i * stride]` receives
 /// the word whose bit l is `vecs[l].get(i)`.  Lanes beyond `count` are

@@ -3,16 +3,7 @@
 #include <bit>
 #include <cmath>
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-// GCC 12's AVX-512 headers seed unmasked results with _mm512_undefined_*,
-// which -Wmaybe-uninitialized misreports at -O3 (GCC bug 105593).
-#pragma GCC diagnostic push
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#include <immintrin.h>
-#pragma GCC diagnostic pop
-#endif
+#include "support/simd.hpp"
 
 namespace pufatt::support {
 
@@ -29,6 +20,8 @@ constexpr double kZigV = 9.91256303526217e-3;
 struct ZigTables {
   double x[kZigLayers + 1];  ///< layer right edges; x[0] spans the base box
   double ratio[kZigLayers];  ///< x[i+1]/x[i]: the rejection-free bound
+  /// e^((x[i]^2 - x[i+1]^2) / 2): a layer-i wedge's f1 / f0 (below).
+  double gap[kZigLayers];
   ZigTables() {
     x[0] = kZigV / std::exp(-0.5 * kZigR * kZigR);
     x[1] = kZigR;
@@ -37,7 +30,10 @@ struct ZigTables {
       x[i] = std::sqrt(-2.0 * std::log(kZigV / x[i - 1] +
                                        std::exp(-0.5 * x[i - 1] * x[i - 1])));
     }
-    for (int i = 0; i < kZigLayers; ++i) ratio[i] = x[i + 1] / x[i];
+    for (int i = 0; i < kZigLayers; ++i) {
+      ratio[i] = x[i + 1] / x[i];
+      gap[i] = std::exp(0.5 * (x[i] * x[i] - x[i + 1] * x[i + 1]));
+    }
   }
 };
 const ZigTables kZig;
@@ -64,7 +60,107 @@ inline bool zig_fast(std::uint64_t bits, double& z) {
   return false;
 }
 
+// The wedge test of a layer >= 1 point val = u * x[layer] outside the box:
+// accept against the true density gap, f1 + U * (f0 - f1) < 1.0 with
+// f0 = e^a0 and f1 = e^a1, a0 and a1 wedge_arg of x[layer] and
+// x[layer + 1].  The lane fill decides with this expression every lane its
+// vector bracket cannot.
+inline double wedge_arg(double edge, double val) {
+  return -0.5 * (edge * edge - val * val);
+}
+inline bool wedge_accepts(int layer, double val, double uniform) {
+  const double f0 = std::exp(wedge_arg(kZig.x[layer], val));
+  const double f1 = std::exp(wedge_arg(kZig.x[layer + 1], val));
+  return f1 + uniform * (f0 - f1) < 1.0;
+}
+
+// ----------------------------------------------------------- lane blocks
+
+using simd::Doubles;
+using simd::Mask;
+using simd::Words;
+
+inline Doubles wedge_arg(const Doubles& edge, const Doubles& val) {
+  return simd::splat(-0.5) * (edge * edge - val * val);
+}
+
+/// uniform() of each lane's word: (bits >> 11) * 2^-53, exact.
+inline Doubles lane_uniform(const Words& bits) {
+  return simd::to_double(bits >> 11) * simd::splat(0x1.0p-53);
+}
+
+/// One ziggurat draw per lane, as zig_layer/zig_u/zig_fast compute it:
+/// the same IEEE operations in the same order, so every z of a fast lane
+/// is the scalar z bit for bit, and `z` is the wedge's val in the others.
+struct ZigDraw {
+  Words bits;
+  Doubles edge;  ///< x[layer]
+  Doubles z;     ///< u * x[layer]
+  Mask fast;     ///< |u| < ratio[layer]
+};
+
+inline ZigDraw zig_draw(const Words& bits) {
+  const Words layer = bits & simd::splat_word(kZigLayers - 1);
+  const Doubles u =
+      simd::splat(2.0) * lane_uniform(bits) - simd::splat(1.0);
+  ZigDraw d;
+  d.bits = bits;
+  d.edge = simd::gather(kZig.x, layer);
+  d.z = u * d.edge;
+  d.fast = simd::less(simd::abs(u), simd::gather(kZig.ratio, layer));
+  return d;
+}
+
 }  // namespace
+
+/// Eight generators as four state vectors, word k of generator l in lane l
+/// of s[k]: one step() is every generator's next().
+struct LaneGens {
+  Words s[4];
+
+  static LaneGens load(const Xoshiro256pp* block) {
+    alignas(64) std::uint64_t words[4][simd::kLanes];
+    for (int k = 0; k < 4; ++k) {
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        words[k][l] = block[l].s_[k];
+      }
+    }
+    LaneGens g;
+    for (int k = 0; k < 4; ++k) g.s[k] = simd::load(words[k]);
+    return g;
+  }
+
+  void store(Xoshiro256pp* block) const {
+    alignas(64) std::uint64_t words[4][simd::kLanes];
+    for (int k = 0; k < 4; ++k) simd::store(words[k], s[k]);
+    for (int k = 0; k < 4; ++k) {
+      for (std::size_t l = 0; l < simd::kLanes; ++l) {
+        block[l].s_[k] = words[k][l];
+      }
+    }
+  }
+
+  Words step() {
+    const Words result = simd::rotl(s[0] + s[3], 23) + s[0];
+    const Words t = s[1] << 17;
+    s[2] = s[2] ^ s[0];
+    s[3] = s[3] ^ s[1];
+    s[1] = s[1] ^ s[2];
+    s[0] = s[0] ^ s[3];
+    s[2] = s[2] ^ t;
+    s[3] = simd::rotl(s[3], 45);
+    return result;
+  }
+
+  /// next() for the lanes in `live` only; the other lanes keep their state
+  /// (their word of the result is meaningless).
+  Words step(const Mask& live) {
+    LaneGens moved = *this;
+    const Words result = moved.step();
+    for (int k = 0; k < 4; ++k) s[k] = simd::select(live, moved.s[k], s[k]);
+    return result;
+  }
+};
 
 std::uint64_t SplitMix64::next() {
   state_ += 0x9e3779b97f4a7c15ULL;
@@ -161,13 +257,9 @@ double Xoshiro256pp::gaussian_fast_slow(std::uint64_t bits) {
       } while (-2.0 * ty < tx * tx);
       return u < 0.0 ? tx - kZigR : kZigR - tx;
     }
-    // Wedge between layers: accept against the true density gap.
+    // Wedge between layers.
     const double val = u * kZig.x[layer];
-    const double f0 =
-        std::exp(-0.5 * (kZig.x[layer] * kZig.x[layer] - val * val));
-    const double f1 =
-        std::exp(-0.5 * (kZig.x[layer + 1] * kZig.x[layer + 1] - val * val));
-    if (f1 + uniform() * (f0 - f1) < 1.0) return val;
+    if (wedge_accepts(layer, val, uniform())) return val;
     // Rejected: a fresh draw, fast path first.
     bits = next();
     double z;
@@ -180,88 +272,73 @@ void Xoshiro256pp::gaussian_fill_lanes(Xoshiro256pp* rngs, std::size_t lanes,
                                        double mean, double stddev) {
   if (n == 0) return;
   std::size_t first = 0;
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-  // Blocks of 8 lanes: state word k of the block's generators lives in
-  // zmm sk, one step draws all 8 lanes' next(), and the fast path runs on
-  // the vector.  A lane that misses it (~2.8% of draws) hands its state
-  // to its generator, finishes the deviate with the scalar slow path, and
-  // the advanced state goes back into its vector lane.
-  const __m512d vmean = _mm512_set1_pd(mean);
-  const __m512d vstddev = _mm512_set1_pd(stddev);
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d ulp53 = _mm512_set1_pd(0x1.0p-53);
-  const __m512i layer_mask = _mm512_set1_epi64(kZigLayers - 1);
-  for (; first + 8 <= lanes; first += 8) {
-    Xoshiro256pp* block = rngs + first;
-    alignas(64) std::uint64_t state[4][8];
-    alignas(64) std::uint64_t drawn[8];
-    for (int k = 0; k < 4; ++k) {
-      for (int x = 0; x < 8; ++x) state[k][x] = block[x].s_[k];
-    }
-    __m512i s0 = _mm512_load_si512(state[0]);
-    __m512i s1 = _mm512_load_si512(state[1]);
-    __m512i s2 = _mm512_load_si512(state[2]);
-    __m512i s3 = _mm512_load_si512(state[3]);
+  for (; first + simd::kLanes <= lanes; first += simd::kLanes) {
+    // Blocks of 8 lanes: one step draws every lane's next(), the fast path
+    // runs on the vector, and so do the wedge draws of the lanes that miss
+    // it (~2.7% of draws): a masked step draws their uniform(), the
+    // bracket decides nearly all of them, and a rejected lane redraws with
+    // another masked step.  Only tail draws (layer 0, ~0.06%) and the
+    // wedge decisions the bracket leaves unsure go through the scalar code.
+    Xoshiro256pp* const block = rngs + first;
+    LaneGens gen = LaneGens::load(block);
     double* row = out + first;
     for (std::size_t i = 0; i < n; ++i, row += lanes) {
-      // xoshiro256++ next(), eight lanes at once.
-      const __m512i bits = _mm512_add_epi64(
-          _mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
-      const __m512i t = _mm512_slli_epi64(s1, 17);
-      s2 = _mm512_xor_si512(s2, s0);
-      s3 = _mm512_xor_si512(s3, s1);
-      s1 = _mm512_xor_si512(s1, s2);
-      s0 = _mm512_xor_si512(s0, s3);
-      s2 = _mm512_xor_si512(s2, t);
-      s3 = _mm512_rol_epi64(s3, 45);
-      // zig_fast() on the vector: the same IEEE operations in the same
-      // order, so an accepted lane's z is the scalar z bit for bit.
-      const __m512i layer = _mm512_and_si512(bits, layer_mask);
-      const __m512d u = _mm512_sub_pd(
-          _mm512_mul_pd(two, _mm512_mul_pd(_mm512_cvtepu64_pd(
-                                               _mm512_srli_epi64(bits, 11)),
-                                           ulp53)),
-          one);
-      const __m512d ratio = _mm512_i64gather_pd(layer, kZig.ratio, 8);
-      const __m512d edge = _mm512_i64gather_pd(layer, kZig.x, 8);
-      const __mmask8 fast =
-          _mm512_cmp_pd_mask(_mm512_abs_pd(u), ratio, _CMP_LT_OQ);
-      const __m512d z = _mm512_mul_pd(u, edge);
-      _mm512_storeu_pd(row, _mm512_add_pd(vmean, _mm512_mul_pd(vstddev, z)));
-      if (fast == 0xFF) continue;
-      _mm512_store_si512(state[0], s0);
-      _mm512_store_si512(state[1], s1);
-      _mm512_store_si512(state[2], s2);
-      _mm512_store_si512(state[3], s3);
-      _mm512_store_si512(drawn, bits);
-      for (unsigned slow = ~static_cast<unsigned>(fast) & 0xFFu; slow != 0;
-           slow &= slow - 1) {
-        const int x = std::countr_zero(slow);
-        Xoshiro256pp& rng = block[x];
-        for (int k = 0; k < 4; ++k) rng.s_[k] = state[k][x];
-        row[x] = mean + stddev * rng.gaussian_fast_slow(drawn[x]);
-        const auto lane = static_cast<__mmask8>(1u << x);
-        const auto word = [&](int k) {
-          return static_cast<long long>(rng.s_[k]);
-        };
-        s0 = _mm512_mask_set1_epi64(s0, lane, word(0));
-        s1 = _mm512_mask_set1_epi64(s1, lane, word(1));
-        s2 = _mm512_mask_set1_epi64(s2, lane, word(2));
-        s3 = _mm512_mask_set1_epi64(s3, lane, word(3));
+      ZigDraw d = zig_draw(gen.step());
+      std::uint8_t pending = static_cast<std::uint8_t>(~simd::bits(d.fast));
+      while (pending != 0) {
+        const Words layer = d.bits & simd::splat_word(kZigLayers - 1);
+        // Tail lanes finish with the scalar slow path, their state moved
+        // through their generator and back.
+        if (const std::uint8_t tail =
+                pending & simd::bits(simd::is_zero(layer))) {
+          gen.store(block);
+          alignas(64) std::uint64_t words[simd::kLanes];
+          alignas(64) double z[simd::kLanes];
+          simd::store(words, d.bits);
+          simd::store(z, d.z);
+          for (unsigned t = tail; t != 0; t &= t - 1) {
+            const int x = std::countr_zero(t);
+            z[x] = block[x].gaussian_fast_slow(words[x]);
+          }
+          gen = LaneGens::load(block);
+          d.z = simd::load(z);
+          pending &= static_cast<std::uint8_t>(~tail);
+          if (pending == 0) break;
+        }
+        // The wedge: every pending lane's uniform(), then the test.
+        const Doubles uniform =
+            lane_uniform(gen.step(simd::lanes_of(pending)));
+        const simd::Verdict v = simd::wedge_verdict(
+            wedge_arg(d.edge, d.z), simd::gather(kZig.gap, layer), uniform);
+        std::uint8_t accept = v.yes;
+        if (const std::uint8_t unsure = v.unsure & pending) {
+          alignas(64) std::uint64_t words[simd::kLanes];
+          alignas(64) double val[simd::kLanes], u[simd::kLanes];
+          simd::store(words, d.bits);
+          simd::store(val, d.z);
+          simd::store(u, uniform);
+          for (unsigned t = unsure; t != 0; t &= t - 1) {
+            const int x = std::countr_zero(t);
+            if (wedge_accepts(zig_layer(words[x]), val[x], u[x])) {
+              accept |= 1u << x;
+            }
+          }
+        }
+        // An accepted lane keeps z = val; a rejected one draws afresh.
+        pending &= static_cast<std::uint8_t>(~accept);
+        if (pending == 0) break;
+        const Mask redo = simd::lanes_of(pending);
+        const ZigDraw redraw = zig_draw(gen.step(redo));
+        d.bits = simd::select(redo, redraw.bits, d.bits);
+        d.edge = simd::select(redo, redraw.edge, d.edge);
+        d.z = simd::select(redo, redraw.z, d.z);
+        pending &= static_cast<std::uint8_t>(~simd::bits(redraw.fast));
       }
+      simd::store(row, simd::splat(mean) + simd::splat(stddev) * d.z);
     }
-    _mm512_store_si512(state[0], s0);
-    _mm512_store_si512(state[1], s1);
-    _mm512_store_si512(state[2], s2);
-    _mm512_store_si512(state[3], s3);
-    for (int k = 0; k < 4; ++k) {
-      for (int x = 0; x < 8; ++x) block[x].s_[k] = state[k][x];
-    }
+    gen.store(block);
   }
-#endif
-  // Lane-major scalar loop: the tail lanes of a vector build, every lane
-  // of a portable one.
+  // Lane-major scalar loop for the lanes after the last whole block.
   for (std::size_t x = first; x < lanes; ++x) {
     Xoshiro256pp& rng = rngs[x];
     double* column = out + x;
@@ -271,6 +348,23 @@ void Xoshiro256pp::gaussian_fill_lanes(Xoshiro256pp* rngs, std::size_t lanes,
       if (!zig_fast(bits, z)) z = rng.gaussian_fast_slow(bits);
       column[i * lanes] = mean + stddev * z;
     }
+  }
+}
+
+void Xoshiro256pp::uniform_lanes(Xoshiro256pp* rngs, std::size_t lanes,
+                                 std::size_t n, double* out) {
+  if (n == 0) return;
+  std::size_t first = 0;
+  for (; first + simd::kLanes <= lanes; first += simd::kLanes) {
+    LaneGens gen = LaneGens::load(rngs + first);
+    double* row = out + first;
+    for (std::size_t i = 0; i < n; ++i, row += lanes) {
+      simd::store(row, lane_uniform(gen.step()));
+    }
+    gen.store(rngs + first);
+  }
+  for (std::size_t x = first; x < lanes; ++x) {
+    for (std::size_t i = 0; i < n; ++i) out[i * lanes + x] = rngs[x].uniform();
   }
 }
 

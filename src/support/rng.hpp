@@ -82,11 +82,21 @@ class Xoshiro256pp {
   /// where z is generator rngs[x]'s i-th gaussian_fast() deviate, for
   /// i < n and x < lanes.  Each generator ends exactly where n calls of
   /// gaussian_fast() would leave it, so the fill and the scalar loop are
-  /// the same stream, byte for byte.  On AVX-512 builds blocks of 8 lanes
-  /// run the generator and the ziggurat's fast path in vector registers.
+  /// the same stream, byte for byte.  Blocks of 8 lanes keep the generator
+  /// and the ziggurat in vector registers (support/simd.hpp), the wedge
+  /// draws included: their exponentials are approximated, and a decision
+  /// the approximation's error bound cannot settle, like every tail draw,
+  /// runs the scalar expression.
   static void gaussian_fill_lanes(Xoshiro256pp* rngs, std::size_t lanes,
                                   std::size_t n, double* out, double mean,
                                   double stddev);
+
+  /// Lane-interleaved uniform() draws: out[i*lanes + x] is generator
+  /// rngs[x]'s i-th uniform(), i < n, and each generator ends where n
+  /// uniform() calls would leave it.  Blocks of 8 lanes step in vector
+  /// registers.
+  static void uniform_lanes(Xoshiro256pp* rngs, std::size_t lanes,
+                            std::size_t n, double* out);
 
   /// Bernoulli trial.
   bool bernoulli(double p);
@@ -95,6 +105,8 @@ class Xoshiro256pp {
   Xoshiro256pp split();
 
  private:
+  friend struct LaneGens;  // rng.cpp: eight generators in vector lanes
+
   /// The ziggurat's slow path, continuing a gaussian_fast() draw whose
   /// first word `bits` missed the fast path: tail, wedge and any redraws.
   double gaussian_fast_slow(std::uint64_t bits);

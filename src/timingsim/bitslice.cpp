@@ -104,25 +104,29 @@ void for_blocks(std::size_t count, std::size_t padded, const Body& body) {
   if (lane < limit) body(lane, Part{limit - lane});
 }
 
-/// A fanin's times over one block, fetched by its run-time mode: a
-/// per-mode template dispatch measured no faster at 256 and 512 lanes, and
-/// the served 8-lane calls run one block, so there it would only add the
-/// dispatch.
+/// The lanes of a block whose value bit (in `vw`) is 1.
+inline simd::Mask ones(const std::uint64_t* vw, std::size_t lane) {
+  return simd::lanes_of(block_bits(vw, lane));
+}
+
+/// A fanin's times over one block, fetched by its run-time mode, `value`
+/// being ones(s.vw, lane): a per-mode template dispatch measured no faster
+/// at 256 and 512 lanes, and the served 8-lane calls run one block, so
+/// there it would only add the dispatch.
 template <class Io>
-simd::Doubles fetch(const Src& s, std::size_t lane, Io io) {
+simd::Doubles fetch(const Src& s, const simd::Mask& value, std::size_t lane,
+                    Io io) {
   if (s.mode == 2) return io.load(s.wide + lane);
   if (s.mode == 1) {
-    return simd::select(simd::lanes_of(block_bits(s.vw, lane)),
-                        simd::splat(s.t1), simd::splat(s.t0));
+    return simd::select(value, simd::splat(s.t1), simd::splat(s.t0));
   }
   return simd::splat(s.t0);
 }
 
-/// Lanes whose value bit (in `vw`) is the AND-family controlling value;
-/// `cinv` as in FusedGate.
-inline simd::Mask controlling(const std::uint64_t* vw, std::size_t lane,
-                              std::uint8_t cinv) {
-  return simd::lanes_of(static_cast<std::uint8_t>(block_bits(vw, lane) ^ cinv));
+template <class Io>
+simd::Doubles fetch(const Src& s, std::size_t lane, Io io) {
+  if (s.mode == 1) return fetch(s, ones(s.vw, lane), lane, io);
+  return fetch(s, simd::Mask{}, lane, io);
 }
 
 /// An AND-family gate's determined time: the earliest fanin holding the
@@ -194,10 +198,11 @@ struct ExecPlan {
   std::vector<Src> nary;  // flat fanin-source pool for n-ary ops
 };
 
-/// A gate's delay per lane: rise where its own value is 1, else fall.
+/// A gate's delay per lane: rise where its own value is 1 (`rise` =
+/// ones(o.vw, lane)), else fall.
 template <bool kLane, class Io>
-simd::Doubles delay(const FusedGate& o, std::size_t lane, Io io) {
-  const simd::Mask rise = simd::lanes_of(block_bits(o.vw, lane));
+simd::Doubles delay(const FusedGate& o, const simd::Mask& rise,
+                    std::size_t lane, Io io) {
   if constexpr (kLane) {
     return simd::select(rise, io.load(o.rp + lane), io.load(o.fp + lane));
   }
@@ -210,36 +215,45 @@ void wide_xor2(const Src& a, const Src& b, const FusedGate& o,
   for_blocks<kLane>(count, padded, [&](std::size_t lane, auto io) {
     const simd::Doubles det =
         simd::max(fetch(a, lane, io), fetch(b, lane, io));
-    io.store(o.tp + lane, det + delay<kLane>(o, lane, io));
+    io.store(o.tp + lane, det + delay<kLane>(o, ones(o.vw, lane), lane, io));
   });
 }
 
-/// The fused step.  x, y and g are fetched by their run-time mode.
+/// The fused step.  x, y and g are fetched by their run-time mode.  Each
+/// value byte becomes a lane mask once per block: a fanin's controlling
+/// lanes are its value lanes XOR the gate's all-lanes `cinv` mask.
 template <bool kLane>
 void fused_run(const FusedCtx& c, std::size_t count, std::size_t padded) {
+  const simd::Mask p_inv = simd::all_lanes(c.P.cinv != 0);
+  const simd::Mask c_inv = simd::all_lanes(c.C.cinv != 0);
   for_blocks<kLane>(count, padded, [&](std::size_t lane, auto io) {
-    const simd::Doubles xa = fetch(c.x, lane, io);
-    const simd::Doubles xb = fetch(c.y, lane, io);
+    const simd::Mask vx = ones(c.x.vw, lane);
+    const simd::Mask vy = ones(c.y.vw, lane);
+    const simd::Mask vP = ones(c.P.vw, lane);
+    const simd::Doubles xa = fetch(c.x, vx, lane, io);
+    const simd::Doubles xb = fetch(c.y, vy, lane, io);
     const simd::Doubles mx = simd::max(xa, xb);
     // P = AND-family(x, y).
     const simd::Doubles tP =
-        and_settle(controlling(c.x.vw, lane, c.P.cinv), xa,
-                   controlling(c.y.vw, lane, c.P.cinv), xb, mx) +
-        delay<kLane>(c.P, lane, io);
+        and_settle(vx ^ p_inv, xa, vy ^ p_inv, xb, mx) +
+        delay<kLane>(c.P, vP, lane, io);
     io.store(c.P.tp + lane, tP);
     // S = XOR(x, y): its determined time is exactly max(xa, xb) = mx.
-    if (c.has_s) io.store(c.S.tp + lane, mx + delay<kLane>(c.S, lane, io));
+    if (c.has_s) {
+      io.store(c.S.tp + lane,
+               mx + delay<kLane>(c.S, ones(c.S.vw, lane), lane, io));
+    }
     // C = AND-family(g, P): tP never leaves registers.  min/max selection
     // is operand-order independent (ties select equal doubles), so the
     // (g, P) order here matches the scalar engine bit-for-bit even when
     // C's netlist fanins are (P, g).
     if (c.has_c) {
-      const simd::Doubles xg = fetch(c.g, lane, io);
-      const simd::Doubles det =
-          and_settle(controlling(c.g.vw, lane, c.C.cinv), xg,
-                     controlling(c.P.vw, lane, c.C.cinv), tP,
-                     simd::max(xg, tP));
-      io.store(c.C.tp + lane, det + delay<kLane>(c.C, lane, io));
+      const simd::Mask vg = ones(c.g.vw, lane);
+      const simd::Doubles xg = fetch(c.g, vg, lane, io);
+      const simd::Doubles det = and_settle(vg ^ c_inv, xg, vP ^ c_inv, tP,
+                                           simd::max(xg, tP));
+      io.store(c.C.tp + lane,
+               det + delay<kLane>(c.C, ones(c.C.vw, lane), lane, io));
     }
   });
 }
@@ -540,13 +554,7 @@ void pack_input_words(const std::uint64_t* challenges, std::size_t count,
     }
     std::uint8_t lane_bytes[64];
     for (std::size_t k = 0; k < 8; ++k) {
-      std::uint64_t x = y[k];
-      std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
-      x ^= t ^ (t << 7);
-      t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
-      x ^= t ^ (t << 14);
-      t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
-      x ^= t ^ (t << 28);
+      const std::uint64_t x = support::transpose_8x8(y[k]);
       std::memcpy(lane_bytes + 8 * k, &x, sizeof x);
     }
     std::copy_n(lane_bytes, num_inputs, out);
@@ -812,6 +820,22 @@ double BitSliceEngine::time_ps(const BitSliceState& s, GateId g,
       return value(s, g, lane) ? t1_[g] : t0_[g];
     default:
       return t0_[g];
+  }
+}
+
+void BitSliceEngine::lane_times(const BitSliceState& s, GateId g,
+                                double* out) const {
+  switch (rep_[g]) {
+    case kWideT:
+      std::copy_n(
+          s.times.data() + static_cast<std::size_t>(slot_[g]) * s.padded,
+          s.count, out);
+      return;
+    case kBimodalT:
+      for (std::size_t l = 0; l < s.count; ++l) out[l] = time_ps(s, g, l);
+      return;
+    default:
+      std::fill_n(out, s.count, t0_[g]);
   }
 }
 

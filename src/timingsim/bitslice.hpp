@@ -41,7 +41,8 @@
 // Lane layout: lane l of word w is evaluation index w*64 + l.  Inputs
 // arrive as transposed challenge words from `pack_input_words`
 // (`words[i*nwords + w]` = input bit i across lanes); race margins come
-// back per lane through `race_deltas` (device paths read `time_ps`).
+// back per lane through `race_deltas` (the device path reads its race
+// times as lane rows through `lane_times`).
 // Input arrival-time overrides
 // (`input_times_ps`) are not supported — every PUF path launches inputs at
 // t=0, which is what the engine assumes.
@@ -153,6 +154,11 @@ class BitSliceEngine {
 
   double time_ps(const BitSliceState& s, netlist::GateId g,
                  std::size_t lane) const;
+
+  /// Gate g's time in every live lane: `out[l]` = time_ps(s, g, l) for
+  /// l < s.count.
+  void lane_times(const BitSliceState& s, netlist::GateId g,
+                  double* out) const;
 
   /// Race margins: `out[l * stride]` = t[g1] - t[g0] for every live lane
   /// l (the arbiter decides bit 1 when it is > 0).

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -132,9 +135,13 @@ int draws_between(Xoshiro256pp before, const Xoshiro256pp& after) {
 TEST(Xoshiro, GaussianFillLanesMatchesScalarDraws) {
   // The lane fill must be each lane's gaussian_fast() stream, byte for
   // byte: lane counts around the 8-lane vector block (tails, one lane),
-  // and enough draws to reach the ziggurat's tail and wedge paths.
+  // and enough draws to reach every slow path the vector resolves: tail
+  // draws, accepted and rejected wedges, and rows where several lanes of
+  // one block miss the fast path at once.
   std::size_t tail = 0;
   std::size_t wedge = 0;
+  std::size_t rejected = 0;
+  std::size_t crowded = 0;  // block rows with >= 2 lanes off the fast path
   for (const std::size_t lanes : {1, 5, 8, 9, 16, 64}) {
     for (const std::size_t n : {0, 1, 385, 4096}) {
       std::vector<Xoshiro256pp> filled;
@@ -145,14 +152,18 @@ TEST(Xoshiro, GaussianFillLanesMatchesScalarDraws) {
       std::vector<double> out(lanes * n);
       Xoshiro256pp::gaussian_fill_lanes(filled.data(), lanes, n, out.data(),
                                         1.5, 2.0);
+      std::vector<int> draws(lanes * n);
       for (std::size_t x = 0; x < lanes; ++x) {
         for (std::size_t i = 0; i < n; ++i) {
           const Xoshiro256pp before = scalar[x];
           const double z = scalar[x].gaussian_fast();
+          draws[i * lanes + x] = draws_between(before, scalar[x]);
           if (std::abs(z) > 3.442619855899) {
             ++tail;
-          } else if (draws_between(before, scalar[x]) == 2) {
+          } else if (draws[i * lanes + x] == 2) {
             ++wedge;  // one layer draw plus one accepting uniform()
+          } else if (draws[i * lanes + x] >= 3) {
+            ++rejected;  // a wedge uniform() that sent it back to draw
           }
           ASSERT_EQ(out[i * lanes + x], 1.5 + 2.0 * z)
               << "lanes " << lanes << " n " << n << " lane " << x
@@ -161,10 +172,145 @@ TEST(Xoshiro, GaussianFillLanesMatchesScalarDraws) {
         ASSERT_EQ(filled[x].next(), scalar[x].next())
             << "lanes " << lanes << " n " << n << " lane " << x;
       }
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t block = 0; block + 8 <= lanes; block += 8) {
+          int missed = 0;
+          for (std::size_t x = block; x < block + 8; ++x) {
+            missed += draws[i * lanes + x] >= 2 ? 1 : 0;
+          }
+          crowded += missed >= 2 ? 1 : 0;
+        }
+      }
     }
   }
   EXPECT_GT(tail, 0u);
   EXPECT_GT(wedge, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(crowded, 0u);
+}
+
+TEST(Xoshiro, UniformLanesMatchesScalarDraws) {
+  for (const std::size_t lanes : {1, 5, 8, 9, 64}) {
+    for (const std::size_t n : {0, 1, 32, 45}) {
+      std::vector<Xoshiro256pp> filled;
+      for (std::size_t x = 0; x < lanes; ++x) filled.emplace_back(31 * x + n);
+      std::vector<Xoshiro256pp> scalar = filled;
+      std::vector<double> out(lanes * n);
+      Xoshiro256pp::uniform_lanes(filled.data(), lanes, n, out.data());
+      for (std::size_t x = 0; x < lanes; ++x) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i * lanes + x], scalar[x].uniform())
+              << "lanes " << lanes << " lane " << x << " draw " << i;
+        }
+        ASSERT_EQ(filled[x].next(), scalar[x].next());
+      }
+    }
+  }
+}
+
+// -------------------------------------------- vector decisions (simd.hpp)
+
+// One lane's verdict, decided as the kernels decide: from the bracket
+// where it is sure, else from the exact scalar expression.
+bool decided(const simd::Verdict& v, bool exact) {
+  return (v.unsure & 1u) != 0 ? exact : (v.yes & 1u) != 0;
+}
+
+TEST(SimdExp, SmallPolynomialWithinBound) {
+  double worst = 0.0;
+  for (int k = -30000; k <= 30000; ++k) {
+    const double a = simd::kExpSmallDomain * k / 30000.0;
+    double got[simd::kLanes];
+    simd::store(got, simd::exp_small(simd::splat(a)));
+    worst = std::max(worst, std::abs(got[0] - std::exp(a)));
+  }
+  EXPECT_LE(worst, simd::kExpSmallError);
+}
+
+TEST(SimdExp, RangeReducedWithinBound) {
+  double worst = 0.0;
+  for (int k = -70000; k <= 70000; ++k) {
+    const double x = simd::kExpDomain * k / 70000.0;
+    double got[simd::kLanes];
+    simd::store(got, simd::exp(simd::splat(x)));
+    worst = std::max(worst, std::abs(got[0] / std::exp(x) - 1.0));
+  }
+  EXPECT_LE(worst, simd::kExpError);
+}
+
+TEST(SimdVerdict, WedgeBracketHandsNearTiesToScalar) {
+  // Layer pairs of the ziggurat's range (the widest gap first), points in
+  // the wedge, and uniforms k ulps around the one that puts the scalar L
+  // exactly at 1.0.  A sure lane must agree with the scalar test, and
+  // the lanes it leaves unsure are those next to the tie.
+  const double edges[][2] = {{3.442619855899, 3.223084},
+                             {1.533, 1.5197},
+                             {0.3628, 0.2723}};
+  std::size_t unsure = 0;
+  for (const auto& e : edges) {
+    const double gap = std::exp(0.5 * (e[0] * e[0] - e[1] * e[1]));
+    for (const double t : {0.1, 0.5, 0.9}) {
+      const double val = e[1] + t * (e[0] - e[1]);
+      const double a0 = -0.5 * (e[0] * e[0] - val * val);
+      const double a1 = -0.5 * (e[1] * e[1] - val * val);
+      const double f0 = std::exp(a0);
+      const double f1 = std::exp(a1);
+      const double tie = (1.0 - f1) / (f0 - f1);
+      for (const int k : {-1000000, -1000, -3, -1, 0, 1, 3, 1000, 1000000}) {
+        double u = tie;
+        for (int s = 0; s < std::abs(k); ++s) {
+          u = std::nextafter(u, k < 0 ? 0.0 : 1.0);
+        }
+        const bool exact = f1 + u * (f0 - f1) < 1.0;
+        const simd::Verdict v = simd::wedge_verdict(
+            simd::splat(a0), simd::splat(gap), simd::splat(u));
+        unsure += v.unsure & 1u;
+        if (std::abs(k) <= 3) {
+          EXPECT_EQ(v.unsure & 1u, 1u) << "k " << k;
+        }
+        EXPECT_EQ(decided(v, exact), exact)
+            << "edges " << e[0] << " t " << t << " k " << k;
+      }
+    }
+  }
+  EXPECT_GT(unsure, 0u);
+  // Outside the polynomial's domain, and NaN, always go to the scalar.
+  for (const double a0 : {-0.8, std::nan("")}) {
+    const simd::Verdict v = simd::wedge_verdict(
+        simd::splat(a0), simd::splat(1.5), simd::splat(0.5));
+    EXPECT_EQ(v.unsure, 0xFF);
+  }
+}
+
+TEST(SimdVerdict, LogisticBracketHandsNearTiesToScalar) {
+  // Uniforms k ulps around p = 1 / (1 + e^x), the arbiter's scalar
+  // probability, across the approximation's domain.
+  std::size_t unsure = 0;
+  for (const double x : {-699.0, -40.0, -1.3, -1e-300, 0.0, 0.7, 35.0,
+                         699.0}) {
+    const double p = 1.0 / (1.0 + std::exp(x));
+    for (const int k : {-1000000, -1000, -3, -1, 0, 1, 3, 1000, 1000000}) {
+      double u = p;
+      for (int s = 0; s < std::abs(k); ++s) {
+        u = std::nextafter(u, k < 0 ? 0.0 : 1.0);
+      }
+      const bool exact = u < p;
+      const simd::Verdict v =
+          simd::logistic_verdict(simd::splat(u), simd::splat(x));
+      unsure += v.unsure & 1u;
+      if (std::abs(k) <= 3) {
+        EXPECT_EQ(v.unsure & 1u, 1u) << "x " << x;
+      }
+      EXPECT_EQ(decided(v, exact), exact) << "x " << x << " k " << k;
+    }
+  }
+  EXPECT_GT(unsure, 0u);
+  for (const double x : {-701.0, 800.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    const simd::Verdict v =
+        simd::logistic_verdict(simd::splat(0.5), simd::splat(x));
+    EXPECT_EQ(v.unsure, 0xFF) << "x " << x;
+  }
 }
 
 TEST(Xoshiro, BernoulliProbability) {

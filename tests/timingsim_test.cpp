@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <optional>
+#include <vector>
 
 #include "netlist/builder.hpp"
 #include "support/stats.hpp"
@@ -276,6 +279,69 @@ TEST(Arbiter, MetastabilityOnlyNearZero) {
   EXPECT_GT(arb.probability_one(10.0), 0.9999);
 }
 
+TEST(Arbiter, SampleLanesMatchesPerLaneSampling) {
+  // The batch sweep against the scalar loop it replaces: per lane, bit
+  // order, sample() or the setup-violation coin.  Lane counts around the
+  // 8-lane block; deltas that reach the vector bracket's edges (signed
+  // zeros, a subnormal, +-700 tau at the approximation's domain bound,
+  // +-800 tau past it, NaN); with and without a deadline, logistic and
+  // step (tau = 0) arbiters.  Every bit and every generator's next draw
+  // must agree.
+  const double tau_ref = 0.85;
+  const std::size_t width = 45;  // two refills, a part 8-row group
+  for (const double tau : {0.85, 0.0}) {
+    const Arbiter arbiter({.meta_tau_ps = tau});
+    for (const std::size_t lanes : {1, 5, 8, 9, 64}) {
+      for (const bool clocked : {false, true}) {
+        support::Xoshiro256pp rng(lanes * 10 + (clocked ? 1 : 0));
+        const double special[] = {0.0,
+                                  -0.0,
+                                  4.9e-324,
+                                  -4.9e-324,
+                                  700.0 * tau_ref,
+                                  -700.0 * tau_ref,
+                                  800.0 * tau_ref,
+                                  -800.0 * tau_ref,
+                                  std::nan("")};
+        std::vector<double> t0(width * lanes), t1(width * lanes);
+        for (std::size_t k = 0; k < t0.size(); ++k) {
+          t0[k] = 50.0 * rng.uniform();
+          const double delta = k % 3 == 0
+                                   ? special[(k / 3) % std::size(special)]
+                                   : 6.0 * (rng.uniform() - 0.5);
+          t1[k] = t0[k] + delta;
+        }
+        const double deadline = 25.0;
+        const double* const limit = clocked ? &deadline : nullptr;
+        std::vector<support::Xoshiro256pp> swept, scalar;
+        for (std::size_t x = 0; x < lanes; ++x) {
+          swept.emplace_back(1000 + 7 * x);
+        }
+        scalar = swept;
+        const std::size_t rwords = (width + 63) / 64;
+        std::vector<std::uint64_t> got(lanes * rwords, 0);
+        arbiter.sample_lanes(t0.data(), t1.data(), lanes, width, limit,
+                             swept.data(), got.data());
+        for (std::size_t x = 0; x < lanes; ++x) {
+          for (std::size_t i = 0; i < width; ++i) {
+            const double a = t0[i * lanes + x];
+            const double b = t1[i * lanes + x];
+            const bool want = clocked && std::min(a, b) > deadline
+                                  ? scalar[x].bernoulli(0.5)
+                                  : arbiter.sample(b - a, scalar[x]);
+            ASSERT_EQ((got[x * rwords + i / 64] >> (i % 64)) & 1u,
+                      static_cast<std::uint64_t>(want))
+                << "tau " << tau << " lanes " << lanes << " clocked "
+                << clocked << " lane " << x << " bit " << i;
+          }
+          ASSERT_EQ(swept[x].next(), scalar[x].next())
+              << "tau " << tau << " lanes " << lanes << " lane " << x;
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------- integration: race on real chip
 
 TEST(Integration, RaceDeltasAreChipSpecific) {
@@ -392,6 +458,16 @@ TEST(BitSlice, SharedModeMatchesScalarOnAluCircuit) {
           << "gate " << g << " lane " << b;
     }
   }
+  // Lane rows read every time representation (constant, bimodal, wide).
+  std::vector<double> row(count);
+  for (std::size_t g = 0; g < circuit.net.num_gates(); ++g) {
+    const auto id = static_cast<GateId>(g);
+    slice.lane_times(out, id, row.data());
+    for (std::size_t b = 0; b < count; ++b) {
+      ASSERT_EQ(row[b], slice.time_ps(out, id, b))
+          << "gate " << g << " lane " << b;
+    }
+  }
 }
 
 TEST(BitSlice, SharedModeShortBatchesMatchScalar) {
@@ -500,6 +576,15 @@ TEST(BitSlice, LaneDelayModeMatchesScalar) {
       ASSERT_EQ(slice.value(out, id, b), states[g].value)
           << "gate " << g << " lane " << b;
       ASSERT_EQ(slice.time_ps(out, id, b), states[g].time_ps)
+          << "gate " << g << " lane " << b;
+    }
+  }
+  std::vector<double> row(count);
+  for (std::size_t g = 0; g < gates; ++g) {
+    const auto id = static_cast<GateId>(g);
+    slice.lane_times(out, id, row.data());
+    for (std::size_t b = 0; b < count; ++b) {
+      ASSERT_EQ(row[b], slice.time_ps(out, id, b))
           << "gate " << g << " lane " << b;
     }
   }

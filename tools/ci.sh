@@ -44,13 +44,16 @@
 # GTEST_SKIP themselves — the wire-format and interop tests still run, so
 # the no-trace tree keeps proving the traced/untraced byte compatibility.
 #
-# The vector kernels (the bit-sliced engine's time steps and the RM(1,5)
-# Hadamard transform) have one source, whose vector width follows the
-# target (src/support/simd.hpp): the first four trees compile them for the
-# build host's ISA (64 bytes on an AVX-512 host), build-x86-64-v3 at 32
+# The vector kernels (the bit-sliced engine's time steps, the RM(1,5)
+# Hadamard transform, the lane noise fill and the arbiter sweep) have one
+# source, whose vector width follows the target (src/support/simd.hpp):
+# the first four trees compile them for the build host's ISA (64 bytes on an AVX-512 host), build-x86-64-v3 at 32
 # bytes on AVX2, and build-portable at 16 bytes on SSE2.  All three widths
 # must produce the same bytes: the differential tests against the scalar
 # references hold on every tree.
+#
+# Every tree configures with CMAKE_COMPILE_WARNING_AS_ERROR=ON, so a new
+# compiler warning fails its tree instead of scrolling past.
 #
 # Each tree then reruns the torture-labeled seeded kill-and-recover loop
 # (tests/store_torture.cpp) with a second seed: random fault points over
@@ -75,7 +78,7 @@ run_tree() {
   local tree="$1"
   shift
   echo "=== ${tree}: configure ($*) ==="
-  cmake -B "${tree}" -S . "$@"
+  cmake -B "${tree}" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON "$@"
   echo "=== ${tree}: build ==="
   cmake --build "${tree}" -j "${JOBS}"
   echo "=== ${tree}: ctest ==="
