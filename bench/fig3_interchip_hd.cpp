@@ -32,11 +32,7 @@ int main() {
 
   // Chunked over the bit-sliced engine (one 64-lanes-per-word pass per chip
   // per chunk); same distributions as per-challenge eval, different noise
-  // realization.  The engine choice cannot move the statistics: the batch
-  // seed and lane RNGs are drawn before engine dispatch and both engines
-  // compute identical race times (engine_crosscheck gates on it), so these
-  // histograms are byte-identical to the scalar ones — just faster.
-  constexpr auto kEngine = timingsim::BatchEngine::kBitslice;
+  // realization.
   const std::size_t chunk = 250;
   std::vector<alupuf::Challenge> challenges(chunk);
   std::vector<std::uint64_t> xs(chunk);
@@ -51,10 +47,8 @@ int main() {
       for (std::size_t c = 0; c < n; ++c) {
         challenges[c] = support::BitVector::random(64, rng);
       }
-      const auto ra = a.raw_puf().eval_batch(challenges.data(), n, env, rng,
-                                             nullptr, nullptr, kEngine);
-      const auto rb = b.raw_puf().eval_batch(challenges.data(), n, env, rng,
-                                             nullptr, nullptr, kEngine);
+      const auto ra = a.raw_puf().eval_batch(challenges.data(), n, env, rng);
+      const auto rb = b.raw_puf().eval_batch(challenges.data(), n, env, rng);
       for (std::size_t c = 0; c < n; ++c) {
         raw_hist.add(ra[c].hamming_distance(rb[c]));
       }
@@ -63,10 +57,8 @@ int main() {
     for (std::size_t base = 0; base < obf_challenges_per_pair; base += chunk) {
       const std::size_t n = std::min(chunk, obf_challenges_per_pair - base);
       for (std::size_t c = 0; c < n; ++c) xs[c] = rng.next();
-      const auto qa = a.query_batch(xs.data(), n, env, rng, nullptr, nullptr,
-                                    kEngine);
-      const auto qb = b.query_batch(xs.data(), n, env, rng, nullptr, nullptr,
-                                    kEngine);
+      const auto qa = a.query_batch(xs.data(), n, env, rng);
+      const auto qb = b.query_batch(xs.data(), n, env, rng);
       for (std::size_t c = 0; c < n; ++c) {
         obf_hist.add(qa[c].z.hamming_distance(qb[c].z));
       }

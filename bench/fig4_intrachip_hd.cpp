@@ -42,10 +42,7 @@ int main() {
 
   // Chunked over the bit-sliced engine: one reference batch at nominal,
   // then one batch per corner on the same challenges.  Same distributions
-  // as per-challenge eval, different noise realization; same bytes as the
-  // scalar engine (see fig3 / engine_crosscheck — engine choice never
-  // moves responses).
-  constexpr auto kEngine = timingsim::BatchEngine::kBitslice;
+  // as per-challenge eval, different noise realization.
   const auto nominal = variation::Environment::nominal();
   const std::size_t chunk = 250;
   std::vector<alupuf::Challenge> batch(chunk);
@@ -57,11 +54,10 @@ int main() {
       for (std::size_t c = 0; c < n; ++c) {
         batch[c] = support::BitVector::random(64, rng);
       }
-      const auto reference = puf.eval_batch(batch.data(), n, nominal, rng,
-                                            nullptr, nullptr, kEngine);
+      const auto reference = puf.eval_batch(batch.data(), n, nominal, rng);
       for (std::size_t k = 0; k < std::size(conditions); ++k) {
-        const auto corner = puf.eval_batch(batch.data(), n, conditions[k].env,
-                                           rng, nullptr, nullptr, kEngine);
+        const auto corner =
+            puf.eval_batch(batch.data(), n, conditions[k].env, rng);
         for (std::size_t c = 0; c < n; ++c) {
           hists[k].add(reference[c].hamming_distance(corner[c]));
         }

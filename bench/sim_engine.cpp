@@ -1,7 +1,7 @@
 // Timing-engine throughput bench: scalar vs bit-sliced evaluation, plus
 // shard-parallel CRP generation.
 //
-// Four sweeps on the 32-bit ALU PUF circuit:
+// Three sweeps on the 32-bit ALU PUF circuit:
 //   1. engine level — TimingSimulator::run vs the bit-sliced engine (64
 //      lanes per uint64_t word) on shared delays, the verifier-emulation
 //      workload, at 8 lanes (one verifier PUF() call) and up, with an
@@ -10,18 +10,14 @@
 //   2. device level — AluPuf::eval vs eval_batch (per-lane noisy delays,
 //      the CRP-generation workload);
 //   3. CRP generation — collect_alu_raw_parallel at 1/2/4/8 threads with a
-//      dataset digest that must be invariant across thread counts;
-//   4. CRP generation by engine — scalar vs bit-sliced kernels under
-//      collect_alu_raw_parallel, with a digest that must be invariant
-//      across engines (engine choice must never move the dataset bytes).
+//      dataset digest that must be invariant across thread counts.
 //
 // Results go to stdout and BENCH_sim_engine.json (same schema family as
 // BENCH_service_throughput.json).  `--smoke` runs a tiny sweep as a ctest
 // smoke test labeled 'bench'; the full run backs the acceptance criteria
 // (>= 20x bit-sliced speedup over scalar at the best engine-level point,
 // >= 1.2x at the device level where per-lane noise sampling rides along,
-// >= 1.15x faster CRP generation on the bit-sliced engine, zero
-// divergence, thread- and engine-invariant parallel datasets).
+// zero divergence, thread-invariant parallel datasets).
 //
 // Timing claims are measured interleaved best-of-N (contender and baseline
 // alternate inside one loop) so a noisy-neighbour blip on a shared host
@@ -83,12 +79,6 @@ struct DevicePoint {
   double evals_per_s = 0.0;
 };
 
-struct EnginePoint {
-  const char* engine = "";
-  double crps_per_s = 0.0;
-  std::uint64_t digest = 0;
-};
-
 struct ThreadPoint {
   std::size_t threads = 0;
   double wall_s = 0.0;
@@ -102,19 +92,16 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
                 const std::vector<SlicePoint>& slice_sweep,
                 const std::vector<DevicePoint>& device_sweep,
                 const std::vector<ThreadPoint>& thread_sweep,
-                const std::vector<EnginePoint>& engine_sweep,
                 std::size_t total_divergence, bool thread_invariant,
                 bool scaling_ok, double device_speedup, bool device_speedup_ok,
-                double bitslice_speedup, bool bitslice_speedup_ok,
-                double gen_crps_bitslice_speedup, bool gen_crps_bitslice_ok,
-                bool engine_invariant) {
+                double bitslice_speedup, bool bitslice_speedup_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"bench\": \"sim_engine\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f,
@@ -152,33 +139,17 @@ void write_json(const char* path, bool smoke, std::size_t engine_evals,
                  i + 1 < thread_sweep.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gen_crps_engines\": [\n");
-  for (std::size_t i = 0; i < engine_sweep.size(); ++i) {
-    const auto& p = engine_sweep[i];
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"crps_per_s\": %.1f, "
-                 "\"digest\": \"%016llx\"}%s\n",
-                 p.engine, p.crps_per_s,
-                 static_cast<unsigned long long>(p.digest),
-                 i + 1 < engine_sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"claims\": {\"divergence\": %zu, "
                "\"divergence_ok\": %s, \"thread_invariant\": %s, "
                "\"scaling_ok\": %s, \"device_batch_speedup\": %.3f, "
                "\"device_batch_speedup_ok\": %s, "
-               "\"bitslice_speedup\": %.3f, \"bitslice_speedup_ok\": %s, "
-               "\"gen_crps_bitslice_speedup\": %.3f, "
-               "\"gen_crps_bitslice_ok\": %s, \"engine_invariant\": %s}\n",
+               "\"bitslice_speedup\": %.3f, \"bitslice_speedup_ok\": %s}\n",
                total_divergence, total_divergence == 0 ? "true" : "false",
                thread_invariant ? "true" : "false",
                scaling_ok ? "true" : "false", device_speedup,
                device_speedup_ok ? "true" : "false", bitslice_speedup,
-               bitslice_speedup_ok ? "true" : "false",
-               gen_crps_bitslice_speedup,
-               gen_crps_bitslice_ok ? "true" : "false",
-               engine_invariant ? "true" : "false");
+               bitslice_speedup_ok ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -334,34 +305,6 @@ int main(int argc, char** argv) {
     p.speedup_vs_1 = p.crps_per_s / thread_sweep[0].crps_per_s;
   }
 
-  // ---- 3b. CRP generation by engine: scalar vs bit-sliced ----------------
-  // Same shard-parallel collector, only the timing kernel differs; the
-  // dataset digest must not move (engine-independence is the contract the
-  // gen_crps_engine_parity ctest checks at the CLI layer).  Interleaved
-  // best-of-N, 2 worker threads (the fleet-enrollment shape).
-  std::vector<EnginePoint> engine_sweep = {{"scalar", 0.0, 0},
-                                           {"bitslice", 0.0, 0}};
-  for (int rep = 0; rep < crp_reps; ++rep) {
-    for (auto& point : engine_sweep) {
-      mlattack::ParallelCrpConfig config;
-      config.threads = 2;
-      config.block = crp_block;
-      config.seed = 99;
-      config.engine = std::strcmp(point.engine, "bitslice") == 0
-                          ? timingsim::BatchEngine::kBitslice
-                          : timingsim::BatchEngine::kScalar;
-      const auto t0 = Clock::now();
-      const auto dataset =
-          mlattack::collect_alu_raw_parallel(puf, 0, crp_count, config);
-      point.crps_per_s =
-          std::max(point.crps_per_s, crp_count / seconds_since(t0));
-      point.digest = dataset_digest(dataset);
-    }
-  }
-  const bool engine_invariant =
-      engine_sweep[0].digest == engine_sweep[1].digest &&
-      engine_sweep[0].digest == thread_sweep[0].digest;
-
   // ---- claims ------------------------------------------------------------
   // Bit-sliced engine: best bit-sliced point vs the interleaved scalar
   // reference on the shared-delay workload.
@@ -371,12 +314,6 @@ int main(int argc, char** argv) {
   }
   const double bitslice_speedup = slice_best / scalar_evals_per_s;
   const bool bitslice_speedup_ok = bitslice_speedup >= 20.0;
-  // CRP generation rides the noisy lane-delay path where ziggurat noise
-  // sampling takes a fixed share of the wall clock, so the bar is lower:
-  // measurably faster, >= 1.15x.
-  const double gen_crps_bitslice_speedup =
-      engine_sweep[1].crps_per_s / engine_sweep[0].crps_per_s;
-  const bool gen_crps_bitslice_ok = gen_crps_bitslice_speedup >= 1.15;
   // Device level: the noisy batch path (ziggurat noise fill, gate-major
   // delay writes) must actually beat per-challenge eval — the regression
   // this sweep exists to catch.
@@ -415,40 +352,29 @@ int main(int argc, char** argv) {
                    support::Table::num(p.crps_per_s, 0) + " crp/s",
                    support::Table::num(p.speedup_vs_1, 2) + "x"});
   }
-  for (const auto& p : engine_sweep) {
-    table.add_row({"crp-gen", std::string("engine ") + p.engine,
-                   support::Table::num(p.crps_per_s, 0) + " crp/s",
-                   "2 threads"});
-  }
   std::printf("%s\n", table.render().c_str());
   std::printf(
       "claims: bitslice %.2fx vs scalar (need >= 20 in full mode) | device "
-      "batch %.2fx (need >= 1.2 in full mode) | crp-gen bitslice %.2fx vs "
-      "scalar (need >= 1.15 in full mode) | divergence %zu | "
-      "thread-invariant %s | engine-invariant %s | scaling ok (vs %zu "
-      "cores) %s\n(sink %.1f)\n",
-      bitslice_speedup, device_speedup, gen_crps_bitslice_speedup,
-      total_divergence,
-      thread_invariant ? "yes" : "NO", engine_invariant ? "yes" : "NO",
-      cores, scaling_ok ? "yes" : "NO", sink);
+      "batch %.2fx (need >= 1.2 in full mode) | divergence %zu | "
+      "thread-invariant %s | scaling ok (vs %zu cores) %s\n(sink %.1f)\n",
+      bitslice_speedup, device_speedup, total_divergence,
+      thread_invariant ? "yes" : "NO", cores, scaling_ok ? "yes" : "NO",
+      sink);
 
   write_json("BENCH_sim_engine.json", smoke, engine_evals, crp_count,
              scalar_evals_per_s, slice_sweep, device_sweep, thread_sweep,
-             engine_sweep, total_divergence, thread_invariant, scaling_ok,
-             device_speedup, device_speedup_ok, bitslice_speedup,
-             bitslice_speedup_ok, gen_crps_bitslice_speedup,
-             gen_crps_bitslice_ok, engine_invariant);
+             total_divergence, thread_invariant, scaling_ok, device_speedup,
+             device_speedup_ok, bitslice_speedup, bitslice_speedup_ok);
 
-  // Smoke mode gates only correctness — divergence plus thread and engine
-  // invariance.  All timing claims (>= 20x bit-sliced, device batch,
-  // crp-gen engine, shard scaling) gate only the full run: the smoke
+  // Smoke mode gates only correctness — divergence plus thread invariance.
+  // All timing claims (>= 20x bit-sliced, device batch, shard scaling)
+  // gate only the full run: the smoke
   // workloads are tiny and ctest runs them alongside other tests (often on
   // one loaded core, worse under sanitizers), so any wall-clock assertion
   // there is pure flake.
-  bool ok = total_divergence == 0 && thread_invariant && engine_invariant;
+  bool ok = total_divergence == 0 && thread_invariant;
   if (!smoke) {
-    ok = ok && scaling_ok && device_speedup_ok && bitslice_speedup_ok &&
-         gen_crps_bitslice_ok;
+    ok = ok && scaling_ok && device_speedup_ok && bitslice_speedup_ok;
   }
   return ok ? 0 : 1;
 }

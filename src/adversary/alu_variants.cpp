@@ -2,8 +2,7 @@
 // access) and the full obfuscated pipeline with its attestation replay
 // surface.  All CRP harvesting rides AluPuf::eval_batch /
 // PufDevice::query_batch so the timing kernel is the bit-sliced engine at
-// fleet budgets; by the exactness contract the engine choice never moves a
-// harvested byte.
+// fleet budgets.
 #include <array>
 #include <stdexcept>
 
@@ -34,7 +33,6 @@ class AluRawBitVariant final : public PufVariant {
  public:
   AluRawBitVariant(const AluVariantParams& params, std::uint64_t chip_seed)
       : bit_(params.bit),
-        engine_(params.engine),
         puf_(
             [&] {
               alupuf::AluPufConfig config;
@@ -66,7 +64,7 @@ class AluRawBitVariant final : public PufVariant {
                    std::uint8_t* out, Xoshiro256pp& rng) const override {
     const auto responses =
         puf_.eval_batch(challenges, count, variation::Environment::nominal(),
-                        rng, /*clock=*/nullptr, /*scratch=*/nullptr, engine_);
+                        rng);
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = responses[i].get(bit_) ? 1 : 0;
     }
@@ -74,7 +72,6 @@ class AluRawBitVariant final : public PufVariant {
 
  private:
   std::size_t bit_;
-  timingsim::BatchEngine engine_;
   alupuf::AluPuf puf_;
 };
 
@@ -105,7 +102,6 @@ class ObfuscatedAluVariant final : public PufVariant {
  public:
   ObfuscatedAluVariant(const AluVariantParams& params, std::uint64_t chip_seed)
       : bit_(params.bit),
-        engine_(params.engine),
         code_(rm_order_for_width(params.width)),
         device_(
             [&] {
@@ -142,8 +138,7 @@ class ObfuscatedAluVariant final : public PufVariant {
     std::vector<std::uint64_t> xs(count);
     for (std::size_t i = 0; i < count; ++i) xs[i] = challenges[i].to_u64();
     const auto results = device_.query_batch(
-        xs.data(), count, variation::Environment::nominal(), rng,
-        /*clock=*/nullptr, /*scratch=*/nullptr, engine_);
+        xs.data(), count, variation::Environment::nominal(), rng);
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = results[i].z.get(bit_) ? 1 : 0;
     }
@@ -165,8 +160,7 @@ class ObfuscatedAluVariant final : public PufVariant {
       challenges.push_back(BitVector::random(raw_challenge_bits(), rng));
     }
     const auto responses = device_.raw_puf().eval_batch(
-        challenges.data(), count, variation::Environment::nominal(), rng,
-        /*clock=*/nullptr, /*scratch=*/nullptr, engine_);
+        challenges.data(), count, variation::Environment::nominal(), rng);
     std::vector<RawCrp> out;
     out.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -209,7 +203,6 @@ class ObfuscatedAluVariant final : public PufVariant {
 
  private:
   std::size_t bit_;
-  timingsim::BatchEngine engine_;
   ecc::ReedMuller1 code_;
   alupuf::PufDevice device_;
   alupuf::PufEmulator emulator_;

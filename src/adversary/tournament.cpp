@@ -83,7 +83,7 @@ TournamentResult Tournament::run() const {
         // Fresh instance per run: attacks mutate variants through
         // finish_training(), and runs must not order-depend.
         auto device = variants_[variant_index].make(
-            chip_seed_for(config_.seed, variant_index), config_.engine);
+            chip_seed_for(config_.seed, variant_index));
 
         AttackRunConfig run_config;
         run_config.budget = config_.budgets[budget_index];
@@ -143,47 +143,33 @@ void add_standard_lab(Tournament& tournament, const LabParams& params) {
   const AluVariantParams alu = params.alu;
   const std::size_t xor_k = params.xor_k;
 
-  tournament.add_variant(
-      "arbiter", [arbiter](std::uint64_t chip, timingsim::BatchEngine) {
-        return make_arbiter_variant(arbiter, chip);
-      });
-  tournament.add_variant(
-      "xor-arbiter", [arbiter, xor_k](std::uint64_t chip,
-                                      timingsim::BatchEngine) {
-        return make_xor_arbiter_variant(xor_k, arbiter, chip);
-      });
-  tournament.add_variant(
-      "mux-arbiter", [arbiter](std::uint64_t chip, timingsim::BatchEngine) {
-        return make_mux_arbiter_variant(arbiter, chip);
-      });
-  tournament.add_variant(
-      "alu-raw", [alu](std::uint64_t chip, timingsim::BatchEngine engine) {
-        AluVariantParams p = alu;
-        p.engine = engine;
-        return make_alu_raw_variant(p, chip);
-      });
-  tournament.add_variant(
-      "alu-obf", [alu](std::uint64_t chip, timingsim::BatchEngine engine) {
-        AluVariantParams p = alu;
-        p.engine = engine;
-        return make_obfuscated_alu_variant(p, chip);
-      });
-  tournament.add_variant(
-      "nlfsr-arbiter",
-      [arbiter](std::uint64_t chip, timingsim::BatchEngine) {
-        // The front-end key is part of the same device: derive it from the
-        // chip seed so the row stays a one-seed device.
-        return make_nlfsr_frontend(
-            make_arbiter_variant(arbiter, chip),
-            support::SplitMix64::mix(chip ^ 0xF00D5EED00000001ULL));
-      });
-  tournament.add_variant(
-      "latent-arbiter",
-      [arbiter](std::uint64_t chip, timingsim::BatchEngine) {
-        return make_latent_reconfig_frontend(
-            make_arbiter_variant(arbiter, chip),
-            support::SplitMix64::mix(chip ^ 0xF00D5EED00000002ULL));
-      });
+  tournament.add_variant("arbiter", [arbiter](std::uint64_t chip) {
+    return make_arbiter_variant(arbiter, chip);
+  });
+  tournament.add_variant("xor-arbiter", [arbiter, xor_k](std::uint64_t chip) {
+    return make_xor_arbiter_variant(xor_k, arbiter, chip);
+  });
+  tournament.add_variant("mux-arbiter", [arbiter](std::uint64_t chip) {
+    return make_mux_arbiter_variant(arbiter, chip);
+  });
+  tournament.add_variant("alu-raw", [alu](std::uint64_t chip) {
+    return make_alu_raw_variant(alu, chip);
+  });
+  tournament.add_variant("alu-obf", [alu](std::uint64_t chip) {
+    return make_obfuscated_alu_variant(alu, chip);
+  });
+  tournament.add_variant("nlfsr-arbiter", [arbiter](std::uint64_t chip) {
+    // The front-end key is part of the same device: derive it from the
+    // chip seed so the row stays a one-seed device.
+    return make_nlfsr_frontend(
+        make_arbiter_variant(arbiter, chip),
+        support::SplitMix64::mix(chip ^ 0xF00D5EED00000001ULL));
+  });
+  tournament.add_variant("latent-arbiter", [arbiter](std::uint64_t chip) {
+    return make_latent_reconfig_frontend(
+        make_arbiter_variant(arbiter, chip),
+        support::SplitMix64::mix(chip ^ 0xF00D5EED00000002ULL));
+  });
 
   tournament.add_attack(std::make_shared<LogRegAttack>(params.logreg));
   tournament.add_attack(std::make_shared<MlpAttack>(params.mlp));

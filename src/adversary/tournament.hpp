@@ -18,10 +18,9 @@
 
 namespace pufatt::adversary {
 
-/// Builds a fresh variant instance.  `chip_seed` fixes the silicon,
-/// `engine` the timing kernel for variants that have one.
-using VariantFactory = std::function<std::unique_ptr<PufVariant>(
-    std::uint64_t chip_seed, timingsim::BatchEngine engine)>;
+/// Builds a fresh variant instance; `chip_seed` fixes the silicon.
+using VariantFactory =
+    std::function<std::unique_ptr<PufVariant>(std::uint64_t chip_seed)>;
 
 struct TournamentConfig {
   std::vector<std::size_t> budgets{1000, 4000, 12000};
@@ -32,7 +31,6 @@ struct TournamentConfig {
   double replay_threshold = 0.25;
   std::size_t threads = 1;
   std::uint64_t seed = 1;
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// One matrix cell: every budget's report for a (variant, attack) pair.

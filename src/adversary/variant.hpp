@@ -24,7 +24,6 @@
 #include "mlattack/logreg.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
-#include "timingsim/bitslice.hpp"
 
 namespace pufatt::adversary {
 
@@ -96,9 +95,8 @@ class PufVariant {
                      support::Xoshiro256pp& rng) const = 0;
 
   /// Batched queries: out[i] in {0,1}.  The default loops `query`; timing-
-  /// engine-backed variants override this to ride the bit-sliced
-  /// BatchEngine so million-query budgets stay fast.  Engine choice must
-  /// never move a response byte (the repo's exactness contract).
+  /// engine-backed variants override this to ride the bit-sliced engine so
+  /// million-query budgets stay fast.
   virtual void query_batch(const support::BitVector* challenges,
                            std::size_t count, std::uint8_t* out,
                            support::Xoshiro256pp& rng) const;
@@ -171,7 +169,6 @@ std::unique_ptr<PufVariant> make_mux_arbiter_variant(
 struct AluVariantParams {
   std::size_t width = 32;   ///< adder width (challenge = 2*width bits)
   std::size_t bit = 16;     ///< which response/output bit the attacker models
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// One raw ALU PUF response bit (pre-obfuscation; the invasive-access

@@ -118,11 +118,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
                                             const variation::Environment& env,
                                             support::Xoshiro256pp& rng,
                                             const ClockConstraint* clock,
-                                            AluPufBatchScratch* scratch,
-                                            timingsim::BatchEngine engine) const {
-  // The batch_seed draw precedes engine resolution so responses are a
-  // function of (rng state, challenges) alone — switching engines cannot
-  // change them.
+                                            AluPufBatchScratch* scratch) const {
   const std::uint64_t batch_seed = rng.next();
   std::vector<RawResponse> responses;
   responses.reserve(count);
@@ -135,7 +131,7 @@ std::vector<RawResponse> AluPuf::eval_batch(const Challenge* challenges,
                               ws.input_words);
   const std::size_t rwords = (config_.width + 63) / 64;
   std::vector<std::uint64_t> words(count * rwords, 0);
-  eval_packed(batch_seed, ws.input_words.data(), count, env, clock, ws, engine,
+  eval_packed(batch_seed, ws.input_words.data(), count, env, clock, ws,
               words.data());
   for (std::size_t x = 0; x < count; ++x) {
     RawResponse response(config_.width);
@@ -169,14 +165,13 @@ void AluPuf::eval_words(const std::uint64_t* challenges, std::size_t count,
                               scratch.input_words.data());
   std::fill_n(responses, count, 0);
   eval_packed(batch_seed, scratch.input_words.data(), count, env, clock,
-              scratch, timingsim::BatchEngine::kBitslice, responses);
+              scratch, responses);
 }
 
 void AluPuf::eval_packed(std::uint64_t batch_seed,
                          const std::uint64_t* input_words, std::size_t count,
                          const variation::Environment& env,
                          const ClockConstraint* clock, AluPufBatchScratch& ws,
-                         timingsim::BatchEngine engine,
                          std::uint64_t* responses) const {
   // Batch profiling under the global tracer: the delay-sampling fill and
   // the arbiter sweep flank the timing kernel (which records its own
@@ -186,7 +181,6 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
   if (obs::global_trace_enabled()) {
     eval_span = obs::global_tracer().span("puf.eval_batch");
     eval_span.note("lanes", static_cast<double>(count));
-    eval_span.note("engine", static_cast<double>(engine));
   }
 
   timingsim::DelaySet corner;
@@ -204,52 +198,19 @@ void AluPuf::eval_packed(std::uint64_t batch_seed,
                             count, ws.delays);
   sample_span.end();
 
-  // Run the selected timing kernel.  The arbiter sweep reads race times
-  // as rows of lanes, t0[i*count + x] being lane x's time at race0[i] and
-  // t1 likewise: the scalar reference path writes them lane by lane as it
-  // runs, and the bit-sliced state is copied out below.
+  // The arbiter sweep reads race times as rows of lanes, t0[i*count + x]
+  // being lane x's time at race0[i] and t1 likewise.
   const std::size_t width = config_.width;
   ws.race_times.resize(2 * width * count);
   double* const t0 = ws.race_times.data();
   double* const t1 = t0 + width * count;
   const auto& slice_engine = circuit_->lane_engine;
-  const bool sliced = engine == timingsim::BatchEngine::kBitslice;
-  if (sliced) {
-    slice_engine.run(input_words, count, ws.delays, ws.slice);
-  } else {
-    // One cone-restricted scalar run per lane, each with its own column
-    // of the sampled delay matrix and its challenge unpacked from the
-    // lane words.  All-local state: the reference path must stay safe
-    // under the same thread-sharing rules as the other.
-    const std::size_t gates = circuit().net.num_gates();
-    const std::size_t nwords = (count + 63) / 64;
-    timingsim::DelaySet lane_delays;
-    lane_delays.rise_ps.resize(gates);
-    lane_delays.fall_ps.resize(gates);
-    std::vector<timingsim::SignalState> states;
-    Challenge challenge(challenge_bits());
-    for (std::size_t x = 0; x < count; ++x) {
-      for (std::size_t g = 0; g < gates; ++g) {
-        lane_delays.rise_ps[g] = ws.delays.rise_ps[g * count + x];
-        lane_delays.fall_ps[g] = ws.delays.fall_ps[g * count + x];
-      }
-      for (std::size_t i = 0; i < challenge_bits(); ++i) {
-        challenge.set(i, (input_words[i * nwords + x / 64] >> (x % 64)) & 1ULL);
-      }
-      circuit_->cone_sim.run(challenge, lane_delays, states);
-      for (std::size_t i = 0; i < width; ++i) {
-        t0[i * count + x] = states[circuit().race0[i]].time_ps;
-        t1[i * count + x] = states[circuit().race1[i]].time_ps;
-      }
-    }
-  }
+  slice_engine.run(input_words, count, ws.delays, ws.slice);
 
   obs::Span arbiter_span = eval_span.child("puf.arbiter");
-  if (sliced) {
-    for (std::size_t i = 0; i < width; ++i) {
-      slice_engine.lane_times(ws.slice, circuit().race0[i], t0 + i * count);
-      slice_engine.lane_times(ws.slice, circuit().race1[i], t1 + i * count);
-    }
+  for (std::size_t i = 0; i < width; ++i) {
+    slice_engine.lane_times(ws.slice, circuit().race0[i], t0 + i * count);
+    slice_engine.lane_times(ws.slice, circuit().race1[i], t1 + i * count);
   }
   const double deadline =
       clock != nullptr ? clock->cycle_ps - clock->setup_ps : 0.0;

@@ -79,8 +79,8 @@ struct PufCircuit {
   netlist::AluPufCircuit circuit;
   timingsim::TimingSimulator sim;  ///< full netlist (scalar paths)
   /// Restricted to the arbiter cones: its compiled schedule feeds the
-  /// bit-sliced engines, and its scalar `run` is the kScalar reference
-  /// loop of AluPuf::eval_batch.
+  /// bit-sliced engines, and its scalar `run` is the per-lane reference
+  /// the tests hold AluPuf::eval_batch to.
   timingsim::TimingSimulator cone_sim;
   timingsim::BitSliceEngine lane_engine;  ///< lane-delay mode over cone_sim
 };
@@ -131,17 +131,15 @@ class AluPuf {
   /// (equally distributed) noise realization; deterministic drivers must
   /// keep batch boundaries fixed (see support/parallel.hpp).
   ///
-  /// `engine` selects the timing kernel only.  The batch_seed draw, the
-  /// delay realization and the arbiter sweep are engine-independent, and
-  /// both engines compute the same settle-time doubles (the repo's
-  /// exactness contract), so responses are byte-identical across engines.
-  /// A null `scratch` runs in a call-local one.
+  /// The bit-sliced engine computes the same settle-time doubles as one
+  /// scalar cone_sim run per lane (the repo's exactness contract), so each
+  /// lane's response is what that scalar run and the arbiter draws above
+  /// give.  A null `scratch` runs in a call-local one.
   std::vector<RawResponse> eval_batch(
       const Challenge* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr,
-      AluPufBatchScratch* scratch = nullptr,
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
+      AluPufBatchScratch* scratch = nullptr) const;
 
   /// Word form of eval_batch (width <= 32, 1 <= count <= 64): challenge x
   /// is the 2*width-bit word `challenges[x]` (a then b, bit i = challenge
@@ -205,7 +203,6 @@ class AluPuf {
   void eval_packed(std::uint64_t batch_seed, const std::uint64_t* input_words,
                    std::size_t count, const variation::Environment& env,
                    const ClockConstraint* clock, AluPufBatchScratch& ws,
-                   timingsim::BatchEngine engine,
                    std::uint64_t* responses) const;
 };
 

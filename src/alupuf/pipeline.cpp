@@ -98,8 +98,7 @@ PufOutput PufDevice::query_raw(
 std::vector<PufOutput> PufDevice::query_batch(
     const std::uint64_t* challenges, std::size_t count,
     const variation::Environment& env, support::Xoshiro256pp& rng,
-    const ClockConstraint* clock, AluPufBatchScratch* scratch,
-    timingsim::BatchEngine engine) const {
+    const ClockConstraint* clock, AluPufBatchScratch* scratch) const {
   constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
   std::vector<Challenge> raw;
   raw.reserve(count * kPer);
@@ -109,7 +108,7 @@ std::vector<PufOutput> PufDevice::query_batch(
     for (auto& c : expanded) raw.push_back(std::move(c));
   }
   const auto responses =
-      puf_.eval_batch(raw.data(), raw.size(), env, rng, clock, scratch, engine);
+      puf_.eval_batch(raw.data(), raw.size(), env, rng, clock, scratch);
   std::vector<PufOutput> outputs;
   outputs.reserve(count);
   for (std::size_t x = 0; x < count; ++x) {

@@ -90,14 +90,12 @@ class PufDevice {
   /// pass (count*8 physical evaluations).  Follows the
   /// AluPuf::eval_batch RNG contract — one `rng.next()` consumed for the
   /// whole batch, every lane independent of batch split and thread count.
-  /// `scratch` as in AluPuf::eval_batch (pass one per worker thread);
-  /// `engine` selects the timing kernel (responses are engine-independent).
+  /// `scratch` as in AluPuf::eval_batch (pass one per worker thread).
   std::vector<PufOutput> query_batch(
       const std::uint64_t* challenges, std::size_t count,
       const variation::Environment& env, support::Xoshiro256pp& rng,
       const ClockConstraint* clock = nullptr,
-      AluPufBatchScratch* scratch = nullptr,
-      timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice) const;
+      AluPufBatchScratch* scratch = nullptr) const;
 
   /// Manufacturer enrollment: the delay table H handed to the verifier.
   variation::DelayTable export_model() const { return puf_.export_model(); }

@@ -71,17 +71,14 @@ std::vector<Example> collect_xor_arbiter(const alupuf::XorArbiterPuf& puf,
 
 std::vector<Example> collect_alu_raw(const alupuf::AluPuf& puf,
                                      std::size_t bit, std::size_t count,
-                                     support::Xoshiro256pp& rng,
-                                     timingsim::BatchEngine engine) {
+                                     support::Xoshiro256pp& rng) {
   const auto env = variation::Environment::nominal();
   std::vector<alupuf::Challenge> challenges;
   challenges.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     challenges.push_back(BitVector::random(puf.challenge_bits(), rng));
   }
-  const auto responses = puf.eval_batch(challenges.data(), count, env, rng,
-                                        /*clock=*/nullptr, /*scratch=*/nullptr,
-                                        engine);
+  const auto responses = puf.eval_batch(challenges.data(), count, env, rng);
   std::vector<Example> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -92,14 +89,11 @@ std::vector<Example> collect_alu_raw(const alupuf::AluPuf& puf,
 
 std::vector<Example> collect_obfuscated(const alupuf::PufDevice& device,
                                         std::size_t bit, std::size_t count,
-                                        support::Xoshiro256pp& rng,
-                                        timingsim::BatchEngine engine) {
+                                        support::Xoshiro256pp& rng) {
   const auto env = variation::Environment::nominal();
   std::vector<std::uint64_t> xs(count);
   for (auto& x : xs) x = rng.next();
-  const auto results =
-      device.query_batch(xs.data(), count, env, rng, /*clock=*/nullptr,
-                         /*scratch=*/nullptr, engine);
+  const auto results = device.query_batch(xs.data(), count, env, rng);
   std::vector<Example> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -128,7 +122,7 @@ std::vector<Example> collect_alu_raw_parallel(
         }
         const auto responses = puf.eval_batch(
             challenges.data(), challenges.size(), env, rng,
-            /*clock=*/nullptr, &scratch[slot], config.engine);
+            /*clock=*/nullptr, &scratch[slot]);
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = Example{alu_features(challenges[i - begin]),
                            responses[i - begin].get(bit)};
@@ -153,7 +147,7 @@ std::vector<Example> collect_obfuscated_parallel(
         for (auto& x : xs) x = rng.next();
         const auto results = device.query_batch(xs.data(), xs.size(), env, rng,
                                                 /*clock=*/nullptr,
-                                                &scratch[slot], config.engine);
+                                                &scratch[slot]);
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = Example{word_features(xs[i - begin]),
                            results[i - begin].z.get(bit)};

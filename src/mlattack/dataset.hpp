@@ -44,21 +44,17 @@ std::vector<Example> collect_xor_arbiter(const alupuf::XorArbiterPuf& puf,
 
 /// Collects examples for raw ALU PUF response bit `bit`.  Harvesting is one
 /// AluPuf::eval_batch call (its RNG contract applies: the whole batch
-/// consumes a single `rng.next()` after the challenge draws), so `engine`
-/// only selects the timing kernel — by the exactness contract the dataset
-/// is byte-identical across engines.
-std::vector<Example> collect_alu_raw(
-    const alupuf::AluPuf& puf, std::size_t bit, std::size_t count,
-    support::Xoshiro256pp& rng,
-    timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice);
+/// consumes a single `rng.next()` after the challenge draws).
+std::vector<Example> collect_alu_raw(const alupuf::AluPuf& puf,
+                                     std::size_t bit, std::size_t count,
+                                     support::Xoshiro256pp& rng);
 
 /// Collects examples for obfuscated output bit `bit` of the full pipeline
 /// (labels from one PufDevice::query_batch over random 64-bit protocol
-/// challenges; engine-independent like collect_alu_raw).
-std::vector<Example> collect_obfuscated(
-    const alupuf::PufDevice& device, std::size_t bit, std::size_t count,
-    support::Xoshiro256pp& rng,
-    timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice);
+/// challenges).
+std::vector<Example> collect_obfuscated(const alupuf::PufDevice& device,
+                                        std::size_t bit, std::size_t count,
+                                        support::Xoshiro256pp& rng);
 
 /// Shard-parallel CRP collection.  Work is cut into fixed `block`-sized
 /// shards; shard k derives its own generator from (seed, k) and writes its
@@ -69,10 +65,6 @@ struct ParallelCrpConfig {
   std::size_t threads = 1;
   std::size_t block = 256;     ///< challenges per shard (determinism unit)
   std::uint64_t seed = 1;      ///< dataset seed (shard rngs derive from it)
-  /// Timing kernel for the batched evaluations.  Datasets are
-  /// engine-independent (the exactness contract), so this only trades
-  /// speed.
-  timingsim::BatchEngine engine = timingsim::BatchEngine::kBitslice;
 };
 
 /// Parallel variant of collect_alu_raw over AluPuf::eval_batch (one batch

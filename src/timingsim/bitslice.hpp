@@ -58,14 +58,6 @@
 
 namespace pufatt::timingsim {
 
-/// Evaluation-engine selector for batch entry points (AluPuf /
-/// PufDevice / gen-crps).  Both produce identical doubles
-/// and therefore identical responses; they differ only in speed.
-enum class BatchEngine : std::uint8_t {
-  kScalar,    ///< one scalar `run` per lane (reference path)
-  kBitslice,  ///< BitSliceEngine (the default)
-};
-
 /// Packs `count` challenges into transposed lane words:
 /// `out[i*nwords + w]` holds input bit i of lanes [w*64, w*64+64), lane l
 /// in bit l.  `nwords = ceil(count/64)`; tail lanes are zero.  Every

@@ -190,26 +190,20 @@ TEST(AttackMatrix, LeakedEnrollmentModelDefeatsAttestation) {
 
 // --------------------------------------------------------------- tournament
 
-Tournament tiny_tournament(std::size_t threads,
-                           timingsim::BatchEngine engine) {
+Tournament tiny_tournament(std::size_t threads) {
   TournamentConfig config;
   config.budgets = {256, 768};
   config.test_queries = 400;
   config.replay_rounds = 10;
   config.threads = threads;
   config.seed = 42;
-  config.engine = engine;
   Tournament tournament(config);
-  tournament.add_variant("arbiter",
-                         [](std::uint64_t chip, timingsim::BatchEngine) {
-                           return make_arbiter_variant({}, chip);
-                         });
-  tournament.add_variant("alu-raw",
-                         [](std::uint64_t chip, timingsim::BatchEngine e) {
-                           AluVariantParams p = small_alu();
-                           p.engine = e;
-                           return make_alu_raw_variant(p, chip);
-                         });
+  tournament.add_variant("arbiter", [](std::uint64_t chip) {
+    return make_arbiter_variant({}, chip);
+  });
+  tournament.add_variant("alu-raw", [](std::uint64_t chip) {
+    return make_alu_raw_variant(small_alu(), chip);
+  });
   mlattack::LogRegParams lr;
   lr.epochs = 20;
   tournament.add_attack(std::make_shared<LogRegAttack>(lr));
@@ -220,26 +214,15 @@ Tournament tiny_tournament(std::size_t threads,
 }
 
 TEST(Tournament, MatrixIsThreadInvariant) {
-  const auto one = tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
-  const auto four = tiny_tournament(4, timingsim::BatchEngine::kBitslice).run();
+  const auto one = tiny_tournament(1).run();
+  const auto four = tiny_tournament(4).run();
   EXPECT_EQ(matrix_json(one), matrix_json(four));
   ASSERT_EQ(one.cells.size(), 4u);
   EXPECT_EQ(one.cells.front().reports.size(), 2u);
 }
 
-TEST(Tournament, MatrixIsEngineInvariant) {
-  // Timing-engine choice must not move a byte of the matrix (the harvest
-  // rides eval_batch, whose responses are engine-exact).
-  const auto scalar =
-      tiny_tournament(1, timingsim::BatchEngine::kScalar).run();
-  const auto sliced =
-      tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
-  EXPECT_EQ(matrix_json(scalar), matrix_json(sliced));
-}
-
 TEST(Tournament, FindLocatesCells) {
-  const auto result =
-      tiny_tournament(1, timingsim::BatchEngine::kBitslice).run();
+  const auto result = tiny_tournament(1).run();
   ASSERT_NE(result.find("arbiter", "lr"), nullptr);
   ASSERT_NE(result.find("alu-raw", "mlp"), nullptr);
   EXPECT_EQ(result.find("arbiter", "cmaes"), nullptr);

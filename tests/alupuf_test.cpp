@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <latch>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -201,12 +203,9 @@ TEST(AluPuf, ConcurrentEvaluationAcrossEnvironmentsMatchesSerial) {
       for (int c = 0; c < 8; ++c) {
         challenges.push_back(random_challenge(32, rng));
       }
-      for (const auto engine : {timingsim::BatchEngine::kBitslice,
-                                timingsim::BatchEngine::kScalar}) {
-        const auto batch = puf.eval_batch(challenges.data(), 8, env, rng,
-                                          nullptr, &scratch, engine);
-        out.responses.insert(out.responses.end(), batch.begin(), batch.end());
-      }
+      const auto batch =
+          puf.eval_batch(challenges.data(), 8, env, rng, nullptr, &scratch);
+      out.responses.insert(out.responses.end(), batch.begin(), batch.end());
       out.responses.push_back(puf.eval(challenges[0], env, rng));
       out.deltas.push_back(puf.race_deltas(challenges[1], env));
       out.settle_ps.push_back(puf.max_settle_ps(env));
@@ -604,6 +603,62 @@ TEST_F(PipelineFixture, EmulateWordsMatchesReferencePipeline) {
   EXPECT_GT(rejected, 0);
 }
 
+TEST_F(PipelineFixture, CallHammingBudgetBoundsLowMarginFlips) {
+  // A transcript that differs from the model only on low-margin bits
+  // stays inside the weighted budget however many bits differ; the
+  // per-call Hamming budget is what bounds their number.  Each response
+  // flips its lowest-margin bits, 6 of them (48 in the call, at the
+  // bound: accepted), then one more in the first response (49: rejected),
+  // on challenges whose 7 lowest margins sum to under 7 ps.
+  const auto& emu = emulator_.raw_emulator();
+  const ecc::SyndromeHelper helper(code_);
+  const std::size_t flips = emulator_.max_call_distance() / 8;
+  Xoshiro256pp rng(24);
+  PufEmulator::Words challenge_words;
+  std::array<std::vector<double>, 8> llrs;
+  std::array<std::vector<std::size_t>, 8> by_margin;
+  std::size_t found = 0;
+  for (int tries = 0; found < 8 && tries < 20000; ++tries) {
+    const auto challenge = random_challenge(32, rng);
+    auto llr = emu.eval_soft(challenge);
+    std::vector<std::size_t> order(llr.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+      return std::abs(llr[i]) < std::abs(llr[j]);
+    });
+    double low = 0.0;
+    for (std::size_t k = 0; k <= flips; ++k) low += std::abs(llr[order[k]]);
+    if (low >= 7.0) continue;
+    challenge_words[found] = challenge.to_u64();
+    llrs[found] = std::move(llr);
+    by_margin[found] = std::move(order);
+    ++found;
+  }
+  ASSERT_EQ(found, 8u);
+  const auto call_with = [&](std::size_t extra) {
+    PufEmulator::Words helper_words;
+    for (std::size_t r = 0; r < 8; ++r) {
+      BitVector y(32);
+      for (std::size_t i = 0; i < 32; ++i) y.set(i, llrs[r][i] < 0.0);
+      const std::size_t n = flips + (r == 0 ? extra : 0);
+      for (std::size_t k = 0; k < n; ++k) {
+        y.set(by_margin[r][k], !y.get(by_margin[r][k]));
+      }
+      helper_words[r] = helper.generate(y).to_u64();
+    }
+    timingsim::BitSliceState state;
+    return emulator_.emulate_words(challenge_words, helper_words, state);
+  };
+  const auto at_bound = call_with(0);
+  ASSERT_EQ(at_bound.stats.distance, emulator_.max_call_distance());
+  ASSERT_LE(at_bound.stats.weighted_ps, emulator_.max_weighted_distance());
+  EXPECT_TRUE(at_bound.z.has_value());
+  const auto over = call_with(1);
+  ASSERT_EQ(over.stats.distance, emulator_.max_call_distance() + 1);
+  ASSERT_LE(over.stats.weighted_ps, emulator_.max_weighted_distance());
+  EXPECT_FALSE(over.z.has_value());
+}
+
 TEST(Pipeline, RejectsCodeWidthMismatch) {
   const ecc::ReedMuller1 rm4(4);  // n = 16, but PUF width 32
   EXPECT_THROW(PufDevice(small_config(32), 1, rm4), std::invalid_argument);
@@ -944,6 +999,62 @@ TEST(AluPufBatch, SampleDelaysBatchMatchesPerGateLoop) {
     }
     for (std::size_t x = 0; x < count; ++x) {
       EXPECT_EQ(rngs[x].next(), ref_rngs[x].next()) << "lane " << x;
+    }
+  }
+}
+
+TEST(AluPufBatch, MatchesPerLaneScalarReference) {
+  // eval_batch against its RNG contract restated lane by lane on the scalar
+  // simulator (testref::reference_eval_batch): every response and every
+  // lane generator's next draw are equal, across widths, block shapes (a
+  // lone lane, partial and full 8-lane blocks, one and several 64-lane
+  // words), operating points and a capture deadline that forces coins.
+  // A third of the lanes add a single low bit 2^j (j < 4) to an all-ones
+  // a: a carry chain from bit j to the top, which misses the deadline.
+  for (const std::size_t width : {16u, 32u}) {
+    const AluPuf puf(small_config(width), 29 + width);
+    for (const Environment env : {Environment::nominal(),
+                                  Environment{0.9, 120.0}}) {
+      const ClockConstraint clock{0.8 * (puf.max_settle_ps(env) + 20.0),
+                                  20.0};
+      std::size_t coins = 0;
+      for (const ClockConstraint* c :
+           {static_cast<const ClockConstraint*>(nullptr), &clock}) {
+        Xoshiro256pp crng(61 + width);
+        AluPufBatchScratch scratch;
+        for (const std::size_t count : {1u, 5u, 8u, 9u, 64u, 65u, 200u}) {
+          std::vector<Challenge> challenges;
+          for (std::size_t x = 0; x < count; ++x) {
+            Challenge challenge = random_challenge(width, crng);
+            if (x % 3 == 0) {
+              const std::size_t j = crng.uniform_u64(4);
+              for (std::size_t i = 0; i < width; ++i) {
+                challenge.set(i, true);
+                challenge.set(width + i, i == j);
+              }
+            }
+            challenges.push_back(std::move(challenge));
+          }
+          Xoshiro256pp batch_rng(700 + count), ref_rng(700 + count);
+          const auto batch = puf.eval_batch(challenges.data(), count, env,
+                                            batch_rng, c, &scratch);
+          auto want = testref::reference_eval_batch(
+              puf, challenges.data(), count, env, ref_rng, c);
+          ASSERT_EQ(batch.size(), count);
+          for (std::size_t x = 0; x < count; ++x) {
+            ASSERT_TRUE(batch[x] == want.responses[x])
+                << "width " << width << " count " << count << " lane " << x;
+            ASSERT_EQ(scratch.lane_rngs[x].next(), want.lane_rngs[x].next())
+                << "width " << width << " count " << count << " lane " << x;
+          }
+          EXPECT_EQ(batch_rng.next(), ref_rng.next());
+          if (c == nullptr) {
+            EXPECT_EQ(want.coins, 0u);
+          }
+          coins += want.coins;
+        }
+      }
+      EXPECT_GT(coins, 0u) << "width " << width;
     }
   }
 }

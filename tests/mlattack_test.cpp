@@ -196,42 +196,6 @@ TEST(ParallelCrp, AluRawInvariantAcrossThreadCounts) {
   EXPECT_LT(ones, 450u);
 }
 
-TEST(ParallelCrp, SequentialDatasetsAreEngineInvariant) {
-  // collect_alu_raw / collect_obfuscated harvest through one eval_batch /
-  // query_batch call; by the exactness contract the engine parameter must
-  // never move a label byte.
-  const alupuf::AluPuf puf(
-      [] {
-        alupuf::AluPufConfig c;
-        c.width = 16;
-        return c;
-      }(),
-      11);
-  using timingsim::BatchEngine;
-  const auto collect_with = [&](BatchEngine engine) {
-    Xoshiro256pp rng(31);  // identical caller stream per engine
-    return collect_alu_raw(puf, 4, 200, rng, engine);
-  };
-  const auto scalar = collect_with(BatchEngine::kScalar);
-  EXPECT_TRUE(same_examples(scalar, collect_with(BatchEngine::kBitslice)));
-
-  const ecc::ReedMuller1 code(4);
-  const alupuf::PufDevice device(
-      [] {
-        alupuf::AluPufConfig c;
-        c.width = 16;
-        return c;
-      }(),
-      13, code);
-  const auto collect_obf_with = [&](BatchEngine engine) {
-    Xoshiro256pp rng(33);
-    return collect_obfuscated(device, 3, 96, rng, engine);
-  };
-  const auto obf_scalar = collect_obf_with(BatchEngine::kScalar);
-  EXPECT_TRUE(
-      same_examples(obf_scalar, collect_obf_with(BatchEngine::kBitslice)));
-}
-
 TEST(ParallelCrp, ObfuscatedInvariantAcrossThreadCounts) {
   const ecc::ReedMuller1 code(5);
   const alupuf::PufDevice device(alupuf::AluPufConfig{}, 9, code);

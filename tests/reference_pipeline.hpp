@@ -6,12 +6,14 @@
 // network's fold/rotate (paper Section 2 plus the kHardened matching),
 // syndrome helper-data soft reconstruction with a first-order Reed-Muller
 // fast-Hadamard decoder, the prover's PUF() call composed from
-// AluPuf::eval_batch lanes, BitVector syndromes and that obfuscation, and
-// the per-gate noise draws of the batched delay sampling.  The
+// AluPuf::eval_batch lanes, BitVector syndromes and that obfuscation, the
+// per-gate noise draws of the batched delay sampling, and eval_batch itself
+// as one scalar timing run per lane.  The
 // floating-point operation order of the decoder matches the production
 // transform, so results compare with ==.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <numeric>
@@ -25,6 +27,7 @@
 #include "ecc/linear_code.hpp"
 #include "support/bitvec.hpp"
 #include "support/rng.hpp"
+#include "timingsim/arbiter.hpp"
 #include "timingsim/timing_sim.hpp"
 #include "variation/chip.hpp"
 
@@ -182,6 +185,58 @@ inline void reference_sample_delays(const timingsim::DelaySet& nominal,
       out.fall_ps[g * count + x] = fall <= 0.0 ? 0.0 : fall * jitter;
     }
   }
+}
+
+/// AluPuf::eval_batch restated from the RNG contract in alu_puf.hpp, one
+/// lane at a time on the scalar simulator: one `rng.next()` batch seed;
+/// lane x's generator Xoshiro256pp(SplitMix64::mix(seed + kGolden*(x+1)));
+/// its noisy delays drawn from the die's noise-free delays at `env` by
+/// reference_sample_delays; one cone_sim run; then, bit by bit, a fair coin
+/// when neither transition reached the arbiter by the capture deadline,
+/// else the arbiter's sample of t1 - t0.
+struct ReferenceBatch {
+  std::vector<alupuf::RawResponse> responses;
+  std::vector<support::Xoshiro256pp> lane_rngs;  ///< as the batch leaves them
+  std::size_t coins = 0;  ///< bits resolved by the setup-violation coin
+};
+
+inline ReferenceBatch reference_eval_batch(
+    const alupuf::AluPuf& puf, const alupuf::Challenge* challenges,
+    std::size_t count, const variation::Environment& env,
+    support::Xoshiro256pp& rng, const alupuf::ClockConstraint* clock) {
+  constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  const auto& config = puf.config();
+  const auto circuit = alupuf::shared_circuit(config.width, config.layout);
+  const timingsim::DelaySet nominal = puf.chip().nominal_delays(env);
+  const timingsim::Arbiter arbiter(config.arbiter);
+  const std::uint64_t seed = rng.next();
+  ReferenceBatch batch;
+  std::vector<timingsim::SignalState> states;
+  for (std::size_t x = 0; x < count; ++x) {
+    support::Xoshiro256pp lane(
+        support::SplitMix64::mix(seed + kGolden * (x + 1)));
+    timingsim::BatchDelays sampled;
+    reference_sample_delays(nominal, config.noise, &lane, 1, sampled);
+    timingsim::DelaySet delays;
+    delays.rise_ps = sampled.rise_ps;
+    delays.fall_ps = sampled.fall_ps;
+    circuit->cone_sim.run(challenges[x], delays, states);
+    alupuf::RawResponse response(config.width);
+    for (std::size_t i = 0; i < config.width; ++i) {
+      const double t0 = states[circuit->circuit.race0[i]].time_ps;
+      const double t1 = states[circuit->circuit.race1[i]].time_ps;
+      if (clock != nullptr &&
+          std::min(t0, t1) > clock->cycle_ps - clock->setup_ps) {
+        response.set(i, lane.bernoulli(0.5));
+        ++batch.coins;
+      } else {
+        response.set(i, arbiter.sample(t1 - t0, lane));
+      }
+    }
+    batch.responses.push_back(std::move(response));
+    batch.lane_rngs.push_back(lane);
+  }
+  return batch;
 }
 
 }  // namespace pufatt::testref

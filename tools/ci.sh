@@ -16,15 +16,16 @@
 # tracing overhead gates are exercised under each sanitizer too.
 # attack_matrix_quick runs the whole adversary-lab roster
 # (bench/attack_matrix --quick) with shrunk budgets and relaxed accuracy
-# gates, but still asserts the matrix is byte-stable across thread counts
-# and invariant across the scalar/bit-sliced timing engines.
+# gates, but still asserts the matrix is byte-stable across thread counts.
 # sim_engine_smoke additionally gates the bit-sliced engine (zero
-# divergence vs scalar, engine-invariant CRP digests), engine_crosscheck
+# divergence vs scalar, thread-invariant CRP digests), engine_crosscheck
 # gates zero divergence per net per lane in both delay modes (one large
-# batch and the served 8-lane calls), and gen_crps_engine_parity
-# re-derives the same contract at the CLI layer: gen-crps output must be
-# byte-identical across --engine=scalar/bitslice.
-# The TSan tree in particular covers the socket front end's
+# batch and the served 8-lane calls), AluPufBatch.MatchesPerLaneScalarReference
+# holds every batched device response and lane generator to one scalar
+# timing run per lane, and gen_crps_thread_parity requires byte-identical
+# gen-crps output at 1 and 3 worker threads.
+# The TSan tree in particular covers gen-crps's shard workers sharing one
+# device (gen_crps_thread_parity), the socket front end's
 # cross-thread seams — event-loop wakeups, pool-completion posts back onto
 # the loop thread, server/loadgen counter handoff (tests/net_test.cpp) —
 # four threads evaluating one device at two operating points through
@@ -66,10 +67,21 @@
 # (a mistyped -R filter, a vanished torture label) fails the tree instead
 # of passing it after running nothing.
 #
+# `tools/ci.sh --mutants` runs the mutation gate instead
+# (tools/mutants.sh over tools/mutants.txt: each one-edit mutant of a
+# fail-closed check, rebuilt and run against the plain tree's ctest; any
+# survivor fails).  It rebuilds once per mutant, so it is not part of the
+# default run.
+#
 # Usage: tools/ci.sh [extra ctest args...]
+#        tools/ci.sh --mutants
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+if [[ "${1:-}" == "--mutants" ]]; then
+  shift
+  exec tools/mutants.sh "$@"
+fi
 JOBS="$(nproc 2>/dev/null || echo 4)"
 TORTURE_ITERS="${TORTURE_ITERS:-12}"
 TORTURE_SEED="${TORTURE_SEED:-49537}"

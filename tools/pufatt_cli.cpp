@@ -31,7 +31,6 @@
 //                                                  server) are merged into
 //                                                  cross-process timelines
 //   pufatt-cli gen-crps <chip-seed> <count> <threads> <out.csv>
-//              [--engine={scalar,bitslice}]
 //                                                  dump protocol CRPs (batched)
 //   pufatt-cli store-inspect <store-dir>           recover + summarize a store
 //                                                  (sharded stores print every
@@ -102,6 +101,10 @@ const ecc::ReedMuller1& code() {
   return instance;
 }
 
+/// Every worker or thread count the CLI takes starts that many
+/// std::threads, so a larger value is rejected as malformed.
+constexpr std::uint64_t kMaxThreads = 1024;
+
 int usage() {
   std::fprintf(stderr,
                "usage: pufatt-cli enroll <chip-seed> <record.bin>\n"
@@ -136,19 +139,18 @@ int usage() {
                "       pufatt-cli trace-report <trace-file>...\n"
                "       pufatt-cli gen-crps <chip-seed> <count> <threads> "
                "<out.csv>\n"
-               "                  [--engine={scalar,bitslice}]  "
-               "timing kernel\n"
                "       pufatt-cli attack-matrix [--quick] [--seed=<s>] "
                "[--threads=<n>]\n"
-               "                  [--engine={scalar,bitslice}] "
-               "[--out=<matrix.json>]\n"
+               "                  [--out=<matrix.json>]\n"
                "       pufatt-cli store-inspect <store-dir>\n"
                "       pufatt-cli store-compact <store-dir> "
                "[--segment-bytes=<n>]\n"
                "       pufatt-cli store-replicate <primary-dir> "
                "<follower-dir>\n"
                "       pufatt-cli store-promote <follower-dir> "
-               "[--from=<primary-dir>]\n");
+               "[--from=<primary-dir>]\n"
+               "worker and thread counts are at most %llu\n",
+               static_cast<unsigned long long>(kMaxThreads));
   return 64;
 }
 
@@ -169,22 +171,10 @@ int bad_argument(const char* what, const char* got) {
   return usage();
 }
 
-/// Strict engine-selector parse: exact names only, same reject-don't-guess
-/// contract as parse_u64.  Both engines produce byte-identical output (the
-/// exactness contract has a crosscheck gate), so the flag only trades speed.
-bool parse_engine(const std::string& name, timingsim::BatchEngine& engine) {
-  if (name == "scalar") {
-    engine = timingsim::BatchEngine::kScalar;
-  } else if (name == "bitslice") {
-    engine = timingsim::BatchEngine::kBitslice;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* engine_name(timingsim::BatchEngine engine) {
-  return engine == timingsim::BatchEngine::kScalar ? "scalar" : "bitslice";
+/// parse_u64 for a worker or thread count: also rejects counts above
+/// kMaxThreads (the usage text names the bound).
+bool parse_count(const char* text, std::uint64_t& value) {
+  return parse_u64(text, value) && value <= kMaxThreads;
 }
 
 /// Strict double parse, same contract as parse_u64.
@@ -1003,8 +993,7 @@ int cmd_fleet_stats(const net::Endpoint& endpoint, double watch_ms,
 // invocation produces byte-identical CSVs at any parallelism (there is a
 // ctest comparing 1 vs 3 threads).
 int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
-                 std::uint64_t threads, const std::string& path,
-                 timingsim::BatchEngine engine) {
+                 std::uint64_t threads, const std::string& path) {
   if (count == 0 || threads == 0) {
     std::fprintf(stderr, "error: count and threads must be > 0\n");
     return usage();
@@ -1030,7 +1019,7 @@ int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
         for (std::size_t i = begin; i < end; ++i) challenges[i] = rng.next();
         const auto outputs =
             device.query_batch(challenges.data() + begin, end - begin, env,
-                               rng, nullptr, &scratch[slot], engine);
+                               rng, nullptr, &scratch[slot]);
         for (std::size_t i = begin; i < end; ++i) {
           responses[i] = outputs[i - begin].z.to_u64();
         }
@@ -1049,11 +1038,9 @@ int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
                  static_cast<unsigned long long>(responses[i]));
   }
   std::fclose(out);
-  std::printf(
-      "wrote %zu CRPs (chip %llu, %zu worker(s), block %zu, engine %s) -> "
-      "%s\n",
-      n, static_cast<unsigned long long>(chip_seed), workers, kBlock,
-      engine_name(engine), path.c_str());
+  std::printf("wrote %zu CRPs (chip %llu, %zu worker(s), block %zu) -> %s\n",
+              n, static_cast<unsigned long long>(chip_seed), workers, kBlock,
+              path.c_str());
   return 0;
 }
 
@@ -1249,9 +1236,9 @@ int cmd_store_compact(const std::string& dir, std::uint64_t segment_bytes) {
 // attack-matrix: run the adversary-lab tournament (src/adversary) over the
 // standard variant x attack roster and print the matrix.  The regression
 // gates live in bench/attack_matrix; this subcommand is the exploration
-// face — pick a seed, an engine, a thread count, and look at the numbers.
+// face — pick a seed and a thread count, and look at the numbers.
 int cmd_attack_matrix(bool quick, std::uint64_t seed, std::uint64_t threads,
-                      timingsim::BatchEngine engine, const std::string& out) {
+                      const std::string& out) {
   adversary::TournamentConfig config;
   if (quick) {
     config.budgets = {256, 1024};
@@ -1264,7 +1251,6 @@ int cmd_attack_matrix(bool quick, std::uint64_t seed, std::uint64_t threads,
   }
   config.threads = static_cast<std::size_t>(threads);
   config.seed = seed;
-  config.engine = engine;
 
   adversary::LabParams params;
   if (quick) {
@@ -1278,10 +1264,10 @@ int cmd_attack_matrix(bool quick, std::uint64_t seed, std::uint64_t threads,
   adversary::Tournament tournament(config);
   adversary::add_standard_lab(tournament, params);
   std::printf("attack matrix: %zu variants x %zu attacks, %zu budgets "
-              "(%s mode), seed %llu, engine %s\n\n",
+              "(%s mode), seed %llu\n\n",
               tournament.variant_count(), tournament.attack_count(),
               config.budgets.size(), quick ? "quick" : "full",
-              static_cast<unsigned long long>(seed), engine_name(engine));
+              static_cast<unsigned long long>(seed));
   const auto result = tournament.run();
 
   support::Table table({"variant", "attack", "budget", "queries", "train acc",
@@ -1363,7 +1349,8 @@ int main(int argc, char** argv) {
       }
       if (positional.size() > 3) return usage();
       std::uint64_t workers = 4, sessions = 32, devices = 6;
-      if (positional.size() > 0 && !parse_u64(positional[0], workers)) {
+      if (positional.size() > 0 &&
+          !parse_count(positional[0], workers)) {
         return bad_argument("worker count", positional[0]);
       }
       if (positional.size() > 1 && !parse_u64(positional[1], sessions)) {
@@ -1404,10 +1391,12 @@ int main(int argc, char** argv) {
                             endpoint_spec.c_str());
       }
 
-      const auto take_u64 = [&](const char* name, std::uint64_t& value) {
+      const auto take_u64 = [&](const char* name, std::uint64_t& value,
+                                bool (*parse)(const char*, std::uint64_t&) =
+                                    parse_u64) {
         const auto it = flags.find(name);
         if (it == flags.end()) return true;
-        const bool ok = parse_u64(it->second.c_str(), value);
+        const bool ok = parse(it->second.c_str(), value);
         if (!ok) bad_argument(name, it->second.c_str());
         flags.erase(it);
         return ok;
@@ -1452,7 +1441,8 @@ int main(int argc, char** argv) {
         take_str("trace-jsonl", obs_out.trace_jsonl);
         take_str("metrics-out", obs_out.metrics_out);
         take_str("metrics-jsonl", obs_out.metrics_jsonl);
-        if (!take_u64("workers", workers) || !take_u64("queue", queue) ||
+        if (!take_u64("workers", workers, parse_count) ||
+            !take_u64("queue", queue) ||
             !take_u64("devices", devices) ||
             !take_u64("fleet-seed", fleet_seed) ||
             !take_u64("max-jobs", max_jobs) ||
@@ -1510,24 +1500,17 @@ int main(int argc, char** argv) {
                                : cmd_trace_merge_report(paths);
     }
     if (cmd == "gen-crps") {
-      if (argc != 6 && argc != 7) return usage();
+      if (argc > 6 && std::string(argv[6]).rfind("--", 0) == 0) {
+        std::fprintf(stderr, "error: unknown flag '%s'\n", argv[6]);
+      }
+      if (argc != 6) return usage();
       std::uint64_t seed = 0, count = 0, threads = 0;
       if (!parse_u64(argv[2], seed)) return bad_argument("chip-seed", argv[2]);
       if (!parse_u64(argv[3], count)) return bad_argument("count", argv[3]);
-      if (!parse_u64(argv[4], threads)) {
+      if (!parse_count(argv[4], threads)) {
         return bad_argument("thread count", argv[4]);
       }
-      auto engine = timingsim::BatchEngine::kBitslice;
-      if (argc == 7) {
-        const std::string arg = argv[6];
-        const std::string prefix = "--engine=";
-        if (arg.rfind(prefix, 0) != 0 ||
-            !parse_engine(arg.substr(prefix.size()), engine)) {
-          return bad_argument("engine (want scalar/bitslice)",
-                              arg.c_str());
-        }
-      }
-      return cmd_gen_crps(seed, count, threads, argv[5], engine);
+      return cmd_gen_crps(seed, count, threads, argv[5]);
     }
     if (cmd == "store-inspect") {
       if (argc != 3) return usage();
@@ -1597,7 +1580,6 @@ int main(int argc, char** argv) {
       bool quick = false;
       std::uint64_t seed = 0xA17AC4ULL;  // the bench's fixed matrix seed
       std::uint64_t threads = 1;
-      auto engine = timingsim::BatchEngine::kBitslice;
       std::string out;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1610,13 +1592,8 @@ int main(int argc, char** argv) {
           }
         } else if (arg.rfind("--threads=", 0) == 0) {
           const std::string value = arg.substr(10);
-          if (!parse_u64(value.c_str(), threads) || threads == 0) {
-            return bad_argument("thread count (want > 0)", value.c_str());
-          }
-        } else if (arg.rfind("--engine=", 0) == 0) {
-          if (!parse_engine(arg.substr(9), engine)) {
-            return bad_argument("engine (want scalar/bitslice)",
-                                arg.c_str());
+          if (!parse_count(value.c_str(), threads) || threads == 0) {
+            return bad_argument("thread count", value.c_str());
           }
         } else if (arg.rfind("--out=", 0) == 0) {
           out = arg.substr(6);
@@ -1629,7 +1606,7 @@ int main(int argc, char** argv) {
           return usage();
         }
       }
-      return cmd_attack_matrix(quick, seed, threads, engine, out);
+      return cmd_attack_matrix(quick, seed, threads, out);
     }
     if (cmd.empty()) return usage();
     std::fprintf(stderr, "error: unknown subcommand '%s'\n", cmd.c_str());
