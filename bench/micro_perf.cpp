@@ -666,6 +666,10 @@ int main(int argc, char** argv) {
   JsonCapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  write_json("BENCH_micro_perf.json", smoke, reporter.rows);
+  // --benchmark_list_tests or an unmatched filter measures nothing: keep
+  // the JSON of the last run that did.
+  if (!reporter.rows.empty()) {
+    write_json("BENCH_micro_perf.json", smoke, reporter.rows);
+  }
   return 0;
 }

@@ -2,90 +2,151 @@
 // Obfuscation" and Section 4.1 "Side-channel Attack Resiliency"):
 // logistic regression (Ruehrmair-style) against
 //   1. the plain Arbiter PUF (the textbook break),
-//   2. raw ALU PUF response bits (partially learnable),
-//   3. the obfuscated pipeline output (should collapse to ~50%).
+//   2. k-XOR Arbiter PUFs (the mechanism behind the obfuscation network),
+//   3. raw ALU PUF response bits (partially learnable),
+//   4. the obfuscated pipeline output (should collapse to ~50%).
+// Each row group is one adversary-lab tournament with the LR attack as its
+// only column, so the table is a pure function of the seeds below.  The
+// variant factories pin their chip seeds: every row of a group attacks the
+// same silicon.
+//
+// Exits 1 when a row contradicts its claim: the arbiter at 16000 queries
+// and the XOR k=1 PUF must be BROKEN (> 0.9), XOR k=4 and k=8 must resist
+// (<= 0.58), every raw ALU bit must leak (> 0.55) and every obfuscated bit
+// must resist (< 0.58).
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "ecc/reed_muller.hpp"
-#include "mlattack/attack.hpp"
+#include "adversary/tournament.hpp"
 #include "support/table.hpp"
 
 using namespace pufatt;
+using namespace pufatt::adversary;
+
+namespace {
+
+using Rows = std::vector<std::pair<std::string, VariantFactory>>;
+
+/// One LR tournament over `rows` at every budget in `budgets`.
+TournamentResult run_lr(std::vector<std::size_t> budgets,
+                        std::size_t test_queries, std::uint64_t seed,
+                        const Rows& rows) {
+  TournamentConfig config;
+  config.budgets = std::move(budgets);
+  config.test_queries = test_queries;
+  config.seed = seed;
+  Tournament tournament(config);
+  for (const auto& [id, make] : rows) tournament.add_variant(id, make);
+  tournament.add_attack(std::make_shared<LogRegAttack>());
+  return tournament.run();
+}
+
+/// One table line per (row, budget).
+template <typename Verdict>
+void add_rows(support::Table& table, const TournamentResult& result,
+              Verdict verdict) {
+  for (const Cell& cell : result.cells) {
+    for (const AttackReport& r : cell.reports) {
+      table.add_row({cell.variant, std::to_string(r.queries_used),
+                     support::Table::num(r.train_accuracy, 3),
+                     support::Table::num(r.test_accuracy, 3),
+                     verdict(r.test_accuracy)});
+    }
+  }
+}
+
+/// Held-out accuracy of `id` at its group's largest budget.
+double final_accuracy(const TournamentResult& result, const std::string& id) {
+  return result.find(id, "lr")->reports.back().test_accuracy;
+}
+
+}  // namespace
 
 int main() {
   std::printf("=== Modeling attack: logistic regression on CRPs ===\n\n");
-  support::Xoshiro256pp rng(0x31337);
 
-  support::Table table({"target", "queries", "train acc", "test acc",
-                        "wall [s]", "verdict"});
+  const ArbiterVariantParams arbiter_params{.stages = 64, .noise_sigma = 0.05};
 
   // --- Arbiter PUF: accuracy vs training size -----------------------------
-  const alupuf::ArbiterPuf arbiter({.stages = 64, .noise_sigma = 0.05}, 5);
-  mlattack::AttackConfig config;
-  config.test_crps = 1500;
-  // Reproducible fits: training shuffles draw from this seed instead of
-  // whatever stream position CRP collection left behind.
-  config.train_seed = 0xA77AC4;
-  for (const std::size_t crps : {250u, 1000u, 4000u, 16000u}) {
-    const auto r = mlattack::attack_arbiter(arbiter, crps, rng, config);
-    table.add_row({"Arbiter PUF", std::to_string(r.queries_used),
-                   support::Table::num(r.train_accuracy, 3),
-                   support::Table::num(r.test_accuracy, 3),
-                   support::Table::num(r.wall_s, 2),
-                   r.test_accuracy > 0.9 ? "BROKEN" : "resists"});
-  }
+  const auto arbiter = run_lr(
+      {250, 1000, 4000, 16000}, 1500, 0xA77AC4,
+      {{"Arbiter PUF", [arbiter_params](std::uint64_t) {
+          return make_arbiter_variant(arbiter_params, 5);
+        }}});
 
   // --- k-XOR arbiter: the mechanism behind the obfuscation network ---------
+  Rows xor_rows;
   for (const std::size_t k : {1u, 2u, 4u, 8u}) {
-    const alupuf::XorArbiterPuf xpuf(k, {.stages = 64, .noise_sigma = 0.05}, 9);
-    const auto r = mlattack::attack_xor_arbiter(xpuf, 8000, rng, config);
-    table.add_row({"XOR-Arbiter k=" + std::to_string(k),
-                   std::to_string(r.queries_used),
-                   support::Table::num(r.train_accuracy, 3),
-                   support::Table::num(r.test_accuracy, 3),
-                   support::Table::num(r.wall_s, 2),
-                   r.test_accuracy > 0.9    ? "BROKEN"
-                   : r.test_accuracy > 0.58 ? "leaks partially"
-                                            : "resists"});
+    xor_rows.emplace_back("XOR-Arbiter k=" + std::to_string(k),
+                          [arbiter_params, k](std::uint64_t) {
+                            return make_xor_arbiter_variant(k, arbiter_params,
+                                                            9);
+                          });
   }
+  const auto xor_arbiter = run_lr({8000}, 1500, 0xB0B0A77A, xor_rows);
 
   // --- raw ALU PUF bits ------------------------------------------------------
-  alupuf::AluPufConfig puf_config;
-  puf_config.width = 32;
-  const alupuf::AluPuf alu(puf_config, 6);
+  Rows raw_rows;
   for (const std::size_t bit : {4u, 16u, 28u}) {
-    const auto r = mlattack::attack_alu_raw_bit(alu, bit, 6000, rng, config);
-    table.add_row({"ALU PUF raw bit " + std::to_string(bit),
-                   std::to_string(r.queries_used),
-                   support::Table::num(r.train_accuracy, 3),
-                   support::Table::num(r.test_accuracy, 3),
-                   support::Table::num(r.wall_s, 2),
-                   r.test_accuracy > 0.75   ? "LEAKS"
-                   : r.test_accuracy > 0.55 ? "leaks partially"
-                                            : "resists"});
+    raw_rows.emplace_back("ALU PUF raw bit " + std::to_string(bit),
+                          [bit](std::uint64_t) {
+                            return make_alu_raw_variant(
+                                {.width = 32, .bit = bit}, 6);
+                          });
   }
+  const auto raw = run_lr({6000}, 1500, 0xC0FFEE, raw_rows);
 
-  // --- obfuscated output -------------------------------------------------------
-  const ecc::ReedMuller1 code(5);
-  const alupuf::PufDevice device(puf_config, 7, code);
-  mlattack::AttackConfig obf_config;
-  obf_config.test_crps = 600;
-  obf_config.train_seed = 0xA77AC5;
+  // --- obfuscated output -----------------------------------------------------
+  Rows obf_rows;
   for (const std::size_t bit : {3u, 17u}) {
-    const auto r =
-        mlattack::attack_obfuscated_bit(device, bit, 2000, rng, obf_config);
-    table.add_row({"obfuscated z bit " + std::to_string(bit),
-                   std::to_string(r.queries_used),
-                   support::Table::num(r.train_accuracy, 3),
-                   support::Table::num(r.test_accuracy, 3),
-                   support::Table::num(r.wall_s, 2),
-                   r.test_accuracy < 0.58 ? "resists (paper claim)"
-                                          : "UNEXPECTED LEAK"});
+    obf_rows.emplace_back("obfuscated z bit " + std::to_string(bit),
+                          [bit](std::uint64_t) {
+                            return make_obfuscated_alu_variant(
+                                {.width = 32, .bit = bit}, 7);
+                          });
+  }
+  const auto obfuscated = run_lr({2000}, 600, 0xDEC0DE, obf_rows);
+
+  support::Table table(
+      {"target", "queries", "train acc", "test acc", "verdict"});
+  add_rows(table, arbiter,
+           [](double acc) { return acc > 0.9 ? "BROKEN" : "resists"; });
+  add_rows(table, xor_arbiter, [](double acc) {
+    return acc > 0.9 ? "BROKEN" : acc > 0.58 ? "leaks partially" : "resists";
+  });
+  add_rows(table, raw, [](double acc) {
+    return acc > 0.75 ? "LEAKS" : acc > 0.55 ? "leaks partially" : "resists";
+  });
+  add_rows(table, obfuscated, [](double acc) {
+    return acc < 0.58 ? "resists (paper claim)" : "UNEXPECTED LEAK";
+  });
+  std::printf("%s\n", table.render().c_str());
+
+  // --- claims (the verdict thresholds above) --------------------------------
+  bool ok = true;
+  const auto claim = [&ok](const std::string& what, bool holds) {
+    std::printf("claim %-42s %s\n", what.c_str(), holds ? "PASS" : "FAIL");
+    ok = ok && holds;
+  };
+  claim("Arbiter PUF at 16000 queries > 0.9",
+        final_accuracy(arbiter, "Arbiter PUF") > 0.9);
+  claim("XOR-Arbiter k=1 > 0.9",
+        final_accuracy(xor_arbiter, "XOR-Arbiter k=1") > 0.9);
+  for (const char* id : {"XOR-Arbiter k=4", "XOR-Arbiter k=8"}) {
+    claim(std::string(id) + " <= 0.58",
+          final_accuracy(xor_arbiter, id) <= 0.58);
+  }
+  for (const Cell& cell : raw.cells) {
+    claim(cell.variant + " > 0.55", cell.reports.back().test_accuracy > 0.55);
+  }
+  for (const Cell& cell : obfuscated.cells) {
+    claim(cell.variant + " < 0.58", cell.reports.back().test_accuracy < 0.58);
   }
 
-  std::printf("%s\n", table.render().c_str());
   std::printf(
-      "paper claim reproduced when: arbiter test acc -> ~1.0 with CRPs,\n"
+      "\npaper claim reproduced when: arbiter test acc -> ~1.0 with CRPs,\n"
       "raw ALU bits exceed chance, and obfuscated bits stay near 0.5.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

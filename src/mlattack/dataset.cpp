@@ -15,10 +15,6 @@ support::Xoshiro256pp shard_rng(std::uint64_t seed, std::size_t shard) {
 
 }  // namespace
 
-std::vector<double> arbiter_features(const BitVector& challenge) {
-  return alupuf::ArbiterPuf::features(challenge);
-}
-
 std::vector<double> alu_features(const BitVector& challenge) {
   const std::size_t width = challenge.size() / 2;
   std::vector<double> features;
@@ -42,64 +38,6 @@ std::vector<double> word_features(std::uint64_t x) {
   }
   features.push_back(1.0);
   return features;
-}
-
-std::vector<Example> collect_arbiter(const alupuf::ArbiterPuf& puf,
-                                     std::size_t count,
-                                     support::Xoshiro256pp& rng) {
-  std::vector<Example> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto challenge = BitVector::random(puf.challenge_bits(), rng);
-    out.push_back(Example{arbiter_features(challenge), puf.eval(challenge, rng)});
-  }
-  return out;
-}
-
-std::vector<Example> collect_xor_arbiter(const alupuf::XorArbiterPuf& puf,
-                                         std::size_t count,
-                                         support::Xoshiro256pp& rng) {
-  std::vector<Example> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto challenge = BitVector::random(puf.challenge_bits(), rng);
-    out.push_back(
-        Example{arbiter_features(challenge), puf.eval(challenge, rng)});
-  }
-  return out;
-}
-
-std::vector<Example> collect_alu_raw(const alupuf::AluPuf& puf,
-                                     std::size_t bit, std::size_t count,
-                                     support::Xoshiro256pp& rng) {
-  const auto env = variation::Environment::nominal();
-  std::vector<alupuf::Challenge> challenges;
-  challenges.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    challenges.push_back(BitVector::random(puf.challenge_bits(), rng));
-  }
-  const auto responses = puf.eval_batch(challenges.data(), count, env, rng);
-  std::vector<Example> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(Example{alu_features(challenges[i]), responses[i].get(bit)});
-  }
-  return out;
-}
-
-std::vector<Example> collect_obfuscated(const alupuf::PufDevice& device,
-                                        std::size_t bit, std::size_t count,
-                                        support::Xoshiro256pp& rng) {
-  const auto env = variation::Environment::nominal();
-  std::vector<std::uint64_t> xs(count);
-  for (auto& x : xs) x = rng.next();
-  const auto results = device.query_batch(xs.data(), count, env, rng);
-  std::vector<Example> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(Example{word_features(xs[i]), results[i].z.get(bit)});
-  }
-  return out;
 }
 
 std::vector<Example> collect_alu_raw_parallel(

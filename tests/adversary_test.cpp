@@ -188,6 +188,61 @@ TEST(AttackMatrix, LeakedEnrollmentModelDefeatsAttestation) {
   EXPECT_DOUBLE_EQ(surface->leaked_model_acceptance(25, rng), 1.0);
 }
 
+// ------------------------------------- the paper's LR claims (§2, §4.1)
+
+/// Held-out accuracy of one LR run against `variant`.
+double lr_accuracy(PufVariant& variant, std::size_t budget,
+                   std::size_t test_queries, Xoshiro256pp& rng) {
+  AttackRunConfig config;
+  config.budget = budget;
+  config.test_queries = test_queries;
+  return LogRegAttack().run(variant, config, rng).test_accuracy;
+}
+
+TEST(Attack, ArbiterPufIsBroken) {
+  // The textbook result (paper ref [27]): a few thousand CRPs suffice to
+  // model a plain arbiter PUF with high accuracy.
+  Xoshiro256pp rng(5);
+  auto puf = make_arbiter_variant({.stages = 64, .noise_sigma = 0.02}, 11);
+  EXPECT_GT(lr_accuracy(*puf, 4000, 1000, rng), 0.93);
+}
+
+TEST(Attack, ArbiterAccuracyGrowsWithCrps) {
+  Xoshiro256pp rng(6);
+  auto puf = make_arbiter_variant({.stages = 64, .noise_sigma = 0.02}, 12);
+  const double small = lr_accuracy(*puf, 200, 800, rng);
+  const double large = lr_accuracy(*puf, 4000, 800, rng);
+  EXPECT_GT(large, small);
+}
+
+TEST(Attack, RawAluPufBitLeaksAboveChance) {
+  // Raw (pre-obfuscation) response bits are partially predictable from the
+  // challenge — the reason the paper adds the obfuscation network.  Bit 8:
+  // mid-chain bit with substantial carry-dependence.
+  Xoshiro256pp rng(7);
+  auto puf = make_alu_raw_variant({.width = 16, .bit = 8}, 21);
+  EXPECT_GT(lr_accuracy(*puf, 3000, 1000, rng), 0.62);
+}
+
+TEST(Attack, ObfuscatedOutputResists) {
+  // After the two-phase XOR over 8 responses, LR on the protocol challenge
+  // stays near coin-flip accuracy — the paper's central obfuscation claim.
+  Xoshiro256pp rng(8);
+  auto device = make_obfuscated_alu_variant({.width = 32, .bit = 5}, 22);
+  const double accuracy = lr_accuracy(*device, 1500, 600, rng);
+  EXPECT_LT(accuracy, 0.58);
+  EXPECT_GT(accuracy, 0.42);
+}
+
+TEST(XorArbiterPuf, LrBreaksK1ButNotK4) {
+  Xoshiro256pp rng(9);
+  const ArbiterVariantParams params{.stages = 64, .noise_sigma = 0.05};
+  auto k1 = make_xor_arbiter_variant(1, params, 10);
+  auto k4 = make_xor_arbiter_variant(4, params, 10);
+  EXPECT_GT(lr_accuracy(*k1, 5000, 800, rng), 0.9);
+  EXPECT_LT(lr_accuracy(*k4, 5000, 800, rng), 0.6);
+}
+
 // --------------------------------------------------------------- tournament
 
 Tournament tiny_tournament(std::size_t threads) {

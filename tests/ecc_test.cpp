@@ -443,6 +443,10 @@ TEST_F(HelperDataCodes, SizeValidation) {
                std::invalid_argument);
   EXPECT_THROW(helper.reproduce(BitVector(32), BitVector(25)),
                std::invalid_argument);
+  EXPECT_THROW(helper.reproduce_soft(std::vector<double>(31), BitVector(26)),
+               std::invalid_argument);
+  EXPECT_THROW(helper.reproduce_soft(std::vector<double>(32), BitVector(25)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "alupuf/arbiter_puf.hpp"
 #include "alupuf/obfuscation.hpp"
 #include "ecc/reed_muller.hpp"
-#include "mlattack/attack.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::alupuf {
@@ -191,18 +190,6 @@ TEST(XorArbiterPuf, NoiseCompoundsWithK) {
     EXPECT_GT(rate, prev_rate);
     prev_rate = rate;
   }
-}
-
-TEST(XorArbiterPuf, LrBreaksK1ButNotK4) {
-  Xoshiro256pp rng(9);
-  mlattack::AttackConfig config;
-  config.test_crps = 800;
-  const XorArbiterPuf k1(1, {.stages = 64, .noise_sigma = 0.05}, 10);
-  const XorArbiterPuf k4(4, {.stages = 64, .noise_sigma = 0.05}, 10);
-  const auto r1 = mlattack::attack_xor_arbiter(k1, 5000, rng, config);
-  const auto r4 = mlattack::attack_xor_arbiter(k4, 5000, rng, config);
-  EXPECT_GT(r1.test_accuracy, 0.9);
-  EXPECT_LT(r4.test_accuracy, 0.6);
 }
 
 }  // namespace

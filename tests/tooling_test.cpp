@@ -146,6 +146,35 @@ TEST_F(SerializeFixture, FileRoundTrip) {
   EXPECT_EQ(loaded.enrolled_image, record().enrolled_image);
 }
 
+TEST_F(SerializeFixture, RejectsOversizedImageLength) {
+  // The image length is bounded (1 << 22 words) before anything is
+  // allocated: one past the bound must be refused as too large, not read
+  // as a 16 MiB vector that then runs out of input.
+  std::stringstream buffer;
+  core::save_record(buffer, record());
+  std::string bytes = buffer.str();
+  // The record ends with the image (u32 length + words) and a u64.
+  const std::size_t words = record().enrolled_image.size();
+  const std::size_t at = bytes.size() - 8 - 4 * words - 4;
+  std::uint32_t length = 0;
+  for (int i = 0; i < 4; ++i) {
+    length |= std::uint32_t{static_cast<unsigned char>(bytes[at + i])}
+              << (8 * i);
+  }
+  ASSERT_EQ(length, words);
+  const std::uint32_t oversized = (1u << 22) + 1;
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>(oversized >> (8 * i));
+  }
+  std::stringstream bad(bytes);
+  try {
+    core::load_record(bad);
+    FAIL() << "an oversized image length was accepted";
+  } catch (const core::SerializationError& e) {
+    EXPECT_STREQ(e.what(), "vector too large");
+  }
+}
+
 TEST(Serialize, RejectsBadMagic) {
   std::stringstream buffer;
   buffer.write("nope", 4);

@@ -11,9 +11,11 @@
 #
 # Every tree runs the full ctest suite *including* the bench-labeled
 # smokes (service_throughput_smoke, sim_engine_smoke, micro_perf_smoke,
-# obs_overhead_smoke, net_throughput_smoke, attack_matrix_quick,
-# engine_crosscheck), so the stable-schema BENCH_*.json writers and the
-# tracing overhead gates are exercised under each sanitizer too.
+# micro_perf_keeps_json, obs_overhead_smoke, net_throughput_smoke,
+# attack_matrix_quick, ml_attack, engine_crosscheck), so the stable-schema
+# BENCH_*.json writers and the tracing overhead gates are exercised under
+# each sanitizer too.  ml_attack fails when a row of the paper's LR table
+# (Sections 2 and 4.1) contradicts its verdict.
 # attack_matrix_quick runs the whole adversary-lab roster
 # (bench/attack_matrix --quick) with shrunk budgets and relaxed accuracy
 # gates, but still asserts the matrix is byte-stable across thread counts.

@@ -54,6 +54,7 @@ edit() {
   python3 - "$@" <<'EOF'
 import sys
 mode, path, old, new = sys.argv[1:5]
+old, new = (t.replace("\\n", "\n") for t in (old, new))
 text = open(path).read()
 count = text.count(old)
 if count != 1:
