@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,54 @@ void BM_FullAttestationRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullAttestationRoundTrip);
+
+// A verifier-cache miss, layer by layer: the whole core::Verifier build
+// over a registry snapshot (as service::EmulatorCache runs it), the
+// nominal delays it derives from H, and the shared-delay engine it plans
+// over them (classification + fused plan) on the served 32-bit cone.
+std::shared_ptr<const core::EnrollmentRecord> served_record() {
+  static const auto record = [] {
+    const auto profile = core::DistributedParams::small_profile();
+    const alupuf::PufDevice device(profile.puf_config, 8, rm5());
+    return std::make_shared<const core::EnrollmentRecord>(core::enroll(
+        device, profile,
+        core::make_enrolled_image(profile,
+                                  std::vector<std::uint32_t>(500, 3))));
+  }();
+  return record;
+}
+
+void BM_VerifierBuild(benchmark::State& state) {
+  const auto record = served_record();
+  for (auto _ : state) {
+    const core::Verifier verifier(record, rm5());
+    benchmark::DoNotOptimize(&verifier);
+  }
+}
+BENCHMARK(BM_VerifierBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_DelaysFromTable(benchmark::State& state) {
+  const auto record = served_record();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(variation::delays_from_table(
+        record->model, variation::Environment::nominal()));
+  }
+}
+BENCHMARK(BM_DelaysFromTable)->Unit(benchmark::kMicrosecond);
+
+void BM_BitsliceEngineBuildShared(benchmark::State& state) {
+  // Includes copying the delays in; the verifier moves its own.
+  const auto record = served_record();
+  const auto circuit = alupuf::shared_circuit(32);
+  const auto delays = variation::delays_from_table(
+      record->model, variation::Environment::nominal());
+  for (auto _ : state) {
+    const timingsim::BitSliceEngine engine(circuit->cone_sim.compiled(),
+                                           delays);
+    benchmark::DoNotOptimize(engine.num_plan_ops());
+  }
+}
+BENCHMARK(BM_BitsliceEngineBuildShared)->Unit(benchmark::kMicrosecond);
 
 void BM_CpuProverRespond(benchmark::State& state) {
   // One simulated honest prover run on the served (small) profile: the PR32

@@ -275,8 +275,8 @@ AluPufEmulator::AluPufEmulator(std::size_t width,
                                const netlist::AluPufLayout& layout)
     : width_(width),
       circuit_(shared_circuit(width, layout)),
-      delays_(nominal_delays(*circuit_, model)),
-      engine_(circuit_->cone_sim.compiled(), delays_) {}
+      engine_(circuit_->cone_sim.compiled(),
+              nominal_delays(*circuit_, model)) {}
 
 void AluPufEmulator::eval_soft_batch(const Challenge* challenges,
                                      std::size_t count,
@@ -334,7 +334,7 @@ std::vector<double> AluPufEmulator::eval_soft(const Challenge& challenge) const 
     throw std::invalid_argument("AluPufEmulator: challenge must be 2*width bits");
   }
   std::vector<timingsim::SignalState> states;
-  circuit_->sim.run(challenge, delays_, states);
+  circuit_->sim.run(challenge, engine_.delays(), states);
   std::vector<double> llr(width_);
   for (std::size_t i = 0; i < width_; ++i) {
     // Bit is 1 when delta > 0, and the LLR convention is positive = bit 0.

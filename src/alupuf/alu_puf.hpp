@@ -252,8 +252,9 @@ class AluPufEmulator {
 
   std::size_t width_;
   std::shared_ptr<const PufCircuit> circuit_;
-  timingsim::DelaySet delays_;      ///< nominal, from H (scalar paths)
-  timingsim::BitSliceEngine engine_;  ///< shared-delay mode over delays_
+  /// Shared-delay mode over the nominal delays from H, which it owns (the
+  /// scalar paths read them back through engine_.delays()).
+  timingsim::BitSliceEngine engine_;
 };
 
 }  // namespace pufatt::alupuf

@@ -14,7 +14,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "alupuf/pipeline.hpp"
@@ -69,9 +71,19 @@ class Verifier {
   /// Summing over all calls makes the statistic ~sqrt(calls) more
   /// sensitive than the per-call threshold, closing the marginal-overclock
   /// window (see DESIGN.md).
+  /// The verifier shares `record` (non-null; std::invalid_argument
+  /// otherwise) rather than copying it: a registry snapshot stays one
+  /// allocation however many verifiers are built from it.
+  Verifier(std::shared_ptr<const EnrollmentRecord> record,
+           const ecc::BinaryCode& code, const ChannelParams& channel = {},
+           double slack = 0.03, double max_avg_weighted_ps = 36.0);
+
+  /// Over a record the verifier owns alone.
   Verifier(EnrollmentRecord record, const ecc::BinaryCode& code,
            const ChannelParams& channel = {}, double slack = 0.03,
-           double max_avg_weighted_ps = 36.0);
+           double max_avg_weighted_ps = 36.0)
+      : Verifier(std::make_shared<const EnrollmentRecord>(std::move(record)),
+                 code, channel, slack, max_avg_weighted_ps) {}
 
   AttestationRequest make_request(support::Xoshiro256pp& rng) const;
 
@@ -86,10 +98,15 @@ class Verifier {
                       const AttestationResponse& response,
                       double elapsed_us) const;
 
-  const EnrollmentRecord& record() const { return record_; }
+  const EnrollmentRecord& record() const { return *record_; }
+  /// The shared record itself: the identity a cache compares to decide
+  /// whether this verifier was built from a registry's current snapshot.
+  const std::shared_ptr<const EnrollmentRecord>& record_ptr() const {
+    return record_;
+  }
 
  private:
-  EnrollmentRecord record_;
+  std::shared_ptr<const EnrollmentRecord> record_;
   alupuf::PufEmulator emulator_;
   Channel channel_;
   double slack_;

@@ -30,49 +30,49 @@ std::shared_ptr<const core::Verifier> EmulatorCache::acquire(
     const std::string& device_id, const obs::TraceScope& trace) {
   obs::Span acquire_span = trace.span("cache.acquire");
   const auto record = registry_->load(device_id);
-  std::shared_ptr<Entry> entry;
+  std::shared_ptr<const core::Verifier> verifier;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (record && it != map_.end() && it->second.entry->record == record) {
+    if (record && it != map_.end() &&
+        it->second.verifier->record_ptr() == record) {
       ++counters_.hits;
       touch(it);
-      entry = it->second.entry;
+      verifier = it->second.verifier;
     } else {
       ++counters_.misses;
       if (!record && it != map_.end()) erase(it);  // revoked
     }
   }
-  acquire_span.note("hit", entry ? 1.0 : 0.0);
+  acquire_span.note("hit", verifier ? 1.0 : 0.0);
   if (!record) return nullptr;
 
-  if (!entry) {
+  if (!verifier) {
     // Construction happens unlocked so it never stalls unrelated lookups.
     obs::Span build_span = acquire_span.child("cache.build");
-    auto fresh = std::make_shared<Entry>(record, *code_, channel_, slack_);
+    auto fresh = std::make_shared<const core::Verifier>(record, *code_,
+                                                        channel_, slack_);
     build_span.end();
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (it != map_.end() && it->second.entry->record == record) {
-      // Another thread won the construction race; use its entry.
+    if (it != map_.end() && it->second.verifier->record_ptr() == record) {
+      // Another thread won the construction race; use its verifier.
       ++counters_.discarded;
       touch(it);
-      entry = it->second.entry;
+      verifier = it->second.verifier;
     } else {
       if (it != map_.end()) erase(it);  // built from an older record
       lru_.push_front(device_id);
       map_.emplace(device_id, Slot{fresh, lru_.begin()});
-      entry = std::move(fresh);
+      verifier = std::move(fresh);
       if (map_.size() > capacity_) {
         erase(map_.find(lru_.back()));  // in-flight sessions keep it alive
         ++counters_.evictions;
       }
     }
   }
-
-  // Aliases the entry, so the verifier outlives eviction while held.
-  return std::shared_ptr<const core::Verifier>(entry, &entry->verifier);
+  return verifier;
 }
 
 std::size_t EmulatorCache::size() const {

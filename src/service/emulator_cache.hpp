@@ -1,11 +1,17 @@
 // LRU cache of constructed verifiers.
 //
 // A core::Verifier is an immutable value over the process-wide shared
-// circuit (alupuf::shared_circuit): cheap to build, but not free, so the
-// cache amortizes construction across requests, bounded by `capacity`.
+// circuit (alupuf::shared_circuit) and the registry's own shared record
+// (it holds the snapshot's pointer, never a copy).  A build still derives
+// the nominal delays from H and plans the bit-sliced engine, so the cache
+// amortizes construction across requests, bounded by `capacity`.
 // Every acquire re-loads the device's record and hits only while the
-// registry still holds the snapshot the entry was built from: a revoked
-// device gets no verifier, a re-enrolled one is rebuilt as a miss.
+// registry still holds the snapshot the cached verifier was built from
+// (pointer identity, Verifier::record_ptr): a revoked device gets no
+// verifier, a re-enrolled one is rebuilt as a miss even when its new
+// record is byte-equal to the old.  The verifier keeps its snapshot alive,
+// so a pointer the cache compares against can never have been freed and
+// reused by another record.
 //
 // On a miss the verifier is constructed *outside* the cache lock; if two
 // threads miss the same id simultaneously both construct and the loser's
@@ -34,16 +40,6 @@ struct CacheCounters {
 };
 
 class EmulatorCache {
-  struct Entry {
-    Entry(std::shared_ptr<const core::EnrollmentRecord> from,
-          const ecc::BinaryCode& code, const core::ChannelParams& channel,
-          double slack)
-        : record(std::move(from)), verifier(*record, code, channel, slack) {}
-    /// The registry snapshot the verifier was built from.
-    std::shared_ptr<const core::EnrollmentRecord> record;
-    const core::Verifier verifier;
-  };
-
  public:
   /// `registry` and `code` must outlive the cache.  `channel`/`slack` are
   /// forwarded to every constructed Verifier.  Any RegistryView works —
@@ -76,7 +72,7 @@ class EmulatorCache {
 
  private:
   struct Slot {
-    std::shared_ptr<Entry> entry;
+    std::shared_ptr<const core::Verifier> verifier;
     std::list<std::string>::iterator lru_it;
   };
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -603,16 +604,17 @@ BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled)
 }
 
 BitSliceEngine::BitSliceEngine(const CompiledNetlist& compiled,
-                               const DelaySet& delays)
-    : cn_(&compiled), id_(next_engine_id()), shared_(true) {
-  if (delays.rise_ps.size() != cn_->num_gates() ||
-      delays.fall_ps.size() != cn_->num_gates()) {
+                               DelaySet delays)
+    : cn_(&compiled),
+      id_(next_engine_id()),
+      shared_(true),
+      delays_(std::move(delays)) {
+  if (delays_.rise_ps.size() != cn_->num_gates() ||
+      delays_.fall_ps.size() != cn_->num_gates()) {
     throw std::invalid_argument("BitSliceEngine: wrong delay count");
   }
   init_common();
-  rise_ = delays.rise_ps;
-  fall_ = delays.fall_ps;
-  classify_shared(delays);
+  classify_shared();
   build_plan();
 }
 
@@ -624,11 +626,22 @@ void BitSliceEngine::init_common() {
   slot_.assign(n, 0);
 }
 
-void BitSliceEngine::classify_shared(const DelaySet& delays) {
+void BitSliceEngine::classify_shared() {
   const CompiledNetlist& cn = *cn_;
   const GateId* const fanins = cn.fanins().data();
+  const double* const rise = delays_.rise_ps.data();
+  const double* const fall = delays_.fall_ps.data();
   // -1 = value varies across lanes; 0/1 = provably constant.
   std::vector<std::int8_t> fixed(cn.num_gates(), -1);
+  // Enumeration scratch, sized once to the widest fanin and rewritten per
+  // gate (every slot a gate reads is assigned for that gate first).
+  std::size_t max_fanin = 0;
+  for (const GateId g : cn.schedule()) {
+    max_fanin = std::max<std::size_t>(max_fanin, cn.fanin_count(g));
+  }
+  std::vector<std::array<VT, 2>> opts(max_fanin);
+  std::vector<std::size_t> nopts(max_fanin);
+  std::vector<VT> ins(max_fanin);
 
   for (const GateId g : cn.schedule()) {
     const GateKind kind = cn.kind(g);
@@ -645,8 +658,6 @@ void BitSliceEngine::classify_shared(const DelaySet& delays) {
     // or an oversized combination space forces this gate wide.
     bool wide = false;
     std::size_t combos = 1;
-    std::vector<std::array<VT, 2>> opts(nf);
-    std::vector<std::size_t> nopts(nf);
     for (std::size_t k = 0; k < nf && !wide; ++k) {
       const GateId f = fanins[fb + k];
       switch (rep_[f]) {
@@ -679,15 +690,13 @@ void BitSliceEngine::classify_shared(const DelaySet& delays) {
       bool have[2] = {false, false};
       double tt[2] = {0.0, 0.0};
       bool multi = false;
-      std::vector<VT> ins(nf);
       for (std::size_t idx = 0; idx < combos && !multi; ++idx) {
         std::size_t rem = idx;
         for (std::size_t k = 0; k < nf; ++k) {
           ins[k] = opts[k][rem % nopts[k]];
           rem /= nopts[k];
         }
-        const VT r = eval_combo(kind, ins.data(), nf, delays.rise_ps[g],
-                                delays.fall_ps[g]);
+        const VT r = eval_combo(kind, ins.data(), nf, rise[g], fall[g]);
         const int vi = r.v ? 1 : 0;
         if (!have[vi]) {
           have[vi] = true;
@@ -947,8 +956,8 @@ void BitSliceEngine::run_impl(const std::uint64_t* input_words,
 
     const auto fill_out = [&](GateId h, FusedGate& fg) {
       fg.vw = values + static_cast<std::size_t>(h) * NW;
-      fg.r = shared_ ? rise_[h] : 0.0;
-      fg.f = shared_ ? fall_[h] : 0.0;
+      fg.r = shared_ ? delays_.rise_ps[h] : 0.0;
+      fg.f = shared_ ? delays_.fall_ps[h] : 0.0;
       fg.rp = kLaneDelays ? ld_rise + static_cast<std::size_t>(h) * count
                           : nullptr;
       fg.fp = kLaneDelays ? ld_fall + static_cast<std::size_t>(h) * count

@@ -115,10 +115,15 @@ class BitSliceEngine {
   /// Lane-delay mode.
   explicit BitSliceEngine(const CompiledNetlist& compiled);
 
-  /// Shared-delay mode; `delays` are copied into the plan.
-  BitSliceEngine(const CompiledNetlist& compiled, const DelaySet& delays);
+  /// Shared-delay mode; the engine owns `delays` (move one in to skip the
+  /// copy) and bakes them into the plan.
+  BitSliceEngine(const CompiledNetlist& compiled, DelaySet delays);
 
   bool shared_mode() const { return shared_; }
+
+  /// The shared-mode delays the plan was built from (empty in lane-delay
+  /// mode).
+  const DelaySet& delays() const { return delays_; }
 
   /// Gates carrying per-lane double time lanes (diagnostics: the fraction
   /// of the netlist that still pays per-lane time arithmetic).
@@ -176,7 +181,7 @@ class BitSliceEngine {
       static_cast<netlist::GateId>(-1);
 
   void init_common();
-  void classify_shared(const DelaySet& delays);
+  void classify_shared();
   void build_plan();
   void prepare(BitSliceState& out, std::size_t count) const;
   template <bool kLaneDelays>
@@ -192,7 +197,7 @@ class BitSliceEngine {
   std::vector<double> t0_;            ///< kConstT time / kBimodalT value-0 time
   std::vector<double> t1_;            ///< kBimodalT value-1 time
   std::vector<std::uint32_t> slot_;   ///< kWideT time-lane slot
-  std::vector<double> rise_, fall_;   ///< shared-mode delays (baked copy)
+  DelaySet delays_;                   ///< shared-mode delays
   std::vector<PlanOp> plan_;          ///< time-pass order (one entry per
                                       ///< unfused wide gate / fused group)
 };

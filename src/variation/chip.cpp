@@ -6,12 +6,35 @@ namespace pufatt::variation {
 
 namespace {
 
-double gate_delay_at(double intrinsic, double wire, double vth, double tempco,
-                     const Environment& env, const TechnologyParams& tech) {
-  // Total delay = voltage/temperature-scaled transistor part plus the
-  // temperature-only-scaled wire-RC part.
-  return scaled_delay_ps(intrinsic, vth, tempco, env, tech) +
-         wire * wire_scale(env, tech);
+/// Per-gate rise/fall delays of a die at `env`, from the per-gate fields
+/// that DelayTable and ChipInstance both hold: the voltage/temperature-
+/// scaled transistor part plus the temperature-only-scaled wire-RC part,
+/// times the rise/fall factor, and 0 for delay-free gates (inputs,
+/// constants).  The operating point's factors are computed once per call.
+void die_delays(const TechnologyParams& tech, const Environment& env,
+                const std::vector<double>& intrinsic,
+                const std::vector<double>& wire,
+                const std::vector<double>& vth,
+                const std::vector<double>& tempco,
+                const std::vector<double>& rise_factor,
+                const std::vector<double>& fall_factor,
+                timingsim::DelaySet& out) {
+  const OperatingPoint point(env, tech);
+  const std::size_t n = intrinsic.size();
+  out.rise_ps.resize(n);
+  out.fall_ps.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (intrinsic[i] > 0.0 || wire[i] > 0.0) {
+      const double base =
+          scaled_delay_ps(intrinsic[i], vth[i], tempco[i], point) +
+          wire[i] * point.wire;
+      out.rise_ps[i] = base * rise_factor[i];
+      out.fall_ps[i] = base * fall_factor[i];
+    } else {
+      out.rise_ps[i] = 0.0;
+      out.fall_ps[i] = 0.0;
+    }
+  }
 }
 
 }  // namespace
@@ -19,18 +42,9 @@ double gate_delay_at(double intrinsic, double wire, double vth, double tempco,
 timingsim::DelaySet delays_from_table(const DelayTable& table,
                                       const Environment& env) {
   timingsim::DelaySet out;
-  const std::size_t n = table.intrinsic_ps.size();
-  out.rise_ps.assign(n, 0.0);
-  out.fall_ps.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (table.intrinsic_ps[i] > 0.0 || table.wire_ps[i] > 0.0) {
-      const double base =
-          gate_delay_at(table.intrinsic_ps[i], table.wire_ps[i],
-                        table.vth_v[i], table.vth_tempco[i], env, table.tech);
-      out.rise_ps[i] = base * table.rise_factor[i];
-      out.fall_ps[i] = base * table.fall_factor[i];
-    }
-  }
+  die_delays(table.tech, env, table.intrinsic_ps, table.wire_ps,
+             table.vth_v, table.vth_tempco, table.rise_factor,
+             table.fall_factor, out);
   return out;
 }
 
@@ -112,20 +126,8 @@ timingsim::DelaySet ChipInstance::nominal_delays(const Environment& env) const {
 
 void ChipInstance::nominal_delays(const Environment& env,
                                   timingsim::DelaySet& out) const {
-  const std::size_t n = intrinsic_ps_.size();
-  out.rise_ps.resize(n);
-  out.fall_ps.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (intrinsic_ps_[i] > 0.0 || wire_ps_[i] > 0.0) {
-      const double base = gate_delay_at(intrinsic_ps_[i], wire_ps_[i], vth_[i],
-                                        vth_tempco_[i], env, tech_);
-      out.rise_ps[i] = base * rise_factor_[i];
-      out.fall_ps[i] = base * fall_factor_[i];
-    } else {
-      out.rise_ps[i] = 0.0;
-      out.fall_ps[i] = 0.0;
-    }
-  }
+  die_delays(tech_, env, intrinsic_ps_, wire_ps_, vth_, vth_tempco_,
+             rise_factor_, fall_factor_, out);
 }
 
 void ChipInstance::sample_delays(const timingsim::DelaySet& nominal,

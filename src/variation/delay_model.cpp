@@ -39,21 +39,34 @@ double wire_scale(const Environment& env, const TechnologyParams& tech) {
   return 1.0 + tech.wire_temp_coeff * (env.temperature_c - tech.temp_nominal_c);
 }
 
+OperatingPoint::OperatingPoint(const Environment& env,
+                               const TechnologyParams& tech)
+    : vdd(tech.vdd_nominal_v * env.vdd_scale),
+      vdd_ratio(vdd / tech.vdd_nominal_v),
+      delta_temp(env.temperature_c - tech.temp_nominal_c),
+      nominal_overdrive(tech.vdd_nominal_v - tech.vth_nominal_v),
+      mobility(std::pow((env.temperature_c + 273.15) /
+                            (tech.temp_nominal_c + 273.15),
+                        tech.mobility_exp)),
+      wire(wire_scale(env, tech)),
+      alpha(tech.alpha) {}
+
 double scaled_delay_ps(double base_ps, double vth_v, double vth_temp_coeff,
                        const Environment& env, const TechnologyParams& tech) {
-  const double vdd = tech.vdd_nominal_v * env.vdd_scale;
-  const double vth_t =
-      vth_v - vth_temp_coeff * (env.temperature_c - tech.temp_nominal_c);
-  const double overdrive = vdd - vth_t;
+  return scaled_delay_ps(base_ps, vth_v, vth_temp_coeff,
+                         OperatingPoint(env, tech));
+}
+
+double scaled_delay_ps(double base_ps, double vth_v, double vth_temp_coeff,
+                       const OperatingPoint& point) {
+  const double vth_t = vth_v - vth_temp_coeff * point.delta_temp;
+  const double overdrive = point.vdd - vth_t;
   if (overdrive <= 0.0) {
     throw std::domain_error("scaled_delay_ps: gate does not switch (V <= Vth)");
   }
-  const double nominal_overdrive = tech.vdd_nominal_v - tech.vth_nominal_v;
-  const double t_kelvin = env.temperature_c + 273.15;
-  const double t0_kelvin = tech.temp_nominal_c + 273.15;
-  return base_ps * (vdd / tech.vdd_nominal_v) *
-         std::pow(nominal_overdrive / overdrive, tech.alpha) *
-         std::pow(t_kelvin / t0_kelvin, tech.mobility_exp);
+  return base_ps * point.vdd_ratio *
+         std::pow(point.nominal_overdrive / overdrive, point.alpha) *
+         point.mobility;
 }
 
 }  // namespace pufatt::variation

@@ -75,12 +75,31 @@ struct TechnologyParams {
 /// matter for the PUF race.
 double base_delay_ps(netlist::GateKind kind, std::size_t fanin_count);
 
+/// Everything scaled_delay_ps and wire_scale need that does not depend on
+/// the gate: computed once per operating point, a whole die's delays cost
+/// one pow per gate (ChipInstance::nominal_delays, delays_from_table).
+struct OperatingPoint {
+  OperatingPoint(const Environment& env, const TechnologyParams& tech);
+
+  double vdd;                ///< supply voltage (V)
+  double vdd_ratio;          ///< vdd / vdd_nominal
+  double delta_temp;         ///< temperature above the reference (K)
+  double nominal_overdrive;  ///< vdd_nominal - vth_nominal (V)
+  double mobility;           ///< (T / T0)^mobility_exp, in kelvin
+  double wire;               ///< wire_scale at this point
+  double alpha;              ///< the technology's alpha-power exponent
+};
+
 /// Scales a base delay to the given environment and per-gate threshold
 /// voltage using the alpha-power law above.  `vth_v` is the gate's actual
 /// (variation-affected) threshold voltage at the reference temperature;
 /// `vth_temp_coeff` its (variation-affected) temperature coefficient.
 double scaled_delay_ps(double base_ps, double vth_v, double vth_temp_coeff,
                        const Environment& env, const TechnologyParams& tech);
+
+/// The same at a precomputed operating point (identical doubles).
+double scaled_delay_ps(double base_ps, double vth_v, double vth_temp_coeff,
+                       const OperatingPoint& point);
 
 /// Convenience overload using the technology's mean V_th tempco.
 double scaled_delay_ps(double base_ps, double vth_v, const Environment& env,

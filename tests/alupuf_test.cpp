@@ -173,6 +173,36 @@ TEST(AluPuf, EnvironmentCornersFlipSomeBitsDeterministically) {
   EXPECT_LT(temp_flips.mean(), 6.0);
 }
 
+TEST(AluPuf, CornerDelaysAreTheDelayTableEmulationBitForBit) {
+  // Off the nominal point the device computes its corner delays per call;
+  // they must be bit for bit what the verifier's model H gives there, or
+  // an emulation at a measured corner would race differently from the die.
+  // Seen through race_deltas, at the nine V/T corners of Figure 4.
+  const AluPuf puf(small_config(32), 21);
+  const auto model = puf.export_model();
+  const timingsim::TimingSimulator sim(puf.circuit().net);
+  Xoshiro256pp rng(4);
+  std::vector<timingsim::SignalState> states;
+  for (const double vdd : {0.9, 1.0, 1.1}) {
+    for (const double temp : {-20.0, 25.0, 120.0}) {
+      const Environment env{vdd, temp};
+      const auto delays = variation::delays_from_table(model, env);
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto c = random_challenge(32, rng);
+        sim.run(c, delays, states);
+        const auto deltas = puf.race_deltas(c, env);
+        for (std::size_t i = 0; i < deltas.size(); ++i) {
+          const double expected = states[puf.circuit().race1[i]].time_ps -
+                                  states[puf.circuit().race0[i]].time_ps;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(deltas[i]),
+                    std::bit_cast<std::uint64_t>(expected))
+              << "bit " << i << " at V x" << vdd << ", " << temp << " C";
+        }
+      }
+    }
+  }
+}
+
 TEST(AluPuf, ConcurrentEvaluationAcrossEnvironmentsMatchesSerial) {
   // One const device shared by four threads, two at the nominal point and
   // two at a hot low-voltage corner, each with its own scratch and

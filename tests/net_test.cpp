@@ -243,6 +243,21 @@ TEST(FrameDecoder, BadMagicFailsFast) {
   std::vector<FrameDecoder::Frame> out;
   EXPECT_FALSE(decoder.feed(garbage, out));
   EXPECT_TRUE(out.empty());
+  EXPECT_NE(decoder.error().find("magic"), std::string::npos);
+
+  // A frame that is well formed in every other respect — sane length, CRC
+  // recomputed over the altered header — is still refused on its magic.
+  auto frame = sample_stream(1);
+  frame[0] ^= 0x20;
+  const std::size_t crc_at = frame.size() - 4;
+  const std::uint32_t crc = core::crc32(frame.data(), crc_at);
+  for (int i = 0; i < 4; ++i) {
+    frame[crc_at + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  FrameDecoder resealed;
+  EXPECT_FALSE(resealed.feed(frame, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_NE(resealed.error().find("magic"), std::string::npos);
 }
 
 TEST(FrameDecoder, OversizedDeclaredLengthRejectedBeforeBuffering) {

@@ -258,6 +258,59 @@ TEST(EmulatorCache, ConcurrentMissStormIsAccountedExactly) {
   EXPECT_EQ(counters.evictions, 0u);
 }
 
+TEST(EmulatorCache, VerifierSharesTheRegistryRecord) {
+  const auto& fleet = Fleet::instance();
+  const auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 2);
+  const auto verifier = cache.acquire("unit-0");
+  ASSERT_TRUE(verifier);
+  const auto snapshot = registry.load("unit-0");
+  // The registry's own snapshot, not a copy of it.
+  EXPECT_EQ(&verifier->record(), snapshot.get());
+  EXPECT_EQ(verifier->record_ptr(), snapshot);
+  EXPECT_THROW(core::Verifier(nullptr, code()), std::invalid_argument);
+}
+
+TEST(EmulatorCache, VerifierOutlivesRegistryAndCacheEviction) {
+  const auto& fleet = Fleet::instance();
+  auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 1);
+  const auto verifier = cache.acquire("unit-0");
+  ASSERT_TRUE(verifier);
+  ASSERT_TRUE(cache.acquire("unit-1"));  // pushes unit-0 out of the cache
+  EXPECT_EQ(cache.counters().evictions, 1u);
+  ASSERT_TRUE(registry.evict("unit-0"));
+  EXPECT_FALSE(cache.acquire("unit-0"));
+  // Only the held verifier keeps the record alive now, and it still
+  // attests the device.
+  EXPECT_EQ(verifier->record_ptr().use_count(), 1);
+  const PoolConfig config;
+  core::FaultyChannel link(config.channel, core::FaultParams{}, 0x51);
+  core::AttestationSession session(*verifier, link, config.session);
+  Xoshiro256pp rng(0x52);
+  EXPECT_TRUE(session.run(fleet.responder(0, 0x53), rng).accepted());
+}
+
+TEST(EmulatorCache, ByteEqualReEnrollmentIsStillAMiss) {
+  const auto& fleet = Fleet::instance();
+  auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 2);
+  const auto before = cache.acquire("unit-0");
+  ASSERT_TRUE(before);
+  // Same contents, new snapshot: the cache keys on the snapshot itself.
+  registry.store("unit-0", fleet.devices[0].record);
+  const auto after = cache.acquire("unit-0");
+  ASSERT_TRUE(after);
+  EXPECT_NE(after, before);
+  EXPECT_NE(after->record_ptr(), before->record_ptr());
+  EXPECT_EQ(after->record_ptr(), registry.load("unit-0"));
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().misses, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.acquire("unit-0"), after);
+  EXPECT_EQ(cache.counters().hits, 1u);
+}
+
 // --- VerifierPool -----------------------------------------------------------
 
 TEST(VerifierPool, RunsJobsToCompletionWithCorrectOutcomes) {

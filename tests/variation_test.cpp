@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "netlist/builder.hpp"
 #include "support/stats.hpp"
@@ -245,17 +247,57 @@ TEST_F(ChipFixture, SampleDelaysJitterAroundNominal) {
 
 TEST_F(ChipFixture, DelayTableEmulationMatchesChipExactly) {
   // The verifier's model H must reproduce the chip's nominal delays at any
-  // operating point — this is what makes PUF.Emulate() possible.
-  const ChipInstance chip(circuit_.net, tech_, qt_, 77);
-  const DelayTable table = chip.export_delay_table();
-  for (const auto& env :
-       {Environment::nominal(), Environment{0.9, -20.0}, Environment{1.1, 120.0}}) {
-    const auto chip_delays = chip.nominal_delays(env);
-    const auto emulated = delays_from_table(table, env);
-    ASSERT_EQ(chip_delays.rise_ps.size(), emulated.rise_ps.size());
-    for (std::size_t g = 0; g < chip_delays.rise_ps.size(); ++g) {
-      EXPECT_DOUBLE_EQ(chip_delays.rise_ps[g], emulated.rise_ps[g]);
-      EXPECT_DOUBLE_EQ(chip_delays.fall_ps[g], emulated.fall_ps[g]);
+  // operating point — this is what makes PUF.Emulate() possible.  Both
+  // compute the operating point's factors once per call; they must still
+  // be, bit for bit, the delay model's formula evaluated per gate with
+  // nothing hoisted, at every V/T corner of Figure 4.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto formula = [](const DelayTable& t, std::size_t g,
+                          const Environment& env) {
+    const TechnologyParams& tech = t.tech;
+    const double vdd = tech.vdd_nominal_v * env.vdd_scale;
+    const double vth_t =
+        t.vth_v[g] -
+        t.vth_tempco[g] * (env.temperature_c - tech.temp_nominal_c);
+    const double transistor =
+        t.intrinsic_ps[g] * (vdd / tech.vdd_nominal_v) *
+        std::pow((tech.vdd_nominal_v - tech.vth_nominal_v) / (vdd - vth_t),
+                 tech.alpha) *
+        std::pow((env.temperature_c + 273.15) / (tech.temp_nominal_c + 273.15),
+                 tech.mobility_exp);
+    return transistor +
+           t.wire_ps[g] * (1.0 + tech.wire_temp_coeff *
+                                     (env.temperature_c - tech.temp_nominal_c));
+  };
+  for (const std::uint64_t seed : {77u, 78u, 79u}) {
+    const ChipInstance chip(circuit_.net, tech_, qt_, seed);
+    const DelayTable table = chip.export_delay_table();
+    for (const double vdd : {0.9, 1.0, 1.1}) {
+      for (const double temp : {-20.0, 25.0, 120.0}) {
+        const Environment env{vdd, temp};
+        const auto chip_delays = chip.nominal_delays(env);
+        const auto emulated = delays_from_table(table, env);
+        const std::size_t n = table.intrinsic_ps.size();
+        ASSERT_EQ(chip_delays.rise_ps.size(), n);
+        ASSERT_EQ(chip_delays.fall_ps.size(), n);
+        ASSERT_EQ(emulated.rise_ps.size(), n);
+        ASSERT_EQ(emulated.fall_ps.size(), n);
+        for (std::size_t g = 0; g < n; ++g) {
+          double rise = 0.0;
+          double fall = 0.0;
+          if (table.intrinsic_ps[g] > 0.0 || table.wire_ps[g] > 0.0) {
+            const double base = formula(table, g, env);
+            rise = base * table.rise_factor[g];
+            fall = base * table.fall_factor[g];
+          }
+          SCOPED_TRACE(::testing::Message() << "gate " << g << " at V x" << vdd
+                                            << ", " << temp << " C");
+          EXPECT_EQ(bits(emulated.rise_ps[g]), bits(rise));
+          EXPECT_EQ(bits(emulated.fall_ps[g]), bits(fall));
+          EXPECT_EQ(bits(chip_delays.rise_ps[g]), bits(rise));
+          EXPECT_EQ(bits(chip_delays.fall_ps[g]), bits(fall));
+        }
+      }
     }
   }
 }
