@@ -225,46 +225,58 @@ void BM_FullAttestationRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FullAttestationRoundTrip);
 
-// A verifier-cache miss, layer by layer: the whole core::Verifier build
-// over a registry snapshot (as service::EmulatorCache runs it), the
-// nominal delays it derives from H, and the shared-delay engine it plans
-// over them (classification + fused plan) on the served 32-bit cone.
-std::shared_ptr<const core::EnrollmentRecord> served_record() {
+// A verifier-cache miss, layer by layer: the core::Verifier build over a
+// registry snapshot (as service::EmulatorCache runs it on a miss), the
+// registry-side snapshot build that derives the device's model once, and
+// that derivation's two parts: the nominal delays from H and the
+// shared-delay engine planned over them (classification + fused plan) on
+// the served 32-bit cone.
+const core::EnrollmentRecord& served_record() {
   static const auto record = [] {
     const auto profile = core::DistributedParams::small_profile();
     const alupuf::PufDevice device(profile.puf_config, 8, rm5());
-    return std::make_shared<const core::EnrollmentRecord>(core::enroll(
+    return core::enroll(
         device, profile,
-        core::make_enrolled_image(profile,
-                                  std::vector<std::uint32_t>(500, 3))));
+        core::make_enrolled_image(profile, std::vector<std::uint32_t>(500, 3)));
   }();
   return record;
 }
 
 void BM_VerifierBuild(benchmark::State& state) {
-  const auto record = served_record();
+  const auto snapshot =
+      std::make_shared<const core::DeviceSnapshot>(served_record());
   for (auto _ : state) {
-    const core::Verifier verifier(record, rm5());
+    const core::Verifier verifier(snapshot, rm5());
     benchmark::DoNotOptimize(&verifier);
   }
 }
 BENCHMARK(BM_VerifierBuild)->Unit(benchmark::kMicrosecond);
 
+void BM_DeviceSnapshotBuild(benchmark::State& state) {
+  // Includes copying the record in; DeviceRegistry::store moves its own.
+  const auto& record = served_record();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        std::make_shared<const core::DeviceSnapshot>(record));
+  }
+}
+BENCHMARK(BM_DeviceSnapshotBuild)->Unit(benchmark::kMicrosecond);
+
 void BM_DelaysFromTable(benchmark::State& state) {
-  const auto record = served_record();
+  const auto& record = served_record();
   for (auto _ : state) {
     benchmark::DoNotOptimize(variation::delays_from_table(
-        record->model, variation::Environment::nominal()));
+        record.model, variation::Environment::nominal()));
   }
 }
 BENCHMARK(BM_DelaysFromTable)->Unit(benchmark::kMicrosecond);
 
 void BM_BitsliceEngineBuildShared(benchmark::State& state) {
-  // Includes copying the delays in; the verifier moves its own.
-  const auto record = served_record();
+  // Includes copying the delays in; the snapshot moves its own.
+  const auto& record = served_record();
   const auto circuit = alupuf::shared_circuit(32);
   const auto delays = variation::delays_from_table(
-      record->model, variation::Environment::nominal());
+      record.model, variation::Environment::nominal());
   for (auto _ : state) {
     const timingsim::BitSliceEngine engine(circuit->cone_sim.compiled(),
                                            delays);
@@ -635,10 +647,11 @@ void BM_LogRegTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_LogRegTrain);
 
-// Reporter that mirrors the console output while capturing every run for
+// Display reporter that forwards to google-benchmark's own, which follows
+// --benchmark_format and --benchmark_color, while capturing every run for
 // the stable-schema JSON file (BENCH_micro_perf.json) the CI trajectory
 // tracking consumes.
-class JsonCapturingReporter : public benchmark::ConsoleReporter {
+class JsonCapturingReporter : public benchmark::BenchmarkReporter {
  public:
   struct Row {
     std::string name;
@@ -646,8 +659,16 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
     double items_per_s = 0.0;
   };
 
+  /// `display` is not owned (google-benchmark keeps its default reporter).
+  explicit JsonCapturingReporter(benchmark::BenchmarkReporter& display)
+      : display_(&display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
   void ReportRuns(const std::vector<Run>& reports) override {
-    ConsoleReporter::ReportRuns(reports);
+    display_->ReportRuns(reports);
     for (const auto& run : reports) {
       if (run.error_occurred) continue;
       Row row;
@@ -662,7 +683,12 @@ class JsonCapturingReporter : public benchmark::ConsoleReporter {
     }
   }
 
+  void Finalize() override { display_->Finalize(); }
+
   std::vector<Row> rows;
+
+ private:
+  benchmark::BenchmarkReporter* display_;
 };
 
 void write_json(const char* path, bool smoke,
@@ -687,7 +713,9 @@ void write_json(const char* path, bool smoke,
   std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf("wrote %s\n", path);
+  // stderr: stdout carries the display format (--benchmark_format=json
+  // must stay parseable).
+  std::fprintf(stderr, "wrote %s\n", path);
 }
 
 }  // namespace
@@ -712,7 +740,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
-  JsonCapturingReporter reporter;
+  JsonCapturingReporter reporter(*benchmark::CreateDefaultDisplayReporter());
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   // --benchmark_list_tests or an unmatched filter measures nothing: keep

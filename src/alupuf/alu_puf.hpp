@@ -217,6 +217,8 @@ class AluPufEmulator {
 
   std::size_t response_bits() const { return width_; }
   const netlist::AluPufCircuit& circuit() const { return circuit_->circuit; }
+  /// The shared-delay engine: its nominal delays and its plan.
+  const timingsim::BitSliceEngine& engine() const { return engine_; }
 
   /// Noise-free expected response.
   RawResponse eval(const Challenge& challenge) const;

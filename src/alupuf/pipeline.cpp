@@ -15,6 +15,12 @@ namespace {
 /// verifier's word pipeline (PufEmulator::emulate_words).
 constexpr std::size_t kMaxWordWidth = 32;
 
+const AluPufEmulator& non_null(
+    const std::shared_ptr<const AluPufEmulator>& emulator) {
+  if (!emulator) throw std::invalid_argument("PufEmulator: null model");
+  return *emulator;
+}
+
 }  // namespace
 
 std::vector<Challenge> ChallengeExpander::expand(std::uint64_t x,
@@ -125,12 +131,13 @@ std::vector<PufOutput> PufDevice::query_batch(
   return outputs;
 }
 
-PufEmulator::PufEmulator(std::size_t width, const variation::DelayTable& model,
-                         const ecc::BinaryCode& code,
-                         const netlist::AluPufLayout& layout)
-    : emulator_(width, model, layout),
+PufEmulator::PufEmulator(std::shared_ptr<const AluPufEmulator> emulator,
+                         const ecc::BinaryCode& code)
+    : emulator_(std::move(emulator)),
       helper_(code),
-      obfuscation_(width, ObfuscationNetwork::Pairing::kHardened) {
+      obfuscation_(non_null(emulator_).response_bits(),
+                   ObfuscationNetwork::Pairing::kHardened) {
+  const std::size_t width = emulator_->response_bits();
   if (code.n() != width) {
     throw std::invalid_argument(
         "PufEmulator: code length must equal the PUF response width");
@@ -140,10 +147,16 @@ PufEmulator::PufEmulator(std::size_t width, const variation::DelayTable& model,
   }
 }
 
+PufEmulator::PufEmulator(std::size_t width, const variation::DelayTable& model,
+                         const ecc::BinaryCode& code,
+                         const netlist::AluPufLayout& layout)
+    : PufEmulator(std::make_shared<const AluPufEmulator>(width, model, layout),
+                  code) {}
+
 std::optional<BitVector> PufEmulator::emulate(
     std::uint64_t challenge, const std::vector<BitVector>& helpers) const {
   const auto expanded =
-      ChallengeExpander::expand(challenge, emulator_.response_bits());
+      ChallengeExpander::expand(challenge, emulator_->response_bits());
   std::array<Challenge, ObfuscationNetwork::kResponsesPerOutput> challenges;
   std::copy(expanded.begin(), expanded.end(), challenges.begin());
   return emulate_raw(challenges, helpers);
@@ -158,7 +171,7 @@ std::optional<BitVector> PufEmulator::emulate_raw(
   }
   Words challenge_words, helper_words;
   for (std::size_t r = 0; r < challenges.size(); ++r) {
-    if (challenges[r].size() != 2 * emulator_.response_bits()) {
+    if (challenges[r].size() != 2 * emulator_->response_bits()) {
       throw std::invalid_argument("PufEmulator: challenge must be 2*width bits");
     }
     if (helpers[r].size() != helper_bits()) {
@@ -177,7 +190,7 @@ PufEmulator::CallResult PufEmulator::emulate_words(
     const Words& challenges, const Words& helpers,
     timingsim::BitSliceState& state) const {
   constexpr std::size_t kPer = ObfuscationNetwork::kResponsesPerOutput;
-  const std::size_t width = emulator_.response_bits();
+  const std::size_t width = emulator_->response_bits();
   CallResult result;
   const std::size_t helper_width = helper_bits();
   for (const auto h : helpers) {
@@ -187,7 +200,7 @@ PufEmulator::CallResult PufEmulator::emulate_words(
   // bit-identical to per-challenge eval_soft (the emulator is noise-free),
   // and the dominant cost of a verifier job.
   std::array<double, kPer * kMaxWordWidth> soft{};
-  emulator_.eval_soft_words(challenges.data(), kPer, soft.data(), state);
+  emulator_->eval_soft_words(challenges.data(), kPer, soft.data(), state);
   Words responses;
   for (std::size_t r = 0; r < kPer; ++r) {
     // Soft-decision reconstruction: the emulation's race margins tell the

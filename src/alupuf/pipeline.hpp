@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -123,8 +124,14 @@ class PufDevice {
 /// distance, not by decoding failure.
 class PufEmulator {
  public:
-  /// `width` <= 32 (one challenge per machine word); `code.n()` must equal
-  /// it and `code` must outlive the emulator.  H is read, not kept.
+  /// Over a model built elsewhere (non-null), which the emulator shares
+  /// rather than copies: a core::DeviceSnapshot's, for one.  Its width
+  /// must be <= 32 (one challenge per machine word); `code.n()` must equal
+  /// it and `code` must outlive the emulator.
+  PufEmulator(std::shared_ptr<const AluPufEmulator> emulator,
+              const ecc::BinaryCode& code);
+
+  /// Over a private model derived from H (read, not kept).
   PufEmulator(std::size_t width, const variation::DelayTable& model,
               const ecc::BinaryCode& code,
               const netlist::AluPufLayout& layout = {});
@@ -190,10 +197,10 @@ class PufEmulator {
 
   std::size_t output_bits() const { return obfuscation_.output_bits(); }
   std::size_t helper_bits() const { return helper_.helper_bits(); }
-  const AluPufEmulator& raw_emulator() const { return emulator_; }
+  const AluPufEmulator& raw_emulator() const { return *emulator_; }
 
  private:
-  AluPufEmulator emulator_;
+  std::shared_ptr<const AluPufEmulator> emulator_;
   ecc::SyndromeHelper helper_;
   ObfuscationNetwork obfuscation_;
 };

@@ -1,5 +1,6 @@
 #include "core/enrollment.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "cpu/assembler.hpp"
@@ -31,6 +32,17 @@ std::vector<std::uint32_t> make_enrolled_image(
     image[program.size() + i] = payload[i];
   }
   return image;
+}
+
+DeviceSnapshot::DeviceSnapshot(EnrollmentRecord record)
+    : EnrollmentRecord(std::move(record)),
+      emulator_(profile.puf_config.width, model, profile.puf_config.layout) {
+  swat::validate(profile.swat);
+  const double clock_mhz = profile.base_clock_mhz;
+  if (!(std::isfinite(clock_mhz) && clock_mhz > 0.0)) {
+    throw std::invalid_argument(
+        "DeviceSnapshot: base clock must be finite and positive");
+  }
 }
 
 EnrollmentRecord enroll(const alupuf::PufDevice& device,

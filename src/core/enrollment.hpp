@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "alupuf/pipeline.hpp"
@@ -43,6 +44,30 @@ struct EnrollmentRecord {
   variation::DelayTable model;              ///< emulation model H
   std::vector<std::uint32_t> enrolled_image;  ///< attested memory content
   std::uint64_t honest_cycles = 0;          ///< honest SWAT cycle count
+};
+
+/// One enrolled device as a verifier serves it: the record plus the
+/// nominal emulation model derived from its H (the delays and the
+/// shared-delay engine plan PUF.Emulate() runs on).  Built once, when the
+/// record enters a service::DeviceRegistry, and immutable after, so every
+/// verifier of the device shares one model and building a verifier
+/// derives nothing.  It derives publicly from the record, so a reader of
+/// registry records (`snapshot->model`, a shared_ptr<const
+/// EnrollmentRecord> taken from a snapshot) sees the record unchanged.
+class DeviceSnapshot : public EnrollmentRecord {
+ public:
+  /// Refuses, with std::invalid_argument, a record no verifier could
+  /// serve: a delay table that does not match the PUF circuit, SWAT
+  /// parameters swat::validate rejects, or a base clock that is not
+  /// finite and positive (the time bound delta would be infinite).
+  explicit DeviceSnapshot(EnrollmentRecord record);
+
+  /// The nominal model every verifier built from this snapshot emulates
+  /// with.
+  const alupuf::AluPufEmulator& emulator() const { return emulator_; }
+
+ private:
+  alupuf::AluPufEmulator emulator_;
 };
 
 /// Builds the enrolled memory image: the honest SWAT program at address 0

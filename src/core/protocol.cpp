@@ -25,20 +25,20 @@ const char* to_string(VerifyStatus status) {
 
 namespace {
 
-const EnrollmentRecord& non_null(
-    const std::shared_ptr<const EnrollmentRecord>& record) {
-  if (!record) throw std::invalid_argument("Verifier: null enrollment record");
-  return *record;
+std::shared_ptr<const alupuf::AluPufEmulator> model_of(
+    const std::shared_ptr<const DeviceSnapshot>& device) {
+  if (!device) throw std::invalid_argument("Verifier: null device snapshot");
+  // Aliases the snapshot: the emulator keeps it alive, never copies it.
+  return {device, &device->emulator()};
 }
 
 }  // namespace
 
-Verifier::Verifier(std::shared_ptr<const EnrollmentRecord> record,
+Verifier::Verifier(std::shared_ptr<const DeviceSnapshot> device,
                    const ecc::BinaryCode& code, const ChannelParams& channel,
                    double slack, double max_avg_weighted_ps)
-    : record_(std::move(record)),
-      emulator_(non_null(record_).profile.puf_config.width, record_->model,
-                code, record_->profile.puf_config.layout),
+    : device_(std::move(device)),
+      emulator_(model_of(device_), code),
       channel_(channel),
       slack_(slack),
       max_avg_weighted_ps_(max_avg_weighted_ps) {
@@ -53,8 +53,8 @@ AttestationRequest Verifier::make_request(support::Xoshiro256pp& rng) const {
 }
 
 double Verifier::deadline_us(const AttestationResponse& response) const {
-  const double compute_us = static_cast<double>(record_->honest_cycles) /
-                            record_->profile.base_clock_mhz;
+  const double compute_us = static_cast<double>(device_->honest_cycles) /
+                            device_->profile.base_clock_mhz;
   return compute_us * (1.0 + slack_) +
          channel_.round_trip_us(sizeof(std::uint64_t), response.wire_bytes());
 }
@@ -76,8 +76,8 @@ VerifyResult Verifier::verify(const AttestationRequest& request,
   std::size_t cursor = 0;
   double total_weighted_ps = 0.0;
   const auto expected = swat::compute_checksum(
-      record_->enrolled_image, seed_from_nonce(request.nonce),
-      record_->profile.swat,
+      device_->enrolled_image, seed_from_nonce(request.nonce),
+      device_->profile.swat,
       emulator_query(emulator_, response.helper_words, cursor,
                      &total_weighted_ps));
   if (!expected.ok) {

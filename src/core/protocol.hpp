@@ -71,18 +71,20 @@ class Verifier {
   /// Summing over all calls makes the statistic ~sqrt(calls) more
   /// sensitive than the per-call threshold, closing the marginal-overclock
   /// window (see DESIGN.md).
-  /// The verifier shares `record` (non-null; std::invalid_argument
-  /// otherwise) rather than copying it: a registry snapshot stays one
-  /// allocation however many verifiers are built from it.
-  Verifier(std::shared_ptr<const EnrollmentRecord> record,
+  /// The verifier shares `device` (non-null; std::invalid_argument
+  /// otherwise) and emulates with its model, so a build derives nothing:
+  /// a registry snapshot stays one allocation, with one model, however
+  /// many verifiers are built from it.
+  Verifier(std::shared_ptr<const DeviceSnapshot> device,
            const ecc::BinaryCode& code, const ChannelParams& channel = {},
            double slack = 0.03, double max_avg_weighted_ps = 36.0);
 
-  /// Over a record the verifier owns alone.
+  /// Over a record the verifier owns alone: derives a private snapshot,
+  /// refusing the record as DeviceSnapshot does.
   Verifier(EnrollmentRecord record, const ecc::BinaryCode& code,
            const ChannelParams& channel = {}, double slack = 0.03,
            double max_avg_weighted_ps = 36.0)
-      : Verifier(std::make_shared<const EnrollmentRecord>(std::move(record)),
+      : Verifier(std::make_shared<const DeviceSnapshot>(std::move(record)),
                  code, channel, slack, max_avg_weighted_ps) {}
 
   AttestationRequest make_request(support::Xoshiro256pp& rng) const;
@@ -98,15 +100,17 @@ class Verifier {
                       const AttestationResponse& response,
                       double elapsed_us) const;
 
-  const EnrollmentRecord& record() const { return *record_; }
-  /// The shared record itself: the identity a cache compares to decide
+  const EnrollmentRecord& record() const { return *device_; }
+  /// The shared snapshot itself: the identity a cache compares to decide
   /// whether this verifier was built from a registry's current snapshot.
-  const std::shared_ptr<const EnrollmentRecord>& record_ptr() const {
-    return record_;
+  const std::shared_ptr<const DeviceSnapshot>& snapshot() const {
+    return device_;
   }
+  /// PUF.Emulate() over the snapshot's model.
+  const alupuf::PufEmulator& emulator() const { return emulator_; }
 
  private:
-  std::shared_ptr<const EnrollmentRecord> record_;
+  std::shared_ptr<const DeviceSnapshot> device_;
   alupuf::PufEmulator emulator_;
   Channel channel_;
   double slack_;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <stdexcept>
 
 #include "core/serialize.hpp"
 #include "support/fsyncutil.hpp"
@@ -50,19 +51,19 @@ const DeviceRegistry::Shard& DeviceRegistry::shard_for(
 
 bool DeviceRegistry::store(
     const std::string& device_id,
-    std::shared_ptr<const core::EnrollmentRecord> record) {
+    std::shared_ptr<const core::DeviceSnapshot> snapshot) {
   Shard& shard = shard_for(device_id);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.records.insert_or_assign(device_id, std::move(record)).second;
+  return shard.records.insert_or_assign(device_id, std::move(snapshot)).second;
 }
 
 bool DeviceRegistry::store(const std::string& device_id,
                            core::EnrollmentRecord record) {
-  return store(device_id, std::make_shared<const core::EnrollmentRecord>(
+  return store(device_id, std::make_shared<const core::DeviceSnapshot>(
                               std::move(record)));
 }
 
-std::shared_ptr<const core::EnrollmentRecord> DeviceRegistry::load(
+std::shared_ptr<const core::DeviceSnapshot> DeviceRegistry::load(
     const std::string& device_id) const {
   const Shard& shard = shard_for(device_id);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -103,7 +104,7 @@ void DeviceRegistry::save(std::ostream& out) const {
   // Snapshot (id, record) pairs shard by shard, then write sorted so the
   // byte stream is independent of hash order.
   std::vector<std::pair<std::string,
-                        std::shared_ptr<const core::EnrollmentRecord>>>
+                        std::shared_ptr<const core::DeviceSnapshot>>>
       entries;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
@@ -146,7 +147,13 @@ DeviceRegistry DeviceRegistry::load_registry(std::istream& in,
     std::string id(len, '\0');
     in.read(id.data(), static_cast<std::streamsize>(len));
     if (!in) throw core::SerializationError("DeviceRegistry: truncated id");
-    registry.store(id, core::load_record(in));
+    auto record = core::load_record(in);
+    try {
+      registry.store(id, std::move(record));
+    } catch (const std::invalid_argument& e) {
+      throw core::SerializationError("DeviceRegistry: device '" + id +
+                                     "' refused: " + e.what());
+    }
   }
   return registry;
 }

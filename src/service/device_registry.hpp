@@ -8,10 +8,14 @@
 // devices almost never touch the same lock, while requests for the same
 // device serialize only against that device's shard.
 //
-// Records are held as shared_ptr<const EnrollmentRecord>: a load hands the
-// caller a stable snapshot that stays alive even if the device is evicted
-// (de-registered) concurrently — readers never observe a half-updated
-// record, and re-enrolling a device simply swaps the pointer.
+// Devices are held as shared_ptr<const core::DeviceSnapshot>: the record
+// plus the nominal emulation model derived from it, built once when the
+// record enters the registry (store, load_registry, store recovery) and
+// outside any shard lock.  A record no verifier could serve is refused
+// there, not in a pool worker.  A load hands the caller a stable snapshot
+// that stays alive even if the device is evicted (de-registered)
+// concurrently — readers never observe a half-updated device, and
+// re-enrolling a device simply swaps the pointer.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,7 @@ class RegistryView {
   virtual ~RegistryView() = default;
 
   /// nullptr when the device is unknown.
-  virtual std::shared_ptr<const core::EnrollmentRecord> load(
+  virtual std::shared_ptr<const core::DeviceSnapshot> load(
       const std::string& device_id) const = 0;
 
   virtual bool contains(const std::string& device_id) const {
@@ -64,13 +68,16 @@ class DeviceRegistry : public RegistryView {
   DeviceRegistry& operator=(DeviceRegistry&&) = default;
 
   /// Registers (or re-enrolls) a device.  Returns false when the id was
-  /// already present (the record is replaced either way).
+  /// already present (the snapshot is replaced either way).
   bool store(const std::string& device_id,
-             std::shared_ptr<const core::EnrollmentRecord> record);
+             std::shared_ptr<const core::DeviceSnapshot> snapshot);
+  /// Builds the record's snapshot first, so a record core::DeviceSnapshot
+  /// refuses throws std::invalid_argument and leaves the registry as it
+  /// was.
   bool store(const std::string& device_id, core::EnrollmentRecord record);
 
   /// nullptr when the device is unknown.
-  std::shared_ptr<const core::EnrollmentRecord> load(
+  std::shared_ptr<const core::DeviceSnapshot> load(
       const std::string& device_id) const override;
 
   bool contains(const std::string& device_id) const override;
@@ -92,7 +99,8 @@ class DeviceRegistry : public RegistryView {
   void save(std::ostream& out) const;
 
   /// Loads a registry previously written by save(); throws
-  /// core::SerializationError on malformed input.
+  /// core::SerializationError on malformed input, a record
+  /// core::DeviceSnapshot refuses included.
   static DeviceRegistry load_registry(std::istream& in,
                                       std::size_t shards = 16);
 
@@ -107,7 +115,7 @@ class DeviceRegistry : public RegistryView {
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<std::string,
-                       std::shared_ptr<const core::EnrollmentRecord>>
+                       std::shared_ptr<const core::DeviceSnapshot>>
         records;
   };
 

@@ -29,40 +29,40 @@ void EmulatorCache::erase(SlotIt it) {
 std::shared_ptr<const core::Verifier> EmulatorCache::acquire(
     const std::string& device_id, const obs::TraceScope& trace) {
   obs::Span acquire_span = trace.span("cache.acquire");
-  const auto record = registry_->load(device_id);
+  const auto snapshot = registry_->load(device_id);
   std::shared_ptr<const core::Verifier> verifier;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (record && it != map_.end() &&
-        it->second.verifier->record_ptr() == record) {
+    if (snapshot && it != map_.end() &&
+        it->second.verifier->snapshot() == snapshot) {
       ++counters_.hits;
       touch(it);
       verifier = it->second.verifier;
     } else {
       ++counters_.misses;
-      if (!record && it != map_.end()) erase(it);  // revoked
+      if (!snapshot && it != map_.end()) erase(it);  // revoked
     }
   }
   acquire_span.note("hit", verifier ? 1.0 : 0.0);
-  if (!record) return nullptr;
+  if (!snapshot) return nullptr;
 
   if (!verifier) {
     // Construction happens unlocked so it never stalls unrelated lookups.
     obs::Span build_span = acquire_span.child("cache.build");
-    auto fresh = std::make_shared<const core::Verifier>(record, *code_,
+    auto fresh = std::make_shared<const core::Verifier>(snapshot, *code_,
                                                         channel_, slack_);
     build_span.end();
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_.find(device_id);
-    if (it != map_.end() && it->second.verifier->record_ptr() == record) {
+    if (it != map_.end() && it->second.verifier->snapshot() == snapshot) {
       // Another thread won the construction race; use its verifier.
       ++counters_.discarded;
       touch(it);
       verifier = it->second.verifier;
     } else {
-      if (it != map_.end()) erase(it);  // built from an older record
+      if (it != map_.end()) erase(it);  // built from an older snapshot
       lru_.push_front(device_id);
       map_.emplace(device_id, Slot{fresh, lru_.begin()});
       verifier = std::move(fresh);

@@ -1,17 +1,18 @@
 // LRU cache of constructed verifiers.
 //
-// A core::Verifier is an immutable value over the process-wide shared
-// circuit (alupuf::shared_circuit) and the registry's own shared record
-// (it holds the snapshot's pointer, never a copy).  A build still derives
-// the nominal delays from H and plans the bit-sliced engine, so the cache
-// amortizes construction across requests, bounded by `capacity`.
-// Every acquire re-loads the device's record and hits only while the
+// A core::Verifier is an immutable value over the registry's own device
+// snapshot (it holds the snapshot's pointer, never a copy): the record and
+// the nominal emulation model the registry derived from H when the record
+// entered it.  A miss therefore derives nothing; it builds the verifier's
+// helper-data and obfuscation shell over the snapshot's model, bounded by
+// `capacity`.
+// Every acquire re-loads the device's snapshot and hits only while the
 // registry still holds the snapshot the cached verifier was built from
-// (pointer identity, Verifier::record_ptr): a revoked device gets no
+// (pointer identity, Verifier::snapshot): a revoked device gets no
 // verifier, a re-enrolled one is rebuilt as a miss even when its new
 // record is byte-equal to the old.  The verifier keeps its snapshot alive,
 // so a pointer the cache compares against can never have been freed and
-// reused by another record.
+// reused by another snapshot.
 //
 // On a miss the verifier is constructed *outside* the cache lock; if two
 // threads miss the same id simultaneously both construct and the loser's
@@ -44,7 +45,7 @@ class EmulatorCache {
   /// `registry` and `code` must outlive the cache.  `channel`/`slack` are
   /// forwarded to every constructed Verifier.  Any RegistryView works —
   /// a plain DeviceRegistry or a sharded store's routing view — since the
-  /// cache only ever loads records by id.
+  /// cache only ever loads snapshots by id.
   EmulatorCache(const RegistryView& registry, const ecc::BinaryCode& code,
                 std::size_t capacity, const core::ChannelParams& channel = {},
                 double slack = 0.03);

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/serialize.hpp"
 #include "store/records.hpp"
@@ -74,7 +75,12 @@ void replay_wal_record(const WalRecord& record,
     switch (record.type) {
       case kEnroll: {
         auto payload = decode_enroll(record);
-        registry.store(payload.device_id, std::move(payload.record));
+        try {
+          registry.store(payload.device_id, std::move(payload.record));
+        } catch (const std::invalid_argument& e) {
+          throw StoreError("enrolled record of '" + payload.device_id +
+                           "' refused: " + e.what());
+        }
         break;
       }
       case kEvict: {

@@ -131,7 +131,7 @@ class ShardedVerifierStore {
   class RoutingView : public service::RegistryView {
    public:
     explicit RoutingView(const ShardedVerifierStore& owner) : owner_(owner) {}
-    std::shared_ptr<const core::EnrollmentRecord> load(
+    std::shared_ptr<const core::DeviceSnapshot> load(
         const std::string& device_id) const override {
       return owner_.shard_for(device_id).registry().load(device_id);
     }

@@ -64,10 +64,15 @@ VerifierStore::VerifierStore(std::string dir, StoreOptions options,
 
 bool VerifierStore::enroll(const std::string& device_id,
                            core::EnrollmentRecord record) {
+  // Built before anything is logged, and outside the lock: a record the
+  // snapshot refuses throws here and never reaches the WAL, where it would
+  // fail every later recovery.
+  auto snapshot =
+      std::make_shared<const core::DeviceSnapshot>(std::move(record));
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  wal_.append(kEnroll, encode_enroll(device_id, record));
+  wal_.append(kEnroll, encode_enroll(device_id, *snapshot));
   enrolls_.add();
-  return registry_.store(device_id, std::move(record));
+  return registry_.store(device_id, std::move(snapshot));
 }
 
 bool VerifierStore::evict(const std::string& device_id) {

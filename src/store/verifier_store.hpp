@@ -63,7 +63,9 @@ class VerifierStore {
   // --- logged mutations -----------------------------------------------------
 
   /// Enrolls (or re-enrolls) a device.  Returns false when the id was
-  /// already present (the record is replaced either way).
+  /// already present (the record is replaced either way).  A record
+  /// core::DeviceSnapshot refuses throws std::invalid_argument and is not
+  /// logged.
   bool enroll(const std::string& device_id, core::EnrollmentRecord record);
 
   /// De-registers a device and drops its CRP database (one kEvict record

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "service/device_registry.hpp"
 #include "service/emulator_cache.hpp"
 #include "service/verifier_pool.hpp"
+#include "variation/chip.hpp"
 
 namespace pufatt::service {
 namespace {
@@ -146,7 +149,7 @@ TEST(DeviceRegistry, RejectsMalformedInput) {
 
 TEST(DeviceRegistry, ConcurrentStoreLoadEvict) {
   const auto& fleet = Fleet::instance();
-  const auto shared = std::make_shared<const core::EnrollmentRecord>(
+  const auto shared = std::make_shared<const core::DeviceSnapshot>(
       fleet.devices[0].record);
   DeviceRegistry registry(8);
 
@@ -176,6 +179,103 @@ TEST(DeviceRegistry, ConcurrentStoreLoadEvict) {
   // A thread's own ids are never evicted: its loads always succeed.
   EXPECT_EQ(null_loads, 0);
   EXPECT_GE(registry.size(), static_cast<std::size_t>(kThreads * 17));
+}
+
+TEST(DeviceRegistry, SnapshotModelIsTheNominalDerivation) {
+  const auto& fleet = Fleet::instance();
+  const auto registry = fleet.make_registry();
+  const auto& record = fleet.devices[0].record;
+  const auto snapshot = registry.load(fleet.devices[0].id);
+  ASSERT_NE(snapshot, nullptr);
+  // Bit for bit the delays a verifier used to derive on every build.
+  const auto& engine = snapshot->emulator().engine();
+  const auto nominal = variation::delays_from_table(
+      record.model, variation::Environment::nominal());
+  ASSERT_EQ(engine.delays().rise_ps.size(), nominal.rise_ps.size());
+  ASSERT_EQ(engine.delays().fall_ps.size(), nominal.fall_ps.size());
+  const std::size_t bytes = nominal.rise_ps.size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(engine.delays().rise_ps.data(),
+                        nominal.rise_ps.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(engine.delays().fall_ps.data(),
+                        nominal.fall_ps.data(), bytes), 0);
+  // And the plan of a fresh build.
+  const alupuf::AluPufEmulator fresh(record.profile.puf_config.width,
+                                     record.model,
+                                     record.profile.puf_config.layout);
+  EXPECT_EQ(engine.num_wide(), fresh.engine().num_wide());
+  EXPECT_EQ(engine.num_plan_ops(), fresh.engine().num_plan_ops());
+}
+
+/// `record` under "unit-0" in DeviceRegistry::save's format, written
+/// without a registry (which would refuse a bad record).
+std::string registry_bytes(const core::EnrollmentRecord& record) {
+  std::ostringstream out;
+  const std::string id = "unit-0";
+  const std::uint64_t count = 1;
+  const std::uint64_t len = id.size();
+  out.write("PFATREG1", 8);
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+  out.write(id.data(), static_cast<std::streamsize>(id.size()));
+  core::save_record(out, record);
+  return out.str();
+}
+
+/// A record no verifier could serve is refused, for `reason`, when it
+/// enters a registry, by store and by load_registry alike, and the
+/// registry keeps what it held.
+void expect_refused_at_load(const core::EnrollmentRecord& bad,
+                            const std::string& reason) {
+  const auto& fleet = Fleet::instance();
+  std::istringstream good(registry_bytes(fleet.devices[0].record));
+  ASSERT_EQ(DeviceRegistry::load_registry(good).size(), 1u);
+
+  auto registry = fleet.make_registry();
+  const auto before = registry.load("unit-0");
+  try {
+    registry.store("unit-0", bad);
+    ADD_FAILURE() << "store accepted the record";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+  std::istringstream in(registry_bytes(bad));
+  try {
+    registry = DeviceRegistry::load_registry(in);
+    ADD_FAILURE() << "load_registry accepted the record";
+  } catch (const core::SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(registry.load("unit-0"), before);
+  EXPECT_EQ(registry.device_ids(), fleet.make_registry().device_ids());
+}
+
+TEST(DeviceRegistry, DelayTableShortOfTheCircuitIsRefusedAtLoad) {
+  auto bad = Fleet::instance().devices[0].record;
+  for (auto* column : {&bad.model.intrinsic_ps, &bad.model.wire_ps,
+                       &bad.model.vth_v, &bad.model.vth_tempco,
+                       &bad.model.rise_factor, &bad.model.fall_factor}) {
+    column->pop_back();
+  }
+  expect_refused_at_load(bad, "does not match the PUF circuit");
+}
+
+TEST(DeviceRegistry, InvalidSwatParamsAreRefusedAtLoad) {
+  auto bad = Fleet::instance().devices[0].record;
+  bad.profile.swat.rounds = 500;
+  expect_refused_at_load(bad, "SwatParams");
+}
+
+TEST(DeviceRegistry, ClockThatIsNotFiniteAndPositiveIsRefusedAtLoad) {
+  for (const double clock_mhz :
+       {0.0, -860.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(clock_mhz);
+    auto bad = Fleet::instance().devices[0].record;
+    bad.profile.base_clock_mhz = clock_mhz;
+    expect_refused_at_load(bad, "base clock");
+  }
 }
 
 // --- EmulatorCache ----------------------------------------------------------
@@ -265,30 +365,55 @@ TEST(EmulatorCache, VerifierSharesTheRegistryRecord) {
   const auto verifier = cache.acquire("unit-0");
   ASSERT_TRUE(verifier);
   const auto snapshot = registry.load("unit-0");
-  // The registry's own snapshot, not a copy of it.
+  // The registry's own snapshot, record and model, not copies of them.
   EXPECT_EQ(&verifier->record(), snapshot.get());
-  EXPECT_EQ(verifier->record_ptr(), snapshot);
+  EXPECT_EQ(verifier->snapshot(), snapshot);
+  EXPECT_EQ(&verifier->emulator().raw_emulator(), &snapshot->emulator());
   EXPECT_THROW(core::Verifier(nullptr, code()), std::invalid_argument);
+}
+
+TEST(EmulatorCache, ReacquiredVerifierUsesTheSnapshotModel) {
+  const auto& fleet = Fleet::instance();
+  const auto registry = fleet.make_registry();
+  EmulatorCache cache(registry, code(), 1);
+  const auto first = cache.acquire("unit-0");
+  ASSERT_TRUE(first);
+  ASSERT_TRUE(cache.acquire("unit-1"));  // pushes unit-0 out of the cache
+  const auto again = cache.acquire("unit-0");
+  ASSERT_TRUE(again);
+  EXPECT_EQ(cache.counters().misses, 3u);
+  // A new verifier, over the one model the registry derived.
+  EXPECT_NE(again, first);
+  const auto snapshot = registry.load("unit-0");
+  EXPECT_EQ(again->snapshot(), snapshot);
+  EXPECT_EQ(&again->emulator().raw_emulator(), &snapshot->emulator());
+  EXPECT_EQ(&first->emulator().raw_emulator(), &snapshot->emulator());
 }
 
 TEST(EmulatorCache, VerifierOutlivesRegistryAndCacheEviction) {
   const auto& fleet = Fleet::instance();
   auto registry = fleet.make_registry();
   EmulatorCache cache(registry, code(), 1);
-  const auto verifier = cache.acquire("unit-0");
+  auto verifier = cache.acquire("unit-0");
   ASSERT_TRUE(verifier);
+  const std::weak_ptr<const core::DeviceSnapshot> snapshot =
+      verifier->snapshot();
   ASSERT_TRUE(cache.acquire("unit-1"));  // pushes unit-0 out of the cache
   EXPECT_EQ(cache.counters().evictions, 1u);
   ASSERT_TRUE(registry.evict("unit-0"));
   EXPECT_FALSE(cache.acquire("unit-0"));
-  // Only the held verifier keeps the record alive now, and it still
+  // Only the held verifier keeps the snapshot alive now, and it still
   // attests the device.
-  EXPECT_EQ(verifier->record_ptr().use_count(), 1);
-  const PoolConfig config;
-  core::FaultyChannel link(config.channel, core::FaultParams{}, 0x51);
-  core::AttestationSession session(*verifier, link, config.session);
-  Xoshiro256pp rng(0x52);
-  EXPECT_TRUE(session.run(fleet.responder(0, 0x53), rng).accepted());
+  {
+    const PoolConfig config;
+    core::FaultyChannel link(config.channel, core::FaultParams{}, 0x51);
+    core::AttestationSession session(*verifier, link, config.session);
+    Xoshiro256pp rng(0x52);
+    EXPECT_TRUE(session.run(fleet.responder(0, 0x53), rng).accepted());
+  }
+  EXPECT_FALSE(snapshot.expired());
+  verifier.reset();
+  EXPECT_TRUE(snapshot.expired());
 }
 
 TEST(EmulatorCache, ByteEqualReEnrollmentIsStillAMiss) {
@@ -297,13 +422,16 @@ TEST(EmulatorCache, ByteEqualReEnrollmentIsStillAMiss) {
   EmulatorCache cache(registry, code(), 2);
   const auto before = cache.acquire("unit-0");
   ASSERT_TRUE(before);
-  // Same contents, new snapshot: the cache keys on the snapshot itself.
+  // Same contents, new snapshot: the cache keys on the snapshot itself,
+  // and the new snapshot brings its own model.
   registry.store("unit-0", fleet.devices[0].record);
   const auto after = cache.acquire("unit-0");
   ASSERT_TRUE(after);
   EXPECT_NE(after, before);
-  EXPECT_NE(after->record_ptr(), before->record_ptr());
-  EXPECT_EQ(after->record_ptr(), registry.load("unit-0"));
+  EXPECT_NE(after->snapshot(), before->snapshot());
+  EXPECT_EQ(after->snapshot(), registry.load("unit-0"));
+  EXPECT_NE(&after->emulator().raw_emulator(),
+            &before->emulator().raw_emulator());
   EXPECT_EQ(cache.counters().hits, 0u);
   EXPECT_EQ(cache.counters().misses, 2u);
   EXPECT_EQ(cache.size(), 1u);

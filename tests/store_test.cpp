@@ -783,6 +783,23 @@ TEST(VerifierStore, OpenRejectsCorruptLog) {
   EXPECT_THROW(VerifierStore::open(dir), StoreError);
 }
 
+TEST(VerifierStore, RefusedRecordIsNeverLogged) {
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("refused_record");
+  auto bad = fleet.devices[1].record;
+  bad.profile.base_clock_mhz = 0.0;
+  {
+    auto db = VerifierStore::open(dir);
+    db->enroll(fleet.devices[0].id, fleet.devices[0].record);
+    EXPECT_THROW(db->enroll(fleet.devices[1].id, bad), std::invalid_argument);
+    db->sync();
+  }
+  // Nothing of it reached the WAL, so recovery still succeeds.
+  auto reopened = VerifierStore::open(dir);
+  EXPECT_EQ(reopened->registry().device_ids(),
+            std::vector<std::string>{fleet.devices[0].id});
+}
+
 // --- pool integration: the drain durability barrier -------------------------
 
 TEST(VerifierStore, PoolDrainBarrierSyncsTheStore) {
@@ -899,6 +916,28 @@ TEST(Recovery, ReplayErrorsNameTheRecordOrigin) {
     FAIL() << "malformed payload must throw";
   } catch (const StoreError& e) {
     const std::string message = e.what();
+    EXPECT_NE(message.find("record from wal-00000001.log at byte 16"),
+              std::string::npos)
+        << message;
+  }
+}
+
+TEST(Recovery, RefusedEnrolledRecordNamesItsOrigin) {
+  const std::string dir = fresh_dir("replay_refused");
+  auto bad = Fleet::instance().devices[0].record;
+  bad.profile.base_clock_mhz = 0.0;
+  {
+    // A log written before records were refused at enrollment.
+    WalWriter wal(dir);
+    wal.append(kEnroll, encode_enroll("unit-x", bad));
+    wal.sync();
+  }
+  try {
+    recover(dir);
+    FAIL() << "a refused record must fail recovery";
+  } catch (const StoreError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'unit-x' refused"), std::string::npos) << message;
     EXPECT_NE(message.find("record from wal-00000001.log at byte 16"),
               std::string::npos)
         << message;
