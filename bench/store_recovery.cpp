@@ -1,7 +1,7 @@
 // Durable store bench: what does crash safety cost, and how fast does a
 // verifier come back?
 //
-// Five measurements, stable JSON schema (BENCH_store_recovery.json):
+// Three measurements, stable JSON schema (BENCH_store_recovery.json):
 //   1. WAL append throughput across payload sizes and the group-commit
 //      knob (sync_every=1 -> one fsync per record, the worst case;
 //      sync_every=32 -> one fsync amortized over 32 appends);
@@ -10,12 +10,6 @@
 //      consume CRP entries, reopen) gating correctness: recovered
 //      remaining() must match, and two recoveries must serialize to
 //      byte-identical state.
-//
-//   4. per-shard parallel recovery of a sharded store (1 vs 4 shards over
-//      the same record count; full mode on a >=4-way machine gates the
-//      4-shard speedup at >= 2x);
-//   5. failover latency: shipping a primary's WAL to a follower and
-//      promoting it, reported as a ship_s / promote_s row.
 //
 // `--smoke` runs a tiny sweep as a ctest smoke test labeled 'bench' and
 // gates only the correctness claims; the full run reports real rates.
@@ -26,7 +20,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/crp_database.hpp"
@@ -35,8 +28,6 @@
 #include "ecc/reed_muller.hpp"
 #include "store/records.hpp"
 #include "store/recovery.hpp"
-#include "store/replication.hpp"
-#include "store/sharded_store.hpp"
 #include "store/verifier_store.hpp"
 #include "store/wal.hpp"
 
@@ -198,97 +189,9 @@ StoreResult bench_store(std::size_t devices, std::size_t entries,
   return result;
 }
 
-struct ShardedResult {
-  std::size_t shards = 0;
-  std::size_t records = 0;
-  double recover_s = 0.0;
-  double records_per_s = 0.0;
-  bool counts_match = false;
-};
-
-/// Parallel shard recovery: `records` checkpoint records spread evenly
-/// over `shards` shard WALs, then one timed ShardedVerifierStore::open
-/// with one recovery thread per shard.
-ShardedResult bench_sharded_recovery(std::size_t shards, std::size_t records) {
-  const std::string dir = bench_dir("sharded_" + std::to_string(shards));
-  const std::string payload(64, 's');
-  const std::size_t per_shard = records / shards;
-  store::ShardedVerifierStore::write_manifest(dir, shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    store::WalWriter wal(store::ShardedVerifierStore::shard_dir(dir, k));
-    for (std::size_t i = 0; i < per_shard; ++i) {
-      wal.append(store::kCheckpoint, payload);
-    }
-    wal.sync();
-  }
-
-  ShardedResult result;
-  result.shards = shards;
-  result.records = per_shard * shards;
-  store::ShardedStoreOptions options;
-  options.shards = 0;  // the manifest decides
-  options.recovery_threads = shards;
-  const auto t0 = Clock::now();
-  auto db = store::ShardedVerifierStore::open(dir, options);
-  result.recover_s = seconds_since(t0);
-  result.records_per_s =
-      static_cast<double>(result.records) / std::max(result.recover_s, 1e-12);
-  std::size_t replayed = 0;
-  for (std::size_t k = 0; k < shards; ++k) {
-    replayed += db->shard(k).recovery_stats().records_replayed;
-  }
-  result.counts_match = replayed == result.records;
-  db.reset();
-  fs::remove_all(dir);
-  return result;
-}
-
-struct PromoteResult {
-  std::size_t records = 0;
-  std::uint64_t shipped_bytes = 0;
-  double ship_s = 0.0;
-  double promote_s = 0.0;
-  bool state_match = false;
-};
-
-/// Failover latency: WAL-ship a checkpoint-heavy primary to a fresh
-/// follower, then promote the follower, timing both legs separately.
-PromoteResult bench_promote(std::size_t records) {
-  const std::string primary = bench_dir("promote_primary");
-  const std::string follower = bench_dir("promote_follower");
-  const std::string payload(64, 'p');
-  {
-    store::WalWriter wal(primary);
-    for (std::size_t i = 0; i < records; ++i) {
-      wal.append(store::kCheckpoint, payload);
-    }
-    wal.sync();
-  }
-  PromoteResult result;
-  result.records = records;
-  store::ShardFollower repl(primary, follower);
-  const auto t0 = Clock::now();
-  const auto status = repl.ship();
-  result.ship_s = seconds_since(t0);
-  result.shipped_bytes = status.shipped_bytes;
-  const auto t1 = Clock::now();
-  auto promoted = repl.promote();
-  result.promote_s = seconds_since(t1);
-  result.state_match =
-      promoted->recovery_stats().records_replayed == records &&
-      !promoted->recovery_stats().torn_tail;
-  promoted.reset();
-  fs::remove_all(primary);
-  fs::remove_all(follower);
-  return result;
-}
-
 void write_json(bool smoke, const std::vector<AppendResult>& appends,
                 const std::vector<RecoveryResult>& recoveries,
-                const StoreResult& kill,
-                const std::vector<ShardedResult>& sharded,
-                double sharded_speedup, const PromoteResult& promote,
-                bool ok) {
+                const StoreResult& kill, bool ok) {
   std::FILE* f = std::fopen("BENCH_store_recovery.json", "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n");
@@ -326,25 +229,6 @@ void write_json(bool smoke, const std::vector<AppendResult>& appends,
                kill.remaining_after_recovery, kill.reopen_s,
                kill.remaining_match ? "true" : "false",
                kill.byte_stable ? "true" : "false");
-  std::fprintf(f, "  \"sharded\": [\n");
-  for (std::size_t i = 0; i < sharded.size(); ++i) {
-    const auto& s = sharded[i];
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"records\": %zu, "
-                 "\"recover_s\": %.6f, \"records_per_s\": %.0f}%s\n",
-                 s.shards, s.records, s.recover_s, s.records_per_s,
-                 i + 1 < sharded.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"sharded_speedup_4x\": %.2f,\n", sharded_speedup);
-  std::fprintf(f,
-               "  \"promote\": {\"records\": %zu, \"shipped_bytes\": %llu, "
-               "\"ship_s\": %.6f, \"promote_s\": %.6f, "
-               "\"state_match\": %s},\n",
-               promote.records,
-               static_cast<unsigned long long>(promote.shipped_bytes),
-               promote.ship_s, promote.promote_s,
-               promote.state_match ? "true" : "false");
   std::fprintf(f, "  \"ok\": %s\n", ok ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -411,51 +295,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // ---- 4. sharded parallel recovery: 1 vs 4 shards -----------------------
-  const std::size_t sharded_records = smoke ? 4000 : 80000;
-  std::vector<ShardedResult> sharded;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    sharded.push_back(bench_sharded_recovery(shards, sharded_records));
-  }
-  std::printf("\nsharded recovery (%zu checkpoint records total):\n",
-              sharded_records);
-  std::printf("  %8s %12s %12s\n", "shards", "recover_s", "records/s");
-  for (const auto& s : sharded) {
-    std::printf("  %8zu %12.6f %12.0f\n", s.shards, s.recover_s,
-                s.records_per_s);
-    if (!s.counts_match) {
-      std::printf("FAIL: sharded recovery replayed the wrong record count\n");
-      ok = false;
-    }
-  }
-  const double sharded_speedup =
-      sharded[0].recover_s / std::max(sharded[1].recover_s, 1e-12);
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("  4-shard speedup: %.2fx (%u-way machine)\n", sharded_speedup,
-              hw);
-  // The acceptance gate: with real parallelism available, 4 independent
-  // shards must recover at least 2x faster than one monolith.  Smoke runs
-  // are too small to time reliably, so only the full run gates.
-  if (!smoke && hw >= 4 && sharded_speedup < 2.0) {
-    std::printf("FAIL: 4-shard recovery speedup %.2fx < 2x\n",
-                sharded_speedup);
-    ok = false;
-  }
-
-  // ---- 5. failover: ship + promote latency -------------------------------
-  const auto promote = bench_promote(smoke ? 2000 : 50000);
-  std::printf("\npromote: %zu records, %llu bytes shipped in %.3f ms, "
-              "promoted in %.3f ms\n",
-              promote.records,
-              static_cast<unsigned long long>(promote.shipped_bytes),
-              1e3 * promote.ship_s, 1e3 * promote.promote_s);
-  if (!promote.state_match) {
-    std::printf("FAIL: promoted follower replayed the wrong record count\n");
-    ok = false;
-  }
-
-  write_json(smoke, appends, recoveries, kill, sharded, sharded_speedup,
-             promote, ok);
+  write_json(smoke, appends, recoveries, kill, ok);
   std::printf("\n[%s] wrote BENCH_store_recovery.json\n", ok ? "ok" : "FAIL");
   return ok ? 0 : 1;
 }

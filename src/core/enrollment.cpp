@@ -37,6 +37,11 @@ std::vector<std::uint32_t> make_enrolled_image(
 DeviceSnapshot::DeviceSnapshot(EnrollmentRecord record)
     : EnrollmentRecord(std::move(record)),
       emulator_(profile.puf_config.width, model, profile.puf_config.layout) {
+  if (profile.puf_config.width != 32) {
+    throw std::invalid_argument(
+        "DeviceSnapshot: PUF width must be 32, the protocol's (64-bit "
+        "challenges, 32-bit responses)");
+  }
   swat::validate(profile.swat);
   const double clock_mhz = profile.base_clock_mhz;
   if (!(std::isfinite(clock_mhz) && clock_mhz > 0.0)) {

@@ -57,7 +57,8 @@ struct EnrollmentRecord {
 class DeviceSnapshot : public EnrollmentRecord {
  public:
   /// Refuses, with std::invalid_argument, a record no verifier could
-  /// serve: a delay table that does not match the PUF circuit, SWAT
+  /// serve: a delay table that does not match the PUF circuit, a PUF
+  /// width other than the protocol's 32 (DevicePufPort's), SWAT
   /// parameters swat::validate rejects, or a base clock that is not
   /// finite and positive (the time bound delta would be infinite).
   explicit DeviceSnapshot(EnrollmentRecord record);

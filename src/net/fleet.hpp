@@ -38,7 +38,7 @@ class SimFleet {
 
   std::size_t size() const { return devices_.size(); }
   const ecc::ReedMuller1& code() const { return code_; }
-  const service::RegistryView& registry() const { return registry_; }
+  const service::DeviceRegistry& registry() const { return registry_; }
 
   /// "dev-N"; out-of-range indices still format (useful for probing the
   /// unknown-device path).

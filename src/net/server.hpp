@@ -82,8 +82,8 @@ struct ServerConfig {
   std::size_t read_chunk_bytes = 64 * 1024;
   EventLoop::Backend backend = EventLoop::Backend::kAuto;
   obs::Tracer* tracer = nullptr;        ///< must outlive the server; null = off
-  /// Optional process-wide metric registry (store WAL/replication/shard
-  /// gauges live there).  Included verbatim in the stats frame and the
+  /// Optional process-wide metric registry (the store's WAL and compaction
+  /// counters live there).  Included verbatim in the stats frame and the
   /// metrics JSONL; must outlive the server.  Null = "registry":{}.
   obs::MetricRegistry* registry = nullptr;
   /// When non-empty, a loop timer appends one

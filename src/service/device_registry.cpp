@@ -19,11 +19,8 @@ constexpr char kRegistryMagic[8] = {'P', 'F', 'A', 'T', 'R', 'E', 'G', '1'};
 }  // namespace
 
 // FNV-1a, then a SplitMix64 finalizer: std::hash<std::string> is
-// implementation-defined, and shard assignment must not change between
-// platforms or the registry's concurrency tests would be unportable —
-// and, since the sharded store reuses this hash for shard *directories*,
-// a platform-dependent hash would scatter devices across the wrong
-// shards when a store is copied between machines.
+// implementation-defined, and this keeps stripe assignment the same on
+// every platform.
 std::uint64_t stable_device_hash(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const unsigned char c : s) {

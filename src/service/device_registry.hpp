@@ -31,30 +31,11 @@
 namespace pufatt::service {
 
 /// Platform-stable device-id hash: FNV-1a folded through a SplitMix64
-/// finalizer.  std::hash<std::string> is implementation-defined, and this
-/// hash decides *placement* — registry lock striping here, and shard
-/// routing in store::ShardedVerifierStore — so it must produce the same
-/// value on every platform a store directory might be copied between.
+/// finalizer.  It picks a device's lock stripe; save() sorts by id, so the
+/// saved bytes do not depend on it.
 std::uint64_t stable_device_hash(const std::string& device_id);
 
-/// Read-side view of enrolled devices: what request-serving code
-/// (EmulatorCache, VerifierPool) actually needs.  Both a plain
-/// DeviceRegistry and a sharded store's routing facade implement it, so
-/// the service layer is indifferent to how records are partitioned.
-class RegistryView {
- public:
-  virtual ~RegistryView() = default;
-
-  /// nullptr when the device is unknown.
-  virtual std::shared_ptr<const core::DeviceSnapshot> load(
-      const std::string& device_id) const = 0;
-
-  virtual bool contains(const std::string& device_id) const {
-    return load(device_id) != nullptr;
-  }
-};
-
-class DeviceRegistry : public RegistryView {
+class DeviceRegistry {
  public:
   /// `shards` is rounded up to 1; 16 is plenty below ~100 worker threads
   /// (collision probability on a random pair of ids is 1/shards).
@@ -78,9 +59,9 @@ class DeviceRegistry : public RegistryView {
 
   /// nullptr when the device is unknown.
   std::shared_ptr<const core::DeviceSnapshot> load(
-      const std::string& device_id) const override;
+      const std::string& device_id) const;
 
-  bool contains(const std::string& device_id) const override;
+  bool contains(const std::string& device_id) const;
 
   /// De-registers a device; outstanding shared_ptrs stay valid.
   bool evict(const std::string& device_id);

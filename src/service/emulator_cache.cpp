@@ -4,7 +4,7 @@
 
 namespace pufatt::service {
 
-EmulatorCache::EmulatorCache(const RegistryView& registry,
+EmulatorCache::EmulatorCache(const DeviceRegistry& registry,
                              const ecc::BinaryCode& code, std::size_t capacity,
                              const core::ChannelParams& channel, double slack)
     : registry_(&registry),

@@ -43,10 +43,8 @@ struct CacheCounters {
 class EmulatorCache {
  public:
   /// `registry` and `code` must outlive the cache.  `channel`/`slack` are
-  /// forwarded to every constructed Verifier.  Any RegistryView works —
-  /// a plain DeviceRegistry or a sharded store's routing view — since the
-  /// cache only ever loads snapshots by id.
-  EmulatorCache(const RegistryView& registry, const ecc::BinaryCode& code,
+  /// forwarded to every constructed Verifier.
+  EmulatorCache(const DeviceRegistry& registry, const ecc::BinaryCode& code,
                 std::size_t capacity, const core::ChannelParams& channel = {},
                 double slack = 0.03);
 
@@ -84,7 +82,7 @@ class EmulatorCache {
   /// Drops `it` from the map and the LRU list.  Caller holds mutex_.
   void erase(SlotIt it);
 
-  const RegistryView* registry_;
+  const DeviceRegistry* registry_;
   const ecc::BinaryCode* code_;
   std::size_t capacity_;
   core::ChannelParams channel_;

@@ -46,8 +46,7 @@ std::uint64_t read_u64(std::istream& in) {
   return lo | (static_cast<std::uint64_t>(read_u32(in)) << 32);
 }
 
-void load_snapshot(const std::string& path, RecoveredState& state,
-                   std::size_t registry_shards) {
+void load_snapshot(const std::string& path, RecoveredState& state) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw StoreError("cannot open snapshot " + path);
   char magic[8];
@@ -60,15 +59,17 @@ void load_snapshot(const std::string& path, RecoveredState& state,
   }
   state.stats.snapshot_watermark = read_u64(in);
   try {
-    state.registry = service::DeviceRegistry::load_registry(in, registry_shards);
+    state.registry = service::DeviceRegistry::load_registry(in);
   } catch (const core::SerializationError& e) {
     throw StoreError(std::string("bad registry in snapshot: ") + e.what());
   }
   CrpLedger::load_into(in, *state.ledger);
 }
 
-}  // namespace
-
+/// Applies one WAL record to warm state.  Each record type is idempotent
+/// (enroll overwrites, evict/erase tolerate absence, consume is
+/// max-advance).  Throws StoreError on an unknown type or malformed
+/// payload, naming the record's origin segment and byte offset.
 void replay_wal_record(const WalRecord& record,
                        service::DeviceRegistry& registry, CrpLedger& ledger) {
   try {
@@ -114,33 +115,15 @@ void replay_wal_record(const WalRecord& record,
   }
 }
 
+}  // namespace
+
 std::string snapshot_path(const std::string& dir) {
   return dir + "/snapshot.bin";
 }
 
-bool read_snapshot_watermark(const std::string& path,
-                             std::uint64_t& watermark) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) return false;
-    throw StoreError("cannot open snapshot " + path);
-  }
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    throw StoreError("bad snapshot magic: " + path);
-  }
-  if (read_u32(in) != kSnapshotVersion) {
-    throw StoreError("unsupported snapshot version: " + path);
-  }
-  watermark = read_u64(in);
-  return true;
-}
-
-RecoveredState recover(const std::string& dir, std::size_t registry_shards,
+RecoveredState recover(const std::string& dir,
                        CrpLedger::Options ledger_options) {
-  RecoveredState state(registry_shards);
+  RecoveredState state;
   state.ledger =
       std::make_unique<CrpLedger>(nullptr, std::move(ledger_options));
 
@@ -149,7 +132,7 @@ RecoveredState recover(const std::string& dir, std::size_t registry_shards,
   if (fs::exists(snap, ec)) {
     state.stats.snapshot_present = true;
     state.stats.snapshot_bytes = fs::file_size(snap);
-    load_snapshot(snap, state, registry_shards);
+    load_snapshot(snap, state);
   }
 
   // The WAL tail: only segments above the snapshot's watermark.  Segments

@@ -46,21 +46,6 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// The snapshot file inside a store directory.
 std::string snapshot_path(const std::string& dir);
 
-/// Reads just the WAL watermark from the snapshot header at `path`.
-/// Returns false when the file does not exist; throws StoreError when it
-/// exists but the header is malformed.  Replication uses this to compare
-/// a primary's snapshot against a follower's without loading either.
-bool read_snapshot_watermark(const std::string& path,
-                             std::uint64_t& watermark);
-
-/// Applies one WAL record to warm state — the shared replay primitive of
-/// crash recovery and the replication apply path.  Each record type is
-/// idempotent (enroll overwrites, evict/erase tolerate absence, consume
-/// is max-advance).  Throws StoreError on an unknown type or malformed
-/// payload, naming the record's origin segment and byte offset.
-void replay_wal_record(const WalRecord& record,
-                       service::DeviceRegistry& registry, CrpLedger& ledger);
-
 /// What recovery saw; store-inspect prints exactly this.
 struct RecoveryStats {
   bool snapshot_present = false;
@@ -85,15 +70,12 @@ struct RecoveredState {
   /// (CrpLedger::attach_wal) before serving traffic.
   std::unique_ptr<CrpLedger> ledger;
   RecoveryStats stats;
-
-  explicit RecoveredState(std::size_t registry_shards)
-      : registry(registry_shards) {}
 };
 
 /// Rebuilds registry + ledger from `dir` (snapshot, if any, then the WAL
 /// tail).  A missing directory or an empty one recovers to empty state.
 /// Throws StoreError on corruption.
-RecoveredState recover(const std::string& dir, std::size_t registry_shards = 16,
+RecoveredState recover(const std::string& dir,
                        CrpLedger::Options ledger_options = {});
 
 /// Atomically persists the snapshot: writes `snapshot.bin.tmp`, fsyncs it,

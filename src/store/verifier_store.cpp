@@ -30,7 +30,7 @@ std::unique_ptr<VerifierStore> VerifierStore::open(std::string dir,
   // Recovery reads the files before WalWriter (constructed inside the
   // VerifierStore) truncates the torn tail; both apply the same clean-
   // prefix rule, so they agree on where the log ends.
-  RecoveredState state = recover(dir, options.registry_shards, options.crp);
+  RecoveredState state = recover(dir, options.crp);
   // The writer must never number a fresh segment at or below the
   // snapshot's watermark (recovery would skip its records) and deletes
   // any stale folded segments an interrupted compaction left behind.

@@ -45,7 +45,6 @@ namespace pufatt::store {
 
 struct StoreOptions {
   WalOptions wal;
-  std::size_t registry_shards = 16;
   CrpLedger::Options crp;  ///< depletion watermark + replenish hook
 };
 

@@ -79,10 +79,9 @@ std::vector<std::uint8_t> slurp_segment(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-/// Frame-parse loop shared by full-segment recovery scans and incremental
-/// replication scans: walks frames from `off`, extending `scan.valid_bytes`
-/// past each verified frame.  `tolerate_torn` selects whether a short
-/// frame at the end is a clean cut point (final segment / live shipping)
+/// Frame-parse loop of a segment scan: walks frames from `off`, extending
+/// `scan.valid_bytes` past each verified frame.  `tolerate_torn` selects
+/// whether a short frame at the end is a clean cut point (final segment)
 /// or corruption; complete-but-corrupt frames always throw, with the
 /// segment path and frame byte offset in the message.
 void parse_frames(const std::vector<std::uint8_t>& bytes, std::size_t off,
@@ -184,41 +183,6 @@ std::string wal_segment_file(std::uint64_t index) {
   return name;
 }
 
-WalSegmentDelta read_segment_delta(const std::string& path,
-                                   std::uint64_t expect_index,
-                                   std::uint64_t from) {
-  const auto bytes = slurp_segment(path);
-  if (from > bytes.size()) {
-    // The cursor claims more clean bytes than the segment holds — the
-    // source regressed (or the cursor is from another life).  Shipping
-    // from here would misframe every later record; fail closed.
-    throw StoreError("WAL shipping cursor past end of segment: " +
-                     at_byte(path, from));
-  }
-  SegmentScan scan;
-  WalSegmentDelta delta;
-  if (!check_segment_header(bytes, path, expect_index, /*final_segment=*/true,
-                            scan)) {
-    // Headerless (just-created) segment: nothing shippable yet.
-    delta.torn = scan.torn;
-    return delta;
-  }
-  const std::size_t start =
-      from < kSegmentHeaderBytes ? kSegmentHeaderBytes
-                                 : static_cast<std::size_t>(from);
-  parse_frames(bytes, start, path, expect_index, /*tolerate_torn=*/true,
-               /*collect=*/true, scan);
-  delta.records = std::move(scan.records);
-  delta.valid_bytes = scan.valid_bytes;
-  delta.torn = scan.torn;
-  // Raw bytes start at `from`, not `start`: a cursor of 0 means the
-  // follower has no copy of this segment yet and needs the header too.
-  delta.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(from),
-                     bytes.begin() +
-                         static_cast<std::ptrdiff_t>(scan.valid_bytes));
-  return delta;
-}
-
 std::vector<std::string> wal_segment_paths(const std::string& dir) {
   std::vector<std::pair<std::uint64_t, std::string>> found;
   std::error_code ec;
@@ -272,10 +236,7 @@ WalReadResult read_wal(const std::string& dir,
     const bool final_segment = i + 1 == paths.size();
     auto scan = scan_segment(paths[i], index, final_segment, /*collect=*/true);
     result.bytes += fs::file_size(paths[i]);
-    if (final_segment) {
-      result.torn_tail = scan.torn;
-      result.tail_valid_bytes = scan.valid_bytes;
-    }
+    if (final_segment) result.torn_tail = scan.torn;
     for (auto& record : scan.records) {
       result.records.push_back(std::move(record));
     }

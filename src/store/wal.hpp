@@ -78,7 +78,6 @@ struct WalReadResult {
   std::size_t segments = 0;     ///< segments actually scanned
   std::size_t segments_skipped = 0;  ///< at/below the caller's watermark
   std::uint64_t bytes = 0;      ///< on-disk bytes of the scanned segments
-  std::uint64_t tail_valid_bytes = 0;  ///< clean byte length of last segment
 };
 
 /// Segment files under `dir`, sorted by index; validates that filenames
@@ -86,24 +85,8 @@ struct WalReadResult {
 std::vector<std::string> wal_segment_paths(const std::string& dir);
 
 /// Filename of segment `index` ("wal-00000042.log") — the naming scheme
-/// shared by the writer, recovery diagnostics, and replication shipping.
+/// shared by the writer and recovery diagnostics.
 std::string wal_segment_file(std::uint64_t index);
-
-/// Incremental single-segment scan, the unit of WAL shipping: parses the
-/// clean frame prefix of `path` starting at byte `from` (a frame boundary
-/// from a previous scan, or 0 for the segment start).  A torn final frame
-/// is always tolerated — a live primary's current segment routinely ends
-/// mid-frame — and simply stays beyond `valid_bytes` until it completes.
-/// Complete-but-corrupt frames throw StoreError with path and offset.
-struct WalSegmentDelta {
-  std::vector<WalRecord> records;   ///< frames wholly inside [from, valid)
-  std::vector<std::uint8_t> bytes;  ///< raw clean bytes [from, valid)
-  std::uint64_t valid_bytes = 0;    ///< clean prefix length of the segment
-  bool torn = false;                ///< a partial frame follows valid_bytes
-};
-WalSegmentDelta read_segment_delta(const std::string& path,
-                                   std::uint64_t expect_index,
-                                   std::uint64_t from);
 
 /// Reads every record of every segment in order.  Throws StoreError on
 /// corruption (see the torn-tail rule above); a torn final record is

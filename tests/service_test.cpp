@@ -261,6 +261,19 @@ TEST(DeviceRegistry, DelayTableShortOfTheCircuitIsRefusedAtLoad) {
   expect_refused_at_load(bad, "does not match the PUF circuit");
 }
 
+TEST(DeviceRegistry, PufWidthOtherThanTheProtocolsIsRefusedAtLoad) {
+  // A record genuinely enrolled from a 16-bit die: its delay table matches
+  // its circuit, so only the width check can refuse it.  Served, it would
+  // make every verifier build throw inside a pool worker.
+  auto profile = core::DistributedParams::small_profile();
+  profile.puf_config.width = 16;
+  const ecc::ReedMuller1 code16(4);
+  const alupuf::PufDevice device(profile.puf_config, 0xACE9, code16);
+  const auto image =
+      core::make_enrolled_image(profile, std::vector<std::uint32_t>(600, 7));
+  expect_refused_at_load(core::enroll(device, profile, image), "PUF width");
+}
+
 TEST(DeviceRegistry, InvalidSwatParamsAreRefusedAtLoad) {
   auto bad = Fleet::instance().devices[0].record;
   bad.profile.swat.rounds = 500;

@@ -16,10 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include <map>
-
 #include "core/crp_database.hpp"
-#include "obs/metrics.hpp"
 #include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/serialize.hpp"
@@ -30,8 +27,6 @@
 #include "store/crp_ledger.hpp"
 #include "store/records.hpp"
 #include "store/recovery.hpp"
-#include "store/replication.hpp"
-#include "store/sharded_store.hpp"
 #include "store/verifier_store.hpp"
 #include "store/wal.hpp"
 #include "support/faulty_file.hpp"
@@ -66,32 +61,6 @@ void write_bytes(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-}
-
-/// filename -> contents for every regular file directly under `dir`:
-/// the byte-identical comparison replication tests are built on.
-std::map<std::string, std::vector<std::uint8_t>> dir_image(
-    const std::string& dir) {
-  std::map<std::string, std::vector<std::uint8_t>> image;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file()) {
-      image[entry.path().filename().string()] =
-          read_bytes(entry.path().string());
-    }
-  }
-  return image;
-}
-
-/// Canonical serialization of whatever crash recovery reconstructs from
-/// `dir` — two directories recovering to equal pairs hold the same state.
-std::pair<std::string, std::string> serialize_recovered(
-    const std::string& dir) {
-  const auto state = recover(dir);
-  std::stringstream registry(std::ios::in | std::ios::out | std::ios::binary);
-  state.registry.save(registry);
-  std::stringstream ledger(std::ios::in | std::ios::out | std::ios::binary);
-  state.ledger->save(ledger);
-  return {registry.str(), ledger.str()};
 }
 
 std::uint64_t segment_index(const std::string& path) {
@@ -1028,11 +997,23 @@ TEST(Wal, RotationBoundaryAndMultiSegmentTornFuzz) {
   const auto paths = wal_segment_paths(dir);
   ASSERT_GT(paths.size(), 2u);
   std::vector<std::vector<std::uint8_t>> pristine;
-  std::vector<std::size_t> records_in;  // record count per segment
-  for (const auto& path : paths) {
-    pristine.push_back(read_bytes(path));
-    records_in.push_back(
-        read_segment_delta(path, segment_index(path), 0).records.size());
+  for (const auto& path : paths) pristine.push_back(read_bytes(path));
+  // Record count per segment and the final segment's frame ends, from
+  // each record's provenance in the intact log.
+  const auto intact = read_wal(dir);
+  ASSERT_EQ(intact.records.size(), 24u);
+  std::vector<std::size_t> records_in(paths.size(), 0);
+  std::vector<std::size_t> boundaries{kSegmentHeaderBytes};
+  for (const auto& record : intact.records) {
+    const std::size_t seg = static_cast<std::size_t>(
+        record.origin_segment - segment_index(paths.front()));
+    ASSERT_LT(seg, paths.size());
+    ++records_in[seg];
+    if (seg + 1 == paths.size()) {
+      boundaries.push_back(static_cast<std::size_t>(
+          record.origin_offset + kRecordOverheadBytes +
+          record.payload.size()));
+    }
   }
   auto restore = [&] {
     for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -1079,14 +1060,6 @@ TEST(Wal, RotationBoundaryAndMultiSegmentTornFuzz) {
       case 2: {
         // Cut the final segment exactly on a frame boundary (a perfectly
         // clean crash) or inside its header (a just-rotated crash).
-        const auto delta = read_segment_delta(
-            paths.back(), segment_index(paths.back()), 0);
-        std::vector<std::size_t> boundaries{kSegmentHeaderBytes};
-        for (const auto& record : delta.records) {
-          boundaries.push_back(static_cast<std::size_t>(
-              record.origin_offset + kRecordOverheadBytes +
-              record.payload.size()));
-        }
         if (rng.next() % 4 == 0) {
           // Header-partial final segment: tolerated, contributes nothing.
           const std::size_t cut = rng.next() % kSegmentHeaderBytes;
@@ -1255,440 +1228,6 @@ TEST(FaultInjection, TornSnapshotRenameFailsClosedOnReopen) {
   EXPECT_TRUE(fs::exists(snapshot_path(dir)));
   EXPECT_THROW(VerifierStore::open(dir), StoreError);
   EXPECT_THROW(recover(dir), StoreError);
-}
-
-// --- replication: ship, follow compaction, promote --------------------------
-
-TEST(Replication, ShipMirrorsPrimaryByteForByteThenPromotes) {
-  const auto& fleet = Fleet::instance();
-  const std::string primary = fresh_dir("repl_primary");
-  const std::string follower = fresh_dir("repl_follower");
-  constexpr std::size_t kEntries = 4;
-  constexpr std::size_t kConsume = 5;
-  auto db = VerifierStore::open(primary);
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    db->enroll(fleet.devices[d].id, fleet.devices[d].record);
-    db->enroll_crps(fleet.devices[d].id,
-                    fleet.collect(d, kEntries, 0x4E90 + d));
-  }
-  Xoshiro256pp rng(0xB1);
-  for (std::size_t k = 0; k < kConsume; ++k) {
-    const std::size_t d = k % fleet.devices.size();
-    ASSERT_TRUE(db->authenticate_crp(fleet.devices[d].id,
-                                     fleet.devices[d].device->raw_puf(), rng)
-                    .has_value());
-  }
-  db->sync();
-
-  ShardFollower repl(primary, follower);
-  auto status = repl.ship();
-  EXPECT_GT(status.applied_records, 0u);
-  EXPECT_GT(status.lag_bytes, 0u);  // it had everything still to ship
-  EXPECT_GT(status.shipped_bytes, 0u);
-  EXPECT_TRUE(dir_image(primary) == dir_image(follower))
-      << "follower is not a byte-for-byte mirror";
-
-  // A quiesced primary ships nothing more; the staleness metric says so.
-  status = repl.ship();
-  EXPECT_EQ(status.lag_bytes, 0u);
-
-  // Failover: the promoted store serves exactly the primary's state.
-  auto promoted = repl.promote();
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    EXPECT_EQ(promoted->crp_remaining(fleet.devices[d].id),
-              db->crp_remaining(fleet.devices[d].id));
-    EXPECT_TRUE(promoted->registry().contains(fleet.devices[d].id));
-  }
-  // No consumed CRP resurrected: the promoted store keeps consuming from
-  // the primary's cursor, not from the start.
-  Xoshiro256pp rng2(0xB2);
-  const auto before = *promoted->crp_remaining(fleet.devices[0].id);
-  ASSERT_TRUE(promoted
-                  ->authenticate_crp(fleet.devices[0].id,
-                                     fleet.devices[0].device->raw_puf(), rng2)
-                  .has_value());
-  EXPECT_EQ(*promoted->crp_remaining(fleet.devices[0].id), before - 1);
-
-  // The follower was consumed by promote().
-  EXPECT_THROW(repl.ship(), StoreError);
-}
-
-TEST(Replication, ShipFollowsPrimaryCompaction) {
-  const auto& fleet = Fleet::instance();
-  const std::string primary = fresh_dir("repl_compact_primary");
-  const std::string follower = fresh_dir("repl_compact_follower");
-  auto db = VerifierStore::open(primary);
-  db->enroll(fleet.devices[0].id, fleet.devices[0].record);
-  db->enroll_crps(fleet.devices[0].id, fleet.collect(0, 5, 0x5C01));
-  Xoshiro256pp rng(0xC1);
-  ASSERT_TRUE(db->authenticate_crp(fleet.devices[0].id,
-                                   fleet.devices[0].device->raw_puf(), rng)
-                  .has_value());
-  db->sync();
-
-  ShardFollower repl(primary, follower);
-  repl.ship();  // pre-compaction WAL tail
-  ASSERT_TRUE(dir_image(primary) == dir_image(follower));
-
-  // Primary compacts, then keeps mutating: the follower must take the
-  // snapshot catch-up, drop its folded segments, and ship the new tail.
-  db->compact();
-  db->enroll(fleet.devices[1].id, fleet.devices[1].record);
-  ASSERT_TRUE(db->authenticate_crp(fleet.devices[0].id,
-                                   fleet.devices[0].device->raw_puf(), rng)
-                  .has_value());
-  db->sync();
-  const auto status = repl.ship();
-  EXPECT_EQ(status.snapshot_copies, 1u);
-  EXPECT_GE(status.snapshot_watermark, 1u);
-  EXPECT_TRUE(dir_image(primary) == dir_image(follower))
-      << "follower did not converge after the primary compacted";
-
-  auto promoted = repl.promote();
-  EXPECT_EQ(promoted->crp_remaining(fleet.devices[0].id), std::size_t{3});
-  EXPECT_TRUE(promoted->registry().contains(fleet.devices[1].id));
-}
-
-TEST(Replication, InjectedShipFailurePoisonsFollowerAndRebuildHeals) {
-  const auto& fleet = Fleet::instance();
-  const std::string primary = fresh_dir("repl_poison_primary");
-  const std::string follower = fresh_dir("repl_poison_follower");
-  {
-    auto db = VerifierStore::open(primary);
-    db->enroll(fleet.devices[0].id, fleet.devices[0].record);
-    db->enroll_crps(fleet.devices[0].id, fleet.collect(0, 4, 0x901));
-    Xoshiro256pp rng(0xD1);
-    ASSERT_TRUE(db->authenticate_crp(fleet.devices[0].id,
-                                     fleet.devices[0].device->raw_puf(), rng)
-                    .has_value());
-    db->sync();
-  }
-  ShardFollower repl(primary, follower);
-  {
-    support::FaultPlan plan;
-    plan.fsync_error_at = 1;  // the shipped segment's durability fsync
-    support::ScopedFaultPlan guard(plan);
-    EXPECT_THROW(repl.ship(), StoreError);
-  }
-  // Poisoned: the cursor can no longer be trusted, even disarmed.
-  EXPECT_THROW(repl.ship(), StoreError);
-
-  // The documented recovery: a fresh follower rescans the directory
-  // (truncating any torn tail the failed ship left) and converges.
-  ShardFollower rebuilt(primary, follower);
-  rebuilt.ship();
-  EXPECT_TRUE(dir_image(primary) == dir_image(follower));
-  auto promoted = rebuilt.promote();
-  EXPECT_EQ(promoted->crp_remaining(fleet.devices[0].id), std::size_t{3});
-}
-
-TEST(Replication, TornSnapshotCatchUpFailsClosed) {
-  const auto& fleet = Fleet::instance();
-  const std::string primary = fresh_dir("repl_torn_primary");
-  const std::string follower = fresh_dir("repl_torn_follower");
-  {
-    auto db = VerifierStore::open(primary);
-    db->enroll(fleet.devices[0].id, fleet.devices[0].record);
-    db->enroll_crps(fleet.devices[0].id, fleet.collect(0, 4, 0x70B));
-    db->compact();  // the primary has a snapshot for the follower to copy
-  }
-  ShardFollower repl(primary, follower);
-  {
-    support::FaultPlan plan;
-    plan.torn_rename_at = 1;  // the follower's snapshot copy lands torn
-    support::ScopedFaultPlan guard(plan);
-    EXPECT_THROW(repl.ship(), StoreError);
-  }
-  // The torn follower snapshot must be refused, not half-loaded — by a
-  // rebuilt follower and by promotion alike.
-  EXPECT_THROW(ShardFollower(primary, follower), StoreError);
-  EXPECT_THROW(recover(follower), StoreError);
-  // Wiping the follower directory rebuilds from scratch and converges.
-  fs::remove_all(follower);
-  ShardFollower rebuilt(primary, follower);
-  rebuilt.ship();
-  auto promoted = rebuilt.promote();
-  EXPECT_EQ(promoted->crp_remaining(fleet.devices[0].id), std::size_t{4});
-}
-
-// --- the kill-anywhere failover property ------------------------------------
-
-// Randomized kill points over a real store workload (enroll, consume,
-// compact, consume): at *every* cut the crash image ships to a follower
-// whose promotion is byte-identical to recovering the primary directly,
-// and remaining() agrees exactly.  This is the acceptance property the
-// torture binary (tests/store_torture.cpp) runs at scale.
-TEST(Replication, KillAnywhereFailoverMatchesPrimaryRecovery) {
-  const auto& fleet = Fleet::instance();
-  auto workload = [&](const std::string& dir) {
-    StoreOptions options;
-    options.wal.segment_bytes = 1024;  // rotate within the workload
-    options.wal.sync_every = 4;
-    auto db = VerifierStore::open(dir, options);
-    for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-      db->enroll(fleet.devices[d].id, fleet.devices[d].record);
-      db->enroll_crps(fleet.devices[d].id, fleet.collect(d, 5, 0xFA11 + d));
-    }
-    Xoshiro256pp rng(0xAB);
-    for (int k = 0; k < 4; ++k) {
-      (void)db->authenticate_crp(fleet.devices[k % fleet.devices.size()].id,
-                                 fleet.devices[k % fleet.devices.size()]
-                                     .device->raw_puf(),
-                                 rng);
-    }
-    db->compact();
-    for (int k = 0; k < 5; ++k) {
-      (void)db->authenticate_crp(fleet.devices[k % fleet.devices.size()].id,
-                                 fleet.devices[k % fleet.devices.size()]
-                                     .device->raw_puf(),
-                                 rng);
-    }
-    db->sync();
-  };
-
-  // Probe run: learn the workload's total byte budget so kill points can
-  // be drawn from the whole execution, compaction included.
-  std::uint64_t total_bytes = 0;
-  {
-    const std::string dir = fresh_dir("kill_probe");
-    support::FaultPlan plan;
-    plan.crash_after_bytes = ~std::uint64_t{0};  // never fires: just counts
-    support::ScopedFaultPlan guard(plan);
-    workload(dir);
-    total_bytes = support::FaultyFile::instance().bytes_written();
-  }
-  ASSERT_GT(total_bytes, 1024u);
-
-  Xoshiro256pp rng(0x60D);
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::uint64_t kill = 1 + rng.next() % total_bytes;
-    const std::string primary =
-        fresh_dir("kill_primary_" + std::to_string(trial));
-    const std::string follower =
-        fresh_dir("kill_follower_" + std::to_string(trial));
-    {
-      support::FaultPlan plan;
-      plan.crash_after_bytes = kill;
-      support::ScopedFaultPlan guard(plan);
-      workload(primary);  // the process "runs on"; the disk stops at K
-    }
-    ShardFollower(primary, follower).ship();
-    const auto primary_state = serialize_recovered(primary);
-    const auto follower_state = serialize_recovered(follower);
-    EXPECT_EQ(primary_state.first, follower_state.first)
-        << "registry diverged, kill at byte " << kill;
-    EXPECT_EQ(primary_state.second, follower_state.second)
-        << "ledger diverged, kill at byte " << kill;
-
-    // remaining() exact: promotion and direct primary recovery agree
-    // device by device — no CRP consumed twice, none resurrected.
-    auto promoted = ShardFollower(primary, follower).promote();
-    auto direct = VerifierStore::open(primary);
-    for (const auto& dev : fleet.devices) {
-      EXPECT_EQ(promoted->crp_remaining(dev.id), direct->crp_remaining(dev.id))
-          << "kill at byte " << kill << ", device " << dev.id;
-      EXPECT_EQ(promoted->registry().contains(dev.id),
-                direct->registry().contains(dev.id))
-          << "kill at byte " << kill << ", device " << dev.id;
-    }
-  }
-}
-
-// --- sharded store ----------------------------------------------------------
-
-TEST(ShardedStore, RoutesRecoversInParallelAndServesThePool) {
-  const auto& fleet = Fleet::instance();
-  const std::string dir = fresh_dir("sharded");
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kEntries = 4;
-  constexpr std::size_t kConsume = 5;
-  {
-    ShardedStoreOptions options;
-    options.shards = kShards;
-    options.recovery_threads = kShards;
-    auto db = ShardedVerifierStore::open(dir, options);
-    EXPECT_EQ(db->shard_count(), kShards);
-    for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-      EXPECT_TRUE(db->enroll(fleet.devices[d].id, fleet.devices[d].record));
-      db->enroll_crps(fleet.devices[d].id,
-                      fleet.collect(d, kEntries, 0x5A4D + d));
-      // Routing is the platform-stable hash the registry stripes by.
-      EXPECT_EQ(db->shard_of(fleet.devices[d].id),
-                service::stable_device_hash(fleet.devices[d].id) % kShards);
-    }
-    Xoshiro256pp rng(0xE1);
-    for (std::size_t k = 0; k < kConsume; ++k) {
-      const std::size_t d = k % fleet.devices.size();
-      ASSERT_TRUE(db->authenticate_crp(fleet.devices[d].id,
-                                       fleet.devices[d].device->raw_puf(), rng)
-                      .has_value());
-    }
-    EXPECT_EQ(db->device_count(), fleet.devices.size());
-    EXPECT_EQ(db->total_crp_remaining(),
-              fleet.devices.size() * kEntries - kConsume);
-    db->sync();
-  }
-  ASSERT_TRUE(fs::exists(ShardedVerifierStore::manifest_path(dir)));
-
-  // Reopen letting the manifest decide the count; per-shard recovery ran
-  // in parallel and every cursor came back exact.
-  ShardedStoreOptions reopen;
-  reopen.shards = 0;
-  auto recovered = ShardedVerifierStore::open(dir, reopen);
-  EXPECT_EQ(recovered->shard_count(), kShards);
-  EXPECT_EQ(recovered->device_count(), fleet.devices.size());
-  EXPECT_EQ(recovered->total_crp_remaining(),
-            fleet.devices.size() * kEntries - kConsume);
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    const std::size_t consumed =
-        kConsume / fleet.devices.size() +
-        (d < kConsume % fleet.devices.size() ? 1 : 0);
-    EXPECT_EQ(recovered->crp_remaining(fleet.devices[d].id),
-              kEntries - consumed);
-  }
-
-  // The manifest pins N forever: hash % N routing makes any other count
-  // look up every device in the wrong shard.
-  ShardedStoreOptions wrong;
-  wrong.shards = 2;
-  EXPECT_THROW(ShardedVerifierStore::open(dir, wrong), StoreError);
-
-  // The service layer runs against the routing view, indifferent to the
-  // partitioning: a full pool round-trip over all shards.
-  service::EmulatorCache cache(recovered->registry_view(), code(),
-                               fleet.devices.size());
-  std::atomic<std::size_t> accepted{0};
-  service::PoolConfig config;
-  config.workers = 2;
-  config.queue_capacity = 8;
-  config.on_drain = [&] { recovered->sync(); };
-  service::VerifierPool pool(cache, config,
-                             [&](const service::JobResult& result) {
-                               if (result.outcome ==
-                                   service::JobOutcome::kAccepted) {
-                                 accepted.fetch_add(1);
-                               }
-                             });
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    service::AttestationJob job;
-    job.device_id = fleet.devices[d].id;
-    job.responder = fleet.responder(d, 0xE2 + d);
-    job.channel_seed = 0xE3 + d;
-    job.rng_seed = 0xE4 + d;
-    job.tag = d;
-    ASSERT_TRUE(pool.submit(job).enqueued());
-  }
-  pool.drain();
-  pool.shutdown();
-  EXPECT_EQ(accepted.load(), fleet.devices.size());
-
-  // Per-shard compaction round-trips too.
-  recovered->compact();
-  recovered.reset();
-  auto again = ShardedVerifierStore::open(dir, reopen);
-  EXPECT_EQ(again->device_count(), fleet.devices.size());
-  EXPECT_EQ(again->total_crp_remaining(),
-            fleet.devices.size() * kEntries - kConsume);
-}
-
-TEST(ShardedStore, PublishMetricsExportsPerShardOccupancyGauges) {
-  const auto& fleet = Fleet::instance();
-  const std::string dir = fresh_dir("sharded_gauges");
-  constexpr std::size_t kShards = 2;
-  constexpr std::size_t kEntries = 3;
-  ShardedStoreOptions options;
-  options.shards = kShards;
-  auto db = ShardedVerifierStore::open(dir, options);
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    ASSERT_TRUE(db->enroll(fleet.devices[d].id, fleet.devices[d].record));
-    db->enroll_crps(fleet.devices[d].id,
-                    fleet.collect(d, kEntries, 0x6A4D + d));
-  }
-
-  obs::MetricRegistry registry;
-  db->publish_metrics(registry);
-  EXPECT_EQ(registry.gauge("store.shards").value(),
-            static_cast<double>(kShards));
-  double devices = 0.0, crps = 0.0;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "store.shard%04zu.devices", i);
-    const double shard_devices = registry.gauge(name).value();
-    EXPECT_EQ(shard_devices, static_cast<double>(db->shard(i).registry().size()))
-        << "shard " << i;
-    devices += shard_devices;
-    std::snprintf(name, sizeof(name), "store.shard%04zu.crp_remaining", i);
-    crps += registry.gauge(name).value();
-  }
-  // The per-shard gauges reconcile exactly with the whole-store aggregates.
-  EXPECT_EQ(devices, static_cast<double>(db->device_count()));
-  EXPECT_EQ(crps, static_cast<double>(db->total_crp_remaining()));
-
-  // Refresh after mutation: gauges track, names stay fixed (the stats
-  // frame's "registry" section depends on that stability).
-  Xoshiro256pp rng(0x6B);
-  ASSERT_TRUE(db->authenticate_crp(fleet.devices[0].id,
-                                   fleet.devices[0].device->raw_puf(), rng)
-                  .has_value());
-  db->publish_metrics(registry);
-  double crps_after = 0.0;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "store.shard%04zu.crp_remaining", i);
-    crps_after += registry.gauge(name).value();
-  }
-  EXPECT_EQ(crps_after, crps - 1.0);
-  EXPECT_NE(registry.snapshot_json().find("store.shard0000.devices"),
-            std::string::npos);
-}
-
-TEST(Replication, ShardedReplicaShipsAndPromotesWholeFleet) {
-  const auto& fleet = Fleet::instance();
-  const std::string primary = fresh_dir("sharded_repl_primary");
-  const std::string follower = fresh_dir("sharded_repl_follower");
-  constexpr std::size_t kShards = 2;
-  constexpr std::size_t kEntries = 3;
-  constexpr std::size_t kConsume = 4;
-  ShardedStoreOptions options;
-  options.shards = kShards;
-  auto db = ShardedVerifierStore::open(primary, options);
-  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
-    db->enroll(fleet.devices[d].id, fleet.devices[d].record);
-    db->enroll_crps(fleet.devices[d].id,
-                    fleet.collect(d, kEntries, 0x2E91 + d));
-  }
-  Xoshiro256pp rng(0xF1);
-  for (std::size_t k = 0; k < kConsume; ++k) {
-    const std::size_t d = k % fleet.devices.size();
-    ASSERT_TRUE(db->authenticate_crp(fleet.devices[d].id,
-                                     fleet.devices[d].device->raw_puf(), rng)
-                    .has_value());
-  }
-  db->sync();
-
-  StoreReplica replica(primary, follower);
-  EXPECT_EQ(replica.shard_count(), kShards);
-  const auto statuses = replica.ship();
-  ASSERT_EQ(statuses.size(), kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_TRUE(dir_image(ShardedVerifierStore::shard_dir(primary, i)) ==
-                dir_image(ShardedVerifierStore::shard_dir(follower, i)))
-        << "shard " << i << " is not a byte-for-byte mirror";
-  }
-
-  auto promoted = replica.promote();
-  EXPECT_EQ(promoted->shard_count(), kShards);
-  EXPECT_EQ(promoted->device_count(), fleet.devices.size());
-  EXPECT_EQ(promoted->total_crp_remaining(),
-            fleet.devices.size() * kEntries - kConsume);
-  for (const auto& dev : fleet.devices) {
-    EXPECT_EQ(promoted->crp_remaining(dev.id), db->crp_remaining(dev.id));
-  }
-
-  // A replica of a plain (unsharded) directory is refused up front.
-  EXPECT_THROW(StoreReplica(fresh_dir("not_sharded"),
-                            fresh_dir("not_sharded_follower")),
-               StoreError);
 }
 
 }  // namespace

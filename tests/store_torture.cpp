@@ -11,10 +11,10 @@
 //
 // After the fault, the directory on disk must behave like any crash
 // image: recovery succeeds (or the in-process store failed closed with
-// StoreError — never silent corruption), WAL shipping to a follower plus
-// promote() reconstructs state byte-identical to direct primary
-// recovery, and the promoted store still serves writes and CRP
-// authentications.
+// StoreError — never silent corruption), VerifierStore::open holds state
+// byte-identical to a read-only recovery of the same directory, the
+// reopened store still serves a write and a CRP authentication, and a
+// second read-only recovery shows that write.
 //
 //   STORE_TORTURE_ITERS   iteration count        (default 24)
 //   STORE_TORTURE_SEED    RNG seed               (default 0x70A7)
@@ -33,7 +33,6 @@
 #include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "ecc/reed_muller.hpp"
-#include "store/replication.hpp"
 #include "store/recovery.hpp"
 #include "store/verifier_store.hpp"
 #include "support/faulty_file.hpp"
@@ -122,14 +121,21 @@ void workload(const Fleet& fleet, const std::string& dir) {
   db->sync();
 }
 
-std::pair<std::string, std::string> serialize_recovered(
-    const std::string& dir) {
+using StateBytes = std::pair<std::string, std::string>;
+
+StateBytes serialize_state(const service::DeviceRegistry& registry,
+                           const store::CrpLedger& ledger) {
+  std::stringstream reg(std::ios::in | std::ios::out | std::ios::binary);
+  registry.save(reg);
+  std::stringstream led(std::ios::in | std::ios::out | std::ios::binary);
+  ledger.save(led);
+  return {reg.str(), led.str()};
+}
+
+/// Read-only recovery of `dir`: nothing on disk is touched.
+StateBytes serialize_recovered(const std::string& dir) {
   const auto state = store::recover(dir);
-  std::stringstream registry(std::ios::in | std::ios::out | std::ios::binary);
-  state.registry.save(registry);
-  std::stringstream ledger(std::ios::in | std::ios::out | std::ios::binary);
-  state.ledger->save(ledger);
-  return {registry.str(), ledger.str()};
+  return serialize_state(state.registry, *state.ledger);
 }
 
 }  // namespace
@@ -169,8 +175,6 @@ int main() {
   for (std::uint64_t iter = 0; iter < iters; ++iter) {
     const std::string primary =
         scratch_dir("primary_" + std::to_string(iter));
-    const std::string follower =
-        scratch_dir("follower_" + std::to_string(iter));
 
     support::FaultPlan plan;
     const char* arm = "";
@@ -203,31 +207,40 @@ int main() {
 
     bool ok = true;
     try {
-      // Whatever the fault left behind must ship and promote to exactly
-      // the state direct crash recovery reconstructs.
-      store::ShardFollower(primary, follower).ship();
-      const auto primary_state = serialize_recovered(primary);
-      const auto follower_state = serialize_recovered(follower);
-      if (primary_state != follower_state) {
-        std::printf("FAIL iter %llu (%s): promoted state diverged from "
-                    "primary recovery\n",
+      // Whatever the fault left behind, the store that reopens it must
+      // hold exactly the state a read-only recovery reconstructs.
+      const auto recovered = serialize_recovered(primary);
+      auto db = store::VerifierStore::open(primary);
+      if (serialize_state(db->registry(), db->crp_ledger()) != recovered) {
+        std::printf("FAIL iter %llu (%s): reopened store diverged from "
+                    "read-only recovery\n",
                     static_cast<unsigned long long>(iter), arm);
         ok = false;
       }
 
-      // The promoted store still serves: a write and an authentication.
-      auto promoted = store::ShardFollower(primary, follower).promote();
-      promoted->enroll_crps(fleet.devices[0].id,
-                            fleet.collect(0, 2, 0x9E11 + iter));
+      // The reopened store still serves: a write and an authentication.
+      db->enroll_crps(fleet.devices[0].id, fleet.collect(0, 2, 0x9E11 + iter));
       support::Xoshiro256pp auth_rng(0x9E22 + iter);
-      const auto result = promoted->authenticate_crp(
+      const auto result = db->authenticate_crp(
           fleet.devices[0].id, fleet.devices[0].device->raw_puf(), auth_rng);
       if (!result.has_value() || !result->conclusive()) {
-        std::printf("FAIL iter %llu (%s): promoted store cannot serve\n",
+        std::printf("FAIL iter %llu (%s): reopened store cannot serve\n",
                     static_cast<unsigned long long>(iter), arm);
         ok = false;
       }
-      promoted->sync();
+      db->sync();
+
+      // After sync the write is durable: a second read-only recovery
+      // equals the live state, one of the two fresh entries consumed.
+      const auto after = store::recover(primary);
+      if (serialize_state(after.registry, *after.ledger) !=
+              serialize_state(db->registry(), db->crp_ledger()) ||
+          after.ledger->remaining(fleet.devices[0].id) != std::size_t{1}) {
+        std::printf("FAIL iter %llu (%s): recovery after sync does not show "
+                    "the write\n",
+                    static_cast<unsigned long long>(iter), arm);
+        ok = false;
+      }
     } catch (const store::StoreError& e) {
       std::printf("FAIL iter %llu (%s): recovery threw: %s\n",
                   static_cast<unsigned long long>(iter), arm, e.what());
@@ -236,13 +249,13 @@ int main() {
 
     if (!ok) ++failed;
     fs::remove_all(primary);
-    fs::remove_all(follower);
   }
 
   std::printf("=== %llu iterations: %zu failed, %zu failed closed "
               "in-process (recovered cleanly) ===\n",
               static_cast<unsigned long long>(iters), failed, failed_closed);
   if (failed != 0) return 1;
-  std::printf("[ok] kill-anywhere failover held at every injected fault\n");
+  std::printf("[ok] reopen matched read-only recovery at every injected "
+              "fault\n");
   return 0;
 }

@@ -60,9 +60,9 @@
 #
 # Each tree then reruns the torture-labeled seeded kill-and-recover loop
 # (tests/store_torture.cpp) with a second seed: random fault points over
-# an append workload, gating that follower promotion stays byte-identical
-# to direct crash recovery under plain, ASan, TSan, no-trace, AVX2 and
-# portable builds.
+# an append workload, gating that the reopened store stays byte-identical
+# to read-only crash recovery and still serves a durable write under
+# plain, ASan, TSan, no-trace, AVX2 and portable builds.
 # Tune with TORTURE_ITERS / TORTURE_SEED.
 #
 # Both ctest calls pass --no-tests=error: a selection that matches no test

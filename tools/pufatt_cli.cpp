@@ -33,17 +33,8 @@
 //   pufatt-cli gen-crps <chip-seed> <count> <threads> <out.csv>
 //                                                  dump protocol CRPs (batched)
 //   pufatt-cli store-inspect <store-dir>           recover + summarize a store
-//                                                  (sharded stores print every
-//                                                  shard plus fleet totals)
 //   pufatt-cli store-compact <store-dir> [--segment-bytes=<n>]
 //                                                  fold the WAL into a snapshot
-//   pufatt-cli store-replicate <primary-dir> <follower-dir>
-//                                                  ship the primary's WAL tail
-//                                                  to a follower (incremental)
-//   pufatt-cli store-promote <follower-dir> [--from=<primary-dir>]
-//                                                  fail over: optional final
-//                                                  ship, then recover the
-//                                                  follower as the new store
 //
 // The "device" is simulated (chip-seed = fab lottery), but the data flow is
 // the real deployment one: enrollment produces a record file, the verifier
@@ -86,8 +77,6 @@
 #include "service/verifier_pool.hpp"
 #include "store/records.hpp"
 #include "store/recovery.hpp"
-#include "store/replication.hpp"
-#include "store/sharded_store.hpp"
 #include "store/verifier_store.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
@@ -145,10 +134,6 @@ int usage() {
                "       pufatt-cli store-inspect <store-dir>\n"
                "       pufatt-cli store-compact <store-dir> "
                "[--segment-bytes=<n>]\n"
-               "       pufatt-cli store-replicate <primary-dir> "
-               "<follower-dir>\n"
-               "       pufatt-cli store-promote <follower-dir> "
-               "[--from=<primary-dir>]\n"
                "worker and thread counts are at most %llu\n",
                static_cast<unsigned long long>(kMaxThreads));
   return 64;
@@ -1044,9 +1029,14 @@ int cmd_gen_crps(std::uint64_t chip_seed, std::uint64_t count,
   return 0;
 }
 
-// Read-only recovery + summary of one plain store directory (a standalone
-// store, or one shard of a sharded one).
-int inspect_one_store(const std::string& dir) {
+// store-inspect: run recovery read-only and print what it saw — the first
+// tool to reach for after an unclean shutdown ("did the log survive, how
+// many records, is the tail torn, what state comes back").
+int cmd_store_inspect(const std::string& dir) {
+  if (!std::filesystem::exists(dir)) {
+    std::fprintf(stderr, "error: no such store directory '%s'\n", dir.c_str());
+    return 1;
+  }
   const auto state = store::recover(dir);
   const auto& stats = state.stats;
   std::printf("store %s\n", dir.c_str());
@@ -1077,128 +1067,6 @@ int inspect_one_store(const std::string& dir) {
     std::printf("    %-13s : %zu unused\n", id.c_str(),
                 *state.ledger->remaining(id));
   }
-  return 0;
-}
-
-// store-inspect: run recovery read-only and print what it saw — the first
-// tool to reach for after an unclean shutdown ("did the log survive, how
-// many records, is the tail torn, what state comes back").  A sharded
-// store (directory with a store.shards manifest) prints every shard in
-// order plus fleet totals.
-int cmd_store_inspect(const std::string& dir) {
-  if (!std::filesystem::exists(dir)) {
-    std::fprintf(stderr, "error: no such store directory '%s'\n", dir.c_str());
-    return 1;
-  }
-  std::size_t shards = 0;
-  if (!store::ShardedVerifierStore::read_manifest(dir, shards)) {
-    return inspect_one_store(dir);
-  }
-  std::printf("sharded store %s: %zu shard(s)\n", dir.c_str(), shards);
-  std::size_t devices = 0, crp_devices = 0, crp_remaining = 0, records = 0;
-  for (std::size_t i = 0; i < shards; ++i) {
-    std::printf("\n[shard %zu]\n", i);
-    const std::string shard = store::ShardedVerifierStore::shard_dir(dir, i);
-    const int rc = inspect_one_store(shard);
-    if (rc != 0) return rc;
-    const auto state = store::recover(shard);
-    devices += state.stats.devices;
-    crp_devices += state.stats.crp_devices;
-    crp_remaining += state.stats.crp_remaining;
-    records += state.stats.records_replayed;
-  }
-  std::printf("\n[fleet] %zu device(s) across %zu shard(s), %zu with CRP "
-              "databases, %zu CRP entries left, %zu record(s) replayed\n",
-              devices, shards, crp_devices, crp_remaining, records);
-  return 0;
-}
-
-void print_replication_status(const char* label,
-                              const store::ReplicationStatus& status) {
-  std::printf("%s: applied_through %llu record(s), cursor %llu@%llu, "
-              "watermark %llu, shipped %llu byte(s) (%llu this round), "
-              "%llu snapshot copy(ies)\n",
-              label,
-              static_cast<unsigned long long>(status.applied_records),
-              static_cast<unsigned long long>(status.segment),
-              static_cast<unsigned long long>(status.offset),
-              static_cast<unsigned long long>(status.snapshot_watermark),
-              static_cast<unsigned long long>(status.shipped_bytes),
-              static_cast<unsigned long long>(status.lag_bytes),
-              static_cast<unsigned long long>(status.snapshot_copies));
-}
-
-// store-replicate: one incremental shipping round from a primary store
-// directory into a follower directory.  Run it repeatedly (e.g. from
-// cron) to keep the follower's staleness bounded; run store-promote on
-// the follower when the primary is lost.
-int cmd_store_replicate(const std::string& primary,
-                        const std::string& follower) {
-  if (!std::filesystem::exists(primary)) {
-    std::fprintf(stderr, "error: no such store directory '%s'\n",
-                 primary.c_str());
-    return 1;
-  }
-  std::size_t shards = 0;
-  if (store::ShardedVerifierStore::read_manifest(primary, shards)) {
-    store::StoreReplica replica(primary, follower);
-    const auto statuses = replica.ship();
-    std::printf("replicated %s -> %s (%zu shard(s))\n", primary.c_str(),
-                follower.c_str(), shards);
-    for (std::size_t i = 0; i < statuses.size(); ++i) {
-      const std::string label = "  shard " + std::to_string(i);
-      print_replication_status(label.c_str(), statuses[i]);
-    }
-    return 0;
-  }
-  store::ShardFollower shard_follower(primary, follower);
-  const auto status = shard_follower.ship();
-  std::printf("replicated %s -> %s\n", primary.c_str(), follower.c_str());
-  print_replication_status("  store", status);
-  return 0;
-}
-
-// store-promote: fail over to a follower directory.  With --from= the
-// primary is still reachable and a final shipping round narrows the loss
-// window to whatever the primary never made durable; without it, the
-// follower is promoted as-is (the primary is gone).
-int cmd_store_promote(const std::string& follower, const std::string& from) {
-  if (!std::filesystem::exists(follower)) {
-    std::fprintf(stderr, "error: no such store directory '%s'\n",
-                 follower.c_str());
-    return 1;
-  }
-  std::size_t shards = 0;
-  if (store::ShardedVerifierStore::read_manifest(follower, shards)) {
-    std::unique_ptr<store::ShardedVerifierStore> promoted;
-    if (!from.empty()) {
-      store::StoreReplica replica(from, follower);
-      promoted = replica.promote();
-    } else {
-      store::ShardedStoreOptions options;
-      options.shards = 0;  // the manifest knows
-      promoted = store::ShardedVerifierStore::open(follower, options);
-    }
-    std::printf("promoted %s: %zu shard(s), %zu device(s), %zu CRP "
-                "entries left\n",
-                follower.c_str(), promoted->shard_count(),
-                promoted->device_count(), promoted->total_crp_remaining());
-    return 0;
-  }
-  std::unique_ptr<store::VerifierStore> promoted;
-  if (!from.empty()) {
-    store::ShardFollower shard_follower(from, follower);
-    shard_follower.ship();
-    promoted = shard_follower.promote();
-  } else {
-    promoted = store::VerifierStore::open(follower);
-  }
-  std::printf("promoted %s: %zu device(s), %zu CRP entries left, WAL at "
-              "segment %llu\n",
-              follower.c_str(), promoted->registry().size(),
-              promoted->crp_ledger().total_remaining(),
-              static_cast<unsigned long long>(
-                  promoted->wal().current_segment_index()));
   return 0;
 }
 
@@ -1542,39 +1410,6 @@ int main(int argc, char** argv) {
       }
       if (dir.empty()) return usage();
       return cmd_store_compact(dir, segment_bytes);
-    }
-    if (cmd == "store-replicate") {
-      if (argc != 4) return usage();
-      for (int i = 2; i < 4; ++i) {
-        if (std::string(argv[i]).rfind("--", 0) == 0) {
-          std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-          return usage();
-        }
-      }
-      return cmd_store_replicate(argv[2], argv[3]);
-    }
-    if (cmd == "store-promote") {
-      std::string dir;
-      std::string from;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--from=", 0) == 0) {
-          from = arg.substr(7);
-          if (from.empty()) {
-            std::fprintf(stderr, "error: --from needs a directory\n");
-            return usage();
-          }
-        } else if (arg.rfind("--", 0) == 0) {
-          std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-          return usage();
-        } else if (dir.empty()) {
-          dir = arg;
-        } else {
-          return usage();
-        }
-      }
-      if (dir.empty()) return usage();
-      return cmd_store_promote(dir, from);
     }
     if (cmd == "attack-matrix") {
       bool quick = false;
