@@ -77,7 +77,7 @@ BENCHMARK(BM_PufEmulate);
 /// verifier's emulator for that die.
 struct RecordedCall {
   RecordedCall()
-      : profile(core::DistributedParams::small_profile()),
+      : profile(core::DeviceProfile::small()),
         device(profile.puf_config, 8, rm5()),
         emulator(profile.puf_config.width, device.export_model(), rm5(),
                  profile.puf_config.layout) {
@@ -233,7 +233,7 @@ BENCHMARK(BM_FullAttestationRoundTrip);
 // the served 32-bit cone.
 const core::EnrollmentRecord& served_record() {
   static const auto record = [] {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     const alupuf::PufDevice device(profile.puf_config, 8, rm5());
     return core::enroll(
         device, profile,
@@ -288,7 +288,7 @@ BENCHMARK(BM_BitsliceEngineBuildShared)->Unit(benchmark::kMicrosecond);
 void BM_CpuProverRespond(benchmark::State& state) {
   // One simulated honest prover run on the served (small) profile: the PR32
   // interpreter plus one PUF() word call per puf_interval rounds.
-  const auto profile = core::DistributedParams::small_profile();
+  const auto profile = core::DeviceProfile::small();
   const alupuf::PufDevice device(profile.puf_config, 8, rm5());
   const auto record = core::enroll(
       device, profile,
@@ -305,7 +305,7 @@ void BM_NoiseFillLanes(benchmark::State& state) {
   // The per-gate noise of one PUF() call on the served (small) profile:
   // 8 lanes of jitter over the ALU's gates (385 at width 32), one
   // gaussian_fast() stream per lane, through the lane fill.
-  const auto profile = core::DistributedParams::small_profile();
+  const auto profile = core::DeviceProfile::small();
   const alupuf::PufDevice device(profile.puf_config, 8, rm5());
   const auto& chip = device.raw_puf().chip();
   const auto nominal = chip.nominal_delays(variation::Environment::nominal());
@@ -520,7 +520,7 @@ BENCHMARK(BM_BitsliceLaneRun8);
 /// The served (small-profile) device, enrolled, with the clock its record
 /// sets: what one prover's PUF() calls run against.
 struct ServedDevice {
-  core::DeviceProfile profile = core::DistributedParams::small_profile();
+  core::DeviceProfile profile = core::DeviceProfile::small();
   alupuf::PufDevice device{profile.puf_config, 8, rm5()};
   core::EnrollmentRecord record = core::enroll(
       device, profile,

@@ -60,10 +60,10 @@ struct Fleet {
     core::EnrollmentRecord record;
   };
   std::vector<Device> devices;
-  service::DeviceRegistry registry{4};
+  service::DeviceRegistry registry;
 
   explicit Fleet(std::size_t count) {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     support::Xoshiro256pp rng(0x0BE7);
     std::vector<std::uint32_t> firmware(600);
     for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());

@@ -97,7 +97,7 @@ Workload make_workload(std::size_t devices, std::size_t jobs) {
   w.jobs = jobs;
   w.faults.loss_prob = 0.02;
 
-  const auto profile = core::DistributedParams::small_profile();
+  const auto profile = core::DeviceProfile::small();
   support::Xoshiro256pp rng(0x7B6);
   std::vector<std::uint32_t> firmware(600);
   for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());

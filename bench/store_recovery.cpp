@@ -18,7 +18,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -140,7 +139,7 @@ StoreResult bench_store(std::size_t devices, std::size_t entries,
   result.entries_per_device = entries;
   result.consumed = consume;
 
-  const auto profile = core::DistributedParams::small_profile();
+  const auto profile = core::DeviceProfile::small();
   support::Xoshiro256pp rng(0x57B);
   std::vector<std::uint32_t> firmware(600);
   for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());
@@ -177,12 +176,10 @@ StoreResult bench_store(std::size_t devices, std::size_t entries,
 
   auto serialize = [&] {
     const auto state = store::recover(dir);
-    std::stringstream registry(std::ios::in | std::ios::out |
-                               std::ios::binary);
-    state.registry.save(registry);
-    std::stringstream ledger(std::ios::in | std::ios::out | std::ios::binary);
-    state.ledger->save(ledger);
-    return registry.str() + ledger.str();
+    support::ByteWriter out;
+    state.registry.save(out);
+    state.ledger->save(out);
+    return out.take();
   };
   result.byte_stable = serialize() == serialize();
   fs::remove_all(dir);

@@ -1,8 +1,6 @@
 #include "core/crp_database.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
@@ -11,50 +9,27 @@ namespace pufatt::core {
 
 namespace {
 
-// Little-endian primitives, matching core/serialize's record format.
 constexpr std::uint32_t kCrpMagic = 0x50435244;  // "PCRD"
 constexpr std::uint32_t kCrpVersion = 1;
 constexpr std::uint32_t kMaxCrpEntries = 1u << 20;
 constexpr std::uint32_t kMaxCrpBits = 1u << 16;
 
-void write_u32(std::ostream& out, std::uint32_t v) {
-  unsigned char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-  out.write(reinterpret_cast<const char*>(bytes), 4);
+using Reader = support::ByteReader<SerializationError>;
+
+void write_bits(support::ByteWriter& out, const support::BitVector& v) {
+  out.u32(static_cast<std::uint32_t>(v.size()));
+  for (const auto word : v.words()) out.u64(word);
 }
 
-std::uint32_t read_u32(std::istream& in) {
-  unsigned char bytes[4];
-  in.read(reinterpret_cast<char*>(bytes), 4);
-  if (!in) throw SerializationError("CrpDatabase: unexpected end of input");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  }
-  return v;
-}
-
-void write_bits(std::ostream& out, const support::BitVector& v) {
-  write_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const auto word : v.words()) {
-    write_u32(out, static_cast<std::uint32_t>(word));
-    write_u32(out, static_cast<std::uint32_t>(word >> 32));
-  }
-}
-
-support::BitVector read_bits(std::istream& in) {
-  const std::uint32_t bits = read_u32(in);
+support::BitVector read_bits(Reader& in) {
+  const std::uint32_t bits = in.u32();
   if (bits > kMaxCrpBits) {
     throw SerializationError("CrpDatabase: bit vector too large");
   }
   support::BitVector v(bits);
   const std::size_t words = (bits + 63) / 64;
   for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t lo = read_u32(in);
-    const std::uint64_t hi = read_u32(in);
-    const std::uint64_t word = lo | (hi << 32);
+    const std::uint64_t word = in.u64();
     for (std::size_t b = 0; b < 64; ++b) {
       const std::size_t i = 64 * w + b;
       if (i < bits) v.set(i, (word >> b) & 1);
@@ -113,40 +88,39 @@ void CrpDatabase::mark_consumed_through(std::size_t index) {
   next_unused_ = std::max(next_unused_, index + 1);
 }
 
-void CrpDatabase::save(std::ostream& out) const {
-  write_u32(out, kCrpMagic);
-  write_u32(out, kCrpVersion);
-  write_u32(out, static_cast<std::uint32_t>(entries_.size()));
-  write_u32(out, static_cast<std::uint32_t>(next_unused_));
+void CrpDatabase::save(support::ByteWriter& out) const {
+  out.u32(kCrpMagic);
+  out.u32(kCrpVersion);
+  out.u32(static_cast<std::uint32_t>(entries_.size()));
+  out.u32(static_cast<std::uint32_t>(next_unused_));
   for (const auto& entry : entries_) {
-    write_u32(out, static_cast<std::uint32_t>(entry.challenges.size()));
+    out.u32(static_cast<std::uint32_t>(entry.challenges.size()));
     for (std::size_t c = 0; c < entry.challenges.size(); ++c) {
       write_bits(out, entry.challenges[c]);
       write_bits(out, entry.references[c]);
     }
   }
-  if (!out) throw SerializationError("CrpDatabase: write failed");
 }
 
-CrpDatabase CrpDatabase::load(std::istream& in) {
-  if (read_u32(in) != kCrpMagic) {
+CrpDatabase CrpDatabase::load(Reader& in) {
+  if (in.u32() != kCrpMagic) {
     throw SerializationError("CrpDatabase: bad magic");
   }
-  if (read_u32(in) != kCrpVersion) {
+  if (in.u32() != kCrpVersion) {
     throw SerializationError("CrpDatabase: unsupported version");
   }
-  const std::uint32_t count = read_u32(in);
+  const std::uint32_t count = in.u32();
   if (count > kMaxCrpEntries) {
     throw SerializationError("CrpDatabase: entry count too large");
   }
-  const std::uint32_t cursor = read_u32(in);
+  const std::uint32_t cursor = in.u32();
   if (cursor > count) {
     throw SerializationError("CrpDatabase: consume cursor past the end");
   }
   CrpDatabase db;
   db.entries_.resize(count);
   for (auto& entry : db.entries_) {
-    const std::uint32_t challenges = read_u32(in);
+    const std::uint32_t challenges = in.u32();
     if (challenges > kMaxCrpEntries) {
       throw SerializationError("CrpDatabase: entry too large");
     }

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "alupuf/alu_puf.hpp"
+#include "core/serialize.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::core {
@@ -73,13 +73,13 @@ class CrpDatabase {
   // database keeps refusing entries that were spent before the save, which
   // is the whole anti-replay point of a single-use database.
 
-  /// Writes the full database (entries + consume cursor) to a binary
-  /// stream; byte-stable for a given state.
-  void save(std::ostream& out) const;
+  /// Appends the full database (entries + consume cursor); byte-stable for
+  /// a given state.
+  void save(support::ByteWriter& out) const;
 
-  /// Reads a database written by save(); throws SerializationError (see
-  /// core/serialize.hpp) on malformed input.
-  static CrpDatabase load(std::istream& in);
+  /// Reads a database written by save() at the cursor; throws
+  /// SerializationError (see core/serialize.hpp) on malformed input.
+  static CrpDatabase load(support::ByteReader<SerializationError>& in);
 
  private:
   struct Entry {

@@ -15,15 +15,6 @@ const ecc::ReedMuller1& shared_code() {
 
 }  // namespace
 
-DeviceProfile DistributedParams::small_profile() {
-  auto profile = DeviceProfile::standard();
-  profile.swat.rounds = 512;
-  profile.swat.puf_interval = 64;
-  profile.swat.attest_words = 1024;
-  profile.layout = swat::SwatLayout::standard(profile.swat);
-  return profile;
-}
-
 DistributedNetwork::DistributedNetwork(
     const DistributedParams& params,
     const std::vector<std::pair<std::size_t, NodeHealth>>& compromised,

@@ -49,9 +49,7 @@ struct DistributedParams {
   /// of this many entries per node (the paper's first verification
   /// option), enabling run_crp_round() hardware-identity audits.
   std::size_t crp_entries_per_node = 0;
-  DeviceProfile profile = small_profile();
-
-  static DeviceProfile small_profile();
+  DeviceProfile profile = DeviceProfile::small();
 };
 
 /// Per-node verdict after an audit round.

@@ -17,6 +17,15 @@ DeviceProfile DeviceProfile::standard() {
   return profile;
 }
 
+DeviceProfile DeviceProfile::small() {
+  auto profile = standard();
+  profile.swat.rounds = 512;
+  profile.swat.puf_interval = 64;
+  profile.swat.attest_words = 1024;
+  profile.layout = swat::SwatLayout::standard(profile.swat);
+  return profile;
+}
+
 std::vector<std::uint32_t> make_enrolled_image(
     const DeviceProfile& profile, const std::vector<std::uint32_t>& payload) {
   const auto program =

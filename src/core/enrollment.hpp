@@ -36,6 +36,9 @@ struct DeviceProfile {
   double register_setup_ps = 20.0;
 
   static DeviceProfile standard();
+  /// standard() shrunk to 512 rounds over 1024 words: the profile the
+  /// served fleet, the sensor network and most tests enroll.
+  static DeviceProfile small();
 };
 
 /// The verifier's per-device knowledge.

@@ -1,14 +1,13 @@
 #include "core/serialize.hpp"
 
 #include <array>
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 
 namespace pufatt::core {
 
 namespace {
+
+using Reader = support::ByteReader<SerializationError>;
 
 constexpr std::uint32_t kMagic = 0x50554154;  // "PUAT"
 constexpr std::uint32_t kVersion = 1;
@@ -17,122 +16,66 @@ constexpr std::uint32_t kVersion = 1;
 // The check fires on the *declared* length, before the allocation it sizes.
 constexpr std::size_t kMaxVectorLen = 1u << 22;
 
-void write_u32(std::ostream& out, std::uint32_t v) {
-  unsigned char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(bytes), 4);
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  write_u32(out, static_cast<std::uint32_t>(v));
-  write_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void write_f64(std::ostream& out, double v) {
-  static_assert(sizeof(double) == 8);
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  write_u64(out, bits);
-}
-
-void write_f64_vector(std::ostream& out, const std::vector<double>& v) {
-  write_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const auto x : v) write_f64(out, x);
-}
-
-void write_u32_vector(std::ostream& out, const std::vector<std::uint32_t>& v) {
-  write_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const auto x : v) write_u32(out, x);
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  unsigned char bytes[4];
-  in.read(reinterpret_cast<char*>(bytes), 4);
-  if (!in) throw SerializationError("unexpected end of input");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  const std::uint64_t lo = read_u32(in);
-  const std::uint64_t hi = read_u32(in);
-  return lo | (hi << 32);
-}
-
-double read_f64(std::istream& in) {
-  const std::uint64_t bits = read_u64(in);
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-std::vector<double> read_f64_vector(std::istream& in) {
-  const std::uint32_t n = read_u32(in);
+std::uint32_t read_count(Reader& in) {
+  const std::uint32_t n = in.u32();
   if (n > kMaxVectorLen) throw SerializationError("vector too large");
-  std::vector<double> v(n);
-  for (auto& x : v) x = read_f64(in);
+  return n;
+}
+
+void write_f64_vector(support::ByteWriter& out, const std::vector<double>& v) {
+  out.u32(static_cast<std::uint32_t>(v.size()));
+  for (const auto x : v) out.f64(x);
+}
+
+std::vector<double> read_f64_vector(Reader& in) {
+  std::vector<double> v(read_count(in));
+  for (auto& x : v) x = in.f64();
   return v;
 }
 
-std::vector<std::uint32_t> read_u32_vector(std::istream& in) {
-  const std::uint32_t n = read_u32(in);
-  if (n > kMaxVectorLen) throw SerializationError("vector too large");
-  std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = read_u32(in);
-  return v;
-}
-
-void write_tech(std::ostream& out, const variation::TechnologyParams& t) {
+void write_tech(support::ByteWriter& out, const variation::TechnologyParams& t) {
   for (const double v :
        {t.vdd_nominal_v, t.vth_nominal_v, t.vth_sigma_ratio, t.alpha,
         t.temp_nominal_c, t.vth_temp_coeff, t.vth_temp_coeff_sigma,
         t.mobility_exp, t.wire_fraction_mean, t.wire_fraction_sigma,
         t.wire_temp_coeff, t.rise_fall_asym_sigma, t.design_asym_sigma}) {
-    write_f64(out, v);
+    out.f64(v);
   }
 }
 
-variation::TechnologyParams read_tech(std::istream& in) {
+variation::TechnologyParams read_tech(Reader& in) {
   variation::TechnologyParams t;
-  t.vdd_nominal_v = read_f64(in);
-  t.vth_nominal_v = read_f64(in);
-  t.vth_sigma_ratio = read_f64(in);
-  t.alpha = read_f64(in);
-  t.temp_nominal_c = read_f64(in);
-  t.vth_temp_coeff = read_f64(in);
-  t.vth_temp_coeff_sigma = read_f64(in);
-  t.mobility_exp = read_f64(in);
-  t.wire_fraction_mean = read_f64(in);
-  t.wire_fraction_sigma = read_f64(in);
-  t.wire_temp_coeff = read_f64(in);
-  t.rise_fall_asym_sigma = read_f64(in);
-  t.design_asym_sigma = read_f64(in);
+  for (double* v :
+       {&t.vdd_nominal_v, &t.vth_nominal_v, &t.vth_sigma_ratio, &t.alpha,
+        &t.temp_nominal_c, &t.vth_temp_coeff, &t.vth_temp_coeff_sigma,
+        &t.mobility_exp, &t.wire_fraction_mean, &t.wire_fraction_sigma,
+        &t.wire_temp_coeff, &t.rise_fall_asym_sigma, &t.design_asym_sigma}) {
+    *v = in.f64();
+  }
   return t;
 }
 
 }  // namespace
 
-void save_record(std::ostream& out, const EnrollmentRecord& record) {
-  write_u32(out, kMagic);
-  write_u32(out, kVersion);
+void save_record(support::ByteWriter& out, const EnrollmentRecord& record) {
+  out.u32(kMagic);
+  out.u32(kVersion);
 
   // Profile.
   const auto& p = record.profile;
-  write_u32(out, static_cast<std::uint32_t>(p.puf_config.width));
+  out.u32(static_cast<std::uint32_t>(p.puf_config.width));
   write_tech(out, p.puf_config.tech);
-  write_f64(out, p.puf_config.noise.delay_jitter_ratio);
-  write_f64(out, p.puf_config.arbiter.meta_tau_ps);
-  write_u32(out, p.swat.rounds);
-  write_u32(out, p.swat.puf_interval);
-  write_u32(out, p.swat.attest_words);
-  write_u32(out, p.layout.seed_addr);
-  write_u32(out, p.layout.result_addr);
-  write_u32(out, p.layout.helper_ptr_addr);
-  write_u32(out, p.layout.helper_addr);
-  write_f64(out, p.base_clock_mhz);
-  write_f64(out, p.clock_margin);
-  write_f64(out, p.register_setup_ps);
+  out.f64(p.puf_config.noise.delay_jitter_ratio);
+  out.f64(p.puf_config.arbiter.meta_tau_ps);
+  for (const std::uint32_t v :
+       {p.swat.rounds, p.swat.puf_interval, p.swat.attest_words,
+        p.layout.seed_addr, p.layout.result_addr, p.layout.helper_ptr_addr,
+        p.layout.helper_addr}) {
+    out.u32(v);
+  }
+  out.f64(p.base_clock_mhz);
+  out.f64(p.clock_margin);
+  out.f64(p.register_setup_ps);
 
   // Model H.
   write_tech(out, record.model.tech);
@@ -144,33 +87,33 @@ void save_record(std::ostream& out, const EnrollmentRecord& record) {
   write_f64_vector(out, record.model.fall_factor);
 
   // Image + timing.
-  write_u32_vector(out, record.enrolled_image);
-  write_u64(out, record.honest_cycles);
+  out.u32(static_cast<std::uint32_t>(record.enrolled_image.size()));
+  for (const auto word : record.enrolled_image) out.u32(word);
+  out.u64(record.honest_cycles);
 }
 
-EnrollmentRecord load_record(std::istream& in) {
-  if (read_u32(in) != kMagic) {
+EnrollmentRecord load_record(Reader& in) {
+  if (in.u32() != kMagic) {
     throw SerializationError("bad magic (not an enrollment record)");
   }
-  if (read_u32(in) != kVersion) {
+  if (in.u32() != kVersion) {
     throw SerializationError("unsupported enrollment record version");
   }
   EnrollmentRecord record;
   auto& p = record.profile;
-  p.puf_config.width = read_u32(in);
+  p.puf_config.width = in.u32();
   p.puf_config.tech = read_tech(in);
-  p.puf_config.noise.delay_jitter_ratio = read_f64(in);
-  p.puf_config.arbiter.meta_tau_ps = read_f64(in);
-  p.swat.rounds = read_u32(in);
-  p.swat.puf_interval = read_u32(in);
-  p.swat.attest_words = read_u32(in);
-  p.layout.seed_addr = read_u32(in);
-  p.layout.result_addr = read_u32(in);
-  p.layout.helper_ptr_addr = read_u32(in);
-  p.layout.helper_addr = read_u32(in);
-  p.base_clock_mhz = read_f64(in);
-  p.clock_margin = read_f64(in);
-  p.register_setup_ps = read_f64(in);
+  p.puf_config.noise.delay_jitter_ratio = in.f64();
+  p.puf_config.arbiter.meta_tau_ps = in.f64();
+  for (std::uint32_t* v :
+       {&p.swat.rounds, &p.swat.puf_interval, &p.swat.attest_words,
+        &p.layout.seed_addr, &p.layout.result_addr, &p.layout.helper_ptr_addr,
+        &p.layout.helper_addr}) {
+    *v = in.u32();
+  }
+  p.base_clock_mhz = in.f64();
+  p.clock_margin = in.f64();
+  p.register_setup_ps = in.f64();
 
   record.model.tech = read_tech(in);
   record.model.intrinsic_ps = read_f64_vector(in);
@@ -189,8 +132,9 @@ EnrollmentRecord load_record(std::istream& in) {
     throw SerializationError("delay table arrays have inconsistent sizes");
   }
 
-  record.enrolled_image = read_u32_vector(in);
-  record.honest_cycles = read_u64(in);
+  record.enrolled_image.resize(read_count(in));
+  for (auto& word : record.enrolled_image) word = in.u32();
+  record.honest_cycles = in.u64();
   if (record.enrolled_image.size() != record.profile.swat.attest_words) {
     throw SerializationError("image size does not match the attested region");
   }
@@ -201,32 +145,6 @@ namespace {
 
 constexpr std::uint32_t kRequestMagic = 0x50415251;   // "PARQ"
 constexpr std::uint32_t kResponseMagic = 0x50415253;  // "PARS"
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t peek_u32(const std::uint8_t* data, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data[offset + i]) << (8 * i);
-  }
-  return v;
-}
-
-void append_crc(std::vector<std::uint8_t>& out) {
-  append_u32(out, crc32(out.data(), out.size()));
-}
-
-/// Validates the trailing CRC over everything before it.
-void check_crc(const std::uint8_t* data, std::size_t size) {
-  const std::uint32_t stored = peek_u32(data, size - 4);
-  if (crc32(data, size - 4) != stored) {
-    throw SerializationError("frame CRC mismatch (corrupted in transit)");
-  }
-}
 
 }  // namespace
 
@@ -250,45 +168,47 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
 }
 
 std::vector<std::uint8_t> serialize_request(const AttestationRequest& request) {
-  std::vector<std::uint8_t> out;
-  out.reserve(16);
-  append_u32(out, kRequestMagic);
-  append_u32(out, static_cast<std::uint32_t>(request.nonce));
-  append_u32(out, static_cast<std::uint32_t>(request.nonce >> 32));
-  append_crc(out);
-  return out;
+  support::ByteWriter out(16);
+  out.u32(kRequestMagic);
+  out.u64(request.nonce);
+  out.u32(crc32(out.data(), out.size()));
+  return out.take();
 }
 
-AttestationRequest deserialize_request(const std::uint8_t* data,
-                                       std::size_t size) {
-  if (size > kMaxWireFrameBytes) {
+AttestationRequest deserialize_request(const std::vector<std::uint8_t>& frame) {
+  if (frame.size() > kMaxWireFrameBytes) {
     throw SerializationError("frame exceeds wire limit");
   }
-  if (size != 16) throw SerializationError("request frame has wrong size");
-  if (peek_u32(data, 0) != kRequestMagic) {
+  if (frame.size() != 16) {
+    throw SerializationError("request frame has wrong size");
+  }
+  const std::uint8_t* data = frame.data();
+  if (support::load_le32(data) != kRequestMagic) {
     throw SerializationError("bad request magic");
   }
-  check_crc(data, size);
+  if (crc32(data, 12) != support::load_le32(data + 12)) {
+    throw SerializationError("frame CRC mismatch (corrupted in transit)");
+  }
   AttestationRequest request;
-  request.nonce = static_cast<std::uint64_t>(peek_u32(data, 4)) |
-                  (static_cast<std::uint64_t>(peek_u32(data, 8)) << 32);
+  request.nonce = support::load_le64(data + 4);
   return request;
 }
 
 std::vector<std::uint8_t> serialize_response(
     const AttestationResponse& response) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + 4 * (8 + response.helper_words.size()) + 4);
-  append_u32(out, kResponseMagic);
-  append_u32(out, static_cast<std::uint32_t>(response.helper_words.size()));
-  for (const auto word : response.checksum) append_u32(out, word);
-  for (const auto word : response.helper_words) append_u32(out, word);
-  append_crc(out);
-  return out;
+  support::ByteWriter out(8 + 4 * (8 + response.helper_words.size()) + 4);
+  out.u32(kResponseMagic);
+  out.u32(static_cast<std::uint32_t>(response.helper_words.size()));
+  for (const auto word : response.checksum) out.u32(word);
+  for (const auto word : response.helper_words) out.u32(word);
+  out.u32(crc32(out.data(), out.size()));
+  return out.take();
 }
 
-AttestationResponse deserialize_response(const std::uint8_t* data,
-                                         std::size_t size) {
+AttestationResponse deserialize_response(
+    const std::vector<std::uint8_t>& frame) {
+  const std::uint8_t* data = frame.data();
+  const std::size_t size = frame.size();
   constexpr std::size_t kHeaderBytes = 4 + 4 + 8 * 4;  // magic, count, checksum
   if (size > kMaxWireFrameBytes) {
     throw SerializationError("frame exceeds wire limit");
@@ -296,10 +216,10 @@ AttestationResponse deserialize_response(const std::uint8_t* data,
   if (size < kHeaderBytes + 4) {
     throw SerializationError("response frame truncated");
   }
-  if (peek_u32(data, 0) != kResponseMagic) {
+  if (support::load_le32(data) != kResponseMagic) {
     throw SerializationError("bad response magic");
   }
-  const std::uint32_t helper_count = peek_u32(data, 4);
+  const std::uint32_t helper_count = support::load_le32(data + 4);
   if (helper_count > kMaxWireHelperWords) {
     throw SerializationError("helper transcript exceeds wire limit");
   }
@@ -313,14 +233,16 @@ AttestationResponse deserialize_response(const std::uint8_t* data,
                                  ? "response frame truncated"
                                  : "response frame has trailing bytes");
   }
-  check_crc(data, size);
+  if (crc32(data, size - 4) != support::load_le32(data + size - 4)) {
+    throw SerializationError("frame CRC mismatch (corrupted in transit)");
+  }
   AttestationResponse response;
   for (unsigned i = 0; i < 8; ++i) {
-    response.checksum[i] = peek_u32(data, 8 + 4 * i);
+    response.checksum[i] = support::load_le32(data + 8 + 4 * i);
   }
   response.helper_words.resize(helper_count);
   for (std::uint32_t i = 0; i < helper_count; ++i) {
-    response.helper_words[i] = peek_u32(data, kHeaderBytes + 4 * i);
+    response.helper_words[i] = support::load_le32(data + kHeaderBytes + 4 * i);
   }
   return response;
 }
@@ -328,14 +250,22 @@ AttestationResponse deserialize_response(const std::uint8_t* data,
 void save_record_file(const std::string& path, const EnrollmentRecord& record) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw SerializationError("cannot open file for writing: " + path);
-  save_record(out, record);
+  support::ByteWriter bytes;
+  save_record(bytes, record);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
   if (!out) throw SerializationError("write failed: " + path);
 }
 
 EnrollmentRecord load_record_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SerializationError("cannot open file: " + path);
-  return load_record(in);
+  std::vector<std::uint8_t> bytes;
+  if (!support::read_file(path, bytes)) {
+    throw SerializationError("cannot open file: " + path);
+  }
+  Reader in(bytes);
+  auto record = load_record(in);
+  in.expect_end("trailing bytes after the enrollment record");
+  return record;
 }
 
 }  // namespace pufatt::core

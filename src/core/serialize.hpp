@@ -17,13 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/enrollment.hpp"
 #include "core/protocol.hpp"
+#include "support/bytes.hpp"
 
 namespace pufatt::core {
 
@@ -33,13 +33,15 @@ class SerializationError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes a record to a binary stream.
-void save_record(std::ostream& out, const EnrollmentRecord& record);
+/// Appends a record (the bytes save_record_file writes).
+void save_record(support::ByteWriter& out, const EnrollmentRecord& record);
 
-/// Reads a record; throws SerializationError on bad magic/version/shape.
-EnrollmentRecord load_record(std::istream& in);
+/// Reads one record at the cursor; throws SerializationError on bad
+/// magic/version/shape or truncation.
+EnrollmentRecord load_record(support::ByteReader<SerializationError>& in);
 
-/// File-path convenience wrappers.
+/// File-path wrappers; a file holding anything after the record is
+/// refused.
 void save_record_file(const std::string& path, const EnrollmentRecord& record);
 EnrollmentRecord load_record_file(const std::string& path);
 
@@ -65,8 +67,7 @@ constexpr std::size_t kMaxWireFrameBytes =
 
 /// Request frame: [magic][nonce lo][nonce hi][crc32].
 std::vector<std::uint8_t> serialize_request(const AttestationRequest& request);
-AttestationRequest deserialize_request(const std::uint8_t* data,
-                                       std::size_t size);
+AttestationRequest deserialize_request(const std::vector<std::uint8_t>& frame);
 
 /// Response frame: [magic][helper count][checksum x8][helpers...][crc32].
 /// Deserialization rejects bad magic, truncated or oversized buffers,
@@ -74,16 +75,7 @@ AttestationRequest deserialize_request(const std::uint8_t* data,
 /// call), and any frame whose CRC does not match.
 std::vector<std::uint8_t> serialize_response(
     const AttestationResponse& response);
-AttestationResponse deserialize_response(const std::uint8_t* data,
-                                         std::size_t size);
-
-inline AttestationRequest deserialize_request(
-    const std::vector<std::uint8_t>& frame) {
-  return deserialize_request(frame.data(), frame.size());
-}
-inline AttestationResponse deserialize_response(
-    const std::vector<std::uint8_t>& frame) {
-  return deserialize_response(frame.data(), frame.size());
-}
+AttestationResponse deserialize_response(
+    const std::vector<std::uint8_t>& frame);
 
 }  // namespace pufatt::core

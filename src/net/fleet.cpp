@@ -6,7 +6,7 @@
 namespace pufatt::net {
 
 SimFleet::SimFleet(std::size_t count, std::uint64_t seed)
-    : code_(5), profile_(core::DistributedParams::small_profile()) {
+    : code_(5), profile_(core::DeviceProfile::small()) {
   support::Xoshiro256pp rng(seed);
   std::vector<std::uint32_t> firmware(600);
   for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());

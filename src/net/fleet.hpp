@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/distributed.hpp"
 #include "core/enrollment.hpp"
 #include "core/session.hpp"
 #include "ecc/reed_muller.hpp"

@@ -1,85 +1,17 @@
 #include "net/frame.hpp"
 
-#include <cstring>
-
 namespace pufatt::net {
 
 namespace {
 
 using core::SerializationError;
+using support::ByteWriter;
+using support::load_le32;
+using support::load_le64;
 
-// Device ids are operator-assigned short names; a kilobyte is already
-// absurd.  Checked against the *declared* length, before it sizes a copy.
-constexpr std::size_t kMaxDeviceIdBytes = 1024;
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  append_u32(out, static_cast<std::uint32_t>(v));
-  append_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void append_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  append_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over a payload.
-class Cursor {
- public:
-  explicit Cursor(const std::vector<std::uint8_t>& data) : data_(data) {}
-
-  std::uint32_t u32() {
-    require(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    const std::uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-
-  std::string bytes(std::size_t n) {
-    require(n);
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  void expect_end() const {
-    if (pos_ != data_.size()) {
-      throw SerializationError("message payload has trailing bytes");
-    }
-  }
-
- private:
-  void require(std::size_t n) const {
-    if (data_.size() - pos_ < n) {
-      throw SerializationError("message payload truncated");
-    }
-  }
-
-  const std::vector<std::uint8_t>& data_;
-  std::size_t pos_ = 0;
-};
+using Payload = support::ByteReader<SerializationError>;
+constexpr const char* kTruncated = "message payload truncated";
+constexpr const char* kTrailing = "message payload has trailing bytes";
 
 }  // namespace
 
@@ -104,96 +36,85 @@ const char* to_string(MsgType type) {
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        const std::vector<std::uint8_t>& payload,
                                        const TraceContext& trace) {
-  std::vector<std::uint8_t> out;
   const std::size_t ctx_bytes = trace.traced() ? kTraceContextBytes : 0;
-  out.reserve(kFrameOverheadBytes + ctx_bytes + payload.size());
-  append_u32(out, kFrameMagic);
-  append_u32(out, static_cast<std::uint32_t>(type) |
-                      (trace.traced() ? kFrameTracedBit : 0u));
-  append_u32(out, static_cast<std::uint32_t>(ctx_bytes + payload.size()));
+  ByteWriter out(kFrameOverheadBytes + ctx_bytes + payload.size());
+  out.u32(kFrameMagic);
+  out.u32(static_cast<std::uint32_t>(type) |
+          (trace.traced() ? kFrameTracedBit : 0u));
+  out.u32(static_cast<std::uint32_t>(ctx_bytes + payload.size()));
   if (trace.traced()) {
-    append_u64(out, trace.trace_id);
-    append_u64(out, trace.span_id);
+    out.u64(trace.trace_id);
+    out.u64(trace.span_id);
   }
-  out.insert(out.end(), payload.begin(), payload.end());
-  append_u32(out, core::crc32(out.data(), out.size()));
-  return out;
+  out.raw(payload.data(), payload.size());
+  out.u32(core::crc32(out.data(), out.size()));
+  return out.take();
 }
 
 std::vector<std::uint8_t> encode_job_request(const JobRequest& msg,
                                              const TraceContext& trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(4 + msg.device_id.size() + 24);
-  append_u32(payload, static_cast<std::uint32_t>(msg.device_id.size()));
-  payload.insert(payload.end(), msg.device_id.begin(), msg.device_id.end());
-  append_u64(payload, msg.channel_seed);
-  append_u64(payload, msg.rng_seed);
-  append_u64(payload, msg.tag);
-  return encode_frame(MsgType::kJobRequest, payload, trace);
+  support::check_device_id(msg.device_id, "encode_job_request");
+  ByteWriter payload(4 + msg.device_id.size() + 24);
+  payload.str(msg.device_id);
+  payload.u64(msg.channel_seed);
+  payload.u64(msg.rng_seed);
+  payload.u64(msg.tag);
+  return encode_frame(MsgType::kJobRequest, payload.take(), trace);
 }
 
 std::vector<std::uint8_t> encode_verdict_reply(const VerdictReply& msg,
                                                const TraceContext& trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(28);
-  append_u64(payload, msg.tag);
-  append_u32(payload, static_cast<std::uint32_t>(msg.outcome));
-  append_u32(payload, static_cast<std::uint32_t>(msg.status));
-  append_u32(payload, msg.attempts);
-  append_f64(payload, msg.total_us);
-  return encode_frame(MsgType::kVerdictReply, payload, trace);
+  ByteWriter payload(28);
+  payload.u64(msg.tag);
+  payload.u32(static_cast<std::uint32_t>(msg.outcome));
+  payload.u32(static_cast<std::uint32_t>(msg.status));
+  payload.u32(msg.attempts);
+  payload.f64(msg.total_us);
+  return encode_frame(MsgType::kVerdictReply, payload.take(), trace);
 }
 
 std::vector<std::uint8_t> encode_busy_reply(const BusyReply& msg,
                                             const TraceContext& trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(16);
-  append_u64(payload, msg.tag);
-  append_f64(payload, msg.retry_after_us);
-  return encode_frame(MsgType::kBusyReply, payload, trace);
+  ByteWriter payload(16);
+  payload.u64(msg.tag);
+  payload.f64(msg.retry_after_us);
+  return encode_frame(MsgType::kBusyReply, payload.take(), trace);
 }
 
 std::vector<std::uint8_t> encode_stats_request(const StatsRequest& msg) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(8);
-  append_u64(payload, msg.tag);
-  return encode_frame(MsgType::kStatsRequest, payload);
+  ByteWriter payload(8);
+  payload.u64(msg.tag);
+  return encode_frame(MsgType::kStatsRequest, payload.take());
 }
 
 std::vector<std::uint8_t> encode_stats_reply(const StatsReply& msg) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(12 + msg.stats_json.size());
-  append_u64(payload, msg.tag);
-  append_u32(payload, static_cast<std::uint32_t>(msg.stats_json.size()));
-  payload.insert(payload.end(), msg.stats_json.begin(), msg.stats_json.end());
-  return encode_frame(MsgType::kStatsReply, payload);
+  ByteWriter payload(12 + msg.stats_json.size());
+  payload.u64(msg.tag);
+  payload.str(msg.stats_json);
+  return encode_frame(MsgType::kStatsReply, payload.take());
 }
 
 std::vector<std::uint8_t> encode_error_reply(const ErrorReply& msg) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(12);
-  append_u64(payload, msg.tag);
-  append_u32(payload, static_cast<std::uint32_t>(msg.code));
-  return encode_frame(MsgType::kErrorReply, payload);
+  ByteWriter payload(12);
+  payload.u64(msg.tag);
+  payload.u32(static_cast<std::uint32_t>(msg.code));
+  return encode_frame(MsgType::kErrorReply, payload.take());
 }
 
 JobRequest decode_job_request(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
-  const std::uint32_t id_len = cur.u32();
-  if (id_len > kMaxDeviceIdBytes) {
-    throw SerializationError("device id exceeds wire limit");
-  }
+  Payload cur(payload, kTruncated);
   JobRequest msg;
-  msg.device_id = cur.bytes(id_len);
+  msg.device_id =
+      cur.str(support::kMaxDeviceIdBytes, "device id exceeds wire limit");
   msg.channel_seed = cur.u64();
   msg.rng_seed = cur.u64();
   msg.tag = cur.u64();
-  cur.expect_end();
+  cur.expect_end(kTrailing);
   return msg;
 }
 
 VerdictReply decode_verdict_reply(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
+  Payload cur(payload, kTruncated);
   VerdictReply msg;
   msg.tag = cur.u64();
   const std::uint32_t outcome = cur.u32();
@@ -208,21 +129,21 @@ VerdictReply decode_verdict_reply(const std::vector<std::uint8_t>& payload) {
   msg.status = static_cast<core::SessionStatus>(status);
   msg.attempts = cur.u32();
   msg.total_us = cur.f64();
-  cur.expect_end();
+  cur.expect_end(kTrailing);
   return msg;
 }
 
 BusyReply decode_busy_reply(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
+  Payload cur(payload, kTruncated);
   BusyReply msg;
   msg.tag = cur.u64();
   msg.retry_after_us = cur.f64();
-  cur.expect_end();
+  cur.expect_end(kTrailing);
   return msg;
 }
 
 ErrorReply decode_error_reply(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
+  Payload cur(payload, kTruncated);
   ErrorReply msg;
   msg.tag = cur.u64();
   const std::uint32_t code = cur.u32();
@@ -231,30 +152,25 @@ ErrorReply decode_error_reply(const std::vector<std::uint8_t>& payload) {
     throw SerializationError("error code out of range");
   }
   msg.code = static_cast<ErrorCode>(code);
-  cur.expect_end();
+  cur.expect_end(kTrailing);
   return msg;
 }
 
 StatsRequest decode_stats_request(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
+  Payload cur(payload, kTruncated);
   StatsRequest msg;
   msg.tag = cur.u64();
-  cur.expect_end();
+  cur.expect_end(kTrailing);
   return msg;
 }
 
 StatsReply decode_stats_reply(const std::vector<std::uint8_t>& payload) {
-  Cursor cur(payload);
+  Payload cur(payload, kTruncated);
   StatsReply msg;
   msg.tag = cur.u64();
-  const std::uint32_t json_len = cur.u32();
-  // The declared length is bounded by the frame limit before it sizes the
-  // copy, same posture as the device-id length above.
-  if (json_len > core::kMaxWireFrameBytes) {
-    throw SerializationError("stats JSON exceeds wire limit");
-  }
-  msg.stats_json = cur.bytes(json_len);
-  cur.expect_end();
+  msg.stats_json =
+      cur.str(core::kMaxWireFrameBytes, "stats JSON exceeds wire limit");
+  cur.expect_end(kTrailing);
   return msg;
 }
 
@@ -274,18 +190,10 @@ bool FrameDecoder::feed(const std::uint8_t* data, std::size_t size,
     if (avail < kFrameHeaderBytes) break;
 
     const std::uint8_t* head = buffer_.data() + consumed_;
-    auto word = [&](std::size_t off) {
-      std::uint32_t v = 0;
-      for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(head[off + i]) << (8 * i);
-      }
-      return v;
-    };
-
-    if (word(0) != kFrameMagic) {
+    if (load_le32(head) != kFrameMagic) {
       return fail("bad frame magic (stream desynchronized)");
     }
-    const std::uint32_t len = word(8);
+    const std::uint32_t len = load_le32(head + 8);
     // The declared length is still untrusted here: bound it before it
     // influences how much we are willing to buffer for this frame.
     if (len > max_payload_) {
@@ -294,12 +202,12 @@ bool FrameDecoder::feed(const std::uint8_t* data, std::size_t size,
     const std::size_t frame_bytes = kFrameOverheadBytes + len;
     if (avail < frame_bytes) break;  // wait for the rest
 
-    const std::uint32_t stored_crc = word(kFrameHeaderBytes + len);
+    const std::uint32_t stored_crc = load_le32(head + kFrameHeaderBytes + len);
     if (core::crc32(head, kFrameHeaderBytes + len) != stored_crc) {
       return fail("frame CRC mismatch");
     }
 
-    const std::uint32_t type_word = word(4);
+    const std::uint32_t type_word = load_le32(head + 4);
     Frame frame;
     frame.type = static_cast<MsgType>(type_word & ~kFrameTracedBit);
     std::size_t body_off = kFrameHeaderBytes;
@@ -311,12 +219,8 @@ bool FrameDecoder::feed(const std::uint8_t* data, std::size_t size,
       if (len < kTraceContextBytes) {
         return fail("traced frame shorter than its trace context");
       }
-      auto qword = [&](std::size_t off) {
-        return static_cast<std::uint64_t>(word(off)) |
-               (static_cast<std::uint64_t>(word(off + 4)) << 32);
-      };
-      frame.trace.trace_id = qword(kFrameHeaderBytes);
-      frame.trace.span_id = qword(kFrameHeaderBytes + 8);
+      frame.trace.trace_id = load_le64(head + kFrameHeaderBytes);
+      frame.trace.span_id = load_le64(head + kFrameHeaderBytes + 8);
       body_off += kTraceContextBytes;
       body_len -= kTraceContextBytes;
     }

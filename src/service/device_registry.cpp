@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
@@ -30,25 +30,22 @@ std::uint64_t stable_device_hash(const std::string& s) {
   return support::SplitMix64::mix(h);
 }
 
-DeviceRegistry::DeviceRegistry(std::size_t shards) {
-  shards_.reserve(std::max<std::size_t>(shards, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(shards, 1); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+DeviceRegistry::DeviceRegistry()
+    : shards_(std::make_unique<std::array<Shard, kShards>>()) {}
 
 DeviceRegistry::Shard& DeviceRegistry::shard_for(const std::string& id) {
-  return *shards_[stable_device_hash(id) % shards_.size()];
+  return (*shards_)[stable_device_hash(id) % kShards];
 }
 
 const DeviceRegistry::Shard& DeviceRegistry::shard_for(
     const std::string& id) const {
-  return *shards_[stable_device_hash(id) % shards_.size()];
+  return (*shards_)[stable_device_hash(id) % kShards];
 }
 
 bool DeviceRegistry::store(
     const std::string& device_id,
     std::shared_ptr<const core::DeviceSnapshot> snapshot) {
+  support::check_device_id(device_id, "DeviceRegistry::store");
   Shard& shard = shard_for(device_id);
   std::lock_guard<std::mutex> lock(shard.mutex);
   return shard.records.insert_or_assign(device_id, std::move(snapshot)).second;
@@ -80,70 +77,58 @@ bool DeviceRegistry::evict(const std::string& device_id) {
 
 std::size_t DeviceRegistry::size() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    n += shard->records.size();
+  for (const auto& shard : *shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    n += shard.records.size();
   }
   return n;
 }
 
 std::vector<std::string> DeviceRegistry::device_ids() const {
   std::vector<std::string> ids;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [id, record] : shard->records) ids.push_back(id);
+  for (const auto& shard : *shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [id, record] : shard.records) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-void DeviceRegistry::save(std::ostream& out) const {
+void DeviceRegistry::save(support::ByteWriter& out) const {
   // Snapshot (id, record) pairs shard by shard, then write sorted so the
   // byte stream is independent of hash order.
   std::vector<std::pair<std::string,
                         std::shared_ptr<const core::DeviceSnapshot>>>
       entries;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& entry : shard->records) entries.push_back(entry);
+  for (const auto& shard : *shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& entry : shard.records) entries.push_back(entry);
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  out.write(kRegistryMagic, sizeof(kRegistryMagic));
-  const std::uint64_t count = entries.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  out.raw(kRegistryMagic, sizeof(kRegistryMagic));
+  out.u64(entries.size());
   for (const auto& [id, record] : entries) {
-    const std::uint64_t len = id.size();
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(id.data(), static_cast<std::streamsize>(id.size()));
+    out.u64(id.size());
+    out.raw(id.data(), id.size());
     core::save_record(out, *record);
   }
-  if (!out) throw core::SerializationError("DeviceRegistry: write failed");
 }
 
-DeviceRegistry DeviceRegistry::load_registry(std::istream& in,
-                                             std::size_t shards) {
-  char magic[sizeof(kRegistryMagic)] = {};
-  in.read(magic, sizeof(magic));
-  if (!in || !std::equal(magic, magic + sizeof(magic), kRegistryMagic)) {
+DeviceRegistry DeviceRegistry::load_registry(
+    support::ByteReader<core::SerializationError>& in) {
+  if (std::memcmp(in.take(8), kRegistryMagic, 8) != 0) {
     throw core::SerializationError("DeviceRegistry: bad magic");
   }
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count > (1ULL << 32)) {
+  const std::uint64_t count = in.u64();
+  if (count > (1ULL << 32)) {
     throw core::SerializationError("DeviceRegistry: bad entry count");
   }
-  DeviceRegistry registry(shards);
+  DeviceRegistry registry;
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t len = 0;
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    if (!in || len > (1ULL << 16)) {
-      throw core::SerializationError("DeviceRegistry: bad id length");
-    }
-    std::string id(len, '\0');
-    in.read(id.data(), static_cast<std::streamsize>(len));
-    if (!in) throw core::SerializationError("DeviceRegistry: truncated id");
+    const std::string id = in.bytes(in.u64(), support::kMaxDeviceIdBytes,
+                                    "DeviceRegistry: bad id length");
     auto record = core::load_record(in);
     try {
       registry.store(id, std::move(record));
@@ -166,7 +151,10 @@ void DeviceRegistry::save_file(const std::string& path) const {
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw core::SerializationError("cannot open " + tmp);
-    save(out);
+    support::ByteWriter bytes;
+    save(bytes);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
     out.flush();
     if (!out) {
       std::remove(tmp.c_str());
@@ -181,11 +169,16 @@ void DeviceRegistry::save_file(const std::string& path) const {
   support::fsync_parent_dir(path);
 }
 
-DeviceRegistry DeviceRegistry::load_registry_file(const std::string& path,
-                                                  std::size_t shards) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw core::SerializationError("cannot open " + path);
-  return load_registry(in, shards);
+DeviceRegistry DeviceRegistry::load_registry_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  if (!support::read_file(path, bytes)) {
+    throw core::SerializationError("cannot open " + path);
+  }
+  support::ByteReader<core::SerializationError> in(bytes,
+                                                   "DeviceRegistry: truncated");
+  auto registry = load_registry(in);
+  in.expect_end("DeviceRegistry: trailing bytes");
+  return registry;
 }
 
 }  // namespace pufatt::service

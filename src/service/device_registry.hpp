@@ -1,12 +1,12 @@
-// Sharded, thread-safe registry of enrolled devices.
+// Striped, thread-safe registry of enrolled devices.
 //
 // The verifier side of a deployment owns one EnrollmentRecord per device
 // (the delay table H, the attested image, the timing profile).  A service
 // handling many concurrent attestations cannot funnel every record lookup
-// through one mutex, so the registry stripes its map across N independent
-// shards keyed by a hash of the device id: two requests for different
-// devices almost never touch the same lock, while requests for the same
-// device serialize only against that device's shard.
+// through one mutex, so the registry stripes its map across kShards
+// independent shards keyed by a hash of the device id: two requests for
+// different devices almost never touch the same lock, while requests for
+// the same device serialize only against that device's shard.
 //
 // Devices are held as shared_ptr<const core::DeviceSnapshot>: the record
 // plus the nominal emulation model derived from it, built once when the
@@ -18,8 +18,8 @@
 // re-enrolling a device simply swaps the pointer.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/enrollment.hpp"
+#include "core/serialize.hpp"
 
 namespace pufatt::service {
 
@@ -37,9 +38,11 @@ std::uint64_t stable_device_hash(const std::string& device_id);
 
 class DeviceRegistry {
  public:
-  /// `shards` is rounded up to 1; 16 is plenty below ~100 worker threads
-  /// (collision probability on a random pair of ids is 1/shards).
-  explicit DeviceRegistry(std::size_t shards = 16);
+  /// Lock stripes: plenty below ~100 worker threads (collision probability
+  /// on a random pair of ids is 1/kShards).
+  static constexpr std::size_t kShards = 16;
+
+  DeviceRegistry();
 
   DeviceRegistry(const DeviceRegistry&) = delete;
   DeviceRegistry& operator=(const DeviceRegistry&) = delete;
@@ -49,7 +52,8 @@ class DeviceRegistry {
   DeviceRegistry& operator=(DeviceRegistry&&) = default;
 
   /// Registers (or re-enrolls) a device.  Returns false when the id was
-  /// already present (the snapshot is replaced either way).
+  /// already present (the snapshot is replaced either way).  An id longer
+  /// than support::kMaxDeviceIdBytes throws std::invalid_argument.
   bool store(const std::string& device_id,
              std::shared_ptr<const core::DeviceSnapshot> snapshot);
   /// Builds the record's snapshot first, so a record core::DeviceSnapshot
@@ -67,30 +71,33 @@ class DeviceRegistry {
   bool evict(const std::string& device_id);
 
   std::size_t size() const;
-  std::size_t shard_count() const { return shards_.size(); }
 
   /// Ids currently registered, sorted (joins all shards; intended for
   /// tooling and tests, not hot paths).
   std::vector<std::string> device_ids() const;
 
   // --- persistence (reuses core/serialize's record format) ------------------
+  // "PFATREG1" | count (u64) | per device, sorted by id:
+  //   id length (u64) | id bytes | core::save_record bytes
+  // little-endian throughout.
 
-  /// Writes every (id, record) pair.  The snapshot is taken shard by shard:
-  /// it is consistent per device, not across devices mutated mid-save.
-  void save(std::ostream& out) const;
+  /// Appends every (id, record) pair.  The snapshot is taken shard by
+  /// shard: it is consistent per device, not across devices mutated
+  /// mid-save.
+  void save(support::ByteWriter& out) const;
 
-  /// Loads a registry previously written by save(); throws
+  /// Reads a registry written by save() at the cursor; throws
   /// core::SerializationError on malformed input, a record
   /// core::DeviceSnapshot refuses included.
-  static DeviceRegistry load_registry(std::istream& in,
-                                      std::size_t shards = 16);
+  static DeviceRegistry load_registry(
+      support::ByteReader<core::SerializationError>& in);
 
   /// Atomic: writes `path + ".tmp"` then renames it over `path`, so a
   /// crash mid-save never leaves a torn snapshot — readers see either the
   /// old complete file or the new complete file.
   void save_file(const std::string& path) const;
-  static DeviceRegistry load_registry_file(const std::string& path,
-                                           std::size_t shards = 16);
+  /// Refuses a file holding anything after the registry.
+  static DeviceRegistry load_registry_file(const std::string& path);
 
  private:
   struct Shard {
@@ -103,7 +110,8 @@ class DeviceRegistry {
   Shard& shard_for(const std::string& device_id);
   const Shard& shard_for(const std::string& device_id) const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Behind a pointer so the registry stays movable (mutexes are not).
+  std::unique_ptr<std::array<Shard, kShards>> shards_;
 };
 
 }  // namespace pufatt::service

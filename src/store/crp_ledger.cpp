@@ -1,7 +1,5 @@
 #include "store/crp_ledger.hpp"
 
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "core/serialize.hpp"
@@ -16,30 +14,13 @@ constexpr std::uint32_t kLedgerMagic = 0x47444C50;  // "PLDG"
 constexpr std::uint32_t kLedgerVersion = 1;
 constexpr std::uint32_t kMaxLedgerDevices = 1u << 20;
 
-void write_u32(std::ostream& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(bytes, 4);
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  char bytes[4];
-  in.read(bytes, 4);
-  if (!in) throw StoreError("truncated CRP ledger");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 CrpLedger::CrpLedger(WalWriter* wal, Options options)
     : wal_(wal), options_(std::move(options)) {}
 
 void CrpLedger::enroll(const std::string& device_id, core::CrpDatabase db) {
+  support::check_device_id(device_id, "CrpLedger::enroll");
   // Log-before-apply: the enrollment is in the WAL buffer before the
   // in-memory map ever serves it.
   if (wal_ != nullptr) {
@@ -170,39 +151,36 @@ void CrpLedger::replay_consume(const std::string& device_id,
       it->second.db.remaining() <= options_.low_watermark;
 }
 
-void CrpLedger::save(std::ostream& out) const {
+void CrpLedger::save(support::ByteWriter& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  write_u32(out, kLedgerMagic);
-  write_u32(out, kLedgerVersion);
-  write_u32(out, static_cast<std::uint32_t>(slots_.size()));
+  out.u32(kLedgerMagic);
+  out.u32(kLedgerVersion);
+  out.u32(static_cast<std::uint32_t>(slots_.size()));
   for (const auto& [id, slot] : slots_) {  // sorted: byte-stable
-    write_u32(out, static_cast<std::uint32_t>(id.size()));
-    out.write(id.data(), static_cast<std::streamsize>(id.size()));
+    out.str(id);
     slot.db.save(out);
   }
-  if (!out) throw StoreError("CRP ledger write failed");
 }
 
-void CrpLedger::load_into(std::istream& in, CrpLedger& ledger) {
-  if (read_u32(in) != kLedgerMagic) throw StoreError("bad CRP ledger magic");
-  if (read_u32(in) != kLedgerVersion) {
+void CrpLedger::load_into(support::ByteReader<StoreError>& outer,
+                          CrpLedger& ledger) {
+  support::ByteReader<StoreError> in(outer, "truncated CRP ledger");
+  if (in.u32() != kLedgerMagic) throw StoreError("bad CRP ledger magic");
+  if (in.u32() != kLedgerVersion) {
     throw StoreError("unsupported CRP ledger version");
   }
-  const std::uint32_t count = read_u32(in);
+  const std::uint32_t count = in.u32();
   if (count > kMaxLedgerDevices) {
     throw StoreError("CRP ledger device count exceeds sanity bound");
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = read_u32(in);
-    if (len > kMaxDeviceIdBytes) {
-      throw StoreError("CRP ledger device id exceeds sanity bound");
-    }
-    std::string id(len, '\0');
-    in.read(id.data(), static_cast<std::streamsize>(len));
-    if (!in) throw StoreError("truncated CRP ledger");
+    std::string id = in.str(support::kMaxDeviceIdBytes,
+                            "CRP ledger device id exceeds sanity bound");
     core::CrpDatabase db;
     try {
-      db = core::CrpDatabase::load(in);
+      support::ByteReader<core::SerializationError> blob(
+          in, "CrpDatabase: unexpected end of input");
+      db = core::CrpDatabase::load(blob);
     } catch (const core::SerializationError& e) {
       throw StoreError(std::string("bad CRP database in ledger: ") + e.what());
     }

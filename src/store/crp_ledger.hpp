@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -41,9 +40,11 @@
 #include <vector>
 
 #include "core/crp_database.hpp"
+#include "support/bytes.hpp"
 
 namespace pufatt::store {
 
+class StoreError;
 class WalWriter;
 
 class CrpLedger {
@@ -78,7 +79,9 @@ class CrpLedger {
   CrpLedger& operator=(const CrpLedger&) = delete;
 
   /// Provisions (or replaces) a device's database; logs a kCrpEnroll
-  /// record carrying the full database.
+  /// record carrying the full database.  An id longer than
+  /// support::kMaxDeviceIdBytes throws std::invalid_argument, and nothing
+  /// is logged or stored.
   void enroll(const std::string& device_id, core::CrpDatabase db);
 
   /// Drops a device's database (paired with registry eviction); the evict
@@ -121,9 +124,10 @@ class CrpLedger {
 
   /// Byte-stable: devices sorted by id, each database via CrpDatabase::save
   /// (cursor included).
-  void save(std::ostream& out) const;
-  /// Throws StoreError on malformed input.
-  static void load_into(std::istream& in, CrpLedger& ledger);
+  void save(support::ByteWriter& out) const;
+  /// Reads a ledger written by save() at the cursor; throws StoreError on
+  /// malformed input.
+  static void load_into(support::ByteReader<StoreError>& in, CrpLedger& ledger);
 
  private:
   /// Returns the pending low-watermark notification, if the consume that

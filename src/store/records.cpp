@@ -1,67 +1,26 @@
 #include "store/records.hpp"
 
-#include <sstream>
-
 #include "core/serialize.hpp"
 
 namespace pufatt::store {
 
 namespace {
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+using Reader = support::ByteReader<StoreError>;
+
+constexpr const char* kTruncated = "truncated WAL record payload";
+constexpr const char* kTrailing = "trailing bytes in WAL record payload";
+
+std::string read_id(Reader& in) {
+  return in.str(support::kMaxDeviceIdBytes,
+                "device id in WAL record exceeds sanity bound");
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+support::ByteWriter id_prefix(const std::string& device_id) {
+  support::ByteWriter out;
+  out.str(device_id);
+  return out;
 }
-
-/// Bounds-checked cursor over a decoded payload; throws on under/overrun.
-struct Reader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (size - pos < n) throw StoreError("truncated WAL record payload");
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  std::string id() {
-    const std::uint32_t len = u32();
-    if (len > kMaxDeviceIdBytes) {
-      throw StoreError("device id in WAL record exceeds sanity bound");
-    }
-    need(len);
-    std::string s(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return s;
-  }
-  /// Remaining bytes as a string (the embedded serialized blob).
-  std::string rest() {
-    std::string s(reinterpret_cast<const char*>(data + pos), size - pos);
-    pos = size;
-    return s;
-  }
-  void done() const {
-    if (pos != size) throw StoreError("trailing bytes in WAL record payload");
-  }
-};
 
 void expect_type(const WalRecord& record, std::uint32_t type) {
   if (record.type != type) {
@@ -83,87 +42,78 @@ const char* record_type_name(std::uint32_t type) {
   return "unknown";
 }
 
-std::string encode_enroll(const std::string& device_id,
-                          const core::EnrollmentRecord& record) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(device_id.size()));
-  out += device_id;
-  std::ostringstream blob(std::ios::binary);
-  core::save_record(blob, record);
-  out += blob.str();
-  return out;
+std::vector<std::uint8_t> encode_enroll(const std::string& device_id,
+                                        const core::EnrollmentRecord& record) {
+  auto out = id_prefix(device_id);
+  core::save_record(out, record);
+  return out.take();
 }
 
-std::string encode_evict(const std::string& device_id) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(device_id.size()));
-  out += device_id;
-  return out;
+std::vector<std::uint8_t> encode_evict(const std::string& device_id) {
+  return id_prefix(device_id).take();
 }
 
-std::string encode_crp_enroll(const std::string& device_id,
-                              const core::CrpDatabase& db) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(device_id.size()));
-  out += device_id;
-  std::ostringstream blob(std::ios::binary);
-  db.save(blob);
-  out += blob.str();
-  return out;
+std::vector<std::uint8_t> encode_crp_enroll(const std::string& device_id,
+                                            const core::CrpDatabase& db) {
+  auto out = id_prefix(device_id);
+  db.save(out);
+  return out.take();
 }
 
-std::string encode_crp_consume(const std::string& device_id,
-                               std::uint64_t entry_index) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(device_id.size()));
-  out += device_id;
-  put_u64(out, entry_index);
-  return out;
+std::vector<std::uint8_t> encode_crp_consume(const std::string& device_id,
+                                             std::uint64_t entry_index) {
+  auto out = id_prefix(device_id);
+  out.u64(entry_index);
+  return out.take();
 }
 
 EnrollPayload decode_enroll(const WalRecord& record) {
   expect_type(record, kEnroll);
-  Reader r{record.payload.data(), record.payload.size()};
+  Reader in(record.payload, kTruncated);
   EnrollPayload payload;
-  payload.device_id = r.id();
-  std::istringstream blob(r.rest(), std::ios::binary);
+  payload.device_id = read_id(in);
   try {
+    support::ByteReader<core::SerializationError> blob(
+        in, "unexpected end of input");
     payload.record = core::load_record(blob);
   } catch (const core::SerializationError& e) {
     throw StoreError(std::string("bad enrollment record in WAL: ") + e.what());
   }
+  in.expect_end(kTrailing);
   return payload;
 }
 
 std::string decode_evict(const WalRecord& record) {
   expect_type(record, kEvict);
-  Reader r{record.payload.data(), record.payload.size()};
-  std::string device_id = r.id();
-  r.done();
+  Reader in(record.payload, kTruncated);
+  std::string device_id = read_id(in);
+  in.expect_end(kTrailing);
   return device_id;
 }
 
 CrpEnrollPayload decode_crp_enroll(const WalRecord& record) {
   expect_type(record, kCrpEnroll);
-  Reader r{record.payload.data(), record.payload.size()};
+  Reader in(record.payload, kTruncated);
   CrpEnrollPayload payload;
-  payload.device_id = r.id();
-  std::istringstream blob(r.rest(), std::ios::binary);
+  payload.device_id = read_id(in);
   try {
+    support::ByteReader<core::SerializationError> blob(
+        in, "CrpDatabase: unexpected end of input");
     payload.db = core::CrpDatabase::load(blob);
   } catch (const core::SerializationError& e) {
     throw StoreError(std::string("bad CRP database in WAL: ") + e.what());
   }
+  in.expect_end(kTrailing);
   return payload;
 }
 
 CrpConsumePayload decode_crp_consume(const WalRecord& record) {
   expect_type(record, kCrpConsume);
-  Reader r{record.payload.data(), record.payload.size()};
+  Reader in(record.payload, kTruncated);
   CrpConsumePayload payload;
-  payload.device_id = r.id();
-  payload.entry_index = r.u64();
-  r.done();
+  payload.device_id = read_id(in);
+  payload.entry_index = in.u64();
+  in.expect_end(kTrailing);
   return payload;
 }
 

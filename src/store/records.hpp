@@ -20,9 +20,9 @@
 // WAL watermark, see store/recovery.hpp), because a stale folded record
 // can be *wrong* to re-apply against newer state, not merely redundant.
 //
-// String payload framing: [u32 id_len][id bytes][type-specific body], all
-// little-endian, matching the core/serialize discipline; decoders throw
-// StoreError on any malformed payload.
+// Payload framing: [u32 id_len][id bytes][type-specific body] through
+// support/bytes, ids bounded by support::kMaxDeviceIdBytes; decoders throw
+// StoreError on any malformed payload, trailing bytes included.
 #pragma once
 
 #include <cstdint>
@@ -47,17 +47,13 @@ enum RecordType : std::uint32_t {
 /// "unknown" for types this build does not know.
 const char* record_type_name(std::uint32_t type);
 
-/// Device ids inside records are bounded so a corrupt length field cannot
-/// drive a multi-gigabyte allocation before the CRC even gets checked.
-inline constexpr std::size_t kMaxDeviceIdBytes = 4096;
-
-std::string encode_enroll(const std::string& device_id,
-                          const core::EnrollmentRecord& record);
-std::string encode_evict(const std::string& device_id);
-std::string encode_crp_enroll(const std::string& device_id,
-                              const core::CrpDatabase& db);
-std::string encode_crp_consume(const std::string& device_id,
-                               std::uint64_t entry_index);
+std::vector<std::uint8_t> encode_enroll(const std::string& device_id,
+                                        const core::EnrollmentRecord& record);
+std::vector<std::uint8_t> encode_evict(const std::string& device_id);
+std::vector<std::uint8_t> encode_crp_enroll(const std::string& device_id,
+                                            const core::CrpDatabase& db);
+std::vector<std::uint8_t> encode_crp_consume(const std::string& device_id,
+                                             std::uint64_t entry_index);
 
 struct EnrollPayload {
   std::string device_id;

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
@@ -17,54 +15,6 @@ namespace pufatt::store {
 namespace {
 
 namespace fs = std::filesystem;
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(bytes, 4);
-}
-
-void write_u64(std::ostream& out, std::uint64_t v) {
-  write_u32(out, static_cast<std::uint32_t>(v));
-  write_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  char bytes[4];
-  in.read(bytes, 4);
-  if (!in) throw StoreError("truncated snapshot");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  const std::uint64_t lo = read_u32(in);
-  return lo | (static_cast<std::uint64_t>(read_u32(in)) << 32);
-}
-
-void load_snapshot(const std::string& path, RecoveredState& state) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw StoreError("cannot open snapshot " + path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    throw StoreError("bad snapshot magic: " + path);
-  }
-  if (read_u32(in) != kSnapshotVersion) {
-    throw StoreError("unsupported snapshot version: " + path);
-  }
-  state.stats.snapshot_watermark = read_u64(in);
-  try {
-    state.registry = service::DeviceRegistry::load_registry(in);
-  } catch (const core::SerializationError& e) {
-    throw StoreError(std::string("bad registry in snapshot: ") + e.what());
-  }
-  CrpLedger::load_into(in, *state.ledger);
-}
 
 /// Applies one WAL record to warm state.  Each record type is idempotent
 /// (enroll overwrites, evict/erase tolerate absence, consume is
@@ -121,18 +71,62 @@ std::string snapshot_path(const std::string& dir) {
   return dir + "/snapshot.bin";
 }
 
+std::vector<std::uint8_t> encode_snapshot(
+    const service::DeviceRegistry& registry, const CrpLedger& ledger,
+    std::uint64_t wal_watermark) {
+  support::ByteWriter out;
+  out.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  out.u32(kSnapshotVersion);
+  out.u64(wal_watermark);
+  registry.save(out);
+  ledger.save(out);
+  return out.take();
+}
+
+std::uint64_t decode_snapshot(const std::vector<std::uint8_t>& bytes,
+                              service::DeviceRegistry& registry,
+                              CrpLedger& ledger) {
+  support::ByteReader<StoreError> in(bytes, "truncated snapshot");
+  if (std::memcmp(in.take(8), kSnapshotMagic, 8) != 0) {
+    throw StoreError("bad snapshot magic");
+  }
+  if (in.u32() != kSnapshotVersion) {
+    throw StoreError("unsupported snapshot version");
+  }
+  const std::uint64_t watermark = in.u64();
+  try {
+    support::ByteReader<core::SerializationError> blob(
+        in, "DeviceRegistry: truncated");
+    registry = service::DeviceRegistry::load_registry(blob);
+  } catch (const core::SerializationError& e) {
+    throw StoreError(std::string("bad registry in snapshot: ") + e.what());
+  }
+  CrpLedger::load_into(in, ledger);
+  in.expect_end("trailing bytes in snapshot");
+  return watermark;
+}
+
 RecoveredState recover(const std::string& dir,
                        CrpLedger::Options ledger_options) {
   RecoveredState state;
   state.ledger =
       std::make_unique<CrpLedger>(nullptr, std::move(ledger_options));
 
-  const std::string snap = snapshot_path(dir);
   std::error_code ec;
+  if (fs::exists(dir + "/store.shards", ec)) {
+    throw StoreError(dir + "/store.shards: a sharded-store manifest; this "
+                     "build reads only a single store");
+  }
+  const std::string snap = snapshot_path(dir);
   if (fs::exists(snap, ec)) {
+    std::vector<std::uint8_t> bytes;
+    if (!support::read_file(snap, bytes)) {
+      throw StoreError("cannot open snapshot " + snap);
+    }
     state.stats.snapshot_present = true;
-    state.stats.snapshot_bytes = fs::file_size(snap);
-    load_snapshot(snap, state);
+    state.stats.snapshot_bytes = bytes.size();
+    state.stats.snapshot_watermark =
+        decode_snapshot(bytes, state.registry, *state.ledger);
   }
 
   // The WAL tail: only segments above the snapshot's watermark.  Segments
@@ -169,13 +163,7 @@ void write_snapshot(const std::string& dir,
   // Serialize into memory first, then push the bytes through the
   // fault-injectable io_* ops: one buffer, one write, every failure mode
   // (short write, fsync EIO, torn rename) observable and tested.
-  std::ostringstream buffer(std::ios::binary);
-  buffer.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  write_u32(buffer, kSnapshotVersion);
-  write_u64(buffer, wal_watermark);
-  registry.save(buffer);
-  ledger.save(buffer);
-  const std::string bytes = buffer.str();
+  const auto bytes = encode_snapshot(registry, ledger, wal_watermark);
 
   std::FILE* out = support::io_fopen(tmp.c_str(), "wb");
   if (out == nullptr) throw StoreError("cannot open " + tmp);

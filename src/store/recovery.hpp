@@ -19,8 +19,9 @@
 // Snapshot layout:  "PFATSNP1" | version (u32) | WAL watermark (u64)
 //                   | DeviceRegistry::save bytes | CrpLedger::save bytes
 // Both embedded blobs are self-delimiting with their own magic, so the
-// snapshot needs no internal length fields; any malformed byte stream
-// surfaces as StoreError.
+// snapshot needs no internal length fields; the decoder reads them off
+// one cursor (support/bytes), and any malformed byte stream — trailing
+// bytes included — surfaces as StoreError.
 //
 // Recovery order: load snapshot (or start empty), then replay every WAL
 // record above the watermark, oldest segment first.  The WAL reader's
@@ -32,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "service/device_registry.hpp"
 #include "store/crp_ledger.hpp"
@@ -74,9 +76,22 @@ struct RecoveredState {
 
 /// Rebuilds registry + ledger from `dir` (snapshot, if any, then the WAL
 /// tail).  A missing directory or an empty one recovers to empty state.
-/// Throws StoreError on corruption.
+/// Throws StoreError on corruption, and on a directory holding the
+/// `store.shards` manifest of the sharded store this build no longer has
+/// (read as a plain store, its shards' devices would silently vanish).
 RecoveredState recover(const std::string& dir,
                        CrpLedger::Options ledger_options = {});
+
+/// The snapshot file's bytes.
+std::vector<std::uint8_t> encode_snapshot(
+    const service::DeviceRegistry& registry, const CrpLedger& ledger,
+    std::uint64_t wal_watermark);
+
+/// Decodes snapshot bytes into `registry` and `ledger`; returns the WAL
+/// watermark.  Throws StoreError on malformed input.
+std::uint64_t decode_snapshot(const std::vector<std::uint8_t>& bytes,
+                              service::DeviceRegistry& registry,
+                              CrpLedger& ledger);
 
 /// Atomically persists the snapshot: writes `snapshot.bin.tmp`, fsyncs it,
 /// renames over `snapshot.bin`, fsyncs the directory.  A crash at any

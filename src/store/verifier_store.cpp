@@ -64,9 +64,10 @@ VerifierStore::VerifierStore(std::string dir, StoreOptions options,
 
 bool VerifierStore::enroll(const std::string& device_id,
                            core::EnrollmentRecord record) {
-  // Built before anything is logged, and outside the lock: a record the
-  // snapshot refuses throws here and never reaches the WAL, where it would
-  // fail every later recovery.
+  // Checked and built before anything is logged, and outside the lock: an
+  // id or a record recovery would refuse throws here and never reaches the
+  // WAL, where it would fail every later recovery.
+  support::check_device_id(device_id, "VerifierStore::enroll");
   auto snapshot =
       std::make_shared<const core::DeviceSnapshot>(std::move(record));
   std::unique_lock<std::shared_mutex> lock(state_mutex_);

@@ -62,16 +62,18 @@ class VerifierStore {
   // --- logged mutations -----------------------------------------------------
 
   /// Enrolls (or re-enrolls) a device.  Returns false when the id was
-  /// already present (the record is replaced either way).  A record
-  /// core::DeviceSnapshot refuses throws std::invalid_argument and is not
-  /// logged.
+  /// already present (the record is replaced either way).  An id longer
+  /// than support::kMaxDeviceIdBytes, or a record core::DeviceSnapshot
+  /// refuses, throws std::invalid_argument and is not logged.
   bool enroll(const std::string& device_id, core::EnrollmentRecord record);
 
   /// De-registers a device and drops its CRP database (one kEvict record
   /// covers both).  Returns false when the id was unknown everywhere.
   bool evict(const std::string& device_id);
 
-  /// Provisions (or replaces) a device's single-use CRP database.
+  /// Provisions (or replaces) a device's single-use CRP database.  An id
+  /// longer than support::kMaxDeviceIdBytes throws std::invalid_argument
+  /// and is not logged.
   void enroll_crps(const std::string& device_id, core::CrpDatabase db);
 
   /// CRP authentication with durable consumption (see CrpLedger).

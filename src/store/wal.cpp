@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "core/serialize.hpp"  // crc32
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/bytes.hpp"
 #include "support/faulty_file.hpp"
 #include "support/fsyncutil.hpp"
 
@@ -18,6 +18,8 @@ namespace pufatt::store {
 namespace {
 
 namespace fs = std::filesystem;
+using support::load_le32;
+using support::load_le64;
 
 /// Shared geometry of every store.* latency histogram: 1 us first edge,
 /// ×4 per bucket, 10 buckets (≈ up to 262 ms, unbounded tail above).
@@ -51,33 +53,11 @@ bool parse_segment_index(const std::string& name, std::uint64_t& index) {
   return true;
 }
 
-void put_u32(std::uint8_t* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const std::uint8_t* data) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* data) {
-  return static_cast<std::uint64_t>(get_u32(data)) |
-         (static_cast<std::uint64_t>(get_u32(data + 4)) << 32);
-}
-
 struct SegmentScan {
   std::vector<WalRecord> records;
   std::uint64_t valid_bytes = 0;  ///< clean prefix length (header included)
   bool torn = false;              ///< only ever true for the final segment
 };
-
-std::vector<std::uint8_t> slurp_segment(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw StoreError("cannot open WAL segment " + path);
-  return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
-}
 
 /// Frame-parse loop of a segment scan: walks frames from `off`, extending
 /// `scan.valid_bytes` past each verified frame.  `tolerate_torn` selects
@@ -98,12 +78,12 @@ void parse_frames(const std::vector<std::uint8_t>& bytes, std::size_t off,
       scan.torn = true;
       break;
     }
-    if (get_u32(bytes.data() + off) != kRecordMagic) {
+    if (load_le32(bytes.data() + off) != kRecordMagic) {
       throw StoreError("bad WAL record magic (corrupt log): " +
                        at_byte(path, off));
     }
-    const std::uint32_t type = get_u32(bytes.data() + off + 4);
-    const std::uint32_t len = get_u32(bytes.data() + off + 8);
+    const std::uint32_t type = load_le32(bytes.data() + off + 4);
+    const std::uint32_t len = load_le32(bytes.data() + off + 8);
     if (len > kMaxRecordPayload) {
       throw StoreError("WAL record payload exceeds sanity bound: " +
                        at_byte(path, off));
@@ -117,7 +97,7 @@ void parse_frames(const std::vector<std::uint8_t>& bytes, std::size_t off,
       scan.torn = true;  // crash mid-append: the clean shutdown point
       break;
     }
-    const std::uint32_t stored = get_u32(bytes.data() + off + 12 + len);
+    const std::uint32_t stored = load_le32(bytes.data() + off + 12 + len);
     if (core::crc32(bytes.data() + off, 12 + len) != stored) {
       throw StoreError("WAL record CRC mismatch (corrupt log): " +
                        at_byte(path, off));
@@ -153,7 +133,7 @@ bool check_segment_header(const std::vector<std::uint8_t>& bytes,
   if (std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     throw StoreError("bad WAL segment magic: " + path);
   }
-  if (get_u64(bytes.data() + 8) != expect_index) {
+  if (load_le64(bytes.data() + 8) != expect_index) {
     throw StoreError("WAL segment index does not match filename: " + path);
   }
   return true;
@@ -164,7 +144,10 @@ bool check_segment_header(const std::vector<std::uint8_t>& bytes,
 /// or corruption (thrown); everything else throws identically.
 SegmentScan scan_segment(const std::string& path, std::uint64_t expect_index,
                          bool final_segment, bool collect) {
-  const auto bytes = slurp_segment(path);
+  std::vector<std::uint8_t> bytes;
+  if (!support::read_file(path, bytes)) {
+    throw StoreError("cannot open WAL segment " + path);
+  }
   SegmentScan scan;
   if (!check_segment_header(bytes, path, expect_index, final_segment, scan)) {
     return scan;
@@ -326,11 +309,11 @@ void WalWriter::open_segment_locked(std::uint64_t index) {
   const std::string path = dir_ + "/" + wal_segment_file(index);
   file_ = support::io_fopen(path.c_str(), "wb");
   if (file_ == nullptr) throw StoreError("cannot create WAL segment " + path);
-  std::uint8_t header[kSegmentHeaderBytes];
-  std::memcpy(header, kSegmentMagic, sizeof(kSegmentMagic));
-  put_u32(header + 8, static_cast<std::uint32_t>(index));
-  put_u32(header + 12, static_cast<std::uint32_t>(index >> 32));
-  if (support::io_fwrite(header, sizeof(header), file_) != sizeof(header)) {
+  support::ByteWriter header(kSegmentHeaderBytes);
+  header.raw(kSegmentMagic, sizeof(kSegmentMagic));
+  header.u64(index);
+  if (support::io_fwrite(header.data(), header.size(), file_) !=
+      header.size()) {
     // Never leave a half-headed segment behind as the current file: later
     // appends would land after the partial header and the reader would
     // misclassify them as a torn tail (silent data loss).
@@ -388,12 +371,12 @@ std::uint64_t WalWriter::append(std::uint32_t type,
     span.note("bytes", static_cast<double>(size));
   }
 
-  std::vector<std::uint8_t> frame(kRecordOverheadBytes + size);
-  put_u32(frame.data(), kRecordMagic);
-  put_u32(frame.data() + 4, type);
-  put_u32(frame.data() + 8, static_cast<std::uint32_t>(size));
-  if (size > 0) std::memcpy(frame.data() + 12, payload, size);
-  put_u32(frame.data() + 12 + size, core::crc32(frame.data(), 12 + size));
+  support::ByteWriter frame(kRecordOverheadBytes + size);
+  frame.u32(kRecordMagic);
+  frame.u32(type);
+  frame.u32(static_cast<std::uint32_t>(size));
+  frame.raw(payload, size);
+  frame.u32(core::crc32(frame.data(), frame.size()));
 
   std::lock_guard<std::mutex> lock(mutex_);
   require_open_locked();
@@ -417,12 +400,6 @@ std::uint64_t WalWriter::append(std::uint32_t type,
   append_bytes_.add(frame.size());
   append_us_.record(us_since(t0));
   return ordinal;
-}
-
-std::uint64_t WalWriter::append(std::uint32_t type,
-                                const std::string& payload) {
-  return append(type, reinterpret_cast<const std::uint8_t*>(payload.data()),
-                payload.size());
 }
 
 void WalWriter::sync() {

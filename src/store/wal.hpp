@@ -40,6 +40,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pufatt::obs {
@@ -147,7 +148,14 @@ class WalWriter {
   /// be a lie.)
   std::uint64_t append(std::uint32_t type, const std::uint8_t* payload,
                        std::size_t size);
-  std::uint64_t append(std::uint32_t type, const std::string& payload);
+  std::uint64_t append(std::uint32_t type, std::string_view payload) {
+    return append(type, reinterpret_cast<const std::uint8_t*>(payload.data()),
+                  payload.size());
+  }
+  std::uint64_t append(std::uint32_t type,
+                       const std::vector<std::uint8_t>& payload) {
+    return append(type, payload.data(), payload.size());
+  }
 
   /// Group commit: flushes buffered appends and fsyncs the segment.
   /// One call covers every append since the previous sync.

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "obs/trace_read.hpp"
 #include "service/emulator_cache.hpp"
 #include "service/verifier_pool.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 
 namespace pufatt::net {
@@ -139,6 +141,27 @@ TEST(FrameCodec, MalformedPayloadsThrow) {
   auto bad_outcome = replies[0].payload;
   bad_outcome[8] = 0x77;  // outcome enum out of range
   EXPECT_THROW(decode_verdict_reply(bad_outcome), core::SerializationError);
+}
+
+TEST(FrameCodec, DeviceIdBoundHoldsAtEncodeAndDecode) {
+  const std::string longest(support::kMaxDeviceIdBytes, 'd');
+  const auto frame = encode_job_request(JobRequest{longest, 1, 2, 3});
+  FrameDecoder decoder;
+  std::vector<FrameDecoder::Frame> out;
+  ASSERT_TRUE(decoder.feed(frame, out));
+  EXPECT_EQ(decode_job_request(out[0].payload).device_id, longest);
+
+  // One byte longer: the encoder refuses it...
+  const std::string too_long(support::kMaxDeviceIdBytes + 1, 'd');
+  EXPECT_THROW(encode_job_request(JobRequest{too_long, 1, 2, 3}),
+               std::invalid_argument);
+  // ...and a peer that sends it anyway, every byte present, is refused.
+  support::ByteWriter payload;
+  payload.str(too_long);
+  payload.u64(1);
+  payload.u64(2);
+  payload.u64(3);
+  EXPECT_THROW(decode_job_request(payload.take()), core::SerializationError);
 }
 
 // --- FrameDecoder stream reassembly ----------------------------------------

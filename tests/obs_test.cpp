@@ -304,7 +304,7 @@ struct Fleet {
   }
 
   service::DeviceRegistry make_registry() const {
-    service::DeviceRegistry registry(4);
+    service::DeviceRegistry registry;
     for (const auto& dev : devices) registry.store(dev.id, dev.record);
     return registry;
   }
@@ -322,7 +322,7 @@ struct Fleet {
 
  private:
   explicit Fleet(std::size_t count) {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     Xoshiro256pp rng(0x0B5);
     std::vector<std::uint32_t> firmware(600);
     for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());

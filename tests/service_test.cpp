@@ -13,7 +13,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,8 +53,8 @@ struct Fleet {
   }
 
   /// Fresh registry holding every fleet device.
-  DeviceRegistry make_registry(std::size_t shards = 16) const {
-    DeviceRegistry registry(shards);
+  DeviceRegistry make_registry() const {
+    DeviceRegistry registry;
     for (const auto& dev : devices) registry.store(dev.id, dev.record);
     return registry;
   }
@@ -74,7 +73,7 @@ struct Fleet {
 
  private:
   explicit Fleet(std::size_t count) {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     Xoshiro256pp rng(0x5E21);
     std::vector<std::uint32_t> firmware(600);
     for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());
@@ -93,7 +92,7 @@ struct Fleet {
 
 TEST(DeviceRegistry, StoreLoadEvict) {
   const auto& fleet = Fleet::instance();
-  DeviceRegistry registry(4);
+  DeviceRegistry registry;
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_EQ(registry.load("unit-0"), nullptr);
 
@@ -123,27 +122,39 @@ TEST(DeviceRegistry, LoadedSnapshotSurvivesEviction) {
   (void)verifier;
 }
 
+std::vector<std::uint8_t> saved(const DeviceRegistry& registry) {
+  support::ByteWriter out;
+  registry.save(out);
+  return out.take();
+}
+
+DeviceRegistry loaded(const std::vector<std::uint8_t>& bytes) {
+  support::ByteReader<core::SerializationError> in(bytes);
+  return DeviceRegistry::load_registry(in);
+}
+
 TEST(DeviceRegistry, SaveLoadRoundTripBytes) {
   const auto& fleet = Fleet::instance();
   const auto registry = fleet.make_registry();
-  std::stringstream first;
-  registry.save(first);
+  const auto first = saved(registry);
 
-  std::stringstream input(first.str());
-  const auto reloaded = DeviceRegistry::load_registry(input, /*shards=*/4);
+  const auto reloaded = loaded(first);
   EXPECT_EQ(reloaded.size(), registry.size());
   EXPECT_EQ(reloaded.device_ids(), registry.device_ids());
 
-  // save() sorts entries, so a reloaded registry reproduces the bytes
-  // regardless of its shard count.
-  std::stringstream second;
-  reloaded.save(second);
-  EXPECT_EQ(first.str(), second.str());
+  // save() sorts entries, so a reloaded registry reproduces the bytes,
+  // and so does one filled in the reverse order.
+  EXPECT_EQ(saved(reloaded), first);
+  DeviceRegistry reversed;
+  for (auto it = fleet.devices.rbegin(); it != fleet.devices.rend(); ++it) {
+    reversed.store(it->id, it->record);
+  }
+  EXPECT_EQ(saved(reversed), first);
 }
 
 TEST(DeviceRegistry, RejectsMalformedInput) {
-  std::stringstream garbage("not a registry");
-  EXPECT_THROW(DeviceRegistry::load_registry(garbage),
+  const std::string garbage = "not a registry";
+  EXPECT_THROW(loaded({garbage.begin(), garbage.end()}),
                core::SerializationError);
 }
 
@@ -151,7 +162,7 @@ TEST(DeviceRegistry, ConcurrentStoreLoadEvict) {
   const auto& fleet = Fleet::instance();
   const auto shared = std::make_shared<const core::DeviceSnapshot>(
       fleet.devices[0].record);
-  DeviceRegistry registry(8);
+  DeviceRegistry registry;
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 200;
@@ -208,17 +219,16 @@ TEST(DeviceRegistry, SnapshotModelIsTheNominalDerivation) {
 
 /// `record` under "unit-0" in DeviceRegistry::save's format, written
 /// without a registry (which would refuse a bad record).
-std::string registry_bytes(const core::EnrollmentRecord& record) {
-  std::ostringstream out;
+std::vector<std::uint8_t> registry_bytes(
+    const core::EnrollmentRecord& record) {
+  support::ByteWriter out;
   const std::string id = "unit-0";
-  const std::uint64_t count = 1;
-  const std::uint64_t len = id.size();
-  out.write("PFATREG1", 8);
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  out.write(id.data(), static_cast<std::streamsize>(id.size()));
+  out.raw("PFATREG1", 8);
+  out.u64(1);  // count
+  out.u64(id.size());
+  out.raw(id.data(), id.size());
   core::save_record(out, record);
-  return out.str();
+  return out.take();
 }
 
 /// A record no verifier could serve is refused, for `reason`, when it
@@ -227,8 +237,7 @@ std::string registry_bytes(const core::EnrollmentRecord& record) {
 void expect_refused_at_load(const core::EnrollmentRecord& bad,
                             const std::string& reason) {
   const auto& fleet = Fleet::instance();
-  std::istringstream good(registry_bytes(fleet.devices[0].record));
-  ASSERT_EQ(DeviceRegistry::load_registry(good).size(), 1u);
+  ASSERT_EQ(loaded(registry_bytes(fleet.devices[0].record)).size(), 1u);
 
   auto registry = fleet.make_registry();
   const auto before = registry.load("unit-0");
@@ -239,9 +248,8 @@ void expect_refused_at_load(const core::EnrollmentRecord& bad,
     EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
         << e.what();
   }
-  std::istringstream in(registry_bytes(bad));
   try {
-    registry = DeviceRegistry::load_registry(in);
+    registry = loaded(registry_bytes(bad));
     ADD_FAILURE() << "load_registry accepted the record";
   } catch (const core::SerializationError& e) {
     EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
@@ -265,7 +273,7 @@ TEST(DeviceRegistry, PufWidthOtherThanTheProtocolsIsRefusedAtLoad) {
   // A record genuinely enrolled from a 16-bit die: its delay table matches
   // its circuit, so only the width check can refuse it.  Served, it would
   // make every verifier build throw inside a pool worker.
-  auto profile = core::DistributedParams::small_profile();
+  auto profile = core::DeviceProfile::small();
   profile.puf_config.width = 16;
   const ecc::ReedMuller1 code16(4);
   const alupuf::PufDevice device(profile.puf_config, 0xACE9, code16);
@@ -707,7 +715,7 @@ TEST(DeviceRegistry, FailedSaveLeavesOldFileIntact) {
   // Simulated partial write: the temp path cannot be opened as a file (a
   // directory squats on it), so the save dies before touching `path`.
   std::filesystem::create_directory(tmp);
-  DeviceRegistry changed(4);
+  DeviceRegistry changed;
   changed.store(fleet.devices[0].id, fleet.devices[0].record);
   EXPECT_THROW(changed.save_file(path), core::SerializationError);
 

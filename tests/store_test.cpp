@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "store/recovery.hpp"
 #include "store/verifier_store.hpp"
 #include "store/wal.hpp"
+#include "support/bytes.hpp"
 #include "support/faulty_file.hpp"
 
 namespace pufatt::store {
@@ -61,6 +61,14 @@ void write_bytes(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The bytes `x.save(out)` appends.
+template <class T>
+std::vector<std::uint8_t> saved(const T& x) {
+  support::ByteWriter out;
+  x.save(out);
+  return out.take();
 }
 
 std::uint64_t segment_index(const std::string& path) {
@@ -104,7 +112,7 @@ struct Fleet {
 
  private:
   explicit Fleet(std::size_t count) {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     Xoshiro256pp rng(0x570E);
     std::vector<std::uint32_t> firmware(600);
     for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());
@@ -348,17 +356,15 @@ TEST(CrpDatabasePersistence, RoundTripKeepsCursorAndEntries) {
   EXPECT_TRUE(first.accepted);  // genuine device, genuine references
   EXPECT_EQ(db.remaining(), 3u);
 
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  db.save(buffer);
-  auto reloaded = core::CrpDatabase::load(buffer);
+  const auto bytes = saved(db);
+  support::ByteReader<core::SerializationError> in(bytes);
+  auto reloaded = core::CrpDatabase::load(in);
   EXPECT_EQ(reloaded.size(), 4u);
   EXPECT_EQ(reloaded.remaining(), 3u);
   EXPECT_EQ(reloaded.consumed(), 1u);
 
   // Byte-stable: saving the reload reproduces the bytes exactly.
-  std::stringstream again(std::ios::in | std::ios::out | std::ios::binary);
-  reloaded.save(again);
-  EXPECT_EQ(buffer.str(), again.str());
+  EXPECT_EQ(saved(reloaded), bytes);
 
   // The reload keeps consuming where the original left off, never reusing
   // the spent entry (the anti-replay property of a single-use database).
@@ -388,9 +394,10 @@ TEST(CrpDatabasePersistence, MarkConsumedThroughIsIdempotent) {
 }
 
 TEST(CrpDatabasePersistence, LoadRejectsGarbage) {
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  buffer << "definitely not a CRP database";
-  EXPECT_THROW(core::CrpDatabase::load(buffer), core::SerializationError);
+  const std::string garbage = "definitely not a CRP database";
+  const std::vector<std::uint8_t> bytes(garbage.begin(), garbage.end());
+  support::ByteReader<core::SerializationError> in(bytes);
+  EXPECT_THROW(core::CrpDatabase::load(in), core::SerializationError);
 }
 
 // --- CrpLedger ---------------------------------------------------------------
@@ -522,12 +529,7 @@ TEST(VerifierStore, RecoveryIsByteStable) {
 
   auto serialize = [&] {
     const auto state = recover(dir);
-    std::stringstream registry(std::ios::in | std::ios::out |
-                               std::ios::binary);
-    state.registry.save(registry);
-    std::stringstream ledger(std::ios::in | std::ios::out | std::ios::binary);
-    state.ledger->save(ledger);
-    return std::make_pair(registry.str(), ledger.str());
+    return std::make_pair(saved(state.registry), saved(*state.ledger));
   };
   const auto first = serialize();
   const auto second = serialize();
@@ -540,7 +542,7 @@ TEST(VerifierStore, RecoveryIsByteStable) {
 TEST(VerifierStore, CompactionFoldsWalIntoSnapshot) {
   const auto& fleet = Fleet::instance();
   const std::string dir = fresh_dir("compaction");
-  std::string registry_bytes;
+  std::vector<std::uint8_t> registry_bytes;
   {
     auto db = VerifierStore::open(dir);
     for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
@@ -555,9 +557,7 @@ TEST(VerifierStore, CompactionFoldsWalIntoSnapshot) {
     EXPECT_TRUE(fs::exists(snapshot_path(dir)));
     EXPECT_TRUE(read_wal(dir).records.empty());  // folded away
 
-    std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-    db->registry().save(buffer);
-    registry_bytes = buffer.str();
+    registry_bytes = saved(db->registry());
   }
 
   auto reopened = VerifierStore::open(dir);
@@ -573,9 +573,7 @@ TEST(VerifierStore, CompactionFoldsWalIntoSnapshot) {
   EXPECT_FALSE(reopened->registry().contains(fleet.devices[2].id));
   EXPECT_EQ(reopened->crp_remaining(fleet.devices[0].id), std::size_t{3});
 
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  reopened->registry().save(buffer);
-  EXPECT_EQ(buffer.str(), registry_bytes);
+  EXPECT_EQ(saved(reopened->registry()), registry_bytes);
 }
 
 TEST(VerifierStore, SnapshotPlusTailRecovery) {
@@ -769,6 +767,39 @@ TEST(VerifierStore, RefusedRecordIsNeverLogged) {
             std::vector<std::string>{fleet.devices[0].id});
 }
 
+TEST(VerifierStore, OverlongDeviceIdIsRefusedBeforeAnythingIsLogged) {
+  // Every writer holds the one id bound its readers hold: an id recovery
+  // would refuse never reaches the WAL, so the store still opens.
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("overlong_id");
+  const std::string longest(support::kMaxDeviceIdBytes, 'm');
+  const std::string too_long(5000, 'x');
+  std::vector<std::uint8_t> wal_before;
+  {
+    auto db = VerifierStore::open(dir);
+    db->enroll(fleet.devices[0].id, fleet.devices[0].record);
+    db->enroll(longest, fleet.devices[1].record);
+    db->sync();
+    wal_before = read_bytes(wal_segment_paths(dir).back());
+    EXPECT_THROW(db->enroll(too_long, fleet.devices[2].record),
+                 std::invalid_argument);
+    EXPECT_THROW(db->enroll_crps(too_long, fleet.collect(2, 2, 0x1D)),
+                 std::invalid_argument);
+    db->sync();
+    EXPECT_EQ(read_bytes(wal_segment_paths(dir).back()), wal_before);
+    EXPECT_FALSE(db->registry().contains(too_long));
+    EXPECT_FALSE(db->crp_ledger().contains(too_long));
+  }
+  auto reopened = VerifierStore::open(dir);
+  EXPECT_EQ(reopened->registry().device_ids(),
+            (std::vector<std::string>{longest, fleet.devices[0].id}));
+
+  CrpLedger ledger(nullptr);
+  EXPECT_THROW(ledger.enroll(too_long, fleet.collect(2, 2, 0x1E)),
+               std::invalid_argument);
+  EXPECT_EQ(ledger.device_count(), 0u);
+}
+
 // --- pool integration: the drain durability barrier -------------------------
 
 TEST(VerifierStore, PoolDrainBarrierSyncsTheStore) {
@@ -838,7 +869,7 @@ TEST(Records, DecodersRejectMalformedPayloads) {
 }
 
 TEST(Records, ConsumeRoundTrip) {
-  const std::string payload = encode_crp_consume("device-7", 0x123456789ABCull);
+  const auto payload = encode_crp_consume("device-7", 0x123456789ABCull);
   WalRecord record;
   record.type = kCrpConsume;
   record.payload.assign(payload.begin(), payload.end());
@@ -920,7 +951,7 @@ TEST(DeviceRegistryPersistence, TruncatedRegistryFileNeverHalfLoads) {
   const std::string dir = fresh_dir("registry_torn");
   fs::create_directories(dir);
   const std::string path = dir + "/registry.bin";
-  service::DeviceRegistry registry(4);
+  service::DeviceRegistry registry;
   for (const auto& dev : fleet.devices) registry.store(dev.id, dev.record);
   registry.save_file(path);
   const auto full = read_bytes(path);
@@ -943,6 +974,77 @@ TEST(DeviceRegistryPersistence, TruncatedRegistryFileNeverHalfLoads) {
                  core::SerializationError)
         << "cut at " << cut << " of " << full.size();
   }
+}
+
+TEST(DeviceRegistryPersistence, SavedFileHoldsOnlyIdsItsLoaderReads) {
+  const auto& fleet = Fleet::instance();
+  const std::string dir = fresh_dir("registry_id_bound");
+  fs::create_directories(dir);
+  const std::string path = dir + "/registry.bin";
+  const std::string longest(support::kMaxDeviceIdBytes, 'm');
+  service::DeviceRegistry registry;
+  registry.store(longest, fleet.devices[0].record);
+  EXPECT_THROW(registry.store(std::string(70000, 'x'), fleet.devices[1].record),
+               std::invalid_argument);
+  EXPECT_EQ(registry.size(), 1u);
+  registry.save_file(path);
+  EXPECT_EQ(service::DeviceRegistry::load_registry_file(path).device_ids(),
+            std::vector<std::string>{longest});
+}
+
+// --- snapshot and ledger headers --------------------------------------------
+
+TEST(Recovery, SnapshotAndLedgerRefuseWrongMagicOrVersion) {
+  const auto& fleet = Fleet::instance();
+  service::DeviceRegistry registry;
+  registry.store(fleet.devices[0].id, fleet.devices[0].record);
+  CrpLedger ledger(nullptr);
+  ledger.enroll(fleet.devices[0].id, fleet.collect(0, 2, 0x5A));
+  const auto snapshot = encode_snapshot(registry, ledger, 3);
+  auto decode = [](const std::vector<std::uint8_t>& bytes) {
+    service::DeviceRegistry r;
+    CrpLedger l(nullptr);
+    return decode_snapshot(bytes, r, l);
+  };
+  ASSERT_EQ(decode(snapshot), 3u);
+  // Snapshot magic (offset 0) and version (offset 8).
+  for (const std::size_t at : {std::size_t{0}, std::size_t{8}}) {
+    auto bad = snapshot;
+    bad[at] ^= 0x01;
+    EXPECT_THROW(decode(bad), StoreError) << "snapshot byte " << at;
+  }
+
+  const auto ledger_bytes = saved(ledger);
+  auto load = [](const std::vector<std::uint8_t>& bytes) {
+    support::ByteReader<StoreError> in(bytes);
+    CrpLedger l(nullptr);
+    CrpLedger::load_into(in, l);
+    return l.device_count();
+  };
+  ASSERT_EQ(load(ledger_bytes), 1u);
+  // Ledger magic (offset 0) and version (offset 4).
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4}}) {
+    auto bad = ledger_bytes;
+    bad[at] ^= 0x01;
+    EXPECT_THROW(load(bad), StoreError) << "ledger byte " << at;
+  }
+}
+
+// --- a directory the deleted sharded store left behind ---------------------
+
+TEST(Recovery, LeftoverShardedStoreIsRefused) {
+  const std::string dir = fresh_dir("leftover_sharded");
+  fs::create_directories(dir + "/shard-0000");
+  write_bytes(dir + "/store.shards", {'1', '\n'});
+  try {
+    recover(dir);
+    ADD_FAILURE() << "a sharded-store directory was read as a plain store";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("store.shards"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(VerifierStore::open(dir), StoreError);
+  EXPECT_TRUE(wal_segment_paths(dir).empty());  // no WAL started beside it
 }
 
 // --- depletion hook: once per episode, across many episodes -----------------

@@ -25,7 +25,6 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,7 +62,7 @@ struct Fleet {
   std::vector<Device> devices;
 
   explicit Fleet(std::size_t count) {
-    const auto profile = core::DistributedParams::small_profile();
+    const auto profile = core::DeviceProfile::small();
     support::Xoshiro256pp rng(0x70A7F1EE7);
     std::vector<std::uint32_t> firmware(600);
     for (auto& word : firmware) word = static_cast<std::uint32_t>(rng.next());
@@ -121,15 +120,16 @@ void workload(const Fleet& fleet, const std::string& dir) {
   db->sync();
 }
 
-using StateBytes = std::pair<std::string, std::string>;
+using StateBytes =
+    std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>;
 
 StateBytes serialize_state(const service::DeviceRegistry& registry,
                            const store::CrpLedger& ledger) {
-  std::stringstream reg(std::ios::in | std::ios::out | std::ios::binary);
+  support::ByteWriter reg;
   registry.save(reg);
-  std::stringstream led(std::ios::in | std::ios::out | std::ios::binary);
+  support::ByteWriter led;
   ledger.save(led);
-  return {reg.str(), led.str()};
+  return {reg.take(), led.take()};
 }
 
 /// Read-only recovery of `dir`: nothing on disk is touched.

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/bitvec.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 #include "support/stats.hpp"
@@ -531,6 +534,88 @@ TEST(Table, ShortRowsTolerated) {
   Table t({"a", "b", "c"});
   t.add_row({"x"});
   EXPECT_NO_THROW(t.render());
+}
+
+// --- bytes: the one codec ---------------------------------------------------
+
+TEST(Bytes, WriterIsLittleEndianAndReaderInvertsIt) {
+  ByteWriter out;
+  out.u32(0x04030201u);
+  out.u64(0x0C0B0A0908070605ull);
+  out.f64(-2.5);
+  out.str("id");
+  const auto bytes = out.take();
+  ASSERT_EQ(bytes.size(), 4u + 8u + 8u + 4u + 2u);
+  for (std::uint8_t i = 0; i < 12; ++i) EXPECT_EQ(bytes[i], i + 1);
+  EXPECT_EQ(load_le32(bytes.data()), 0x04030201u);
+  EXPECT_EQ(load_le64(bytes.data() + 4), 0x0C0B0A0908070605ull);
+
+  ByteReader<std::runtime_error> in(bytes);
+  EXPECT_EQ(in.u32(), 0x04030201u);
+  EXPECT_EQ(in.u64(), 0x0C0B0A0908070605ull);
+  EXPECT_EQ(in.f64(), -2.5);
+  EXPECT_EQ(in.str(2, "too long"), "id");
+  EXPECT_NO_THROW(in.expect_end("trailing"));
+}
+
+TEST(Bytes, ReaderNeverReadsPastItsEnd) {
+  // The reader sees 3 of the 8 bytes: a u32 must throw, not read the
+  // fourth byte that happens to be there.
+  const std::uint8_t backing[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  ByteReader<std::runtime_error> in(backing, 3, "cut");
+  try {
+    in.u32();
+    ADD_FAILURE() << "read past the end";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cut");
+  }
+  EXPECT_EQ(in.remaining(), 3u);  // a failed read consumes nothing
+  EXPECT_EQ(in.take(3)[2], 3);
+  EXPECT_THROW(in.take(1), std::runtime_error);
+}
+
+TEST(Bytes, DeclaredLengthIsBoundedBeforeItSizesAnything) {
+  ByteWriter out;
+  out.str(std::string(9, 'x'));
+  const auto bytes = out.take();
+  ByteReader<std::runtime_error> ok(bytes);
+  EXPECT_EQ(ok.str(9, "too long"), std::string(9, 'x'));
+  // Every byte is there, but the declared length is over the bound.
+  ByteReader<std::runtime_error> over(bytes);
+  try {
+    over.str(8, "too long");
+    ADD_FAILURE() << "a length over its bound was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "too long");
+  }
+}
+
+TEST(Bytes, TrailingBytesAreRefused) {
+  const std::vector<std::uint8_t> bytes = {1, 0, 0, 0, 9};
+  ByteReader<std::runtime_error> in(bytes);
+  EXPECT_EQ(in.u32(), 1u);
+  EXPECT_THROW(in.expect_end("trailing"), std::runtime_error);
+}
+
+TEST(Bytes, NestedReaderContinuesTheOuterCursorWithItsOwnError) {
+  struct InnerError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  const std::vector<std::uint8_t> bytes = {1, 0, 0, 0, 2, 0, 0, 0, 3};
+  ByteReader<std::runtime_error> outer(bytes);
+  EXPECT_EQ(outer.u32(), 1u);
+  {
+    ByteReader<InnerError> inner(outer, "inner cut");
+    EXPECT_EQ(inner.u32(), 2u);
+    EXPECT_THROW(inner.u32(), InnerError);
+  }
+  EXPECT_EQ(outer.remaining(), 1u);  // the inner read advanced the outer
+}
+
+TEST(Bytes, DeviceIdBoundIsOneKilobyte) {
+  EXPECT_NO_THROW(check_device_id(std::string(kMaxDeviceIdBytes, 'd'), "t"));
+  EXPECT_THROW(check_device_id(std::string(kMaxDeviceIdBytes + 1, 'd'), "t"),
+               std::invalid_argument);
 }
 
 }  // namespace

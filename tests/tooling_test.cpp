@@ -101,10 +101,20 @@ class SerializeFixture : public ::testing::Test {
   }
 };
 
+/// A record's bytes, and the record they decode back to.
+std::vector<std::uint8_t> record_bytes(const core::EnrollmentRecord& record) {
+  support::ByteWriter out;
+  core::save_record(out, record);
+  return out.take();
+}
+
+core::EnrollmentRecord load_bytes(const std::vector<std::uint8_t>& bytes) {
+  support::ByteReader<core::SerializationError> in(bytes);
+  return core::load_record(in);
+}
+
 TEST_F(SerializeFixture, RoundTripPreservesEverything) {
-  std::stringstream buffer;
-  core::save_record(buffer, record());
-  const auto loaded = core::load_record(buffer);
+  const auto loaded = load_bytes(record_bytes(record()));
 
   EXPECT_EQ(loaded.honest_cycles, record().honest_cycles);
   EXPECT_EQ(loaded.enrolled_image, record().enrolled_image);
@@ -121,9 +131,7 @@ TEST_F(SerializeFixture, RoundTripPreservesEverything) {
 TEST_F(SerializeFixture, LoadedRecordVerifiesLiveDevice) {
   // The real contract: a verifier rebuilt from the serialized record must
   // still accept the physical device.
-  std::stringstream buffer;
-  core::save_record(buffer, record());
-  const auto loaded = core::load_record(buffer);
+  const auto loaded = load_bytes(record_bytes(record()));
 
   static const ecc::ReedMuller1 code(5);
   const alupuf::PufDevice device(loaded.profile.puf_config, 321, code);
@@ -150,25 +158,14 @@ TEST_F(SerializeFixture, RejectsOversizedImageLength) {
   // The image length is bounded (1 << 22 words) before anything is
   // allocated: one past the bound must be refused as too large, not read
   // as a 16 MiB vector that then runs out of input.
-  std::stringstream buffer;
-  core::save_record(buffer, record());
-  std::string bytes = buffer.str();
+  auto bytes = record_bytes(record());
   // The record ends with the image (u32 length + words) and a u64.
   const std::size_t words = record().enrolled_image.size();
   const std::size_t at = bytes.size() - 8 - 4 * words - 4;
-  std::uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= std::uint32_t{static_cast<unsigned char>(bytes[at + i])}
-              << (8 * i);
-  }
-  ASSERT_EQ(length, words);
-  const std::uint32_t oversized = (1u << 22) + 1;
-  for (int i = 0; i < 4; ++i) {
-    bytes[at + i] = static_cast<char>(oversized >> (8 * i));
-  }
-  std::stringstream bad(bytes);
+  ASSERT_EQ(support::load_le32(bytes.data() + at), words);
+  support::store_le32(bytes.data() + at, (1u << 22) + 1);
   try {
-    core::load_record(bad);
+    load_bytes(bytes);
     FAIL() << "an oversized image length was accepted";
   } catch (const core::SerializationError& e) {
     EXPECT_STREQ(e.what(), "vector too large");
@@ -176,26 +173,19 @@ TEST_F(SerializeFixture, RejectsOversizedImageLength) {
 }
 
 TEST(Serialize, RejectsBadMagic) {
-  std::stringstream buffer;
-  buffer.write("nope", 4);
-  EXPECT_THROW(core::load_record(buffer), core::SerializationError);
+  EXPECT_THROW(load_bytes({'n', 'o', 'p', 'e'}), core::SerializationError);
 }
 
 TEST(Serialize, RejectsTruncatedInput) {
-  std::stringstream buffer;
-  core::save_record(buffer, SerializeFixture::record());
-  const std::string all = buffer.str();
-  std::stringstream truncated(all.substr(0, all.size() / 2));
-  EXPECT_THROW(core::load_record(truncated), core::SerializationError);
+  auto bytes = record_bytes(SerializeFixture::record());
+  bytes.resize(bytes.size() / 2);
+  EXPECT_THROW(load_bytes(bytes), core::SerializationError);
 }
 
 TEST(Serialize, RejectsWrongVersion) {
-  std::stringstream buffer;
-  core::save_record(buffer, SerializeFixture::record());
-  std::string bytes = buffer.str();
-  bytes[4] = char(0xEE);  // clobber the version field
-  std::stringstream bad(bytes);
-  EXPECT_THROW(core::load_record(bad), core::SerializationError);
+  auto bytes = record_bytes(SerializeFixture::record());
+  bytes[4] = 0xEE;  // clobber the version field
+  EXPECT_THROW(load_bytes(bytes), core::SerializationError);
 }
 
 TEST(Serialize, MissingFileThrows) {

@@ -307,7 +307,7 @@ int cmd_serve_demo(std::uint64_t workers, std::uint64_t sessions,
     std::fprintf(stderr, "error: workers, sessions and devices must be > 0\n");
     return usage();
   }
-  auto profile = core::DistributedParams::small_profile();
+  auto profile = core::DeviceProfile::small();
 
   std::printf("enrolling %llu devices...\n",
               static_cast<unsigned long long>(devices));
