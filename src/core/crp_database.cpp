@@ -109,10 +109,10 @@ CrpDatabase CrpDatabase::load(Reader& in) {
   if (in.u32() != kCrpVersion) {
     throw SerializationError("CrpDatabase: unsupported version");
   }
-  const std::uint32_t count = in.u32();
-  if (count > kMaxCrpEntries) {
-    throw SerializationError("CrpDatabase: entry count too large");
-  }
+  // Each entry takes at least its 4-byte challenge count, each challenge
+  // at least two 4-byte bit lengths.
+  const std::size_t count =
+      in.count(4, kMaxCrpEntries, "CrpDatabase: entry count too large");
   const std::uint32_t cursor = in.u32();
   if (cursor > count) {
     throw SerializationError("CrpDatabase: consume cursor past the end");
@@ -120,13 +120,11 @@ CrpDatabase CrpDatabase::load(Reader& in) {
   CrpDatabase db;
   db.entries_.resize(count);
   for (auto& entry : db.entries_) {
-    const std::uint32_t challenges = in.u32();
-    if (challenges > kMaxCrpEntries) {
-      throw SerializationError("CrpDatabase: entry too large");
-    }
+    const std::size_t challenges =
+        in.count(8, kMaxCrpEntries, "CrpDatabase: entry too large");
     entry.challenges.reserve(challenges);
     entry.references.reserve(challenges);
-    for (std::uint32_t c = 0; c < challenges; ++c) {
+    for (std::size_t c = 0; c < challenges; ++c) {
       entry.challenges.push_back(read_bits(in));
       entry.references.push_back(read_bits(in));
     }

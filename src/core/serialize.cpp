@@ -13,13 +13,12 @@ constexpr std::uint32_t kMagic = 0x50554154;  // "PUAT"
 constexpr std::uint32_t kVersion = 1;
 // Sanity bound on record vector lengths: the biggest honest array is a
 // firmware image of a few thousand words, so 4M elements is already generous.
-// The check fires on the *declared* length, before the allocation it sizes.
+// The check fires on the *declared* length, before the allocation it sizes,
+// as does the one against the bytes left (`element_bytes` per element).
 constexpr std::size_t kMaxVectorLen = 1u << 22;
 
-std::uint32_t read_count(Reader& in) {
-  const std::uint32_t n = in.u32();
-  if (n > kMaxVectorLen) throw SerializationError("vector too large");
-  return n;
+std::size_t read_count(Reader& in, std::size_t element_bytes) {
+  return in.count(element_bytes, kMaxVectorLen, "vector too large");
 }
 
 void write_f64_vector(support::ByteWriter& out, const std::vector<double>& v) {
@@ -28,7 +27,7 @@ void write_f64_vector(support::ByteWriter& out, const std::vector<double>& v) {
 }
 
 std::vector<double> read_f64_vector(Reader& in) {
-  std::vector<double> v(read_count(in));
+  std::vector<double> v(read_count(in, 8));
   for (auto& x : v) x = in.f64();
   return v;
 }
@@ -132,7 +131,7 @@ EnrollmentRecord load_record(Reader& in) {
     throw SerializationError("delay table arrays have inconsistent sizes");
   }
 
-  record.enrolled_image.resize(read_count(in));
+  record.enrolled_image.resize(read_count(in, 4));
   for (auto& word : record.enrolled_image) word = in.u32();
   record.honest_cycles = in.u64();
   if (record.enrolled_image.size() != record.profile.swat.attest_words) {

@@ -1,14 +1,12 @@
 #include "net/event_loop.hpp"
 
+#include <sys/epoll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 namespace pufatt::net {
 
@@ -21,7 +19,6 @@ std::uint64_t steady_ns() {
           .count());
 }
 
-#ifdef __linux__
 std::uint32_t from_epoll(std::uint32_t ev) {
   std::uint32_t out = 0;
   if (ev & (EPOLLIN | EPOLLHUP)) out |= EventLoop::kReadable;
@@ -36,40 +33,15 @@ std::uint32_t to_epoll(std::uint32_t interest) {
   if (interest & EventLoop::kWritable) ev |= EPOLLOUT;
   return ev;
 }
-#endif
-
-short to_poll(std::uint32_t interest) {
-  short ev = 0;
-  if (interest & EventLoop::kReadable) ev |= POLLIN;
-  if (interest & EventLoop::kWritable) ev |= POLLOUT;
-  return ev;
-}
-
-std::uint32_t from_poll(short ev) {
-  std::uint32_t out = 0;
-  if (ev & (POLLIN | POLLHUP)) out |= EventLoop::kReadable;
-  if (ev & POLLOUT) out |= EventLoop::kWritable;
-  if (ev & (POLLERR | POLLHUP | POLLNVAL)) out |= EventLoop::kError;
-  return out;
-}
 
 }  // namespace
 
-EventLoop::EventLoop(Backend backend) {
-#ifdef __linux__
-  if (backend != Backend::kPoll) {
-    const int efd = ::epoll_create1(0);
-    if (efd < 0) {
-      throw NetError(std::string("epoll_create1: ") + std::strerror(errno));
-    }
-    epoll_fd_.reset(efd);
+EventLoop::EventLoop() {
+  const int efd = ::epoll_create1(0);
+  if (efd < 0) {
+    throw NetError(std::string("epoll_create1: ") + std::strerror(errno));
   }
-#else
-  if (backend == Backend::kEpoll) {
-    throw NetError("epoll backend requested on a non-Linux platform");
-  }
-#endif
-  (void)backend;
+  epoll_fd_.reset(efd);
 
   int pipe_fds[2];
   if (::pipe(pipe_fds) < 0) {
@@ -88,41 +60,25 @@ EventLoop::~EventLoop() = default;
 
 void EventLoop::add(int fd, std::uint32_t interest, IoCallback callback) {
   auto entry = std::make_shared<Entry>();
-  entry->fd = fd;
-  entry->interest = interest;
   entry->callback = std::move(callback);
   entries_[fd] = entry;
-#ifdef __linux__
-  if (using_epoll()) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
-      entries_.erase(fd);
-      throw NetError(std::string("epoll_ctl(ADD): ") + std::strerror(errno));
-    }
-    return;
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &ev) < 0) {
+    entries_.erase(fd);
+    throw NetError(std::string("epoll_ctl(ADD): ") + std::strerror(errno));
   }
-#endif
-  poll_dirty_ = true;
 }
 
 void EventLoop::modify(int fd, std::uint32_t interest) {
-  const auto it = entries_.find(fd);
-  if (it == entries_.end()) return;
-  it->second->interest = interest;
-#ifdef __linux__
-  if (using_epoll()) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
-      throw NetError(std::string("epoll_ctl(MOD): ") + std::strerror(errno));
-    }
-    return;
+  if (entries_.count(fd) == 0) return;
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &ev) < 0) {
+    throw NetError(std::string("epoll_ctl(MOD): ") + std::strerror(errno));
   }
-#endif
-  poll_dirty_ = true;
 }
 
 void EventLoop::remove(int fd) {
@@ -130,13 +86,7 @@ void EventLoop::remove(int fd) {
   if (it == entries_.end()) return;
   it->second->dead = true;  // a dispatch batch may still hold the entry
   entries_.erase(it);
-#ifdef __linux__
-  if (using_epoll()) {
-    ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-    return;
-  }
-#endif
-  poll_dirty_ = true;
+  ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
 void EventLoop::post(std::function<void()> fn) {
@@ -155,26 +105,11 @@ void EventLoop::stop() {
   wake();
 }
 
-void EventLoop::set_timer(double period_ms, std::function<void()> on_tick) {
-  if (timers_.empty()) timers_.resize(1);
-  Timer& slot = timers_[0];
-  slot.period_ms = period_ms;
-  slot.on_tick = std::move(on_tick);
-  slot.next_ns =
-      period_ms > 0.0
-          ? steady_ns() + static_cast<std::uint64_t>(period_ms * 1e6)
-          : 0;
-}
-
 void EventLoop::add_timer(double period_ms, std::function<void()> on_tick) {
-  if (timers_.empty()) timers_.resize(1);  // keep slot 0 for set_timer()
   Timer timer;
   timer.period_ms = period_ms;
   timer.on_tick = std::move(on_tick);
-  timer.next_ns =
-      period_ms > 0.0
-          ? steady_ns() + static_cast<std::uint64_t>(period_ms * 1e6)
-          : 0;
+  timer.next_ns = steady_ns() + static_cast<std::uint64_t>(period_ms * 1e6);
   timers_.push_back(std::move(timer));
 }
 
@@ -200,25 +135,19 @@ void EventLoop::run_posted() {
 }
 
 int EventLoop::timeout_ms_until_tick() const {
-  std::uint64_t soonest = 0;
-  bool armed = false;
-  for (const Timer& timer : timers_) {
-    if (timer.period_ms <= 0.0 || !timer.on_tick) continue;
-    if (!armed || timer.next_ns < soonest) soonest = timer.next_ns;
-    armed = true;
-  }
-  if (!armed) return -1;
+  if (timers_.empty()) return -1;
+  std::uint64_t soonest = timers_.front().next_ns;
+  for (const Timer& timer : timers_) soonest = std::min(soonest, timer.next_ns);
   const std::uint64_t now = steady_ns();
   if (now >= soonest) return 0;
   const std::uint64_t delta_ms = (soonest - now) / 1'000'000u;
   return static_cast<int>(delta_ms) + 1;
 }
 
-void EventLoop::maybe_fire_timer() {
+void EventLoop::fire_due_timers() {
   // Index loop on purpose: a tick callback may add_timer(), growing the
   // vector (the new timer first fires on a later iteration).
   for (std::size_t i = 0; i < timers_.size(); ++i) {
-    if (timers_[i].period_ms <= 0.0 || !timers_[i].on_tick) continue;
     const std::uint64_t now = steady_ns();
     if (now < timers_[i].next_ns) continue;
     timers_[i].next_ns =
@@ -227,59 +156,32 @@ void EventLoop::maybe_fire_timer() {
   }
 }
 
-int EventLoop::wait(
+void EventLoop::dispatch(
     std::vector<std::pair<std::shared_ptr<Entry>, std::uint32_t>>& ready,
     int timeout_ms) {
   ready.clear();
-#ifdef __linux__
-  if (using_epoll()) {
-    epoll_event events[256];
-    const int n = ::epoll_wait(epoll_fd_.get(), events, 256, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      throw NetError(std::string("epoll_wait: ") + std::strerror(errno));
-    }
-    for (int i = 0; i < n; ++i) {
-      const auto it = entries_.find(events[i].data.fd);
-      if (it == entries_.end()) continue;
-      ready.emplace_back(it->second, from_epoll(events[i].events));
-    }
-    return n;
+  epoll_event events[256];
+  const int n = ::epoll_wait(epoll_fd_.get(), events, 256, timeout_ms);
+  if (n < 0 && errno != EINTR) {
+    throw NetError(std::string("epoll_wait: ") + std::strerror(errno));
   }
-#endif
-  if (poll_dirty_) {
-    pollfds_.clear();
-    poll_entries_.clear();
-    pollfds_.reserve(entries_.size());
-    poll_entries_.reserve(entries_.size());
-    for (const auto& [fd, entry] : entries_) {
-      pollfds_.push_back({fd, to_poll(entry->interest), 0});
-      poll_entries_.push_back(entry);
-    }
-    poll_dirty_ = false;
+  for (int i = 0; i < n; ++i) {
+    const auto it = entries_.find(events[i].data.fd);
+    if (it == entries_.end()) continue;
+    ready.emplace_back(it->second, from_epoll(events[i].events));
   }
-  const int n = ::poll(pollfds_.data(),
-                       static_cast<nfds_t>(pollfds_.size()), timeout_ms);
-  if (n < 0) {
-    if (errno == EINTR) return 0;
-    throw NetError(std::string("poll: ") + std::strerror(errno));
+  for (auto& [entry, bits] : ready) {
+    if (entry->dead || bits == 0) continue;
+    entry->callback(bits);
   }
-  for (std::size_t i = 0; i < pollfds_.size(); ++i) {
-    if (pollfds_[i].revents == 0) continue;
-    ready.emplace_back(poll_entries_[i], from_poll(pollfds_[i].revents));
-  }
-  return n;
+  ready.clear();  // drop entry refs before callbacks' effects pile up
+  run_posted();
+  fire_due_timers();
 }
 
 void EventLoop::poll_once(int timeout_ms) {
   std::vector<std::pair<std::shared_ptr<Entry>, std::uint32_t>> ready;
-  wait(ready, timeout_ms);
-  for (auto& [entry, events] : ready) {
-    if (entry->dead || events == 0) continue;
-    entry->callback(events);
-  }
-  run_posted();
-  maybe_fire_timer();
+  dispatch(ready, timeout_ms);
 }
 
 void EventLoop::run() {
@@ -293,14 +195,7 @@ void EventLoop::run() {
       std::lock_guard<std::mutex> lock(post_mutex_);
       if (stop_requested_) break;
     }
-    wait(ready, timeout_ms_until_tick());
-    for (auto& [entry, events] : ready) {
-      if (entry->dead || events == 0) continue;
-      entry->callback(events);
-    }
-    ready.clear();  // drop entry refs before callbacks' effects pile up
-    run_posted();
-    maybe_fire_timer();
+    dispatch(ready, timeout_ms_until_tick());
   }
   run_posted();  // closures posted between the stop flag and the wake
 }

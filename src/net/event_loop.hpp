@@ -1,25 +1,23 @@
-// Single-threaded readiness loop over poll(2) / epoll(7).
+// Single-threaded readiness loop over epoll(7).
 //
 // One thread owns the loop: it blocks in the kernel until a watched fd is
-// ready, dispatches callbacks, runs posted closures, and fires a periodic
-// timer.  Everything the server and load generator do happens on this
+// ready, dispatches callbacks, runs posted closures, and fires periodic
+// timers.  Everything the server and load generator do happens on this
 // thread — connection state needs no locks — while other threads (pool
 // workers delivering verdicts, a controller calling stop()) reach the loop
 // exclusively through the thread-safe post()/stop() pair, which wake the
 // loop via a self-pipe.
 //
-// Backend: epoll on Linux (O(ready) dispatch, the 10k-connection story),
-// portable poll everywhere else.  Both are level-triggered — combined with
-// read-until-EAGAIN that is the simple correctness point — and selectable
-// at runtime so the test suite exercises the poll path on Linux too.
+// epoll is level-triggered here: combined with read-until-EAGAIN that is
+// the simple correctness point, and dispatch is O(ready fds), which is
+// what lets one thread hold 10k connections.  The network front end is
+// Linux-only.
 //
-// Threading contract: add()/modify()/remove() and set_timer() may be
+// Threading contract: add()/modify()/remove() and add_timer() may be
 // called only from the loop thread or before run() starts.  post() and
 // stop() are safe from any thread at any time, including after run()
 // returned (the closure is then simply never executed).
 #pragma once
-
-#include <poll.h>
 
 #include <cstdint>
 #include <functional>
@@ -34,12 +32,6 @@ namespace pufatt::net {
 
 class EventLoop {
  public:
-  enum class Backend {
-    kAuto,   ///< epoll where available, else poll
-    kPoll,
-    kEpoll,  ///< throws NetError off Linux
-  };
-
   /// Readiness bits for interest sets and callback arguments.
   static constexpr std::uint32_t kReadable = 1u;
   static constexpr std::uint32_t kWritable = 2u;
@@ -48,7 +40,7 @@ class EventLoop {
 
   using IoCallback = std::function<void(std::uint32_t events)>;
 
-  explicit EventLoop(Backend backend = Backend::kAuto);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -64,18 +56,15 @@ class EventLoop {
   /// wakes the loop if it is blocked in the kernel.
   void post(std::function<void()> fn);
 
-  /// Periodic callback on the loop thread.  set_timer() owns the primary
-  /// slot (period <= 0 disables it); add_timer() registers additional
-  /// independent periodic timers — the loop's poll timeout is the minimum
-  /// over all armed timers, and each fires on its own cadence.  Both are
-  /// loop-thread-or-pre-run only, like add()/modify()/remove().
-  void set_timer(double period_ms, std::function<void()> on_tick);
+  /// Registers a periodic callback on the loop thread, first firing one
+  /// period from now.  Timers are independent: the loop's wait timeout is
+  /// the minimum over all of them, and each fires on its own cadence.
   void add_timer(double period_ms, std::function<void()> on_tick);
 
   /// Dispatches until stop().  Must be called at most once at a time.
   void run();
 
-  /// One wait-dispatch iteration (posted closures and the timer included)
+  /// One wait-dispatch iteration (posted closures and timers included)
   /// without entering run().  Lets a caller doing long synchronous setup —
   /// the load generator's 10k-connection open storm — keep servicing
   /// already-watched fds so peers never see it as idle.  Loop thread only.
@@ -84,13 +73,10 @@ class EventLoop {
   /// Thread-safe; run() returns after finishing the current iteration.
   void stop();
 
-  bool using_epoll() const { return static_cast<bool>(epoll_fd_); }
   std::size_t watched() const { return entries_.size(); }
 
  private:
   struct Entry {
-    int fd = -1;
-    std::uint32_t interest = 0;
     IoCallback callback;
     bool dead = false;  ///< removed while a dispatch batch referenced it
   };
@@ -99,26 +85,23 @@ class EventLoop {
   void drain_wake_pipe();
   void run_posted();
   int timeout_ms_until_tick() const;
-  void maybe_fire_timer();
-  int wait(std::vector<std::pair<std::shared_ptr<Entry>, std::uint32_t>>& ready,
-           int timeout_ms);
+  void fire_due_timers();
+  /// One iteration: wait up to `timeout_ms`, run the ready callbacks, then
+  /// the posted closures, then the due timers.  `ready` is the caller's
+  /// scratch, so run() reuses one across iterations.
+  void dispatch(
+      std::vector<std::pair<std::shared_ptr<Entry>, std::uint32_t>>& ready,
+      int timeout_ms);
 
   std::unordered_map<int, std::shared_ptr<Entry>> entries_;
-  Fd epoll_fd_;       ///< empty when on the poll backend
+  Fd epoll_fd_;
   Fd wake_read_;
   Fd wake_write_;
-
-  // poll backend scratch, rebuilt when the fd set changes
-  bool poll_dirty_ = true;
-  std::vector<::pollfd> pollfds_;
-  std::vector<std::shared_ptr<Entry>> poll_entries_;  ///< parallel to pollfds_
 
   std::mutex post_mutex_;
   std::vector<std::function<void()>> posted_;
   bool stop_requested_ = false;  ///< guarded by post_mutex_
 
-  /// Timer slot 0 belongs to set_timer(); add_timer() appends.  A slot
-  /// with period_ms <= 0 (or no callback) is disarmed.
   struct Timer {
     double period_ms = 0.0;
     std::function<void()> on_tick;

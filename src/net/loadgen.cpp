@@ -13,6 +13,20 @@
 
 namespace pufatt::net {
 
+namespace {
+
+/// Job j's seeds are base + mult * j (see job_for).
+constexpr std::uint64_t kChannelSeedMult = 31;
+constexpr std::uint64_t kRngSeedMult = 17;
+/// Thundering-herd breaker: each retry waits (1-jitter, 1] x the clamped
+/// hint, drawn from a deterministic per-generator stream.  A whole fleet
+/// shed in one burst gets the same hint back; without jitter it returns
+/// in one synchronized wave that mostly sheds again while the server
+/// idles between waves.
+constexpr double kRetryJitter = 0.5;
+
+}  // namespace
+
 struct LoadGenerator::Conn {
   std::size_t index = 0;       ///< connection ordinal
   std::size_t job = 0;         ///< current job id (global)
@@ -32,16 +46,15 @@ struct LoadGenerator::Conn {
 };
 
 LoadGenerator::LoadGenerator(const LoadGenConfig& config)
-    : config_(config), loop_(config.backend) {}
+    : config_(config) {}
 
 JobRequest LoadGenerator::job_for(const LoadGenConfig& config,
                                   std::size_t job) {
   JobRequest request;
   request.device_id =
       "dev-" + std::to_string(config.devices > 0 ? job % config.devices : 0);
-  request.channel_seed =
-      config.channel_seed_base + config.channel_seed_mult * job;
-  request.rng_seed = config.rng_seed_base + config.rng_seed_mult * job;
+  request.channel_seed = config.channel_seed_base + kChannelSeedMult * job;
+  request.rng_seed = config.rng_seed_base + kRngSeedMult * job;
   request.tag = job;
   return request;
 }
@@ -59,7 +72,7 @@ LoadGenReport LoadGenerator::run() {
   // The retry queue is the only time-driven work; 1ms resolution is far
   // below any realistic retry-after hint.  Armed before the connect loop so
   // the interleaved polls below can already fire it.
-  loop_.set_timer(1.0, [this] { check_retry_queue(); });
+  loop_.add_timer(1.0, [this] { check_retry_queue(); });
 
   for (std::size_t c = 0; c < config_.connections; ++c) {
     open_connection(c);
@@ -254,16 +267,14 @@ void LoadGenerator::on_reply(const std::shared_ptr<Conn>& conn,
         double wait_us =
             std::clamp(busy.retry_after_us, 100.0,
                        std::max(100.0, config_.max_retry_wait_ms * 1e3));
-        // De-synchronize the retry wave (see LoadGenConfig::retry_jitter).
-        if (config_.retry_jitter > 0.0) {
-          jitter_state_ += 0x9E3779B97F4A7C15ull;  // splitmix64
-          std::uint64_t z = jitter_state_;
-          z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-          z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-          z ^= z >> 31;
-          const double u01 = static_cast<double>(z >> 11) * 0x1.0p-53;
-          wait_us *= 1.0 - config_.retry_jitter * u01;
-        }
+        // De-synchronize the retry wave (see kRetryJitter).
+        jitter_state_ += 0x9E3779B97F4A7C15ull;  // splitmix64
+        std::uint64_t z = jitter_state_;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        z ^= z >> 31;
+        const double u01 = static_cast<double>(z >> 11) * 0x1.0p-53;
+        wait_us *= 1.0 - kRetryJitter * u01;
         conn->awaiting_reply = false;
         conn->waiting_retry = true;
         retry_at_.emplace(

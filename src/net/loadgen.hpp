@@ -11,7 +11,9 @@
 // Backpressure: a BusyReply is obeyed, not retried hot — the connection
 // re-sends after the server's retry-after hint (clamped by
 // `max_retry_wait_ms` so a bench run cannot stall on one pessimistic
-// hint), up to `max_busy_retries` attempts per job.
+// hint), up to `max_busy_retries` attempts per job.  Each wait is
+// jittered (see kRetryJitter in loadgen.cpp) so a fleet shed in one burst
+// does not come back in one synchronized wave.
 //
 // Determinism and parity: job j's device, tag and seeds are pure
 // functions of j (see job_for), identical to what an in-process
@@ -40,18 +42,9 @@ struct LoadGenConfig {
   /// Distinct device ids cycled over the job list (SimFleet::device_id).
   std::size_t devices = 8;
   std::uint64_t channel_seed_base = 0xC0FFEE;
-  std::uint64_t channel_seed_mult = 31;
   std::uint64_t rng_seed_base = 0x5EED;
-  std::uint64_t rng_seed_mult = 17;
   std::size_t max_busy_retries = 64;
   double max_retry_wait_ms = 50.0;  ///< clamp on server retry-after hints
-  /// Thundering-herd breaker: each retry waits (1-jitter, 1] x the clamped
-  /// hint, drawn from a deterministic per-generator stream.  A whole fleet
-  /// shed in one burst gets the same hint back; without jitter it returns
-  /// in one synchronized wave that mostly sheds again while the server
-  /// idles between waves.  0 disables (retry exactly at the hint).
-  double retry_jitter = 0.5;
-  EventLoop::Backend backend = EventLoop::Backend::kAuto;
   /// Optional span tracer (must outlive the generator; null = untraced
   /// requests, byte-identical to the pre-trace wire format).  Each
   /// sampled job yields a "client.job" root covering first-send→verdict

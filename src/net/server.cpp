@@ -11,6 +11,12 @@ namespace pufatt::net {
 namespace {
 
 constexpr double kNsPerMs = 1e6;
+/// Accept-queue depth handed to listen(2); the kernel clamps it to
+/// net.core.somaxconn.  A fleet-scale connect storm overflows the
+/// historical 128 default long before the loop is actually saturated,
+/// and every overflowed SYN costs its client a ~1 s kernel retransmit.
+constexpr int kListenBacklog = 4096;
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 }  // namespace
 
@@ -21,15 +27,15 @@ AttestationServer::AttestationServer(service::EmulatorCache& cache,
       factory_(std::move(factory)),
       config_(config),
       bound_(config.endpoint),
-      loop_(config.backend) {
-  listener_ = listen_on(config_.endpoint, config_.listen_backlog);
+      read_buf_(kReadChunkBytes) {
+  listener_ = listen_on(config_.endpoint, kListenBacklog);
   bound_ = local_endpoint(listener_.get(), config_.endpoint);
 
   loop_.add(listener_.get(), EventLoop::kReadable,
             [this](std::uint32_t) { on_accept(); });
   if (config_.idle_timeout_ms > 0.0) {
     const double sweep_ms = std::max(config_.idle_timeout_ms / 4.0, 1.0);
-    loop_.set_timer(std::min(sweep_ms, 250.0), [this] { sweep_idle(); });
+    loop_.add_timer(std::min(sweep_ms, 250.0), [this] { sweep_idle(); });
   }
   if (!config_.metrics_jsonl.empty() && config_.stats_interval_ms > 0.0) {
     metrics_file_ = std::fopen(config_.metrics_jsonl.c_str(), "w");
@@ -127,17 +133,17 @@ void AttestationServer::on_readable(const std::shared_ptr<Connection>& conn) {
   std::size_t event_bytes = 0;
   std::size_t event_frames = 0;
   std::uint64_t event_trace = 0;  ///< first traced frame seen this event
-  std::vector<std::uint8_t> buf(config_.read_chunk_bytes);
   std::vector<FrameDecoder::Frame> frames;
 
   for (;;) {
-    const ssize_t n = ::read(conn->fd.get(), buf.data(), buf.size());
+    const ssize_t n =
+        ::read(conn->fd.get(), read_buf_.data(), read_buf_.size());
     if (n > 0) {
       event_bytes += static_cast<std::size_t>(n);
       conn->last_activity_ns = obs::monotonic_ns();
       frames.clear();
-      const bool ok =
-          conn->decoder.feed(buf.data(), static_cast<std::size_t>(n), frames);
+      const bool ok = conn->decoder.feed(
+          read_buf_.data(), static_cast<std::size_t>(n), frames);
       for (const auto& frame : frames) {
         ++event_frames;
         if (event_trace == 0) event_trace = frame.trace.trace_id;
@@ -252,7 +258,6 @@ void AttestationServer::handle_job_request(
   service::AttestationJob job;
   job.device_id = request.device_id;
   job.responder = std::move(responder);
-  job.faults = config_.job_faults;
   job.channel_seed = request.channel_seed;
   job.rng_seed = request.rng_seed;
   // Adopt the client's trace identity: the pool notes it on the pool.job

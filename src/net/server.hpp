@@ -51,7 +51,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/faulty_channel.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -71,16 +70,8 @@ using ResponderFactory =
 struct ServerConfig {
   Endpoint endpoint;                    ///< tcp:HOST:PORT (0 = ephemeral) or unix:PATH
   service::PoolConfig pool;             ///< workers, queue bound, session/channel
-  core::FaultParams job_faults;         ///< simulated link faults per job
   double idle_timeout_ms = 30'000.0;    ///< evict silent connections
   std::size_t max_write_queue_bytes = 1u << 20;  ///< per-connection cap
-  /// Accept-queue depth handed to listen(2); the kernel clamps it to
-  /// net.core.somaxconn.  A fleet-scale connect storm overflows the
-  /// historical 128 default long before the loop is actually saturated,
-  /// and every overflowed SYN costs its client a ~1 s kernel retransmit.
-  int listen_backlog = 4096;
-  std::size_t read_chunk_bytes = 64 * 1024;
-  EventLoop::Backend backend = EventLoop::Backend::kAuto;
   obs::Tracer* tracer = nullptr;        ///< must outlive the server; null = off
   /// Optional process-wide metric registry (the store's WAL and compaction
   /// counters live there).  Included verbatim in the stats frame and the
@@ -196,6 +187,8 @@ class AttestationServer {
 
   EventLoop loop_;
   Fd listener_;
+  /// on_readable's read buffer; loop thread only, so it needs no lock.
+  std::vector<std::uint8_t> read_buf_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Connection>> connections_;
   /// In-flight pool jobs: server correlation id -> (connection, client tag).
   struct Pending {

@@ -191,17 +191,9 @@ void VerifierPool::run_job(const AttestationJob& job, std::uint64_t trace_id,
 }
 
 void VerifierPool::drain() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    accepting_ = false;
-    queue_idle_.wait(lock,
-                     [this] { return queue_.empty() && in_flight_ == 0; });
-    if (drained_hook_ran_) return;  // the durability barrier fires once
-    drained_hook_ran_ = true;
-  }
-  // Outside the lock: the hook may take its own time (an fsync) and must
-  // not stall queue_depth()/submit() probes meanwhile.
-  if (config_.on_drain) config_.on_drain();
+  std::unique_lock<std::mutex> lock(mutex_);
+  accepting_ = false;
+  queue_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void VerifierPool::shutdown() {

@@ -49,12 +49,6 @@ struct PoolConfig {
   /// "pool.queue_wait" and "pool.verify" children; the cache and the
   /// session hang their spans under pool.verify.  Null = no tracing.
   obs::Tracer* tracer = nullptr;
-  /// Invoked once per drain()/shutdown(), after the queue has emptied and
-  /// every in-flight session finished, on the draining thread.  This is
-  /// the durability barrier hook: a verifier store registers its group-
-  /// commit sync() here so that by the time drain() returns, every
-  /// consume marker the drained jobs produced is on disk.
-  std::function<void()> on_drain;
 };
 
 /// One attestation request against a registered device.
@@ -162,7 +156,6 @@ class VerifierPool {
   std::size_t in_flight_ = 0;
   bool accepting_ = true;
   bool exiting_ = false;
-  bool drained_hook_ran_ = false;  ///< on_drain fires exactly once
   // Host-clock service-time accumulators feeding the retry-after hint.
   double total_service_us_ = 0.0;
   std::uint64_t serviced_ = 0;

@@ -14,25 +14,10 @@
 // that already folded some markers, then replaying the full WAL tail,
 // lands on the same cursor.
 //
-// Depletion watermark: a single-use database is a wasting asset.  When a
-// consume leaves a device at or below `low_watermark` remaining entries,
-// the `on_low` hook fires (once per depletion episode) — the integration
-// point for a re-enrollment/replenish pipeline.  Re-enrolling above the
-// watermark re-arms the hook.
-//
-// Thread-safe; the hook is invoked outside the ledger lock so it may call
-// back into enroll() to replenish — but only when the ledger is used
-// directly.  A caller that wraps the ledger under its own lock (the
-// VerifierStore facade) passes `low_out` to authenticate() and fires the
-// hook itself after releasing that lock; if the ledger fired it inline,
-// a hook replenishing through the facade would re-enter the facade's
-// lock from the same thread and self-deadlock, and replenishing via the
-// ledger directly would bypass the facade's WAL-order == apply-order
-// exclusion.
+// Thread-safe: every operation but attach_wal takes the ledger's own lock.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -49,26 +34,9 @@ class WalWriter;
 
 class CrpLedger {
  public:
-  struct Options {
-    /// Fire on_low when a consume leaves remaining() <= this.
-    std::size_t low_watermark = 2;
-    /// Replenish hook: (device_id, remaining entries).  Called outside the
-    /// ledger lock, on the authenticating thread — by the ledger itself,
-    /// or by the facade that owns it (see the header comment).
-    std::function<void(const std::string&, std::size_t)> on_low;
-  };
-
-  /// A pending depletion notification: authenticate() hands it to callers
-  /// that must fire on_low only after releasing their own outer lock.
-  struct LowWatermark {
-    std::string device_id;
-    std::size_t remaining = 0;
-  };
-
   /// `wal` may be null (inspection / offline replay: nothing is logged);
   /// when set it must outlive the ledger.
-  explicit CrpLedger(WalWriter* wal) : CrpLedger(wal, Options()) {}
-  CrpLedger(WalWriter* wal, Options options);
+  explicit CrpLedger(WalWriter* wal) : wal_(wal) {}
 
   /// Recovery wire-up: a ledger is rebuilt with no WAL (replay must not
   /// re-log what it replays), then attached to the live writer before any
@@ -92,17 +60,10 @@ class CrpLedger {
   /// marker before returning, so an accepted result is never observable
   /// without its consumption being (at least) in the WAL buffer.
   /// nullopt when the device has no database.
-  ///
-  /// When `low_out` is null and this consume crosses the depletion
-  /// watermark, on_low fires inline (outside the ledger lock) before
-  /// returning.  When `low_out` is non-null the hook is NOT invoked;
-  /// the pending notification is stored there instead and the caller must
-  /// fire it after releasing any outer lock of its own.
   std::optional<core::CrpDatabase::AuthResult> authenticate(
       const std::string& device_id, const alupuf::AluPuf& device,
       support::Xoshiro256pp& rng, double threshold_fraction = 0.22,
-      const variation::Environment& env = variation::Environment::nominal(),
-      std::optional<LowWatermark>* low_out = nullptr);
+      const variation::Environment& env = variation::Environment::nominal());
 
   /// nullopt when the device has no database.
   std::optional<std::size_t> remaining(const std::string& device_id) const;
@@ -130,20 +91,10 @@ class CrpLedger {
   static void load_into(support::ByteReader<StoreError>& in, CrpLedger& ledger);
 
  private:
-  /// Returns the pending low-watermark notification, if the consume that
-  /// the caller just performed crossed it.  Caller holds mutex_.
-  std::optional<LowWatermark> check_watermark_locked(
-      const std::string& device_id);
-
-  struct Slot {
-    core::CrpDatabase db;
-    bool low_notified = false;  ///< one on_low per depletion episode
-  };
-
   WalWriter* wal_;
-  Options options_;
   mutable std::mutex mutex_;
-  std::map<std::string, Slot> slots_;  ///< ordered: save() iterates sorted
+  /// Ordered: save() iterates sorted.
+  std::map<std::string, core::CrpDatabase> dbs_;
 };
 
 }  // namespace pufatt::store

@@ -106,11 +106,9 @@ std::uint64_t decode_snapshot(const std::vector<std::uint8_t>& bytes,
   return watermark;
 }
 
-RecoveredState recover(const std::string& dir,
-                       CrpLedger::Options ledger_options) {
+RecoveredState recover(const std::string& dir) {
   RecoveredState state;
-  state.ledger =
-      std::make_unique<CrpLedger>(nullptr, std::move(ledger_options));
+  state.ledger = std::make_unique<CrpLedger>(nullptr);
 
   std::error_code ec;
   if (fs::exists(dir + "/store.shards", ec)) {

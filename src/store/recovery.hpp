@@ -79,8 +79,7 @@ struct RecoveredState {
 /// Throws StoreError on corruption, and on a directory holding the
 /// `store.shards` manifest of the sharded store this build no longer has
 /// (read as a plain store, its shards' devices would silently vanish).
-RecoveredState recover(const std::string& dir,
-                       CrpLedger::Options ledger_options = {});
+RecoveredState recover(const std::string& dir);
 
 /// The snapshot file's bytes.
 std::vector<std::uint8_t> encode_snapshot(

@@ -22,7 +22,7 @@ const support::LogScale& store_scale() {
 }  // namespace
 
 std::unique_ptr<VerifierStore> VerifierStore::open(std::string dir,
-                                                   StoreOptions options) {
+                                                   WalOptions options) {
   obs::Span span;
   if (obs::global_trace_enabled()) {
     span = obs::global_tracer().span("store.recover");
@@ -30,26 +30,25 @@ std::unique_ptr<VerifierStore> VerifierStore::open(std::string dir,
   // Recovery reads the files before WalWriter (constructed inside the
   // VerifierStore) truncates the torn tail; both apply the same clean-
   // prefix rule, so they agree on where the log ends.
-  RecoveredState state = recover(dir, options.crp);
+  RecoveredState state = recover(dir);
   // The writer must never number a fresh segment at or below the
   // snapshot's watermark (recovery would skip its records) and deletes
   // any stale folded segments an interrupted compaction left behind.
-  options.wal.min_segment_index =
-      std::max<std::uint64_t>(options.wal.min_segment_index,
+  options.min_segment_index =
+      std::max<std::uint64_t>(options.min_segment_index,
                               state.stats.snapshot_watermark + 1);
   if (span.active()) {
     span.note("records", static_cast<double>(state.stats.records_replayed));
     span.note("devices", static_cast<double>(state.stats.devices));
   }
   return std::unique_ptr<VerifierStore>(
-      new VerifierStore(std::move(dir), std::move(options), std::move(state)));
+      new VerifierStore(std::move(dir), options, std::move(state)));
 }
 
-VerifierStore::VerifierStore(std::string dir, StoreOptions options,
+VerifierStore::VerifierStore(std::string dir, const WalOptions& options,
                              RecoveredState state)
     : dir_(std::move(dir)),
-      options_(std::move(options)),
-      wal_(dir_, options_.wal),
+      wal_(dir_, options),
       registry_(std::move(state.registry)),
       ledger_(std::move(state.ledger)),
       recovery_stats_(std::move(state.stats)),
@@ -99,21 +98,10 @@ std::optional<core::CrpDatabase::AuthResult> VerifierStore::authenticate_crp(
     const std::string& device_id, const alupuf::AluPuf& device,
     support::Xoshiro256pp& rng, double threshold_fraction,
     const variation::Environment& env) {
-  std::optional<core::CrpDatabase::AuthResult> result;
-  std::optional<CrpLedger::LowWatermark> low;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    crp_auths_.add();
-    result = ledger_->authenticate(device_id, device, rng, threshold_fraction,
-                                   env, &low);
-  }
-  // The replenish hook fires only after the shared lock is released: it
-  // may call straight back into enroll_crps() (an exclusive locker on the
-  // same mutex), which would self-deadlock if invoked under the lock.
-  if (low && options_.crp.on_low) {
-    options_.crp.on_low(low->device_id, low->remaining);
-  }
-  return result;
+  std::shared_lock<std::shared_mutex> lock(state_mutex_);
+  crp_auths_.add();
+  return ledger_->authenticate(device_id, device, rng, threshold_fraction,
+                               env);
 }
 
 void VerifierStore::sync() { wal_.sync(); }

@@ -11,10 +11,8 @@
 // reconstruction; compact() folds the WAL into a fresh snapshot and
 // restarts the log.
 //
-// Durability is batched: appends become durable at the next sync() —
-// explicit, every `wal.sync_every` appends, or via the VerifierPool drain
-// barrier (register sync() as PoolConfig.on_drain, so a drained pool
-// implies every consume marker its jobs produced is on disk).
+// Durability is batched: appends become durable at the next sync(),
+// explicit or every `WalOptions::sync_every` appends.
 //
 // Concurrency: CRP authentication (the hot path) runs under the ledger's
 // own lock and takes only a shared state lock here; enrollment, eviction
@@ -43,18 +41,13 @@ class LogHistogram;
 
 namespace pufatt::store {
 
-struct StoreOptions {
-  WalOptions wal;
-  CrpLedger::Options crp;  ///< depletion watermark + replenish hook
-};
-
 class VerifierStore {
  public:
   /// Opens (creating if empty) the store at `dir`: recovers registry and
   /// ledger from snapshot + WAL, truncates any torn tail, and resumes
   /// logging.  Throws StoreError on corruption.
   static std::unique_ptr<VerifierStore> open(std::string dir,
-                                             StoreOptions options = {});
+                                             WalOptions options = {});
 
   VerifierStore(const VerifierStore&) = delete;
   VerifierStore& operator=(const VerifierStore&) = delete;
@@ -77,10 +70,7 @@ class VerifierStore {
   void enroll_crps(const std::string& device_id, core::CrpDatabase db);
 
   /// CRP authentication with durable consumption (see CrpLedger).
-  /// nullopt when the device has no database.  A depletion-watermark
-  /// crossing fires StoreOptions.crp.on_low on this thread *after* the
-  /// store's shared lock is released, so the hook may replenish by
-  /// calling straight back into enroll_crps().
+  /// nullopt when the device has no database.
   std::optional<core::CrpDatabase::AuthResult> authenticate_crp(
       const std::string& device_id, const alupuf::AluPuf& device,
       support::Xoshiro256pp& rng, double threshold_fraction = 0.22,
@@ -89,7 +79,7 @@ class VerifierStore {
   // --- durability -----------------------------------------------------------
 
   /// Group commit: everything appended so far is on disk when this
-  /// returns.  The natural PoolConfig.on_drain registrant.
+  /// returns.
   void sync();
 
   /// Folds the whole WAL into a fresh snapshot (atomic temp+rename) and
@@ -110,10 +100,10 @@ class VerifierStore {
   const std::string& dir() const { return dir_; }
 
  private:
-  VerifierStore(std::string dir, StoreOptions options, RecoveredState state);
+  VerifierStore(std::string dir, const WalOptions& options,
+                RecoveredState state);
 
   const std::string dir_;
-  StoreOptions options_;
 
   /// Shared: CRP authentication.  Exclusive: enroll/evict/enroll_crps
   /// (keeps WAL order == apply order) and compact (quiesces everything).

@@ -126,10 +126,16 @@ class ByteReader {
   /// `n` bytes, where `n` is a declared length: a length above `max`
   /// throws `too_long` before it sizes anything.
   std::string bytes(std::uint64_t n, std::size_t max, const char* too_long) {
-    if (n > max) throw Error(too_long);
-    const std::uint8_t* p = take(static_cast<std::size_t>(n));
-    return std::string(reinterpret_cast<const char*>(p),
-                       static_cast<std::size_t>(n));
+    const std::size_t len = bounded(n, 1, max, too_long);
+    return std::string(reinterpret_cast<const char*>(take(len)), len);
+  }
+  /// A u32 element count, for elements of at least `min_element_bytes`
+  /// encoded bytes each: a count above `max` throws `too_long`, and one the
+  /// remaining bytes cannot hold throws the truncation error, before the
+  /// caller sizes anything from it.
+  std::size_t count(std::size_t min_element_bytes, std::size_t max,
+                    const char* too_long) {
+    return bounded(u32(), min_element_bytes, max, too_long);
   }
   /// A u32 length prefix, then bytes(length, max, too_long).
   std::string str(std::size_t max, const char* too_long) {
@@ -143,6 +149,13 @@ class ByteReader {
  private:
   template <class>
   friend class ByteReader;
+
+  std::size_t bounded(std::uint64_t n, std::size_t min_element_bytes,
+                      std::size_t max, const char* too_long) const {
+    if (n > max) throw Error(too_long);
+    if (n > remaining() / min_element_bytes) throw Error(truncated_);
+    return static_cast<std::size_t>(n);
+  }
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -11,12 +11,19 @@
 // type its format throws: core::SerializationError for records, CRP
 // databases, the registry and the protocol frames; store::StoreError for
 // the ledger, the snapshot and the WAL payloads.
+//
+// Last, a decoder fed a count its input cannot hold must refuse it before
+// sizing anything: this binary replaces the global operator new to count
+// the bytes a decode requests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -32,6 +39,48 @@
 #include "store/wal.hpp"
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocated{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+// Out of line, so the compiler does not see operator new's memory handed
+// to free() and flag it as a mismatched pair.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+// Every unaligned form, so nothing this binary news is freed by a
+// sanitizer's own operator delete.
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
 
 namespace pufatt {
 namespace {
@@ -395,6 +444,69 @@ TEST(Codec, NetDecodersRefuseEveryPrefixAndExtension) {
         net::decode_stats_request);
   check("stats_reply", net::encode_stats_reply(kStatsReply),
         net::decode_stats_reply);
+}
+
+/// Bytes `decode` requests from operator new while refusing `input`
+/// with Error.
+template <class Error>
+std::size_t bytes_allocated_refusing(
+    const Bytes& input, const std::function<void(const Bytes&)>& decode) {
+  g_allocated.store(0);
+  g_counting.store(true);
+  bool refused = false;
+  try {
+    decode(input);
+  } catch (const Error&) {
+    refused = true;
+  }
+  g_counting.store(false);
+  EXPECT_TRUE(refused);
+  return g_allocated.load();
+}
+
+// A declared count above what the remaining bytes can hold is refused as
+// truncated before it sizes a container.  Without that bound, the 16-byte
+// database below made the decoder reserve 2^20 entries and the 292-byte
+// record 2^22 doubles, 56 and 32 MiB.
+TEST(Codec, DecodersSizeNothingTheirInputCannotHold) {
+  const auto& c = Corpus::instance();
+  using core::SerializationError;
+  using Reader = support::ByteReader<SerializationError>;
+  // A refusal may allocate its error message, and nothing near a
+  // declared size: at most a small multiple of the input.
+  constexpr std::size_t kBytesPerInputByte = 8;
+
+  // Magic, version, 2^20 entries, cursor 0: and nothing else.
+  const Bytes db = saved(c.db_a);
+  Bytes huge_db(db.begin(), db.begin() + 8);
+  support::ByteWriter db_tail;
+  db_tail.u32(1u << 20);
+  db_tail.u32(0);
+  huge_db.insert(huge_db.end(), db_tail.data(), db_tail.data() + 8);
+  ASSERT_EQ(huge_db.size(), 16u);
+  EXPECT_LE(bytes_allocated_refusing<SerializationError>(
+                huge_db,
+                whole<SerializationError>(
+                    [](Reader& in) { core::CrpDatabase::load(in); })),
+            kBytesPerInputByte * huge_db.size());
+
+  // A valid record cut at the count of the first delay-table vector,
+  // which then declares 2^22 doubles.
+  const Bytes record = saved_record(c.rec_a);
+  constexpr std::size_t kFirstVectorCount = 288;
+  ASSERT_EQ(support::load_le32(record.data() + kFirstVectorCount),
+            c.rec_a.model.intrinsic_ps.size());
+  Bytes huge_record(record.begin(), record.begin() + kFirstVectorCount);
+  support::ByteWriter record_tail;
+  record_tail.u32(1u << 22);
+  huge_record.insert(huge_record.end(), record_tail.data(),
+                     record_tail.data() + 4);
+  ASSERT_EQ(huge_record.size(), 292u);
+  EXPECT_LE(bytes_allocated_refusing<SerializationError>(
+                huge_record,
+                whole<SerializationError>(
+                    [](Reader& in) { core::load_record(in); })),
+            kBytesPerInputByte * huge_record.size());
 }
 
 }  // namespace

@@ -447,6 +447,13 @@ TEST_F(HelperDataCodes, SizeValidation) {
                std::invalid_argument);
   EXPECT_THROW(helper.reproduce_soft(std::vector<double>(32), BitVector(25)),
                std::invalid_argument);
+  // The word kernels take codes of at most 64 bits.
+  const ReedMuller1 wide(7);
+  const SyndromeHelper wide_helper(wide);
+  const std::vector<double> llr(wide.n(), 1.0);
+  EXPECT_THROW(wide_helper.reproduce_soft_word(llr.data(), 0),
+               std::invalid_argument);
+  EXPECT_THROW(wide_helper.generate_word(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Network front-end tests: frame codecs and the incremental decoder under
-// adversarial chunking, the event loop on both backends, and the
+// adversarial chunking, the epoll event loop, and the
 // AttestationServer's lifecycle/backpressure/shedding rules end-to-end
 // over real sockets (TCP loopback and Unix domain).  Every multi-threaded
 // test here is expected to run clean under -DPUFATT_TSAN=ON.
@@ -314,16 +314,8 @@ TEST(FrameDecoder, OversizedDeclaredLengthRejectedBeforeBuffering) {
 
 // --- EventLoop --------------------------------------------------------------
 
-class EventLoopBackends : public ::testing::TestWithParam<EventLoop::Backend> {
-};
-
-TEST_P(EventLoopBackends, PostTimerAndSocketEcho) {
-  EventLoop loop(GetParam());
-#ifdef __linux__
-  EXPECT_EQ(loop.using_epoll(), GetParam() != EventLoop::Backend::kPoll);
-#else
-  EXPECT_FALSE(loop.using_epoll());
-#endif
+TEST(EventLoop, PostTimerAndSocketEcho) {
+  EventLoop loop;
 
   int pair[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
@@ -339,7 +331,7 @@ TEST_P(EventLoopBackends, PostTimerAndSocketEcho) {
     const ssize_t n = ::read(b.get(), buf, sizeof(buf));
     if (n > 0) received.assign(buf, static_cast<std::size_t>(n));
   });
-  loop.set_timer(1.0, [&] {
+  loop.add_timer(1.0, [&] {
     if (++ticks >= 3 && !received.empty()) loop.stop();
   });
 
@@ -356,8 +348,8 @@ TEST_P(EventLoopBackends, PostTimerAndSocketEcho) {
   EXPECT_GE(ticks, 3);
 }
 
-TEST_P(EventLoopBackends, RemoveDuringDispatchIsSafe) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, RemoveDuringDispatchIsSafe) {
+  EventLoop loop;
   int pair[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
   set_nonblocking(pair[0]);
@@ -383,8 +375,8 @@ TEST_P(EventLoopBackends, RemoveDuringDispatchIsSafe) {
   EXPECT_EQ(loop.watched(), 1u);  // only the internal wake pipe remains
 }
 
-TEST_P(EventLoopBackends, PollOnceServicesFdsAndTimerWithoutRun) {
-  EventLoop loop(GetParam());
+TEST(EventLoop, PollOnceServicesFdsAndTimerWithoutRun) {
+  EventLoop loop;
   int pair[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
   set_nonblocking(pair[0]);
@@ -398,7 +390,7 @@ TEST_P(EventLoopBackends, PollOnceServicesFdsAndTimerWithoutRun) {
     if (n > 0) received.assign(buf, static_cast<std::size_t>(n));
   });
   int ticks = 0;
-  loop.set_timer(1.0, [&] { ++ticks; });
+  loop.add_timer(1.0, [&] { ++ticks; });
 
   // Nothing pending: a zero-timeout poll returns without dispatching.
   loop.poll_once(0);
@@ -419,14 +411,36 @@ TEST_P(EventLoopBackends, PollOnceServicesFdsAndTimerWithoutRun) {
   loop.run();
 }
 
-#ifdef __linux__
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopBackends,
-                         ::testing::Values(EventLoop::Backend::kPoll,
-                                           EventLoop::Backend::kEpoll));
-#else
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopBackends,
-                         ::testing::Values(EventLoop::Backend::kPoll));
-#endif
+// --- LoadGenerator ----------------------------------------------------------
+
+// Job j's request is what perfbench and the parity tests replay in
+// process, so its seeds are pinned, not just self-consistent.
+TEST(LoadGenerator, JobForPinsDeviceTagAndSeeds) {
+  LoadGenConfig config;  // 8 devices, bases 0xC0FFEE and 0x5EED
+  struct Pinned {
+    std::size_t job;
+    const char* device;
+    std::uint64_t channel_seed;
+    std::uint64_t rng_seed;
+  };
+  for (const Pinned& p : {Pinned{0, "dev-0", 12648430, 24301},
+                          Pinned{1, "dev-1", 12648461, 24318},
+                          Pinned{7, "dev-7", 12648647, 24420},
+                          Pinned{1000, "dev-0", 12679430, 41301}}) {
+    const JobRequest request = LoadGenerator::job_for(config, p.job);
+    EXPECT_EQ(request.device_id, p.device) << p.job;
+    EXPECT_EQ(request.tag, p.job);
+    EXPECT_EQ(request.channel_seed, p.channel_seed) << p.job;
+    EXPECT_EQ(request.rng_seed, p.rng_seed) << p.job;
+  }
+  config.devices = 3;
+  config.channel_seed_base = 100;
+  config.rng_seed_base = 5;
+  const JobRequest request = LoadGenerator::job_for(config, 5);
+  EXPECT_EQ(request.device_id, "dev-2");
+  EXPECT_EQ(request.channel_seed, 255u);
+  EXPECT_EQ(request.rng_seed, 90u);
+}
 
 // --- server end-to-end ------------------------------------------------------
 

@@ -97,9 +97,9 @@ std::string scratch_dir(const std::string& name) {
 /// injected fault makes the store fail closed — the caller treats that
 /// the same as a kill.
 void workload(const Fleet& fleet, const std::string& dir) {
-  store::StoreOptions options;
-  options.wal.segment_bytes = 1024;  // rotate several times
-  options.wal.sync_every = 2;
+  store::WalOptions options;
+  options.segment_bytes = 1024;  // rotate several times
+  options.sync_every = 2;
   auto db = store::VerifierStore::open(dir, options);
   for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
     db->enroll(fleet.devices[d].id, fleet.devices[d].record);

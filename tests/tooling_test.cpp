@@ -172,6 +172,36 @@ TEST_F(SerializeFixture, RejectsOversizedImageLength) {
   }
 }
 
+TEST_F(SerializeFixture, RejectsDelayTablesOfDisagreeingSizes) {
+  // Each of H's arrays has one entry per gate; one array a gate short is
+  // refused even though each array's own length prefix is consistent.
+  for (auto member :
+       {&variation::DelayTable::wire_ps, &variation::DelayTable::vth_v,
+        &variation::DelayTable::vth_tempco,
+        &variation::DelayTable::rise_factor,
+        &variation::DelayTable::fall_factor}) {
+    auto broken = record();
+    (broken.model.*member).pop_back();
+    try {
+      load_bytes(record_bytes(broken));
+      FAIL() << "delay table arrays of different sizes were accepted";
+    } catch (const core::SerializationError& e) {
+      EXPECT_STREQ(e.what(), "delay table arrays have inconsistent sizes");
+    }
+  }
+}
+
+TEST_F(SerializeFixture, RejectsImageNotMatchingTheAttestedRegion) {
+  auto broken = record();
+  broken.enrolled_image.pop_back();
+  try {
+    load_bytes(record_bytes(broken));
+    FAIL() << "an image shorter than the attested region was accepted";
+  } catch (const core::SerializationError& e) {
+    EXPECT_STREQ(e.what(), "image size does not match the attested region");
+  }
+}
+
 TEST(Serialize, RejectsBadMagic) {
   EXPECT_THROW(load_bytes({'n', 'o', 'p', 'e'}), core::SerializationError);
 }

@@ -1078,9 +1078,9 @@ int cmd_store_compact(const std::string& dir, std::uint64_t segment_bytes) {
     std::fprintf(stderr, "error: no such store directory '%s'\n", dir.c_str());
     return 1;
   }
-  store::StoreOptions options;
+  store::WalOptions options;
   if (segment_bytes > 0) {
-    options.wal.segment_bytes = static_cast<std::size_t>(segment_bytes);
+    options.segment_bytes = static_cast<std::size_t>(segment_bytes);
   }
   const auto db = store::VerifierStore::open(dir, options);
   const auto& before = db->recovery_stats();
